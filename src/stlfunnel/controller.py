@@ -5,11 +5,14 @@ eps the transformed funnel error.  Between events the input is frozen;
 a new event fires when the state leaves an infinity-norm ball of radius
 delta_i around the event state or when delta_i seconds elapse, with
 delta_i chosen so the frozen input stays within delta_u of the
-continuous law over the whole inter-event box.
+continuous law over the whole inter-event box.  The law's Lipschitz
+constant over that box comes from its analytic Jacobian, evaluated in
+one vectorized pass over the probe points.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,9 +24,9 @@ from scipy.stats import qmc
 from . import kernels
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
-from .funnel import FunnelParams, gamma_at, gamma_rate, transform_slope, transformed_error
+from .funnel import FunnelParams, transformed_error
 from .plants import Plant
-from .robustness import compile_leaf_table, smooth_psi_hessian, smooth_psi_value_and_grad
+from .robustness import compile_leaf_table, smooth_psi_value_and_grad
 
 __all__ = [
     "TriggerConfig",
@@ -33,15 +36,17 @@ __all__ = [
     "law_jacobian",
     "compute_trigger_radius",
     "should_trigger",
-    "held_input",
 ]
 
 Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
 
 _XI_GUARD = 1e-3
-_FD_STEP = 1e-6
 _CORNER_CAP = 1024
 _DEG = math.pi / 180.0
+# rot(theta)^T = cos(theta) * _ROT_C + sin(theta) * _ROT_S + _ROT_Z.
+_ROT_C = np.diag([1.0, 1.0, 0.0])
+_ROT_S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_ROT_Z = np.diag([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,134 @@ def continuous_law(
     return -te.eps * (np.asarray(g).T @ grad)
 
 
+@functools.lru_cache(maxsize=None)
+def _leaf_maps(psi: NonTemporalFormula, n: int) -> tuple[np.ndarray, ...]:
+    """The leaf table as linear read-outs of an n-dimensional state.
+
+    Leaf i reads r_i = A_i x - c_i, with A of shape (L, W, n) and c of
+    shape (L, W).  Ball and join leaves take the norm of r_i, affine
+    leaves its first entry, so h_i = sign_i * (cst_i - read-out).
+    Returns ``A`` flattened to (L * W, n), ``c``, ``first`` (the
+    derivative of the affine read-out with respect to r_i; zero rows
+    for norm leaves), ``grad_map`` (block-diagonal, (L * W, L * n),
+    taking the read-out derivatives to the leaf gradients -sign_i A_i^T),
+    ``ata`` (A_i^T A_i flattened to (L, n * n)), the norm-leaf mask, and
+    the table's signs and constants.
+    """
+    table = compile_leaf_table(psi)
+    L, W = table.sels.shape
+    A = np.zeros((L, W, n))
+    c = np.zeros((L, W))
+    first = np.zeros((L, W))
+    grad_map = np.zeros((L, W, L, n))
+    for i in range(L):
+        k = int(np.count_nonzero(table.sels[i] >= 0))
+        rows, sel = np.arange(k), table.sels[i, :k]
+        if table.kinds[i] == 0:
+            np.add.at(A[i, 0], sel, table.pars[i, :k])
+            first[i, 0] = 1.0
+        else:
+            np.add.at(A[i], (rows, sel), 1.0)
+            if table.kinds[i] == 1:
+                c[i, :k] = table.pars[i, :k]
+            else:
+                np.add.at(A[i], (rows, table.selbs[i, :k]), -1.0)
+        grad_map[i, :, i, :] = -table.signs[i] * A[i]
+    ata = (A.transpose(0, 2, 1) @ A).reshape(L, n * n)
+    maps = (A.reshape(L * W, n), c, first, grad_map.reshape(L * W, L * n), ata, table.kinds != 0)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps + (table.signs, table.csts)
+
+
+def _law_jacobian_batch(
+    X: np.ndarray,
+    T: np.ndarray,
+    psi: NonTemporalFormula,
+    fp: FunnelParams,
+    plant: Plant,
+    smoothing: SmoothingConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
+
+    With q = grad rho, u = -eps * g(x)^T q differentiates into g^T M_x
+    and g^T m_t, where
+
+        M_x = -eps * hess - (slope / gamma) * q q^T,
+        m_t = -(d eps/dt) * q,   d eps/dt = slope * xi * l * decay / gamma,
+
+    slope = dS/dxi, and hess is the softmin Hessian over the leaf
+    gradients q_i,
+
+        sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
+
+    A ball or join leaf has H_i = sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i
+    with u = r_i / |r_i|, which equals curv_i * (q_i q_i^T - A_i^T A_i)
+    with curv_i = sign_i / |r_i|; at a norm centre its gradient and
+    Hessian are zero, as in ``predicate_hessian``.  All outer products
+    therefore collect into one batched matmul over the leaf gradients
+    with q appended.  The omni team applies g^T per agent as 3x3 blocks
+    and adds the heading column d rot/d theta (degrees).  Rows whose xi
+    leaves (-1, 0) are not finite.
+    """
+    P, n = X.shape
+    A, c, first, grad_map, ata, norm, signs, csts = _leaf_maps(psi, n)
+    L, W = c.shape
+    eta = smoothing.eta
+
+    r = (X @ A.T).reshape(P, L, W) - c
+    nd = np.sqrt((r * r).sum(axis=2))
+    h = signs * (csts - np.where(norm, nd, r[:, :, 0]))
+    with np.errstate(divide="ignore"):
+        inv_nd = np.where(norm & (nd > 0.0), 1.0 / nd, 0.0)
+    unit = r * inv_nd[:, :, None] + first
+    leaf_grads = (unit.reshape(P, L * W) @ grad_map).reshape(P, L, n)
+
+    h_min = h.min(axis=1, keepdims=True)
+    w = np.exp(-eta * (h - h_min))
+    z = w.sum(axis=1, keepdims=True)
+    rho = h_min[:, 0] - np.log(z[:, 0]) / eta
+    w /= z
+    grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
+    curv = w * signs * inv_nd
+
+    pf = fp.perf
+    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
+    gamma = decay + pf.gamma_inf
+    xi = (rho - fp.rho_max) / gamma
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps = np.log(-(xi + 1.0) / xi)
+        slope = 1.0 / (1.0 + xi) - 1.0 / xi
+
+    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
+    coef = np.concatenate(
+        [-eps[:, None] * (curv - eta * w), -(eps * eta + slope / gamma)[:, None]], axis=1
+    )
+    M_x = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
+    M_x += ((eps[:, None] * curv) @ ata).reshape(P, n, n)
+    m_t = -(slope * xi * pf.l * decay / gamma)[:, None] * grad
+
+    if plant.kernel_kind == 0:
+        return plant.kernel_gain * M_x, plant.kernel_gain * m_t, xi
+    # Per agent g^T = gbase^T rot(theta)^T with
+    # rot(theta)^T = cos * _ROT_C + sin * _ROT_S + _ROT_Z, so g^T and its
+    # heading derivative are (cos, sin, 1) and (-sin, cos, 0) times a
+    # fixed basis; theta is in degrees.
+    n_agents = n // 3
+    blocks = (P, n_agents, 3, 3)
+    basis = np.stack([(plant.kernel_gbase.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
+    th = X[:, 2::3] * _DEG
+    cos, sin = np.cos(th), np.sin(th)
+    gT = (np.stack([cos, sin, np.ones_like(cos)], axis=2) @ basis).reshape(blocks)
+    dgT = (np.stack([-sin, cos, np.zeros_like(cos)], axis=2) @ basis).reshape(blocks) * _DEG
+    du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
+    du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
+    dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)
+    rows = np.arange(n)
+    du_dx[:, rows, 3 * (rows // 3) + 2] -= eps[:, None] * dgT_grad
+    return du_dx, du_dt, xi
+
+
 def law_jacobian(
     x: np.ndarray,
     t: float,
@@ -112,44 +245,43 @@ def law_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic Jacobian of the law: (du/dx with shape (m, n), du/dt).
 
-    Differentiates through the softmin gradient, the funnel error, and
-    the state dependence of the actuation matrix (the rotation blocks
-    of the omni team; orientation states are degrees).
+    A batch of one over the vectorized Jacobian that also sizes the
+    trigger radius.  Raises FunnelViolation outside the funnel.
     """
     x = np.asarray(x, dtype=float)
-    rho, grad = smooth_psi_value_and_grad(psi, x, smoothing)
-    hess = smooth_psi_hessian(psi, x, smoothing)
-    gamma = gamma_at(fp.perf, t)
-    xi = (rho - fp.rho_max) / gamma
-    if not (-1.0 < xi < 0.0):
-        raise FunnelViolation(xi, t)
-    eps = math.log(-(xi + 1.0) / xi)
-    slope = transform_slope(xi)
-    deps_dx = slope * grad / gamma
-    deps_dt = -slope * xi * gamma_rate(fp.perf, t) / gamma
+    du_dx, du_dt, xi = _law_jacobian_batch(
+        x[None, :], np.array([float(t)]), psi, fp, plant, smoothing
+    )
+    if not (-1.0 < xi[0] < 0.0):
+        raise FunnelViolation(float(xi[0]), t)
+    return du_dx[0], du_dt[0]
 
-    g = plant.g(x)
-    gT_grad = g.T @ grad
-    du_dx = -np.outer(gT_grad, deps_dx) - eps * (g.T @ hess)
-    if plant.kernel_kind == 1:
-        # d/d theta_a of rot(theta_a) @ gbase, theta in degrees.
-        n_agents = plant.n // 3
-        for a in range(n_agents):
-            th = x[3 * a + 2] * _DEG
-            c, s = math.cos(th), math.sin(th)
-            drot = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]]) * _DEG
-            dg_block = drot @ plant.kernel_gbase
-            block = dg_block.T @ grad[3 * a : 3 * a + 3]
-            du_dx[3 * a : 3 * a + 3, 3 * a + 2] += -eps * block
-    du_dt = -deps_dt * gT_grad
-    return du_dx, du_dt
+
+def _law_row_sums(
+    pts: np.ndarray,
+    psi: NonTemporalFormula,
+    fp: FunnelParams,
+    plant: Plant,
+    smoothing: SmoothingConfig,
+) -> np.ndarray:
+    """Per probe point and input j, sum_k |du_j/dz_k| over z = (x, t)."""
+    du_dx, du_dt, _ = _law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, smoothing)
+    # A matrix-vector product sums the short last axis faster than .sum().
+    return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_signs(dims: int) -> np.ndarray:
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=dims)))
+    signs.setflags(write=False)
+    return signs
 
 
 def _corners(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Generator) -> np.ndarray:
     """Corner points of the box, capped by random subsampling."""
     dims = x.shape[0] + 1
     if 2**dims <= _CORNER_CAP:
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=dims)))
+        signs = _corner_signs(dims)
     else:
         signs = rng.choice((-1.0, 1.0), size=(_CORNER_CAP, dims))
     pts = np.empty_like(signs)
@@ -203,12 +335,13 @@ def compute_trigger_radius(
 ) -> float:
     """Trigger radius delta_i = min(delta_u / L_z, box_x, box_t).
 
-    L_z conservatively estimates the Lipschitz constant of the law over
-    the box B(x_i, box_x) x [t_i, t_i + box_t]: the max infinity-norm
-    of central-difference Jacobians at quasi-random probes plus box
-    corners, times a safety factor.  The box first shrinks until all
-    probes keep xi inside (-1 + 1e-3, -1e-3); radii below
-    ``delta_floor`` raise TriggerFloorError.
+    L_z estimates the Lipschitz constant of the law over the box
+    B(x_i, box_x) x [t_i, t_i + box_t]: the max infinity-norm of the
+    analytic Jacobian with respect to z = (x, t) at quasi-random probes
+    plus box corners, times a safety factor.  The box first shrinks
+    until all probes keep xi inside (-1 + 1e-3, -1e-3), so the Jacobian
+    is finite at every probe; radii below ``delta_floor`` raise
+    TriggerFloorError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -226,18 +359,8 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
             )
 
-    dims = x_i.shape[0] + 1
-    row_sums = np.zeros((pts.shape[0], plant.m))
-    for k in range(dims):
-        shift = np.zeros(dims)
-        shift[k] = _FD_STEP
-        u_plus, _ = _batch_u_xi(pts + shift, psi, fp, plant, smoothing)
-        u_minus, _ = _batch_u_xi(pts - shift, psi, fp, plant, smoothing)
-        row_sums += np.abs(u_plus - u_minus) / (2.0 * _FD_STEP)
-    finite = np.isfinite(row_sums).all(axis=1)
-    if not finite.any():
-        raise TriggerFloorError(t_i, "all Lipschitz probes fell outside the funnel")
-    l_z = float(row_sums[finite].max(axis=1).max()) * tc.lipschitz_safety
+    row_sums = _law_row_sums(pts, psi, fp, plant, smoothing)
+    l_z = float(row_sums.max()) * tc.lipschitz_safety
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
     if delta < tc.delta_floor:
         raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {tc.delta_floor:g}")
@@ -257,13 +380,6 @@ def should_trigger(x: np.ndarray, t: float, cs: ControllerState) -> Cause | None
     if t - ev.t > ev.delta:
         return "MaxInterval"
     return None
-
-
-def held_input(cs: ControllerState) -> np.ndarray:
-    """Zero-order-held input from the active event."""
-    if cs.event is None:
-        raise ValueError("no active trigger event")
-    return cs.event.u
 
 
 def make_event(

@@ -21,7 +21,7 @@ from .formulas import AtomicTask, NonTemporalFormula, SequentialFormula, Smoothi
 from .funnel import FunnelParams, SynthesisConfig, synthesize_funnel
 from .robustness import smooth_psi_value_and_grad
 
-__all__ = ["SequencerConfig", "HybridState", "init_sequencer", "jump_if_due", "active_control"]
+__all__ = ["SequencerConfig", "HybridState", "init_sequencer", "jump_if_due"]
 
 _TIME_TOL = 1e-9
 
@@ -160,14 +160,3 @@ def funnel_clock(z: HybridState) -> float:
 def active_psi(z: HybridState) -> NonTemporalFormula:
     return z.active_task.psi
 
-
-def active_control(
-    z: HybridState,
-    x: np.ndarray,
-    plant_g: np.ndarray,
-    smoothing: SmoothingConfig = SmoothingConfig(),
-) -> np.ndarray:
-    """Continuous law of the active mode (terminal mode reuses the last)."""
-    from .controller import continuous_law
-
-    return continuous_law(x, funnel_clock(z), active_psi(z), z.fp, plant_g, smoothing)

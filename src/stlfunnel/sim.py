@@ -72,6 +72,9 @@ class RunMetrics:
     wall_time: float
     failure: str | None = None
     failure_time: float | None = None
+    # Why the offline monitor could not score a satisfied run
+    # ("ExceptionType: message"); rho_theta then stays NaN.
+    monitor_error: str | None = None
     max_input_deviation: float = 0.0
     min_delta: float = math.inf
     min_inter_event: float = math.inf
@@ -156,8 +159,8 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         if metrics.satisfied:
             try:
                 metrics.rho_theta = monitor_robustness(spec.theta, traj, 0.0)
-            except Exception:
-                metrics.rho_theta = math.nan
+            except Exception as exc:
+                metrics.monitor_error = f"{type(exc).__name__}: {exc}"
         metrics.wall_time = time.perf_counter() - t_start
         return traj, metrics, events
 

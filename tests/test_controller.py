@@ -1,6 +1,7 @@
 """Feedback law, analytic Jacobians, trigger radii, and hold rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from stlfunnel.controller import (
     ControllerState,
     TriggerConfig,
     TriggerEvent,
+    _batch_u_xi,
+    _law_row_sums,
+    _probe_points,
     compute_trigger_radius,
     continuous_law,
     law_jacobian,
@@ -20,6 +24,8 @@ from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
+from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
+from stlfunnel.sequencer import active_psi, funnel_clock, init_sequencer
 from conftest import PSI1_TEXT
 
 
@@ -124,6 +130,92 @@ def test_law_jacobian_matches_fd_omni(rng):
         ) / (2 * h)
         assert du_dt == pytest.approx(fd_t, rel=2e-5, abs=1e-8)
     assert checked >= 10
+
+
+def _fd_row_sums(pts, psi, fp, plant, sm, h=1e-6):
+    """sum_k |du_j/dz_k| from central differences of the batch law."""
+    rows = np.zeros((pts.shape[0], plant.m))
+    for k in range(pts.shape[1]):
+        shift = np.zeros(pts.shape[1])
+        shift[k] = h
+        up, _ = _batch_u_xi(pts + shift, psi, fp, plant, sm)
+        dn, _ = _batch_u_xi(pts - shift, psi, fp, plant, sm)
+        rows += np.abs(up - dn) / (2 * h)
+    return rows
+
+
+def _assert_in_funnel(pts, psi, fp, plant, sm):
+    _, xi = _batch_u_xi(pts, psi, fp, plant, sm)
+    assert np.all((xi > -1.0) & (xi < 0.0))
+
+
+def test_law_row_sums_match_fd_integrator(rng):
+    # ball, join and affine leaves; x2 also sits in a wide ball whose
+    # softmin weight is about e^-45, so the law's kink at that ball's
+    # centre stays far below difference resolution.  The last point is
+    # that centre: the zero-gradient convention must give the same
+    # finite rows as the differences, not 0/0.
+    psi = parse_psi(
+        "ball(0,1;1,2;4) and aff(0.5,-0.25,0;3) and join(0;1;6) "
+        "and aff(0,0,1;2) and ball(2;0;40)"
+    )
+    fp = _narrowing_funnel()
+    plant = single_integrator(3, gain=1.5)
+    sm = SmoothingConfig(eta=1.2)
+    probes = _probe_points(
+        np.array([0.5, 1.0, 0.3]), 0.2, 0.3, 0.3, TriggerConfig(sample_count=64), rng
+    )
+    pts = np.vstack([probes, [[0.5, 1.0, 0.0, 0.4]]])
+    _assert_in_funnel(pts, psi, fp, plant, sm)
+    rows = _law_row_sums(pts, psi, fp, plant, sm)
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
+
+
+def test_law_row_sums_match_fd_omni(rng):
+    # n = 9 with random headings: the rows include the heading column of
+    # the rotated actuation and the time column of the funnel.
+    psi = parse_psi(
+        "ball(0,1;12,11;10) and ball(3,4;39,58;10) and join(0,1;6,7;78) "
+        "and aff(0,0,0.05;30) and ball(8;180;200)"
+    )
+    fp = FunnelParams(
+        t_star=50.0, r=0.5, rho_max=12.0,
+        perf=PerformanceFunction(gamma0=200.0, gamma_inf=150.0, l=0.05),
+    )
+    plant = omni_robot_team(n_agents=3, input_gain=100.0)
+    sm = SmoothingConfig(eta=1.0)
+    tc = TriggerConfig(sample_count=32)
+    base = np.array([10.0, 10.0, 0.0, 38.0, 57.0, 0.0, 80.0, 15.0, 0.0])
+    boxes = []
+    for _ in range(3):
+        x = base + rng.uniform(-2.0, 2.0, 9)
+        x[2::3] = rng.uniform(0.0, 360.0, 3)
+        boxes.append(_probe_points(x, float(rng.uniform(0.0, 6.0)), 1.0, 1.0, tc, rng))
+    pts = np.vstack(boxes)
+    _assert_in_funnel(pts, psi, fp, plant, sm)
+    rows = _law_row_sums(pts, psi, fp, plant, sm)
+    np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
+
+
+def test_trigger_radius_pinned_to_finite_difference_radius():
+    # Bundled scenario, x0, phase 1 at funnel time 0, default_rng(7).
+    # The expected radii were computed by the earlier central-difference
+    # Lipschitz estimate (step 1e-6, 2(n+1) batch-law calls) on the same
+    # probe points.  At the scenario's delta_u = 50 the box term binds
+    # (0.5 halved twice by the funnel guard); at delta_u = 5 the
+    # Lipschitz term delta_u / L_z binds.
+    spec = build_episode(load_scenario(bundled_scenario_path()))
+    x0 = np.asarray(spec.x0, dtype=float)
+    z = init_sequencer(spec.theta, x0, spec.seq_cfg)
+    assert z.q == 1
+    for delta_u, fd_radius in ((50.0, 0.125), (5.0, 0.1131052226669569)):
+        tc = replace(spec.trigger, delta_u=delta_u)
+        delta = compute_trigger_radius(
+            x0, funnel_clock(z), active_psi(z), z.fp, spec.plant, tc,
+            spec.seq_cfg.smoothing, np.random.default_rng(7),
+        )
+        assert delta == pytest.approx(fd_radius, rel=1e-6)
 
 
 def test_trigger_strict_inequalities():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from stlfunnel import sim
 from stlfunnel.controller import TriggerConfig
+from stlfunnel.errors import WindowError
 from stlfunnel.funnel import SynthesisConfig
 from stlfunnel.parsing import parse_formula
 from stlfunnel.plants import single_integrator
@@ -69,6 +71,20 @@ def test_terminal_tail_extends_run():
     # The terminal mode keeps narrowing the same funnel.
     k_jump = int(round(jump_t / traj.dt))
     assert traj.gamma[-1] <= traj.gamma[k_jump] + 1e-12
+
+
+def test_monitor_failure_is_recorded(monkeypatch):
+    traj, metrics, events = run_episode(_toy_spec())
+    assert metrics.monitor_error is None
+
+    def broken_monitor(theta, log, t):
+        raise WindowError("window end 3 exceeds last sample 2.5")
+
+    monkeypatch.setattr(sim, "monitor_robustness", broken_monitor)
+    traj, metrics, events = run_episode(_toy_spec())
+    assert metrics.satisfied and metrics.failure is None
+    assert math.isnan(metrics.rho_theta)
+    assert metrics.monitor_error == "WindowError: window end 3 exceeds last sample 2.5"
 
 
 def test_same_seed_reproduces_bitwise():
