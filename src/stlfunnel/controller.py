@@ -21,7 +21,6 @@ from typing import Literal
 import numpy as np
 from scipy.stats import qmc
 
-from . import kernels
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, transformed_error
@@ -68,6 +67,8 @@ class TriggerConfig:
             raise ValueError("shrink must sit in (0, 1)")
         if self.lipschitz_safety < 1.0:
             raise ValueError("lipschitz_safety must be at least 1")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,37 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> tuple[np.ndarray, ...]:
     return maps + (table.signs, table.csts)
 
 
+def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, ...]:
+    """Leaf read-outs at every row of X: r (P, L, W), |r| (P, L) and h (P, L).
+
+    r_i = A_i x - c_i over ``_leaf_maps``; ball and join leaves take
+    h_i = sign_i * (cst_i - |r_i|), affine leaves sign_i * (cst_i - r_i[0]).
+    """
+    P, n = X.shape
+    A, c, _, _, _, norm, signs, csts = _leaf_maps(psi, n)
+    r = (X @ A.T).reshape(P, *c.shape) - c
+    nd = np.sqrt((r * r).sum(axis=2))
+    return r, nd, signs * (csts - np.where(norm, nd, r[:, :, 0]))
+
+
+def _softmin_xi(
+    h: np.ndarray, T: np.ndarray, fp: FunnelParams, eta: float
+) -> tuple[np.ndarray, ...]:
+    """Funnel error of the leaves' soft minimum at every row.
+
+    Returns xi, the normalized softmin weights w, gamma(T) and its
+    decaying part (gamma0 - gamma_inf) * exp(-l * T).
+    """
+    h_min = h.min(axis=1, keepdims=True)
+    w = np.exp(-eta * (h - h_min))
+    z = w.sum(axis=1, keepdims=True)
+    rho = h_min[:, 0] - np.log(z[:, 0]) / eta
+    pf = fp.perf
+    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
+    gamma = decay + pf.gamma_inf
+    return (rho - fp.rho_max) / gamma, w / z, gamma, decay
+
+
 def _law_jacobian_batch(
     X: np.ndarray,
     T: np.ndarray,
@@ -154,6 +186,7 @@ def _law_jacobian_batch(
     fp: FunnelParams,
     plant: Plant,
     smoothing: SmoothingConfig,
+    readout: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
 
@@ -175,33 +208,22 @@ def _law_jacobian_batch(
     therefore collect into one batched matmul over the leaf gradients
     with q appended.  The omni team applies g^T per agent as 3x3 blocks
     and adds the heading column d rot/d theta (degrees).  Rows whose xi
-    leaves (-1, 0) are not finite.
+    leaves (-1, 0) are not finite.  ``readout`` is ``_leaf_readout(X, psi)``
+    when the caller already has it.
     """
     P, n = X.shape
-    A, c, first, grad_map, ata, norm, signs, csts = _leaf_maps(psi, n)
-    L, W = c.shape
+    _, _, first, grad_map, ata, norm, signs, _ = _leaf_maps(psi, n)
     eta = smoothing.eta
 
-    r = (X @ A.T).reshape(P, L, W) - c
-    nd = np.sqrt((r * r).sum(axis=2))
-    h = signs * (csts - np.where(norm, nd, r[:, :, 0]))
+    r, nd, h = _leaf_readout(X, psi) if readout is None else readout
     with np.errstate(divide="ignore"):
         inv_nd = np.where(norm & (nd > 0.0), 1.0 / nd, 0.0)
     unit = r * inv_nd[:, :, None] + first
-    leaf_grads = (unit.reshape(P, L * W) @ grad_map).reshape(P, L, n)
+    leaf_grads = (unit.reshape(P, -1) @ grad_map).reshape(P, -1, n)
 
-    h_min = h.min(axis=1, keepdims=True)
-    w = np.exp(-eta * (h - h_min))
-    z = w.sum(axis=1, keepdims=True)
-    rho = h_min[:, 0] - np.log(z[:, 0]) / eta
-    w /= z
+    xi, w, gamma, decay = _softmin_xi(h, T, fp, eta)
     grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
     curv = w * signs * inv_nd
-
-    pf = fp.perf
-    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
-    gamma = decay + pf.gamma_inf
-    xi = (rho - fp.rho_max) / gamma
     with np.errstate(invalid="ignore", divide="ignore"):
         eps = np.log(-(xi + 1.0) / xi)
         slope = 1.0 / (1.0 + xi) - 1.0 / xi
@@ -212,7 +234,7 @@ def _law_jacobian_batch(
     )
     M_x = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
     M_x += ((eps[:, None] * curv) @ ata).reshape(P, n, n)
-    m_t = -(slope * xi * pf.l * decay / gamma)[:, None] * grad
+    m_t = -(slope * xi * fp.perf.l * decay / gamma)[:, None] * grad
 
     if plant.kernel_kind == 0:
         return plant.kernel_gain * M_x, plant.kernel_gain * m_t, xi
@@ -263,9 +285,12 @@ def _law_row_sums(
     fp: FunnelParams,
     plant: Plant,
     smoothing: SmoothingConfig,
+    readout: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Per probe point and input j, sum_k |du_j/dz_k| over z = (x, t)."""
-    du_dx, du_dt, _ = _law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, smoothing)
+    du_dx, du_dt, _ = _law_jacobian_batch(
+        pts[:, :-1], pts[:, -1], psi, fp, plant, smoothing, readout
+    )
     # A matrix-vector product sums the short last axis faster than .sum().
     return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
 
@@ -292,35 +317,28 @@ def _corners(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Gener
 
 
 def _probe_points(
-    x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, rng: np.random.Generator
+    x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, seed: int,
+    corners: np.ndarray,
 ) -> np.ndarray:
+    """Scrambled Sobol points of the box drawn from ``seed``, then ``corners``."""
     dims = x.shape[0] + 1
-    sobol = qmc.Sobol(d=dims, scramble=True, seed=int(rng.integers(2**32)))
+    sobol = qmc.Sobol(d=dims, scramble=True, seed=seed)
     unit = sobol.random(tc.sample_count)
     pts = np.empty((tc.sample_count, dims))
     pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:, -1] = t + unit[:, -1] * bt
-    return np.vstack([pts, _corners(x, t, bx, bt, rng)])
+    return np.vstack([pts, corners])
 
 
-def _batch_u_xi(
-    pts: np.ndarray,
-    psi: NonTemporalFormula,
-    fp: FunnelParams,
-    plant: Plant,
-    smoothing: SmoothingConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    table = compile_leaf_table(psi)
-    X = np.ascontiguousarray(pts[:, :-1])
-    T = np.ascontiguousarray(pts[:, -1])
-    U = np.empty((pts.shape[0], plant.m))
-    XI = np.empty(pts.shape[0])
-    kernels.u_xi_batch(
-        *table.arrays(), X, T, smoothing.eta,
-        fp.rho_max, fp.perf.gamma0, fp.perf.gamma_inf, fp.perf.l,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, U, XI,
-    )
-    return U, XI
+def _guarded_readout(
+    pts: np.ndarray, psi: NonTemporalFormula, fp: FunnelParams, eta: float
+) -> tuple[np.ndarray, ...] | None:
+    """Leaf read-out of the probe rows, or None if a row's xi leaves the guard band."""
+    readout = _leaf_readout(pts[:, :-1], psi)
+    xi = _softmin_xi(readout[2], pts[:, -1], fp, eta)[0]
+    if np.all((xi > -1.0 + _XI_GUARD) & (xi < -_XI_GUARD)):
+        return readout
+    return None
 
 
 def compute_trigger_radius(
@@ -342,16 +360,36 @@ def compute_trigger_radius(
     until all probes keep xi inside (-1 + 1e-3, -1e-3), so the Jacobian
     is finite at every probe; radii below ``delta_floor`` raise
     TriggerFloorError.
+
+    Each round draws the Sobol seed and then the corners (a random
+    subsample above 2^10 of them) from ``rng``, and checks the corners
+    first.  The scrambled Sobol rows are built and checked only when
+    every corner passes.  This is an early exit from the same
+    all-points test, not a different test: a round is accepted exactly
+    when every probe passes, the rng is drawn in the same order whether
+    or not the Sobol rows are built (the engine has its own generator),
+    and the accepted round's leaf read-outs feed the Jacobian pass
+    unchanged.  The probes, the radius and the rng stream therefore do
+    not depend on the order of the checks.  With concave leaves the soft
+    minimum is concave in x and gamma decreases in t, so the lowest xi
+    over the box sits at a vertex: when the corners are all 2^(n+1)
+    vertices, a box that crosses the lower wall fails at a corner and
+    its Sobol rows are never built.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     x_i = np.asarray(x_i, dtype=float)
+    eta = smoothing.eta
     bx, bt = tc.delta_x0, tc.delta_t0
     while True:
-        pts = _probe_points(x_i, t_i, bx, bt, tc, rng)
-        _, xi = _batch_u_xi(pts, psi, fp, plant, smoothing)
-        if np.all((xi > -1.0 + _XI_GUARD) & (xi < -_XI_GUARD)):
-            break
+        seed = int(rng.integers(2**32))
+        corners = _corners(x_i, t_i, bx, bt, rng)
+        at_corners = _guarded_readout(corners, psi, fp, eta)
+        if at_corners is not None:
+            pts = _probe_points(x_i, t_i, bx, bt, tc, seed, corners)
+            at_sobol = _guarded_readout(pts[: tc.sample_count], psi, fp, eta)
+            if at_sobol is not None:
+                break
         bx *= tc.shrink
         bt *= tc.shrink
         if min(bx, bt) < tc.delta_floor:
@@ -359,7 +397,8 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
             )
 
-    row_sums = _law_row_sums(pts, psi, fp, plant, smoothing)
+    readout = tuple(np.concatenate(pair) for pair in zip(at_sobol, at_corners))
+    row_sums = _law_row_sums(pts, psi, fp, plant, smoothing, readout)
     l_z = float(row_sums.max()) * tc.lipschitz_safety
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
     if delta < tc.delta_floor:

@@ -5,14 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from stlfunnel import kernels
 from stlfunnel.controller import (
     ControllerState,
     TriggerConfig,
     TriggerEvent,
-    _batch_u_xi,
+    _corners,
     _law_row_sums,
+    _leaf_readout,
     _probe_points,
+    _softmin_xi,
     compute_trigger_radius,
     continuous_law,
     law_jacobian,
@@ -24,6 +28,7 @@ from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
+from stlfunnel.robustness import compile_leaf_table
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import active_psi, funnel_clock, init_sequencer
 from conftest import PSI1_TEXT
@@ -132,6 +137,21 @@ def test_law_jacobian_matches_fd_omni(rng):
     assert checked >= 10
 
 
+def _batch_u_xi(pts, psi, fp, plant, smoothing):
+    """Law and funnel error per probe row (x, t) from the batch kernel."""
+    table = compile_leaf_table(psi)
+    X = np.ascontiguousarray(pts[:, :-1])
+    T = np.ascontiguousarray(pts[:, -1])
+    U = np.empty((pts.shape[0], plant.m))
+    XI = np.empty(pts.shape[0])
+    kernels.u_xi_batch(
+        *table.arrays(), X, T, smoothing.eta,
+        fp.rho_max, fp.perf.gamma0, fp.perf.gamma_inf, fp.perf.l,
+        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, U, XI,
+    )
+    return U, XI
+
+
 def _fd_row_sums(pts, psi, fp, plant, sm, h=1e-6):
     """sum_k |du_j/dz_k| from central differences of the batch law."""
     rows = np.zeros((pts.shape[0], plant.m))
@@ -162,8 +182,10 @@ def test_law_row_sums_match_fd_integrator(rng):
     fp = _narrowing_funnel()
     plant = single_integrator(3, gain=1.5)
     sm = SmoothingConfig(eta=1.2)
+    x = np.array([0.5, 1.0, 0.3])
     probes = _probe_points(
-        np.array([0.5, 1.0, 0.3]), 0.2, 0.3, 0.3, TriggerConfig(sample_count=64), rng
+        x, 0.2, 0.3, 0.3, TriggerConfig(sample_count=64),
+        int(rng.integers(2**32)), _corners(x, 0.2, 0.3, 0.3, rng),
     )
     pts = np.vstack([probes, [[0.5, 1.0, 0.0, 0.4]]])
     _assert_in_funnel(pts, psi, fp, plant, sm)
@@ -191,7 +213,9 @@ def test_law_row_sums_match_fd_omni(rng):
     for _ in range(3):
         x = base + rng.uniform(-2.0, 2.0, 9)
         x[2::3] = rng.uniform(0.0, 360.0, 3)
-        boxes.append(_probe_points(x, float(rng.uniform(0.0, 6.0)), 1.0, 1.0, tc, rng))
+        t = float(rng.uniform(0.0, 6.0))
+        seed = int(rng.integers(2**32))
+        boxes.append(_probe_points(x, t, 1.0, 1.0, tc, seed, _corners(x, t, 1.0, 1.0, rng)))
     pts = np.vstack(boxes)
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = _law_row_sums(pts, psi, fp, plant, sm)
@@ -216,6 +240,152 @@ def test_trigger_radius_pinned_to_finite_difference_radius():
             spec.seq_cfg.smoothing, np.random.default_rng(7),
         )
         assert delta == pytest.approx(fd_radius, rel=1e-6)
+
+
+def _reference_probe_points(x, t, bx, bt, tc, rng):
+    """Probe points as drawn by one full round: seed, Sobol rows, then corners."""
+    dims = x.shape[0] + 1
+    sobol = qmc.Sobol(d=dims, scramble=True, seed=int(rng.integers(2**32)))
+    unit = sobol.random(tc.sample_count)
+    pts = np.empty((tc.sample_count, dims))
+    pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
+    pts[:, -1] = t + unit[:, -1] * bt
+    return np.vstack([pts, _corners(x, t, bx, bt, rng)])
+
+
+def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
+    """The radius loop that draws and checks every probe of a round at once.
+
+    Each round builds all probe points, checks xi at every one of them
+    with the batch kernel and halves the box on any failure.  Returns
+    the radius and the number of rounds.
+    """
+    bx, bt = tc.delta_x0, tc.delta_t0
+    rounds = 1
+    while True:
+        pts = _reference_probe_points(x, t, bx, bt, tc, rng)
+        _, xi = _batch_u_xi(pts, psi, fp, plant, sm)
+        if np.all((xi > -1.0 + 1e-3) & (xi < -1e-3)):
+            break
+        bx *= tc.shrink
+        bt *= tc.shrink
+        rounds += 1
+        if min(bx, bt) < tc.delta_floor:
+            raise TriggerFloorError(t, "no admissible box")
+    l_z = float(_law_row_sums(pts, psi, fp, plant, sm).max()) * tc.lipschitz_safety
+    delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
+    if delta < tc.delta_floor:
+        raise TriggerFloorError(t, "delta below floor")
+    return delta, rounds
+
+
+# Each case's delta_u makes delta_u / L_z the binding term, so the
+# radius depends on every probe point.
+def _bundled_phase1_case():
+    spec = build_episode(load_scenario(bundled_scenario_path()))
+    x0 = np.asarray(spec.x0, dtype=float)
+    z = init_sequencer(spec.theta, x0, spec.seq_cfg)
+    return (x0, funnel_clock(z), active_psi(z), z.fp, spec.plant,
+            replace(spec.trigger, delta_u=5.0), spec.seq_cfg.smoothing)
+
+
+def _integrator_wall_case():
+    # rho(x) = -0.15 against a lower wall near -0.28 at t = 0.3.
+    psi = parse_psi("ball(0,1;0,0;1) and aff(0.5,-0.25;3) and join(0;1;4)")
+    fp = FunnelParams(
+        t_star=5.0, r=0.2, rho_max=0.9,
+        perf=PerformanceFunction(gamma0=1.2, gamma_inf=1.0, l=0.4),
+    )
+    return (np.array([0.8, 0.8]), 0.3, psi, fp, single_integrator(2, gain=1.5),
+            TriggerConfig(delta_u=2.0), SmoothingConfig())
+
+
+def _integrator_peak_case():
+    # x sits 0.02 from the ball's centre, where rho peaks above the upper
+    # wall: every corner passes, and rounds fail at interior Sobol rows.
+    psi = parse_psi("ball(0;0;1)")
+    fp = _flat_funnel(rho_max=0.99, width=1.0)
+    return (np.array([0.02]), 0.0, psi, fp, single_integrator(1),
+            TriggerConfig(delta_u=0.02), SmoothingConfig())
+
+
+def _omni4_case():
+    # n = 12: 2^13 box vertices, so the corners are a random subsample
+    # of _CORNER_CAP rows drawn after the Sobol seed.
+    psi = parse_psi(
+        "ball(0,1;20,30;10) and ball(3,4;40,60;10) and ball(6,7;60,30;10) "
+        "and ball(9,10;30,80;10) and join(0,1;6,7;30) and join(3,4;9,10;40) "
+        "and ball(2;45;5) and ball(5;45;5) and ball(8;45;5) and ball(11;45;5)"
+    )
+    fp = FunnelParams(
+        t_star=50.0, r=0.5, rho_max=1.8,
+        perf=PerformanceFunction(gamma0=43.8, gamma_inf=30.0, l=0.05),
+    )
+    x = np.array([10.0, 10.0, 0.0, 38.0, 57.0, 0.0, 80.0, 15.0, 0.0, 25.0, 85.0, 0.0])
+    return (x, 0.0, psi, fp, omni_robot_team(n_agents=4, input_gain=100.0),
+            TriggerConfig(delta_u=1.0), SmoothingConfig())
+
+
+@pytest.mark.parametrize(
+    "case, rounds",
+    [
+        (_bundled_phase1_case, 3),
+        (_integrator_wall_case, 5),
+        (_integrator_peak_case, 7),
+        (_omni4_case, 3),
+    ],
+    ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4"],
+)
+def test_corner_first_guard_matches_full_round(case, rounds):
+    # Checking the corners before building the Sobol rows is only an
+    # early exit: the radius and the rng stream after the call are the
+    # same as when every round draws and checks all probes at once.
+    x, t, psi, fp, plant, tc, sm = case()
+    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    expected, ref_rounds = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
+    assert ref_rounds == rounds
+    assert expected < tc.delta_x0 * tc.shrink ** (rounds - 1)
+    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "text, exact",
+    [
+        ("ball(0,1;1,2;4) and ball(2;0;3)", True),
+        ("join(0;1;6) and join(0,1;2,3;5) and ball(1,2;0.5,-1;3)", True),
+        ("ball(0,1;1,2;4) and not ball(2;0.5;0.5)", True),
+        ("ball(0,1;1,2;4) and not join(0;3;0.25)", True),
+        ("aff(0.5,-0.25,0.1;3) and ball(0,1;1,2;4)", False),
+        ("aff(0,0,1;2) and not aff(1,1,0,0.3;-6) and join(1;2;5)", False),
+    ],
+)
+def test_guard_readout_xi_matches_batch_kernel(rng, text, exact):
+    # The guard's xi, from the leaf read-out, against the batch kernel's.
+    # Ball and join read-outs select state entries with unit weights, so
+    # both paths round the same operations; affine dot products may sum
+    # in another order.  The last two rows sit at norm centres: the first
+    # at ball(0,1;1,2;4)'s, the origin at every join's and ball(2;0;3)'s.
+    psi = parse_psi(text, allow_nonconcave=True)
+    fp = _narrowing_funnel()
+    plant = single_integrator(4)
+    sm = SmoothingConfig(eta=1.3)
+    pts = np.column_stack([rng.uniform(-3.0, 5.0, (200, 4)), rng.uniform(0.0, 6.0, 200)])
+    pts = np.vstack([pts, [[1.0, 2.0, 2.0, 0.0, 0.7], [0.0, 0.0, 0.0, 0.0, 0.0]]])
+    _, want = _batch_u_xi(pts, psi, fp, plant, sm)
+    _, _, h = _leaf_readout(pts[:, :-1], psi)
+    got = _softmin_xi(h, pts[:, -1], fp, sm.eta)[0]
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_trigger_config_rejects_empty_probe_set():
+    for count in (0, -8):
+        with pytest.raises(ValueError, match="sample_count"):
+            TriggerConfig(sample_count=count)
+    assert TriggerConfig(sample_count=1).sample_count == 1
 
 
 def test_trigger_strict_inequalities():
@@ -277,8 +447,14 @@ def test_trigger_floor_near_funnel_boundary():
     )
     plant = single_integrator(1)
     x = np.array([1.0999999])  # rho just above rho_max - gamma = -0.1
+    tc, sm = TriggerConfig(), SmoothingConfig()
+    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
     with pytest.raises(TriggerFloorError):
-        compute_trigger_radius(x, 0.0, psi, fp, plant, TriggerConfig())
+        _reference_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, ref_rng)
+    with pytest.raises(TriggerFloorError):
+        compute_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, rng)
+    # Rounds rejected at the corners draw from the rng as full rounds do.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_make_event_snapshots_state_and_input(rng):
