@@ -69,7 +69,6 @@ from .sequencer import (
 from .sim import EpisodeSpec, RunMetrics, Trajectory, run_episode, step_rk4
 from .scenario import build_episode, bundled_scenario_path, load_scenario
 from .reporting import write_all
-from .kernels import USING_NUMBA
 
 __version__ = "0.1.0"
 
@@ -102,7 +101,6 @@ __all__ = [
     "TriggerConfig",
     "TriggerEvent",
     "TriggerFloorError",
-    "USING_NUMBA",
     "WindowError",
     "active_psi",
     "affine",

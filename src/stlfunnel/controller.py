@@ -25,7 +25,8 @@ from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, transformed_error
 from .plants import Plant
-from .robustness import compile_leaf_table, smooth_psi_value_and_grad
+from .kernels import _hessian_form, _leaf_readout, _omni_gT, _softmin_grad, _softmin_xi
+from .robustness import smooth_psi_value_and_grad
 
 __all__ = [
     "TriggerConfig",
@@ -42,10 +43,6 @@ Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
 _XI_GUARD = 1e-3
 _CORNER_CAP = 1024
 _DEG = math.pi / 180.0
-# rot(theta)^T = cos(theta) * _ROT_C + sin(theta) * _ROT_S + _ROT_Z.
-_ROT_C = np.diag([1.0, 1.0, 0.0])
-_ROT_S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_ROT_Z = np.diag([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -108,77 +105,6 @@ def continuous_law(
     return -te.eps * (np.asarray(g).T @ grad)
 
 
-@functools.lru_cache(maxsize=None)
-def _leaf_maps(psi: NonTemporalFormula, n: int) -> tuple[np.ndarray, ...]:
-    """The leaf table as linear read-outs of an n-dimensional state.
-
-    Leaf i reads r_i = A_i x - c_i, with A of shape (L, W, n) and c of
-    shape (L, W).  Ball and join leaves take the norm of r_i, affine
-    leaves its first entry, so h_i = sign_i * (cst_i - read-out).
-    Returns ``A`` flattened to (L * W, n), ``c``, ``first`` (the
-    derivative of the affine read-out with respect to r_i; zero rows
-    for norm leaves), ``grad_map`` (block-diagonal, (L * W, L * n),
-    taking the read-out derivatives to the leaf gradients -sign_i A_i^T),
-    ``ata`` (A_i^T A_i flattened to (L, n * n)), the norm-leaf mask, and
-    the table's signs and constants.
-    """
-    table = compile_leaf_table(psi)
-    L, W = table.sels.shape
-    A = np.zeros((L, W, n))
-    c = np.zeros((L, W))
-    first = np.zeros((L, W))
-    grad_map = np.zeros((L, W, L, n))
-    for i in range(L):
-        k = int(np.count_nonzero(table.sels[i] >= 0))
-        rows, sel = np.arange(k), table.sels[i, :k]
-        if table.kinds[i] == 0:
-            np.add.at(A[i, 0], sel, table.pars[i, :k])
-            first[i, 0] = 1.0
-        else:
-            np.add.at(A[i], (rows, sel), 1.0)
-            if table.kinds[i] == 1:
-                c[i, :k] = table.pars[i, :k]
-            else:
-                np.add.at(A[i], (rows, table.selbs[i, :k]), -1.0)
-        grad_map[i, :, i, :] = -table.signs[i] * A[i]
-    ata = (A.transpose(0, 2, 1) @ A).reshape(L, n * n)
-    maps = (A.reshape(L * W, n), c, first, grad_map.reshape(L * W, L * n), ata, table.kinds != 0)
-    for arr in maps:
-        arr.setflags(write=False)
-    return maps + (table.signs, table.csts)
-
-
-def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, ...]:
-    """Leaf read-outs at every row of X: r (P, L, W), |r| (P, L) and h (P, L).
-
-    r_i = A_i x - c_i over ``_leaf_maps``; ball and join leaves take
-    h_i = sign_i * (cst_i - |r_i|), affine leaves sign_i * (cst_i - r_i[0]).
-    """
-    P, n = X.shape
-    A, c, _, _, _, norm, signs, csts = _leaf_maps(psi, n)
-    r = (X @ A.T).reshape(P, *c.shape) - c
-    nd = np.sqrt((r * r).sum(axis=2))
-    return r, nd, signs * (csts - np.where(norm, nd, r[:, :, 0]))
-
-
-def _softmin_xi(
-    h: np.ndarray, T: np.ndarray, fp: FunnelParams, eta: float
-) -> tuple[np.ndarray, ...]:
-    """Funnel error of the leaves' soft minimum at every row.
-
-    Returns xi, the normalized softmin weights w, gamma(T) and its
-    decaying part (gamma0 - gamma_inf) * exp(-l * T).
-    """
-    h_min = h.min(axis=1, keepdims=True)
-    w = np.exp(-eta * (h - h_min))
-    z = w.sum(axis=1, keepdims=True)
-    rho = h_min[:, 0] - np.log(z[:, 0]) / eta
-    pf = fp.perf
-    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
-    gamma = decay + pf.gamma_inf
-    return (rho - fp.rho_max) / gamma, w / z, gamma, decay
-
-
 def _law_jacobian_batch(
     X: np.ndarray,
     T: np.ndarray,
@@ -201,29 +127,19 @@ def _law_jacobian_batch(
 
         sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
 
-    A ball or join leaf has H_i = sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i
-    with u = r_i / |r_i|, which equals curv_i * (q_i q_i^T - A_i^T A_i)
-    with curv_i = sign_i / |r_i|; at a norm centre its gradient and
-    Hessian are zero, as in ``predicate_hessian``.  All outer products
-    therefore collect into one batched matmul over the leaf gradients
-    with q appended.  The omni team applies g^T per agent as 3x3 blocks
-    and adds the heading column d rot/d theta (degrees).  Rows whose xi
-    leaves (-1, 0) are not finite.  ``readout`` is ``_leaf_readout(X, psi)``
-    when the caller already has it.
+    The leaf gradients and Hessians come from the batch read-out in
+    ``kernels``, where w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i), so all
+    outer products collect into one batched matmul over the leaf
+    gradients with q appended.  The omni team applies g^T per agent as
+    3x3 blocks and adds the heading column d rot/d theta (degrees).
+    Rows whose xi leaves (-1, 0) are not finite.  ``readout`` is
+    ``kernels._leaf_readout(X, psi)`` when the caller already has it.
     """
     P, n = X.shape
-    _, _, first, grad_map, ata, norm, signs, _ = _leaf_maps(psi, n)
     eta = smoothing.eta
-
-    r, nd, h = _leaf_readout(X, psi) if readout is None else readout
-    with np.errstate(divide="ignore"):
-        inv_nd = np.where(norm & (nd > 0.0), 1.0 / nd, 0.0)
-    unit = r * inv_nd[:, :, None] + first
-    leaf_grads = (unit.reshape(P, -1) @ grad_map).reshape(P, -1, n)
-
-    xi, w, gamma, decay = _softmin_xi(h, T, fp, eta)
-    grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
-    curv = w * signs * inv_nd
+    readout = _leaf_readout(X, psi) if readout is None else readout
+    xi, w, gamma, decay = _softmin_xi(readout[2], T, fp, eta)
+    leaf_grads, grad, curv = _softmin_grad(readout, w, psi, n)
     with np.errstate(invalid="ignore", divide="ignore"):
         eps = np.log(-(xi + 1.0) / xi)
         slope = 1.0 / (1.0 + xi) - 1.0 / xi
@@ -232,23 +148,18 @@ def _law_jacobian_batch(
     coef = np.concatenate(
         [-eps[:, None] * (curv - eta * w), -(eps * eta + slope / gamma)[:, None]], axis=1
     )
-    M_x = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
-    M_x += ((eps[:, None] * curv) @ ata).reshape(P, n, n)
+    M_x = _hessian_form(grads, coef, eps[:, None] * curv, psi)
     m_t = -(slope * xi * fp.perf.l * decay / gamma)[:, None] * grad
 
     if plant.kernel_kind == 0:
         return plant.kernel_gain * M_x, plant.kernel_gain * m_t, xi
-    # Per agent g^T = gbase^T rot(theta)^T with
-    # rot(theta)^T = cos * _ROT_C + sin * _ROT_S + _ROT_Z, so g^T and its
-    # heading derivative are (cos, sin, 1) and (-sin, cos, 0) times a
-    # fixed basis; theta is in degrees.
+    # Per agent g^T and its heading derivative are (cos, sin, 1) and
+    # (-sin, cos, 0) times a fixed basis; theta is in degrees.
     n_agents = n // 3
-    blocks = (P, n_agents, 3, 3)
-    basis = np.stack([(plant.kernel_gbase.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
     th = X[:, 2::3] * _DEG
     cos, sin = np.cos(th), np.sin(th)
-    gT = (np.stack([cos, sin, np.ones_like(cos)], axis=2) @ basis).reshape(blocks)
-    dgT = (np.stack([-sin, cos, np.zeros_like(cos)], axis=2) @ basis).reshape(blocks) * _DEG
+    gT = _omni_gT(cos, sin, np.ones_like(cos), plant.kernel_gbase)
+    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), plant.kernel_gbase) * _DEG
     du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
     du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
     dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)

@@ -1,285 +1,375 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Leaf evaluation: the only module that evaluates ball, join and affine leaves.
 
-The fallback is selected when numba is unavailable or when the
-environment variable ``STLFUNNEL_NO_NUMBA`` is set to a non-empty
-value; ``USING_NUMBA`` reports which path is active.  Both paths share
-the flat leaf-table encoding:
+A conjunction compiles once per formula into one record per leaf in
+plain Python numbers (``compile_leaf_table``) and, once per formula and
+state size, into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).
+There are two entry points over that form:
 
-* ``kinds``: int64, 0 = affine, 1 = ball, 2 = join
-* ``signs``: float64, -1.0 for negated leaves
-* ``sels`` / ``selbs``: int64 (n_leaves, width), -1 padded
-* ``pars``: float64 (n_leaves, width) - centers or coefficients
-* ``csts``: float64 - radius or offset
+* The batch read-out (``_leaf_readout``, ``_softmin_xi``,
+  ``_softmin_grad``, ``_hessian_form``): leaf values, gradients and
+  Hessians at every row of a state array in a few numpy passes.  It
+  serves the trigger guard and the law Jacobian in ``controller``,
+  ``u_xi_batch``, ``exact_psi_batch`` and ``softmin_hessian``.  Leaf
+  values are an elementwise multiply and an axis sum, with no BLAS, so
+  they round as the pointwise loop does.
+* The pointwise loop over plain Python floats (``leaf_pass``,
+  ``smooth_rho_grad``, ``u_xi_eval``): the per-step law of the episode
+  loop and the per-state value and gradient used by the funnel, the
+  optimizer and the sequencer.  On one state it is several times
+  faster than a one-row numpy pass over the read-out, whose fixed
+  per-call numpy overhead dominates at that size (README, "Leaf
+  evaluation", has the measured numbers).
 
-Plant kinds understood by the input-law kernels: 0 is a scaled identity
-actuation (gain passed separately), 1 is the three-wheel omni team
-whose per-agent actuation is a planar rotation of ``gbase`` with the
+Plant kinds understood by the law: 0 is a scaled identity actuation
+(``Plant.kernel_gain``), 1 is the three-wheel omni team whose per-agent
+actuation is a planar rotation of ``Plant.kernel_gbase`` with the
 orientation state held in degrees.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 
+from .formulas import NonTemporalFormula
+
 __all__ = [
     "USING_NUMBA",
-    "leaf_values",
+    "compile_leaf_table",
+    "leaf_pass",
     "smooth_rho_grad",
     "u_xi_eval",
     "u_xi_batch",
+    "exact_psi_batch",
+    "softmin_hessian",
 ]
 
+# There is no compiled path; perfbench/episode.py and perfbench/baseline.py
+# record this flag with every benchmark result.
+USING_NUMBA = False
+
 _DEG = math.pi / 180.0
+_KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
+# rot(theta)^T = cos(theta) * _ROT_C + sin(theta) * _ROT_S + _ROT_Z.
+_ROT_C = np.diag([1.0, 1.0, 0.0])
+_ROT_S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_ROT_Z = np.diag([0.0, 0.0, 1.0])
+
+
+@functools.lru_cache(maxsize=None)
+def compile_leaf_table(psi: NonTemporalFormula) -> tuple[tuple, ...]:
+    """Per leaf (kind, sign, sel, sel_b, pars, cst) in plain Python numbers.
+
+    kind is 0 affine, 1 ball, 2 join; sign is -1.0 for a negated leaf;
+    pars holds the affine coefficients or the ball centre, cst the
+    offset or the radius.  Cached per formula.
+    """
+    table = []
+    for leaf in psi.leaves:
+        kind = _KIND_CODE[leaf.kind]
+        pars = leaf.coeffs if kind == 0 else leaf.center
+        cst = leaf.offset if kind == 0 else leaf.radius
+        table.append((
+            kind, -1.0 if leaf.negated else 1.0, leaf.sel, leaf.sel_b,
+            tuple(float(p) for p in pars), float(cst),
+        ))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
-# reference numpy implementations
+# pointwise loop over plain floats
 
 
-def _leaf_values_np(kinds, signs, sels, selbs, pars, csts, x, out):
-    for i in range(kinds.shape[0]):
-        width = sels.shape[1]
-        if kinds[i] == 0:
+def leaf_pass(table: tuple[tuple, ...], xs: list[float]) -> tuple[list, list]:
+    """Leaf values h_i at the state ``xs`` (a list of floats).
+
+    Also returns, per leaf, the norm's difference vector and length for
+    ball and join leaves (None for affine ones), which the gradient
+    reuses.
+    """
+    h = []
+    diffs = []
+    for kind, sign, sel, sel_b, pars, cst in table:
+        if kind == 0:
             acc = 0.0
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                acc += pars[i, j] * x[sels[i, j]]
-            h = csts[i] - acc
-        elif kinds[i] == 1:
-            acc = 0.0
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                d = x[sels[i, j]] - pars[i, j]
-                acc += d * d
-            h = csts[i] - math.sqrt(acc)
+            for j, p in zip(sel, pars):
+                acc += p * xs[j]
+            h.append(sign * (cst - acc))
+            diffs.append(None)
+            continue
+        if kind == 1:
+            d = [xs[j] - c for j, c in zip(sel, pars)]
         else:
-            acc = 0.0
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                d = x[sels[i, j]] - x[selbs[i, j]]
-                acc += d * d
-            h = csts[i] - math.sqrt(acc)
-        out[i] = signs[i] * h
-    return out
+            d = [xs[j] - xs[k] for j, k in zip(sel, sel_b)]
+        acc = 0.0
+        for v in d:
+            acc += v * v
+        nd = math.sqrt(acc)
+        h.append(sign * (cst - nd))
+        diffs.append((d, nd))
+    return h, diffs
 
 
-def _smooth_rho_grad_np(kinds, signs, sels, selbs, pars, csts, x, eta, grad_out):
-    n_leaves = kinds.shape[0]
-    width = sels.shape[1]
-    h = np.empty(n_leaves)
-    _leaf_values_np(kinds, signs, sels, selbs, pars, csts, x, h)
-    m = h.min()
-    w = np.exp(-eta * (h - m))
+def smooth_rho_grad(table: tuple[tuple, ...], xs: list[float], eta: float) -> tuple[float, list]:
+    """Soft minimum of the leaf values at ``xs`` and its gradient (a list).
+
+    The gradient accumulates w_i * grad h_i leaf by leaf, so a selector
+    that repeats within a leaf adds up.  The gradient of a norm at its
+    own centre is taken as zero; any subgradient is admissible there and
+    zero keeps the law continuous through the centre.
+    """
+    h, diffs = leaf_pass(table, xs)
+    m = min(h)
+    w = np.exp(-eta * (np.array(h) - m))
     z = w.sum()
     rho = m - math.log(z) / eta
-    w /= z
-    grad_out[:] = 0.0
-    for i in range(n_leaves):
-        wi = w[i]
-        if kinds[i] == 0:
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                grad_out[sels[i, j]] -= wi * signs[i] * pars[i, j]
-        elif kinds[i] == 1:
-            acc = 0.0
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                d = x[sels[i, j]] - pars[i, j]
-                acc += d * d
-            nd = math.sqrt(acc)
-            if nd > 0.0:
-                for j in range(width):
-                    if sels[i, j] < 0:
-                        break
-                    d = x[sels[i, j]] - pars[i, j]
-                    grad_out[sels[i, j]] -= wi * signs[i] * d / nd
-        else:
-            acc = 0.0
-            for j in range(width):
-                if sels[i, j] < 0:
-                    break
-                d = x[sels[i, j]] - x[selbs[i, j]]
-                acc += d * d
-            nd = math.sqrt(acc)
-            if nd > 0.0:
-                for j in range(width):
-                    if sels[i, j] < 0:
-                        break
-                    d = x[sels[i, j]] - x[selbs[i, j]]
-                    grad_out[sels[i, j]] -= wi * signs[i] * d / nd
-                    grad_out[selbs[i, j]] += wi * signs[i] * d / nd
-    return rho
+    grad = [0.0] * len(xs)
+    for (kind, sign, sel, sel_b, pars, _), wi, diff in zip(table, w.tolist(), diffs):
+        ws = wi / z * sign
+        if kind == 0:
+            for j, p in zip(sel, pars):
+                grad[j] -= ws * p
+            continue
+        d, nd = diff
+        if nd > 0.0:
+            if kind == 1:
+                for j, dj in zip(sel, d):
+                    grad[j] -= ws * dj / nd
+            else:
+                for j, k, dj in zip(sel, sel_b, d):
+                    v = ws * dj / nd
+                    grad[j] -= v
+                    grad[k] += v
+    return float(rho), grad
 
 
-def _apply_gT_np(plant_kind, gain, gbase, x, grad, u_out):
-    """u_out = g(x)^T grad for the supported plant kinds."""
-    n = x.shape[0]
-    if plant_kind == 0:
-        for k in range(n):
-            u_out[k] = gain * grad[k]
-        return
-    n_agents = n // 3
-    for a in range(n_agents):
-        th = x[3 * a + 2] * _DEG
+def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp, plant):
+    """Funnel error xi and law u = -eps * g(x)^T grad rho at (x, t).
+
+    ``fp`` is the phase's FunnelParams and ``t`` its funnel clock.
+    Returns (xi, u); u is NaN when xi leaves (-1, 0).
+    """
+    xs = x.tolist()
+    rho, grad = smooth_rho_grad(table, xs, eta)
+    pf = fp.perf
+    gamma = (pf.gamma0 - pf.gamma_inf) * math.exp(-pf.l * t) + pf.gamma_inf
+    xi = (rho - fp.rho_max) / gamma
+    if xi <= -1.0 or xi >= 0.0:
+        return xi, np.full(plant.m, np.nan)
+    scale = -math.log(-(xi + 1.0) / xi)
+    if plant.kernel_kind == 0:
+        gain = plant.kernel_gain
+        return xi, np.array([gain * g * scale for g in grad])
+    gb = plant.kernel_gbase.tolist()
+    u = []
+    for a in range(0, len(xs), 3):
+        th = xs[a + 2] * _DEG
         c = math.cos(th)
         s = math.sin(th)
-        gx = grad[3 * a]
-        gy = grad[3 * a + 1]
-        gw = grad[3 * a + 2]
+        gx, gy, gw = grad[a : a + 3]
         # rot(th)^T applied to the state-space gradient block
         v0 = c * gx + s * gy
         v1 = -s * gx + c * gy
-        v2 = gw
         for j in range(3):
-            u_out[3 * a + j] = gbase[0, j] * v0 + gbase[1, j] * v1 + gbase[2, j] * v2
-
-
-def _u_xi_eval_np(
-    kinds, signs, sels, selbs, pars, csts,
-    x, t, eta, rho_max, g0, ginf, l,
-    plant_kind, gain, gbase, u_out,
-):
-    grad = np.zeros_like(x)
-    rho = _smooth_rho_grad_np(kinds, signs, sels, selbs, pars, csts, x, eta, grad)
-    gamma = (g0 - ginf) * math.exp(-l * t) + ginf
-    xi = (rho - rho_max) / gamma
-    if xi <= -1.0 or xi >= 0.0:
-        u_out[:] = np.nan
-        return xi
-    eps = math.log(-(xi + 1.0) / xi)
-    _apply_gT_np(plant_kind, gain, gbase, x, grad, u_out)
-    u_out *= -eps
-    return xi
-
-
-def _u_xi_batch_np(
-    kinds, signs, sels, selbs, pars, csts,
-    X, T, eta, rho_max, g0, ginf, l,
-    plant_kind, gain, gbase, U_out, XI_out,
-):
-    """Vectorized twin of the batch kernel; loops only over leaves."""
-    P, n = X.shape
-    L = kinds.shape[0]
-    H = np.empty((P, L))
-    G = np.zeros((P, n))
-    diffs = []
-    for i in range(L):
-        sel = sels[i][sels[i] >= 0]
-        if kinds[i] == 0:
-            H[:, i] = csts[i] - X[:, sel] @ pars[i, : sel.size]
-            diffs.append(None)
-        else:
-            if kinds[i] == 1:
-                D = X[:, sel] - pars[i, : sel.size]
-            else:
-                selb = selbs[i][selbs[i] >= 0]
-                D = X[:, sel] - X[:, selb]
-            nd = np.sqrt(np.einsum("pj,pj->p", D, D))
-            H[:, i] = csts[i] - nd
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit = np.where(nd[:, None] > 0.0, D / nd[:, None], 0.0)
-            diffs.append(unit)
-    H *= signs
-    m = H.min(axis=1)
-    W = np.exp(-eta * (H - m[:, None]))
-    Z = W.sum(axis=1)
-    rho = m - np.log(Z) / eta
-    W /= Z[:, None]
-    for i in range(L):
-        sel = sels[i][sels[i] >= 0]
-        wi = (W[:, i] * signs[i])[:, None]
-        if kinds[i] == 0:
-            np.add.at(G, (slice(None), sel), -wi * pars[i, : sel.size])
-        else:
-            np.add.at(G, (slice(None), sel), -wi * diffs[i])
-            if kinds[i] == 2:
-                selb = selbs[i][selbs[i] >= 0]
-                np.add.at(G, (slice(None), selb), wi * diffs[i])
-    gamma = (g0 - ginf) * np.exp(-l * T) + ginf
-    XI_out[:] = (rho - rho_max) / gamma
-    ok = (XI_out > -1.0) & (XI_out < 0.0)
-    eps = np.zeros(P)
-    eps[ok] = np.log(-(XI_out[ok] + 1.0) / XI_out[ok])
-    if plant_kind == 0:
-        U_out[:] = gain * G
-    else:
-        n_agents = n // 3
-        for a in range(n_agents):
-            th = X[:, 3 * a + 2] * _DEG
-            c = np.cos(th)
-            s = np.sin(th)
-            v0 = c * G[:, 3 * a] + s * G[:, 3 * a + 1]
-            v1 = -s * G[:, 3 * a] + c * G[:, 3 * a + 1]
-            v2 = G[:, 3 * a + 2]
-            for j in range(3):
-                U_out[:, 3 * a + j] = gbase[0, j] * v0 + gbase[1, j] * v1 + gbase[2, j] * v2
-    U_out *= np.where(ok, -eps, np.nan)[:, None]
+            u.append((gb[0][j] * v0 + gb[1][j] * v1 + gb[2][j] * gw) * scale)
+    return xi, np.array(u)
 
 
 # ---------------------------------------------------------------------------
-# path selection
+# batch read-out
 
-_numba_disabled = bool(os.environ.get("STLFUNNEL_NO_NUMBA"))
-USING_NUMBA = False
 
-if not _numba_disabled:
-    try:
-        from numba import njit, prange
-    except ImportError:
-        pass
+class _LeafMaps(NamedTuple):
+    """Batch form of a conjunction over an n-dimensional state (L leaves, W slots)."""
+
+    ia: np.ndarray  # (L, W) state index read with weight a
+    a: np.ndarray  # (L, W)
+    ib: np.ndarray  # (L, W) state index read with weight -b (join partners)
+    b: np.ndarray  # (L, W)
+    c: np.ndarray  # (L, W) ball centres
+    lin: np.ndarray  # (L, W) derivative of an affine read-out w.r.t. r_i
+    grad_map: np.ndarray  # (L * W, L * n) read-out derivatives -> leaf gradients
+    ata: np.ndarray  # (L, n * n) A_i^T A_i
+    norm: np.ndarray  # (L,) ball or join
+    signs: np.ndarray  # (L,)
+    csts: np.ndarray  # (L,)
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
+    """The leaf table as linear read-outs of an n-dimensional state.
+
+    Slot j of leaf i reads r_ij = a_ij x[ia_ij] - b_ij x[ib_ij] - c_ij:
+    x[sel_j] - centre_j for a ball, x[sel_j] - x[sel_b_j] for a join and
+    coeff_j x[sel_j] for an affine leaf; unused slots read zero.  Ball
+    and join leaves take the norm of r_i, affine leaves the sum of its
+    slots, so h_i = sign_i * (cst_i - read-out).  Row j of A_i is
+    a_ij e_ia - b_ij e_ib; ``grad_map`` is block-diagonal and takes the
+    read-out derivatives to the leaf gradients -sign_i A_i^T.  Repeated
+    selectors add up in A_i.  Cached per formula and state size.
+    """
+    table = compile_leaf_table(psi)
+    L, W = len(table), max(len(leaf[2]) for leaf in table)
+    ia = np.zeros((L, W), dtype=np.intp)
+    ib = np.zeros((L, W), dtype=np.intp)
+    a, b, c, lin = (np.zeros((L, W)) for _ in range(4))
+    A = np.zeros((L, W, n))
+    grad_map = np.zeros((L, W, L, n))
+    rows = np.arange(W)
+    for i, (kind, sign, sel, sel_b, pars, _) in enumerate(table):
+        k = len(sel)
+        ia[i, :k] = sel
+        if kind == 0:
+            a[i, :k] = pars
+            lin[i, :k] = 1.0
+        else:
+            a[i, :k] = 1.0
+        if kind == 1:
+            c[i, :k] = pars
+        if kind == 2:
+            ib[i, :k] = sel_b
+            b[i, :k] = 1.0
+        np.add.at(A[i], (rows, ia[i]), a[i])
+        np.add.at(A[i], (rows, ib[i]), -b[i])
+        grad_map[i, :, i, :] = -sign * A[i]
+    ata = (A.transpose(0, 2, 1) @ A).reshape(L, n * n)
+    maps = _LeafMaps(
+        ia=ia, a=a, ib=ib, b=b, c=c, lin=lin,
+        grad_map=grad_map.reshape(L * W, L * n), ata=ata,
+        norm=np.array([leaf[0] != 0 for leaf in table]),
+        signs=np.array([leaf[1] for leaf in table]),
+        csts=np.array([leaf[5] for leaf in table]),
+    )
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
+def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, ...]:
+    """Leaf read-outs at every row of X: r (P, L, W), |r| (P, L) and h (P, L).
+
+    r_i = A_i x - c_i over ``_leaf_maps``; ball and join leaves take
+    h_i = sign_i * (cst_i - |r_i|), affine leaves sign_i * (cst_i - sum_j r_ij).
+    """
+    mp = _leaf_maps(psi, X.shape[1])
+    r = X[:, mp.ia] * mp.a
+    r -= X[:, mp.ib] * mp.b
+    r -= mp.c
+    nd = np.sqrt((r * r).sum(axis=2))
+    return r, nd, mp.signs * (mp.csts - np.where(mp.norm, nd, r.sum(axis=2)))
+
+
+def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft minimum of the leaf values of every row and its normalized weights."""
+    h_min = h.min(axis=1, keepdims=True)
+    w = np.exp(-eta * (h - h_min))
+    z = w.sum(axis=1, keepdims=True)
+    return h_min[:, 0] - np.log(z[:, 0]) / eta, w / z
+
+
+def _softmin_xi(h: np.ndarray, T: np.ndarray, fp, eta: float) -> tuple[np.ndarray, ...]:
+    """Funnel error of the leaves' soft minimum at every row.
+
+    Returns xi, the normalized softmin weights w, gamma(T) and its
+    decaying part (gamma0 - gamma_inf) * exp(-l * T).
+    """
+    rho, w = _softmin(h, eta)
+    pf = fp.perf
+    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
+    gamma = decay + pf.gamma_inf
+    return (rho - fp.rho_max) / gamma, w, gamma, decay
+
+
+def _softmin_grad(
+    readout: tuple[np.ndarray, ...], w: np.ndarray, psi: NonTemporalFormula, n: int
+) -> tuple[np.ndarray, ...]:
+    """Leaf gradients q_i (P, L, n), softmin gradient q (P, n) and curv (P, L).
+
+    curv_i = w_i * sign_i / |r_i| for ball and join leaves and zero for
+    affine ones; at a norm centre the leaf's gradient and curv are zero.
+    A ball or join leaf has the Hessian
+    sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i with u = r_i / |r_i|,
+    so w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i).
+    """
+    mp = _leaf_maps(psi, n)
+    r, nd, _ = readout
+    P = r.shape[0]
+    with np.errstate(divide="ignore"):
+        inv_nd = np.where(mp.norm & (nd > 0.0), 1.0 / nd, 0.0)
+    unit = r * inv_nd[:, :, None] + mp.lin
+    leaf_grads = (unit.reshape(P, -1) @ mp.grad_map).reshape(P, -1, n)
+    grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
+    return leaf_grads, grad, w * mp.signs * inv_nd
+
+
+def _hessian_form(
+    grads: np.ndarray, coef: np.ndarray, ata_coef: np.ndarray, psi: NonTemporalFormula
+) -> np.ndarray:
+    """sum_k coef_k g_k g_k^T + sum_i ata_coef_i A_i^T A_i at every row: (P, n, n).
+
+    ``grads`` (P, K, n) are the leaf gradients, possibly with the softmin
+    gradient appended, so every outer product goes into one batched matmul.
+    """
+    P, _, n = grads.shape
+    out = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
+    out += (ata_coef @ _leaf_maps(psi, n).ata).reshape(P, n, n)
+    return out
+
+
+def _omni_gT(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, gbase: np.ndarray) -> np.ndarray:
+    """Per-agent 3x3 blocks gbase^T (c0 * _ROT_C + c1 * _ROT_S + c2 * _ROT_Z).
+
+    With (c0, c1, c2) = (cos, sin, 1) of each agent's heading this is
+    the omni team's g^T; with (-sin, cos, 0) its heading derivative per
+    radian.  Inputs are (P, agents); the result is (P, agents, 3, 3).
+    """
+    basis = np.stack([(gbase.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
+    return (np.stack([c0, c1, c2], axis=2) @ basis).reshape(*c0.shape, 3, 3)
+
+
+def u_xi_batch(
+    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The law u = -eps * g(x)^T grad rho and xi at every row of X at times T.
+
+    Returns U (P, m) and xi (P,); rows whose xi leaves (-1, 0) are NaN in U.
+    """
+    X = np.asarray(X, dtype=float)
+    P, n = X.shape
+    readout = _leaf_readout(X, psi)
+    xi, w, _, _ = _softmin_xi(readout[2], np.asarray(T, dtype=float), fp, eta)
+    _, grad, _ = _softmin_grad(readout, w, psi, n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps = np.where((xi > -1.0) & (xi < 0.0), np.log(-(xi + 1.0) / xi), np.nan)
+    if plant.kernel_kind == 0:
+        U = plant.kernel_gain * grad
     else:
-        _jit = njit(cache=True, fastmath=False)
-        leaf_values = _jit(_leaf_values_np)
-        # Rebind the helper globals so the compiled callers resolve to
-        # the jitted dispatchers instead of the plain functions.
-        _leaf_values_np = leaf_values
-        smooth_rho_grad = _jit(_smooth_rho_grad_np)
-        _apply_gT = _jit(_apply_gT_np)
+        th = X[:, 2::3] * _DEG
+        gT = _omni_gT(np.cos(th), np.sin(th), np.ones_like(th), plant.kernel_gbase)
+        U = (gT @ grad.reshape(P, -1, 3, 1)).reshape(P, n)
+    return -eps[:, None] * U, xi
 
-        @njit(cache=True)
-        def u_xi_eval(
-            kinds, signs, sels, selbs, pars, csts,
-            x, t, eta, rho_max, g0, ginf, l,
-            plant_kind, gain, gbase, u_out,
-        ):
-            grad = np.zeros_like(x)
-            rho = smooth_rho_grad(kinds, signs, sels, selbs, pars, csts, x, eta, grad)
-            gamma = (g0 - ginf) * math.exp(-l * t) + ginf
-            xi = (rho - rho_max) / gamma
-            if xi <= -1.0 or xi >= 0.0:
-                u_out[:] = np.nan
-                return xi
-            eps = math.log(-(xi + 1.0) / xi)
-            _apply_gT(plant_kind, gain, gbase, x, grad, u_out)
-            for k in range(u_out.shape[0]):
-                u_out[k] = -eps * u_out[k]
-            return xi
 
-        @njit(cache=True, parallel=True)
-        def u_xi_batch(
-            kinds, signs, sels, selbs, pars, csts,
-            X, T, eta, rho_max, g0, ginf, l,
-            plant_kind, gain, gbase, U_out, XI_out,
-        ):
-            for p in prange(X.shape[0]):
-                XI_out[p] = u_xi_eval(
-                    kinds, signs, sels, selbs, pars, csts,
-                    X[p], T[p], eta, rho_max, g0, ginf, l,
-                    plant_kind, gain, gbase, U_out[p],
-                )
+def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
+    """Exact robustness, the minimum leaf value, at every row of X."""
+    return _leaf_readout(np.asarray(X, dtype=float), psi)[2].min(axis=1)
 
-        USING_NUMBA = True
 
-if not USING_NUMBA:
-    leaf_values = _leaf_values_np
-    smooth_rho_grad = _smooth_rho_grad_np
-    u_xi_eval = _u_xi_eval_np
-    u_xi_batch = _u_xi_batch_np
+def softmin_hessian(psi: NonTemporalFormula, X: np.ndarray, eta: float) -> np.ndarray:
+    """Hessian of the soft minimum at every row of X: (P, n, n).
+
+        H = sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T)
+
+    with q the softmin gradient, through the same leaf Hessian as the
+    law Jacobian.
+    """
+    X = np.asarray(X, dtype=float)
+    readout = _leaf_readout(X, psi)
+    w = _softmin(readout[2], eta)[1]
+    leaf_grads, grad, curv = _softmin_grad(readout, w, psi, X.shape[1])
+    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
+    coef = np.concatenate([curv - eta * w, np.full((X.shape[0], 1), eta)], axis=1)
+    return _hessian_form(grads, coef, -curv, psi)

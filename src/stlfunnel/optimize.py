@@ -19,6 +19,7 @@ from scipy.optimize import minimize
 
 from .errors import OptimizationError
 from .formulas import NonTemporalFormula, SmoothingConfig
+from .kernels import compile_leaf_table, leaf_pass
 from .robustness import smooth_psi_value_and_grad
 
 __all__ = ["OptimizationResult", "optimize_robustness", "cached_optimum"]
@@ -77,26 +78,25 @@ def _snap_candidate(psi: NonTemporalFormula, x: np.ndarray) -> np.ndarray | None
     def union(i: int, j: int) -> None:
         parent[find(i)] = find(j)
 
+    # Norm leaves carry (difference vector, length); affine leaves None.
+    _, diffs = leaf_pass(compile_leaf_table(psi), x.tolist())
+    near = [diff is not None and diff[1] < _SNAP_DIST for diff in diffs]
     touched = False
-    for leaf in psi.leaves:
-        if leaf.kind == "join" and not leaf.negated:
-            d = np.linalg.norm(x[list(leaf.sel)] - x[list(leaf.sel_b)])
-            if d < _SNAP_DIST:
-                touched = True
-                for a, b in zip(leaf.sel, leaf.sel_b):
-                    union(a, b)
+    for leaf, close in zip(psi.leaves, near):
+        if close and leaf.kind == "join" and not leaf.negated:
+            touched = True
+            for a, b in zip(leaf.sel, leaf.sel_b):
+                union(a, b)
     anchors: dict[int, float] = {}
     conflict: set[int] = set()
-    for leaf in psi.leaves:
-        if leaf.kind == "ball" and not leaf.negated:
-            d = np.linalg.norm(x[list(leaf.sel)] - np.asarray(leaf.center))
-            if d < _SNAP_DIST:
-                touched = True
-                for idx, c in zip(leaf.sel, leaf.center):
-                    root = find(idx)
-                    if root in anchors and abs(anchors[root] - c) > 1e-12:
-                        conflict.add(root)
-                    anchors[root] = c
+    for leaf, close in zip(psi.leaves, near):
+        if close and leaf.kind == "ball" and not leaf.negated:
+            touched = True
+            for idx, c in zip(leaf.sel, leaf.center):
+                root = find(idx)
+                if root in anchors and abs(anchors[root] - c) > 1e-12:
+                    conflict.add(root)
+                anchors[root] = c
     if not touched:
         return None
 

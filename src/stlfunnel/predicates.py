@@ -8,16 +8,16 @@ Three leaf kinds cover the supported fragment:
 
 A band constraint ``|x_k - c| < w`` is desugared by the parser into two
 affine leaves and never reaches this module as its own kind.  Negation
-flips the sign of value, gradient, and Hessian.
+flips the sign of value, gradient, and Hessian.  A selector may repeat
+within a leaf; its terms add up.  This module only describes leaves:
+``kernels`` is where they are evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["PredicateSpec", "ball", "join", "affine", "predicate_value_and_grad"]
+__all__ = ["PredicateSpec", "ball", "join", "affine"]
 
 
 @dataclass(frozen=True)
@@ -82,64 +82,3 @@ def affine(sel: tuple[int, ...], coeffs: tuple[float, ...], offset: float) -> Pr
     return PredicateSpec(
         kind="affine", sel=tuple(sel), coeffs=tuple(float(c) for c in coeffs), offset=float(offset)
     )
-
-
-def predicate_value_and_grad(p: PredicateSpec, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed leaf value and its gradient with respect to the full state.
-
-    The gradient of a norm at its own center is taken as the zero vector;
-    any subgradient is admissible there and zero keeps the control law
-    continuous through the center.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    if p.kind == "affine":
-        h = p.offset - float(np.dot(p.coeffs, x[list(p.sel)]))
-        grad[list(p.sel)] = [-c for c in p.coeffs]
-    elif p.kind == "ball":
-        d = x[list(p.sel)] - np.asarray(p.center)
-        nd = float(np.linalg.norm(d))
-        h = p.radius - nd
-        if nd > 0.0:
-            grad[list(p.sel)] = -d / nd
-    else:
-        d = x[list(p.sel)] - x[list(p.sel_b)]
-        nd = float(np.linalg.norm(d))
-        h = p.radius - nd
-        if nd > 0.0:
-            grad[list(p.sel)] = -d / nd
-            grad[list(p.sel_b)] = d / nd
-    if p.negated:
-        return -h, -grad
-    return h, grad
-
-
-def predicate_hessian(p: PredicateSpec, x: np.ndarray) -> np.ndarray:
-    """Signed leaf Hessian; zero at a norm center by the same convention."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    hess = np.zeros((n, n))
-    if p.kind == "affine":
-        return hess
-    sel = list(p.sel)
-    if p.kind == "ball":
-        d = x[sel] - np.asarray(p.center)
-        nd = float(np.linalg.norm(d))
-        if nd > 0.0:
-            u = d / nd
-            block = -(np.eye(len(sel)) - np.outer(u, u)) / nd
-            hess[np.ix_(sel, sel)] = block
-    else:
-        sel_b = list(p.sel_b)
-        d = x[sel] - x[sel_b]
-        nd = float(np.linalg.norm(d))
-        if nd > 0.0:
-            u = d / nd
-            block = -(np.eye(len(sel)) - np.outer(u, u)) / nd
-            hess[np.ix_(sel, sel)] = block
-            hess[np.ix_(sel_b, sel_b)] = block
-            hess[np.ix_(sel, sel_b)] = -block
-            hess[np.ix_(sel_b, sel)] = -block
-    if p.negated:
-        return -hess
-    return hess

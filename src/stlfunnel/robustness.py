@@ -5,89 +5,35 @@ The smoothed value is the soft minimum
     rho = -(1/eta) * ln sum_i exp(-eta * h_i(x))
 
 which under-approximates the exact minimum by at most ln(m)/eta for m
-leaves.  Evaluation goes through a flat leaf table so the same encoding
-feeds the numba kernels and the numpy fallback.
+leaves.  Every function here is a thin front over ``kernels``: the
+per-state ones over its plain-float pointwise loop, ``exact_psi_batch``
+and ``smooth_psi_hessian`` over its batch read-out.
 """
 
 from __future__ import annotations
-
-import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .formulas import NonTemporalFormula, SmoothingConfig
-from .predicates import predicate_hessian, predicate_value_and_grad
 
 __all__ = [
-    "LeafTable",
-    "compile_leaf_table",
+    "leaf_values",
     "exact_psi_value",
+    "exact_psi_batch",
+    "smooth_psi_value",
     "smooth_psi_value_and_grad",
     "smooth_psi_hessian",
+    "softmin_weights",
 ]
 
-
-@dataclass(frozen=True)
-class LeafTable:
-    """Flat array encoding of a conjunction, ready for the kernels."""
-
-    kinds: np.ndarray
-    signs: np.ndarray
-    sels: np.ndarray
-    selbs: np.ndarray
-    pars: np.ndarray
-    csts: np.ndarray
-    n_leaves: int
-    min_dim: int
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.kinds, self.signs, self.sels, self.selbs, self.pars, self.csts)
-
-
-_KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
-
-
-@functools.lru_cache(maxsize=None)
-def compile_leaf_table(psi: NonTemporalFormula) -> LeafTable:
-    """Encode a conjunction as padded arrays; cached per formula."""
-    leaves = psi.leaves
-    width = max(len(leaf.sel) for leaf in leaves)
-    n = len(leaves)
-    kinds = np.empty(n, dtype=np.int64)
-    signs = np.empty(n)
-    sels = np.full((n, width), -1, dtype=np.int64)
-    selbs = np.full((n, width), -1, dtype=np.int64)
-    pars = np.zeros((n, width))
-    csts = np.empty(n)
-    for i, leaf in enumerate(leaves):
-        kinds[i] = _KIND_CODE[leaf.kind]
-        signs[i] = -1.0 if leaf.negated else 1.0
-        sels[i, : len(leaf.sel)] = leaf.sel
-        if leaf.kind == "join":
-            selbs[i, : len(leaf.sel_b)] = leaf.sel_b
-        if leaf.kind == "ball":
-            pars[i, : len(leaf.center)] = leaf.center
-            csts[i] = leaf.radius
-        elif leaf.kind == "join":
-            csts[i] = leaf.radius
-        else:
-            pars[i, : len(leaf.coeffs)] = leaf.coeffs
-            csts[i] = leaf.offset
-    table = LeafTable(
-        kinds=kinds, signs=signs, sels=sels, selbs=selbs, pars=pars, csts=csts,
-        n_leaves=n, min_dim=psi.min_dim,
-    )
-    return table
+exact_psi_batch = kernels.exact_psi_batch
 
 
 def leaf_values(psi: NonTemporalFormula, x: np.ndarray) -> np.ndarray:
-    table = compile_leaf_table(psi)
-    x = np.asarray(x, dtype=float)
-    out = np.empty(table.n_leaves)
-    kernels.leaf_values(*table.arrays(), x, out)
-    return out
+    """Signed value of every leaf at x, in leaf order."""
+    xs = np.asarray(x, dtype=float).tolist()
+    return np.array(kernels.leaf_pass(kernels.compile_leaf_table(psi), xs)[0])
 
 
 def exact_psi_value(psi: NonTemporalFormula, x: np.ndarray) -> float:
@@ -104,42 +50,15 @@ def smooth_psi_value_and_grad(
     weights are nonnegative and sum to one.  A single leaf reduces to
     the exact value and gradient.
     """
-    table = compile_leaf_table(psi)
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    rho = kernels.smooth_rho_grad(*table.arrays(), x, cfg.eta, grad)
-    return float(rho), grad
+    xs = np.asarray(x, dtype=float).tolist()
+    rho, grad = kernels.smooth_rho_grad(kernels.compile_leaf_table(psi), xs, cfg.eta)
+    return rho, np.array(grad)
 
 
 def smooth_psi_value(
     psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
 ) -> float:
     return smooth_psi_value_and_grad(psi, x, cfg)[0]
-
-
-def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
-    """Exact robustness at every row of a (samples, n) state array.
-
-    Norms and dot products are written as elementwise square/multiply
-    followed by an axis sum so the rounding matches the scalar kernel
-    exactly; BLAS paths may fuse multiply-adds and drift an ulp.
-    """
-    X = np.asarray(X, dtype=float)
-    out = np.full(X.shape[0], np.inf)
-    for leaf in psi.leaves:
-        sel = list(leaf.sel)
-        if leaf.kind == "affine":
-            h = leaf.offset - (X[:, sel] * np.asarray(leaf.coeffs)).sum(axis=1)
-        elif leaf.kind == "ball":
-            d = X[:, sel] - np.asarray(leaf.center)
-            h = leaf.radius - np.sqrt((d * d).sum(axis=1))
-        else:
-            d = X[:, sel] - X[:, list(leaf.sel_b)]
-            h = leaf.radius - np.sqrt((d * d).sum(axis=1))
-        if leaf.negated:
-            h = -h
-        np.minimum(out, h, out=out)
-    return out
 
 
 def softmin_weights(
@@ -163,16 +82,5 @@ def smooth_psi_hessian(
     term negative semidefinite and the weight term is always negative
     semidefinite, so the soft minimum stays concave.
     """
-    x = np.asarray(x, dtype=float)
-    w = softmin_weights(psi, x, cfg)
-    n = x.shape[0]
-    hess = np.zeros((n, n))
-    outer_mean = np.zeros((n, n))
-    grad = np.zeros(n)
-    for leaf, wi in zip(psi.leaves, w):
-        _, gi = predicate_value_and_grad(leaf, x)
-        hess += wi * predicate_hessian(leaf, x)
-        outer_mean += wi * np.outer(gi, gi)
-        grad += wi * gi
-    hess -= cfg.eta * (outer_mean - np.outer(grad, grad))
-    return hess
+    X = np.asarray(x, dtype=float)[None, :]
+    return kernels.softmin_hessian(psi, X, cfg.eta)[0]

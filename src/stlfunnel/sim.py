@@ -22,7 +22,6 @@ from .formulas import SequentialFormula, SmoothingConfig, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
 from .plants import Plant
-from .robustness import compile_leaf_table
 from .sequencer import HybridState, SequencerConfig, active_psi, funnel_clock, init_sequencer, jump_if_due
 
 __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
@@ -172,28 +171,21 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
 
     metrics.funnels.append(_funnel_record(z))
     cs = ControllerState(psi=active_psi(z), fp=z.fp)
-    table = compile_leaf_table(active_psi(z))
+    table = kernels.compile_leaf_table(active_psi(z))
     k = 0
     k_entry = 0
-    u_buf = np.empty(plant.m)
 
     while True:
         t = k * dt
         z.t_local = (k - k_entry) * dt
         t_fun = funnel_clock(z)
-        pf = z.fp.perf
-        xi = kernels.u_xi_eval(
-            *table.arrays(), x, t_fun, eta,
-            z.fp.rho_max, pf.gamma0, pf.gamma_inf, pf.l,
-            plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, u_buf,
-        )
-        gam = gamma_at(pf, t_fun)
+        xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
+        gam = gamma_at(z.fp.perf, t_fun)
         rho = z.fp.rho_max + xi * gam
         if not (-1.0 < xi < 0.0):
             rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
             rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
             return finish("funnel", t)
-        u_cont = u_buf.copy()
 
         jumped = False
         try:
@@ -211,20 +203,14 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             if not z.terminal:
                 metrics.funnels.append(_funnel_record(z))
             cs = ControllerState(psi=active_psi(z), fp=z.fp)
-            table = compile_leaf_table(active_psi(z))
-            pf = z.fp.perf
-            xi = kernels.u_xi_eval(
-                *table.arrays(), x, t_fun, eta,
-                z.fp.rho_max, pf.gamma0, pf.gamma_inf, pf.l,
-                plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, u_buf,
-            )
-            gam = gamma_at(pf, t_fun)
+            table = kernels.compile_leaf_table(active_psi(z))
+            xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
+            gam = gamma_at(z.fp.perf, t_fun)
             rho = z.fp.rho_max + xi * gam
             if not (-1.0 < xi < 0.0):
                 rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
                 rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
                 return finish("funnel", t)
-            u_cont = u_buf.copy()
 
         cause = None
         if cs.event is None:

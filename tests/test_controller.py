@@ -8,15 +8,14 @@ import pytest
 from scipy.stats import qmc
 
 from stlfunnel import kernels
+from stlfunnel.kernels import _leaf_readout, _softmin_xi
 from stlfunnel.controller import (
     ControllerState,
     TriggerConfig,
     TriggerEvent,
     _corners,
     _law_row_sums,
-    _leaf_readout,
     _probe_points,
-    _softmin_xi,
     compute_trigger_radius,
     continuous_law,
     law_jacobian,
@@ -28,7 +27,7 @@ from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
-from stlfunnel.robustness import compile_leaf_table
+from stlfunnel.robustness import leaf_values
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import active_psi, funnel_clock, init_sequencer
 from conftest import PSI1_TEXT
@@ -138,18 +137,8 @@ def test_law_jacobian_matches_fd_omni(rng):
 
 
 def _batch_u_xi(pts, psi, fp, plant, smoothing):
-    """Law and funnel error per probe row (x, t) from the batch kernel."""
-    table = compile_leaf_table(psi)
-    X = np.ascontiguousarray(pts[:, :-1])
-    T = np.ascontiguousarray(pts[:, -1])
-    U = np.empty((pts.shape[0], plant.m))
-    XI = np.empty(pts.shape[0])
-    kernels.u_xi_batch(
-        *table.arrays(), X, T, smoothing.eta,
-        fp.rho_max, fp.perf.gamma0, fp.perf.gamma_inf, fp.perf.l,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, U, XI,
-    )
-    return U, XI
+    """Law and funnel error per probe row (x, t) from the batch law."""
+    return kernels.u_xi_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, smoothing.eta)
 
 
 def _fd_row_sums(pts, psi, fp, plant, sm, h=1e-6):
@@ -350,7 +339,7 @@ def test_corner_first_guard_matches_full_round(case, rounds):
 
 
 @pytest.mark.parametrize(
-    "text, exact",
+    "text, norm_only",
     [
         ("ball(0,1;1,2;4) and ball(2;0;3)", True),
         ("join(0;1;6) and join(0,1;2,3;5) and ball(1,2;0.5,-1;3)", True),
@@ -360,25 +349,28 @@ def test_corner_first_guard_matches_full_round(case, rounds):
         ("aff(0,0,1;2) and not aff(1,1,0,0.3;-6) and join(1;2;5)", False),
     ],
 )
-def test_guard_readout_xi_matches_batch_kernel(rng, text, exact):
-    # The guard's xi, from the leaf read-out, against the batch kernel's.
-    # Ball and join read-outs select state entries with unit weights, so
-    # both paths round the same operations; affine dot products may sum
-    # in another order.  The last two rows sit at norm centres: the first
-    # at ball(0,1;1,2;4)'s, the origin at every join's and ball(2;0;3)'s.
+def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
+    # The guard's leaf values and xi, from the batch read-out, against the
+    # plain-float pointwise loop.  Both sum each leaf's terms in selector
+    # order without BLAS, so ball, join and affine values agree bit for
+    # bit.  xi also goes through exp and log, which numpy's vectorized
+    # routines and the math module may round one ulp apart.  The last two
+    # rows sit at norm centres: the first at ball(0,1;1,2;4)'s, the
+    # origin at every join's and ball(2;0;3)'s.
     psi = parse_psi(text, allow_nonconcave=True)
+    assert norm_only == all(leaf.kind != "affine" for leaf in psi.leaves)
     fp = _narrowing_funnel()
     plant = single_integrator(4)
     sm = SmoothingConfig(eta=1.3)
     pts = np.column_stack([rng.uniform(-3.0, 5.0, (200, 4)), rng.uniform(0.0, 6.0, 200)])
     pts = np.vstack([pts, [[1.0, 2.0, 2.0, 0.0, 0.7], [0.0, 0.0, 0.0, 0.0, 0.0]]])
-    _, want = _batch_u_xi(pts, psi, fp, plant, sm)
     _, _, h = _leaf_readout(pts[:, :-1], psi)
     got = _softmin_xi(h, pts[:, -1], fp, sm.eta)[0]
-    if exact:
-        np.testing.assert_array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    table = kernels.compile_leaf_table(psi)
+    want_h = np.array([leaf_values(psi, p[:-1]) for p in pts])
+    want = np.array([kernels.u_xi_eval(table, p[:-1], p[-1], sm.eta, fp, plant)[0] for p in pts])
+    np.testing.assert_array_equal(h, want_h)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_trigger_config_rejects_empty_probe_set():

@@ -1,157 +1,59 @@
-"""Fast-path and fallback kernels must agree to machine precision."""
-
-import os
-import subprocess
-import sys
+"""The batch read-out and the plain-float pointwise loop agree."""
 
 import numpy as np
 import pytest
 
 from stlfunnel import kernels
+from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
-from stlfunnel.robustness import compile_leaf_table
 
 from conftest import PSI1_TEXT, random_concave_psi
 
 
-def _random_args(rng, psi, plant, t=1.0):
-    table = compile_leaf_table(psi)
-    x = rng.uniform(0.0, 90.0, plant.n)
-    return table.arrays() + (
-        x, t, 1.0, 1.8, 50.0, 30.0, 0.05,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase,
+def _funnel(rho_max, gamma0, gamma_inf, l):
+    return FunnelParams(
+        t_star=1.0, r=0.25 * rho_max, rho_max=rho_max,
+        perf=PerformanceFunction(gamma0=gamma0, gamma_inf=gamma_inf, l=l),
     )
 
 
-def test_pointwise_paths_agree(rng):
-    plant = omni_robot_team(3, input_gain=100.0)
-    psi = parse_psi(PSI1_TEXT)
-    for _ in range(50):
-        args = _random_args(rng, psi, plant, t=float(rng.uniform(0.0, 10.0)))
-        u_a = np.empty(plant.m)
-        u_b = np.empty(plant.m)
-        xi_a = kernels.u_xi_eval(*args, u_a)
-        xi_b = kernels._u_xi_eval_np(*args, u_b)
-        assert xi_a == pytest.approx(xi_b, rel=1e-14, abs=1e-15)
-        if -1.0 < xi_a < 0.0:
-            np.testing.assert_allclose(u_a, u_b, rtol=1e-12, atol=1e-13)
+def _assert_batch_matches_pointwise(X, T, psi, fp, plant, eta):
+    U, XI = kernels.u_xi_batch(X, T, psi, fp, plant, eta)
+    table = kernels.compile_leaf_table(psi)
+    for p in range(X.shape[0]):
+        xi, u = kernels.u_xi_eval(table, X[p], float(T[p]), eta, fp, plant)
+        assert XI[p] == pytest.approx(xi, rel=1e-13, abs=1e-14)
+        if -1.0 < xi < 0.0:
+            np.testing.assert_allclose(U[p], u, rtol=1e-11, atol=1e-12)
         else:
-            assert np.all(np.isnan(u_a)) and np.all(np.isnan(u_b))
-
-
-def test_pointwise_paths_agree_on_random_formulas(rng):
-    for _ in range(25):
-        dim = int(rng.integers(2, 7))
-        psi = random_concave_psi(rng, dim, int(rng.integers(1, 5)))
-        plant = single_integrator(dim, gain=float(rng.uniform(0.5, 2.0)))
-        table = compile_leaf_table(psi)
-        x = rng.uniform(-3.0, 3.0, dim)
-        args = table.arrays() + (
-            x, float(rng.uniform(0.0, 5.0)), 2.0, 0.5, 4.0, 1.0, 0.3,
-            plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase,
-        )
-        u_a = np.empty(dim)
-        u_b = np.empty(dim)
-        xi_a = kernels.u_xi_eval(*args, u_a)
-        xi_b = kernels._u_xi_eval_np(*args, u_b)
-        assert xi_a == pytest.approx(xi_b, rel=1e-14, abs=1e-15)
-        if -1.0 < xi_a < 0.0:
-            np.testing.assert_allclose(u_a, u_b, rtol=1e-12, atol=1e-13)
+            assert np.all(np.isnan(U[p])) and np.all(np.isnan(u))
 
 
 def test_batch_matches_pointwise(rng):
     plant = omni_robot_team(3, input_gain=100.0)
     psi = parse_psi(PSI1_TEXT)
-    table = compile_leaf_table(psi)
     P = 64
     X = rng.uniform(0.0, 90.0, (P, plant.n))
     T = rng.uniform(0.0, 10.0, P)
-    U = np.empty((P, plant.m))
-    XI = np.empty(P)
-    kernels.u_xi_batch(
-        *table.arrays(), X, T, 1.0, 1.8, 50.0, 30.0, 0.05,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, U, XI,
-    )
-    for p in range(P):
-        u = np.empty(plant.m)
-        xi = kernels.u_xi_eval(
-            *table.arrays(), X[p], float(T[p]), 1.0, 1.8, 50.0, 30.0, 0.05,
-            plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, u,
-        )
-        assert XI[p] == pytest.approx(xi, rel=1e-13, abs=1e-14)
-        if -1.0 < xi < 0.0:
-            np.testing.assert_allclose(U[p], u, rtol=1e-11, atol=1e-12)
-        else:
-            assert np.all(np.isnan(U[p]))
-
-
-def test_numpy_batch_twin_matches(rng):
-    plant = single_integrator(4)
-    psi = random_concave_psi(rng, 4, 3)
-    table = compile_leaf_table(psi)
-    P = 32
-    X = rng.uniform(-3.0, 3.0, (P, 4))
-    T = rng.uniform(0.0, 5.0, P)
-    U_a = np.empty((P, 4))
-    XI_a = np.empty(P)
-    U_b = np.empty((P, 4))
-    XI_b = np.empty(P)
-    args = table.arrays() + (X, T, 2.0, 0.5, 4.0, 1.0, 0.3,
-                             plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase)
-    kernels.u_xi_batch(*args, U_a, XI_a)
-    kernels._u_xi_batch_np(*args, U_b, XI_b)
-    np.testing.assert_allclose(XI_a, XI_b, rtol=1e-13, atol=1e-14)
-    ok = (XI_a > -1.0) & (XI_a < 0.0)
-    np.testing.assert_allclose(U_a[ok], U_b[ok], rtol=1e-11, atol=1e-12)
-    assert np.all(np.isnan(U_a[~ok]))
+    _assert_batch_matches_pointwise(X, T, psi, _funnel(1.8, 50.0, 30.0, 0.05), plant, 1.0)
+    # Random ball, join and affine conjunctions on single integrators.
+    for _ in range(25):
+        dim = int(rng.integers(2, 7))
+        psi = random_concave_psi(rng, dim, int(rng.integers(1, 5)))
+        plant = single_integrator(dim, gain=float(rng.uniform(0.5, 2.0)))
+        X = rng.uniform(-3.0, 3.0, (8, dim))
+        T = rng.uniform(0.0, 5.0, 8)
+        _assert_batch_matches_pointwise(X, T, psi, _funnel(0.5, 4.0, 1.0, 0.3), plant, 2.0)
 
 
 def test_input_is_nan_outside_open_interval():
     plant = single_integrator(1)
-    table = compile_leaf_table(parse_psi("ball(0;0;1)"))
-    u = np.empty(1)
+    table = kernels.compile_leaf_table(parse_psi("ball(0;0;1)"))
+    fp = _funnel(0.5, 1.0, 1.0, 0.0)
     # rho(0) = 1 with rho_max really low: xi >= 0.
-    xi = kernels.u_xi_eval(
-        *table.arrays(), np.zeros(1), 0.0, 1.0, 0.5, 1.0, 1.0, 0.0,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, u,
-    )
+    xi, u = kernels.u_xi_eval(table, np.zeros(1), 0.0, 1.0, fp, plant)
     assert xi >= 0.0 and np.isnan(u[0])
     # rho(5) = -4 far below the funnel floor: xi <= -1.
-    xi = kernels.u_xi_eval(
-        *table.arrays(), np.array([5.0]), 0.0, 1.0, 0.5, 1.0, 1.0, 0.0,
-        plant.kernel_kind, plant.kernel_gain, plant.kernel_gbase, u,
-    )
+    xi, u = kernels.u_xi_eval(table, np.array([5.0]), 0.0, 1.0, fp, plant)
     assert xi <= -1.0 and np.isnan(u[0])
-
-
-def test_fallback_env_flag_selects_numpy_path():
-    code = (
-        "import stlfunnel.kernels as k\n"
-        "import numpy as np\n"
-        "from stlfunnel.parsing import parse_psi\n"
-        "from stlfunnel.robustness import compile_leaf_table\n"
-        "assert not k.USING_NUMBA\n"
-        "t = compile_leaf_table(parse_psi('ball(0,1;2,2;3) and aff(1,0;5)'))\n"
-        "u = np.empty(2)\n"
-        "xi = k.u_xi_eval(*t.arrays(), np.array([1.0, 1.5]), 0.5, 1.0, 1.5,"
-        " 4.0, 1.0, 0.3, 0, 1.0, np.zeros((3, 3)), u)\n"
-        "print(repr(float(xi)), repr(float(u[0])), repr(float(u[1])))\n"
-    )
-    env = dict(os.environ, STLFUNNEL_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    xi_np, u0_np, u1_np = (float(v) for v in out.stdout.split())
-
-    from stlfunnel.robustness import compile_leaf_table as clt
-
-    table = clt(parse_psi("ball(0,1;2,2;3) and aff(1,0;5)"))
-    u = np.empty(2)
-    xi = kernels.u_xi_eval(
-        *table.arrays(), np.array([1.0, 1.5]), 0.5, 1.0, 1.5, 4.0, 1.0, 0.3,
-        0, 1.0, np.zeros((3, 3)), u,
-    )
-    assert xi == pytest.approx(xi_np, rel=1e-14)
-    np.testing.assert_allclose(u, [u0_np, u1_np], rtol=1e-12)

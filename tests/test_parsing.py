@@ -61,10 +61,12 @@ def test_band_desugars_to_two_affine_leaves():
     affs = [leaf for leaf in psi.leaves if leaf.kind == "affine"]
     assert len(affs) == 2
     import numpy as np
-    from stlfunnel.predicates import predicate_value_and_grad
+    from stlfunnel.robustness import leaf_values
 
     x = np.array([0.0, 0.0, 43.0])
-    values = sorted(predicate_value_and_grad(leaf, x)[0] for leaf in affs)
+    values = sorted(
+        h for leaf, h in zip(psi.leaves, leaf_values(psi, x)) if leaf.kind == "affine"
+    )
     # |x2 - 45| = 2 inside the width-5 band: margins 3 below, 7 above.
     assert values == pytest.approx([3.0, 7.0])
 

@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import stlfunnel.kernels
+
 EPISODE = Path(__file__).resolve().parents[1] / "perfbench" / "episode.py"
 
 
@@ -34,3 +36,5 @@ def test_trace_install_finds_every_wrapped_function(monkeypatch):
     assert "controller.compute_trigger_radius" in tracer.names
     assert "kernels.u_xi_batch" in tracer.names
     assert len(tracer.names) == len(set(tracer.names))
+    # Plain runs (episode.run) and baseline._environment record this flag.
+    assert stlfunnel.kernels.USING_NUMBA is False

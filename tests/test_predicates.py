@@ -1,22 +1,30 @@
-"""Leaf predicate values, gradients, and Hessians."""
+"""Leaf predicate values, gradients, and Hessians.
+
+Each leaf is evaluated as a one-leaf conjunction through the evaluator:
+a one-leaf soft minimum is the leaf itself.
+"""
 
 import numpy as np
 import pytest
 
-from stlfunnel.predicates import (
-    affine,
-    ball,
-    join,
-    predicate_hessian,
-    predicate_value_and_grad,
-)
+from stlfunnel.formulas import NonTemporalFormula
+from stlfunnel.predicates import affine, ball, join
+from stlfunnel.robustness import smooth_psi_hessian, smooth_psi_value_and_grad
 from conftest import brute_leaf, central_diff
+
+
+def leaf_value_and_grad(p, x):
+    return smooth_psi_value_and_grad(NonTemporalFormula(leaves=(p,)), x)
+
+
+def leaf_hessian(p, x):
+    return smooth_psi_hessian(NonTemporalFormula(leaves=(p,)), x)
 
 
 def test_ball_value_and_grad():
     p = ball((0, 1), (3.0, 4.0), 2.0)
     x = np.array([0.0, 0.0, 7.0])
-    h, g = predicate_value_and_grad(p, x)
+    h, g = leaf_value_and_grad(p, x)
     assert h == pytest.approx(2.0 - 5.0)
     # Unit vector from x toward the center.
     assert g == pytest.approx(np.array([3.0 / 5.0, 4.0 / 5.0, 0.0]))
@@ -24,16 +32,16 @@ def test_ball_value_and_grad():
 
 def test_ball_grad_zero_at_center():
     p = ball((0,), (1.0,), 0.5)
-    h, g = predicate_value_and_grad(p, np.array([1.0, 9.0]))
+    h, g = leaf_value_and_grad(p, np.array([1.0, 9.0]))
     assert h == pytest.approx(0.5)
     assert np.all(g == 0.0)
-    assert np.all(predicate_hessian(p, np.array([1.0, 9.0])) == 0.0)
+    assert np.all(leaf_hessian(p, np.array([1.0, 9.0])) == 0.0)
 
 
 def test_join_value_and_grad():
     p = join((0, 1), (2, 3), 10.0)
     x = np.array([0.0, 0.0, 3.0, 4.0])
-    h, g = predicate_value_and_grad(p, x)
+    h, g = leaf_value_and_grad(p, x)
     assert h == pytest.approx(5.0)
     assert g == pytest.approx(np.array([0.6, 0.8, -0.6, -0.8]))
 
@@ -41,7 +49,7 @@ def test_join_value_and_grad():
 def test_affine_value_and_grad():
     p = affine((0, 2), (2.0, -1.0), 4.0)
     x = np.array([1.0, 5.0, 3.0])
-    h, g = predicate_value_and_grad(p, x)
+    h, g = leaf_value_and_grad(p, x)
     assert h == pytest.approx(4.0 - 2.0 + 3.0)
     assert g == pytest.approx(np.array([-2.0, 0.0, 1.0]))
 
@@ -49,11 +57,11 @@ def test_affine_value_and_grad():
 def test_negation_flips_value_grad_hessian(rng):
     p = ball((0, 1), (1.0, -2.0), 3.0)
     x = rng.uniform(-5, 5, 4)
-    h, g = predicate_value_and_grad(p, x)
-    hn, gn = predicate_value_and_grad(p.negate(), x)
+    h, g = leaf_value_and_grad(p, x)
+    hn, gn = leaf_value_and_grad(p.negate(), x)
     assert hn == pytest.approx(-h)
     assert gn == pytest.approx(-g)
-    assert predicate_hessian(p.negate(), x) == pytest.approx(-predicate_hessian(p, x))
+    assert leaf_hessian(p.negate(), x) == pytest.approx(-leaf_hessian(p, x))
 
 
 @pytest.mark.parametrize(
@@ -68,9 +76,9 @@ def test_negation_flips_value_grad_hessian(rng):
 def test_grad_matches_finite_differences(p, rng):
     for _ in range(10):
         x = rng.uniform(-4, 4, 4)
-        h, g = predicate_value_and_grad(p, x)
+        h, g = leaf_value_and_grad(p, x)
         assert h == pytest.approx(brute_leaf(p, x), rel=1e-12, abs=1e-12)
-        fd = central_diff(lambda y: predicate_value_and_grad(p, y)[0], x)
+        fd = central_diff(lambda y: leaf_value_and_grad(p, y)[0], x)
         assert g == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -85,14 +93,14 @@ def test_grad_matches_finite_differences(p, rng):
 def test_hessian_matches_finite_differences(p, rng):
     for _ in range(5):
         x = rng.uniform(-4, 4, 4)
-        hess = predicate_hessian(p, x)
+        hess = leaf_hessian(p, x)
         assert hess == pytest.approx(hess.T)
         for i in range(4):
             e = np.zeros(4)
             e[i] = 1e-5
             row_fd = (
-                predicate_value_and_grad(p, x + e)[1]
-                - predicate_value_and_grad(p, x - e)[1]
+                leaf_value_and_grad(p, x + e)[1]
+                - leaf_value_and_grad(p, x - e)[1]
             ) / 2e-5
             assert hess[i] == pytest.approx(row_fd, rel=1e-4, abs=1e-6)
 

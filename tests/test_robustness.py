@@ -92,11 +92,17 @@ def test_softmin_weights_simplex(seed, x, eta):
     assert float(w.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
+# A selector repeated within a leaf: h = 3 - sqrt(2) |x0 - 1| and
+# 3 - sqrt(2) |x0 - x1|, whose gradients add the repeated terms and
+# whose Hessians are zero away from the kink.
+REPEATED_SELECTORS = ("ball(0,0;1,1;3)", "join(0,0;1,1;3)")
+
+
 def test_smooth_grad_matches_finite_differences(rng):
     cfg = SmoothingConfig(eta=1.0)
-    for _ in range(30):
-        psi = random_concave_psi(rng, 5)
-        x = rng.uniform(-8, 8, 5)
+    cases = [(random_concave_psi(rng, 5), rng.uniform(-8, 8, 5)) for _ in range(30)]
+    cases += [(parse_psi(text), rng.uniform(-8, 8, 5)) for text in REPEATED_SELECTORS]
+    for psi, x in cases:
         _, grad = smooth_psi_value_and_grad(psi, x, cfg)
         fd = central_diff(lambda y: smooth_psi_value(psi, y, cfg), x)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-7)
@@ -104,9 +110,9 @@ def test_smooth_grad_matches_finite_differences(rng):
 
 def test_smooth_hessian_matches_finite_differences(rng):
     cfg = SmoothingConfig(eta=1.3)
-    for _ in range(10):
-        psi = random_concave_psi(rng, 4)
-        x = rng.uniform(-6, 6, 4)
+    cases = [(random_concave_psi(rng, 4), rng.uniform(-6, 6, 4)) for _ in range(10)]
+    cases += [(parse_psi(text), rng.uniform(-6, 6, 4)) for text in REPEATED_SELECTORS]
+    for psi, x in cases:
         hess = smooth_psi_hessian(psi, x, cfg)
         assert hess == pytest.approx(hess.T, abs=1e-10)
         for i in range(4):
