@@ -34,7 +34,6 @@ from .robustness import (
     smooth_psi_hessian,
     smooth_psi_value,
     smooth_psi_value_and_grad,
-    softmin_weights,
 )
 from .monitor import monitor_robustness
 from .funnel import (
@@ -50,7 +49,6 @@ from .funnel import (
 from .optimize import OptimizationResult, optimize_robustness
 from .plants import Plant, omni_robot_team, single_integrator
 from .controller import (
-    ControllerState,
     TriggerConfig,
     TriggerEvent,
     compute_trigger_radius,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicTask",
     "ConfigError",
-    "ControllerState",
     "DeadlineError",
     "EpisodeSpec",
     "FormulaError",
@@ -131,7 +128,6 @@ __all__ = [
     "smooth_psi_hessian",
     "smooth_psi_value",
     "smooth_psi_value_and_grad",
-    "softmin_weights",
     "step_rk4",
     "synthesize_funnel",
     "transform",

@@ -1,13 +1,17 @@
-"""Funnel feedback law and the event-triggered hold around it.
+"""Event-triggered hold around the funnel feedback law.
 
-The continuous law is u(x, t) = -eps(x, t) * g(x)^T * grad rho(x) with
-eps the transformed funnel error.  Between events the input is frozen;
-a new event fires when the state leaves an infinity-norm ball of radius
-delta_i around the event state or when delta_i seconds elapse, with
-delta_i chosen so the frozen input stays within delta_u of the
-continuous law over the whole inter-event box.  The law's Lipschitz
-constant over that box comes from its analytic Jacobian, evaluated in
-one vectorized pass over the probe points.
+The law is u(x, t) = -eps(x, t) * g(x)^T * grad rho(x) with eps the
+transformed funnel error.  The episode loop evaluates it once per
+sample (``kernels.u_xi_eval``) and hands that input to ``make_event``
+when the trigger fires, so an event adds only the trigger radius.
+Between events the input is frozen; a new event fires when the state
+leaves an infinity-norm ball of radius delta_i around the event state
+or when delta_i seconds elapse, with delta_i chosen so the frozen input
+stays within delta_u of the law over the whole inter-event box.  The
+law's Lipschitz constant over that box comes from its analytic
+Jacobian, evaluated in one vectorized pass over the probe points.
+``continuous_law`` is the dense-g(x) reference form of the law that the
+tests compare against; it is not on the episode path.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .robustness import smooth_psi_value_and_grad
 __all__ = [
     "TriggerConfig",
     "TriggerEvent",
-    "ControllerState",
     "continuous_law",
     "law_jacobian",
     "compute_trigger_radius",
@@ -78,15 +81,6 @@ class TriggerEvent:
     cause: Cause
 
 
-@dataclass
-class ControllerState:
-    """Single-owner mutable controller bookkeeping for one episode."""
-
-    psi: NonTemporalFormula
-    fp: FunnelParams
-    event: TriggerEvent | None = None
-
-
 def continuous_law(
     x: np.ndarray,
     t: float,
@@ -95,10 +89,12 @@ def continuous_law(
     g: np.ndarray,
     smoothing: SmoothingConfig = SmoothingConfig(),
 ) -> np.ndarray:
-    """Continuous funnel feedback u = -eps * g^T * grad rho.
+    """Reference law u = -eps * g^T * grad rho from the dense actuation matrix.
 
     ``g`` is the actuation matrix already evaluated at x.  Raises
-    FunnelViolation outside the funnel.
+    FunnelViolation outside the funnel.  Not on the episode path: the
+    loop evaluates the same law through ``kernels.u_xi_eval``, and the
+    tests hold both that and the analytic Jacobian to this form.
     """
     te = transformed_error(psi, fp, x, t, smoothing)
     _, grad = smooth_psi_value_and_grad(psi, x, smoothing)
@@ -317,25 +313,24 @@ def compute_trigger_radius(
     return delta
 
 
-def should_trigger(x: np.ndarray, t: float, cs: ControllerState) -> Cause | None:
+def should_trigger(x: np.ndarray, t: float, event: TriggerEvent) -> Cause | None:
     """Strict-inequality trigger test against the active event.
 
     StateDeviation takes precedence when both conditions exceed.
     """
-    ev = cs.event
-    if ev is None:
-        raise ValueError("no active trigger event")
-    if float(np.max(np.abs(np.asarray(x) - ev.x))) > ev.delta:
+    if float(np.max(np.abs(np.asarray(x) - event.x))) > event.delta:
         return "StateDeviation"
-    if t - ev.t > ev.delta:
+    if t - event.t > event.delta:
         return "MaxInterval"
     return None
 
 
 def make_event(
-    cs: ControllerState,
+    psi: NonTemporalFormula,
+    fp: FunnelParams,
     x: np.ndarray,
     t: float,
+    u: np.ndarray,
     index: int,
     cause: Cause,
     plant: Plant,
@@ -343,10 +338,11 @@ def make_event(
     smoothing: SmoothingConfig = SmoothingConfig(),
     rng: np.random.Generator | None = None,
 ) -> TriggerEvent:
-    """Refresh the controller at (x, t): new input snapshot and radius."""
+    """Hold ``u``, the law the caller evaluated at (x, t), and size its radius.
+
+    The law is not evaluated again here: the event adds only the
+    trigger radius, which may raise TriggerFloorError.
+    """
     x = np.asarray(x, dtype=float)
-    u = continuous_law(x, t, cs.psi, cs.fp, plant.g(x), smoothing)
-    delta = compute_trigger_radius(x, t, cs.psi, cs.fp, plant, tc, smoothing, rng)
-    event = TriggerEvent(index=index, t=t, x=x.copy(), u=u, delta=delta, cause=cause)
-    cs.event = event
-    return event
+    delta = compute_trigger_radius(x, t, psi, fp, plant, tc, smoothing, rng)
+    return TriggerEvent(index=index, t=t, x=x.copy(), u=u, delta=delta, cause=cause)

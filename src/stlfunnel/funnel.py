@@ -31,7 +31,6 @@ __all__ = [
     "SynthesisConfig",
     "gamma_at",
     "transform",
-    "transform_slope",
     "transformed_error",
     "synthesize_funnel",
     "audit_funnel",
@@ -58,11 +57,6 @@ class PerformanceFunction:
 def gamma_at(pf: PerformanceFunction, t: float) -> float:
     """Value of the performance bound at time t >= 0."""
     return (pf.gamma0 - pf.gamma_inf) * math.exp(-pf.l * t) + pf.gamma_inf
-
-
-def gamma_rate(pf: PerformanceFunction, t: float) -> float:
-    """Time derivative of the performance bound."""
-    return -pf.l * (pf.gamma0 - pf.gamma_inf) * math.exp(-pf.l * t)
 
 
 @dataclass(frozen=True)
@@ -95,11 +89,6 @@ def transform(xi: float, M: float = 0.0) -> float:
     the controller, with S(-1/2) = 0.
     """
     return math.log(-(xi + 1.0) / (xi - M))
-
-
-def transform_slope(xi: float, M: float = 0.0) -> float:
-    """Derivative of the transform; positive on its domain."""
-    return 1.0 / (1.0 + xi) - 1.0 / (xi - M)
 
 
 def transformed_error(

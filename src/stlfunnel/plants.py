@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Plant", "single_integrator", "omni_robot_team", "actuation_gram_pd"]
+__all__ = ["Plant", "single_integrator", "omni_robot_team"]
 
 _DEG = math.pi / 180.0
 
@@ -101,16 +101,3 @@ def omni_robot_team(
         kernel_kind=1,
         kernel_gbase=gbase,
     )
-
-
-def actuation_gram_pd(plant: Plant, states: np.ndarray) -> float:
-    """Smallest eigenvalue of g(x) g(x)^T over sample states.
-
-    A positive return certifies the actuation spot-check; callers treat
-    a non-positive value as a modeling error.
-    """
-    lam = np.inf
-    for x in np.atleast_2d(states):
-        gx = plant.g(np.asarray(x, dtype=float))
-        lam = min(lam, float(np.linalg.eigvalsh(gx @ gx.T).min()))
-    return lam

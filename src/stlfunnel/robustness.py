@@ -24,7 +24,6 @@ __all__ = [
     "smooth_psi_value",
     "smooth_psi_value_and_grad",
     "smooth_psi_hessian",
-    "softmin_weights",
 ]
 
 exact_psi_batch = kernels.exact_psi_batch
@@ -59,14 +58,6 @@ def smooth_psi_value(
     psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
 ) -> float:
     return smooth_psi_value_and_grad(psi, x, cfg)[0]
-
-
-def softmin_weights(
-    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
-) -> np.ndarray:
-    h = leaf_values(psi, x)
-    w = np.exp(-cfg.eta * (h - h.min()))
-    return w / w.sum()
 
 
 def smooth_psi_hessian(

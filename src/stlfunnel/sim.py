@@ -1,10 +1,15 @@
 """Fixed-step closed-loop simulation with event-triggered input holds.
 
-Each sample: evaluate the continuous law and funnel state, process a
-mode jump if one is due, refresh the held input when the trigger fires,
-log, then integrate one step of dx/dt = f + g u_held + w with a fresh
-uniform noise draw held constant across the step.  All clocks advance
-on an integer step counter so jump bookkeeping is exact.
+Each sample evaluates the law and the funnel state once, at one site in
+``run_episode``: if a mode jump is due, the sample is evaluated again in
+the new phase and that evaluation replaces the first.  When the trigger
+fires, the event holds the input the loop just evaluated and adds only
+the trigger radius.  The sample is then logged and one step of
+dx/dt = f + g u_held + w is integrated with a fresh uniform noise draw
+held constant across the step.  A failure at any of these stages logs
+the sample with a NaN input and ends the episode, again at one site.
+All clocks advance on an integer step counter so jump bookkeeping is
+exact.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .controller import ControllerState, TriggerConfig, TriggerEvent, make_event, should_trigger
-from .errors import DeadlineError, FunnelViolation, SynthesisError, TriggerFloorError
+from .controller import TriggerConfig, TriggerEvent, make_event, should_trigger
+from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, SmoothingConfig, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
@@ -163,6 +168,15 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         metrics.wall_time = time.perf_counter() - t_start
         return traj, metrics, events
 
+    def log_sample(u: np.ndarray) -> None:
+        rows_t.append(t); rows_x.append(x.copy()); rows_u.append(u)
+        rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
+
+    def fail(kind: str) -> tuple[Trajectory, RunMetrics, list[TriggerEvent]]:
+        """Log the current sample with a NaN input and end the episode."""
+        log_sample(np.full(plant.m, np.nan))
+        return finish(kind, t)
+
     event_steps: list[int] = []
     try:
         z = init_sequencer(spec.theta, x, spec.seq_cfg)
@@ -170,8 +184,9 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         return finish(f"synthesis: {exc}", 0.0)
 
     metrics.funnels.append(_funnel_record(z))
-    cs = ControllerState(psi=active_psi(z), fp=z.fp)
     table = kernels.compile_leaf_table(active_psi(z))
+    event: TriggerEvent | None = None
+    jumped = False
     k = 0
     k_entry = 0
 
@@ -182,64 +197,47 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
         gam = gamma_at(z.fp.perf, t_fun)
         rho = z.fp.rho_max + xi * gam
+
         if not (-1.0 < xi < 0.0):
-            rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
-            rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
-            return finish("funnel", t)
+            return fail("funnel")
+        if not jumped:
+            try:
+                z_next = jump_if_due(z, x, spec.seq_cfg, rho=rho)
+            except (DeadlineError, SynthesisError) as exc:
+                return fail(f"deadline: {exc}")
+            if z_next is not None:
+                z, jumped, k_entry = z_next, True, k
+                if not z.terminal:
+                    metrics.funnels.append(_funnel_record(z))
+                table = kernels.compile_leaf_table(active_psi(z))
+                continue  # evaluate this sample again in the new phase
 
-        jumped = False
-        try:
-            z_next = jump_if_due(z, x, spec.seq_cfg, rho=rho)
-        except (DeadlineError, SynthesisError) as exc:
-            rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
-            rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
-            return finish(f"deadline: {exc}", t)
-        if z_next is not None:
-            z = z_next
-            jumped = True
-            k_entry = k
-            z.t_local = 0.0
-            t_fun = funnel_clock(z)
-            if not z.terminal:
-                metrics.funnels.append(_funnel_record(z))
-            cs = ControllerState(psi=active_psi(z), fp=z.fp)
-            table = kernels.compile_leaf_table(active_psi(z))
-            xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
-            gam = gamma_at(z.fp.perf, t_fun)
-            rho = z.fp.rho_max + xi * gam
-            if not (-1.0 < xi < 0.0):
-                rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
-                rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
-                return finish("funnel", t)
-
-        cause = None
-        if cs.event is None:
-            cause = "ModeSwitch" if jumped else "Initial"
+        if jumped:
+            cause = "ModeSwitch"
+        elif event is None:
+            cause = "Initial"
         else:
-            cause = should_trigger(x, t_fun, cs)
+            cause = should_trigger(x, t_fun, event)
         if cause is not None:
             try:
                 event = make_event(
-                    cs, x, t_fun, len(events), cause, plant, spec.trigger, smoothing, rng
+                    active_psi(z), z.fp, x, t_fun, u_cont, len(events), cause,
+                    plant, spec.trigger, smoothing, rng,
                 )
-            except (TriggerFloorError, FunnelViolation) as exc:
-                rows_t.append(t); rows_x.append(x.copy()); rows_u.append(np.full(plant.m, np.nan))
-                rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
-                kind = "trigger_floor" if isinstance(exc, TriggerFloorError) else "funnel"
-                return finish(kind, t)
+            except TriggerFloorError:
+                return fail("trigger_floor")
             # The controller tracks the funnel clock; log wall-clock time.
             events.append(replace(event, t=t))
             event_steps.append(k)
             metrics.min_delta = min(metrics.min_delta, event.delta)
 
-        u_held = cs.event.u
+        u_held = event.u
         dev = float(np.max(np.abs(u_cont - u_held)))
         metrics.max_input_deviation = max(metrics.max_input_deviation, dev)
         metrics.min_margin = min(metrics.min_margin, rho - (z.fp.rho_max - gam), z.fp.rho_max - rho)
         metrics.min_xi_gap = min(metrics.min_xi_gap, 1.0 + xi, -xi)
 
-        rows_t.append(t); rows_x.append(x.copy()); rows_u.append(u_held.copy())
-        rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
+        log_sample(u_held.copy())
 
         if z.terminal and z.t_local >= spec.seq_cfg.terminal_tail - 1e-12:
             return finish(None, None)
@@ -248,4 +246,5 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
 
         w = rng.uniform(-plant.w_max, plant.w_max, plant.n) if plant.w_max > 0 else np.zeros(plant.n)
         x = step_rk4(plant, x, u_held, w, dt)
+        jumped = False
         k += 1

@@ -10,7 +10,6 @@ from scipy.stats import qmc
 from stlfunnel import kernels
 from stlfunnel.kernels import _leaf_readout, _softmin_xi
 from stlfunnel.controller import (
-    ControllerState,
     TriggerConfig,
     TriggerEvent,
     _corners,
@@ -384,14 +383,13 @@ def test_trigger_strict_inequalities():
     ev = TriggerEvent(
         index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial"
     )
-    cs = ControllerState(psi=parse_psi("ball(0,1;0,0;1)"), fp=_flat_funnel(), event=ev)
     # Exactly at the radius or the interval: hold.
-    assert should_trigger(np.array([0.5, 0.0]), 1.0, cs) is None
-    assert should_trigger(np.zeros(2), 1.5, cs) is None
+    assert should_trigger(np.array([0.5, 0.0]), 1.0, ev) is None
+    assert should_trigger(np.zeros(2), 1.5, ev) is None
     # Strictly beyond: fire, state deviation first.
-    assert should_trigger(np.array([0.5001, 0.0]), 1.0, cs) == "StateDeviation"
-    assert should_trigger(np.zeros(2), 1.5001, cs) == "MaxInterval"
-    assert should_trigger(np.array([0.6, 0.0]), 2.0, cs) == "StateDeviation"
+    assert should_trigger(np.array([0.5001, 0.0]), 1.0, ev) == "StateDeviation"
+    assert should_trigger(np.zeros(2), 1.5001, ev) == "MaxInterval"
+    assert should_trigger(np.array([0.6, 0.0]), 2.0, ev) == "StateDeviation"
 
 
 def test_trigger_radius_bounds_input_deviation(rng):
@@ -449,17 +447,20 @@ def test_trigger_floor_near_funnel_boundary():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_make_event_snapshots_state_and_input(rng):
+def test_make_event_snapshots_state_and_input():
+    # The event holds the caller's input as given and adds the radius.
     psi = parse_psi("ball(0,1;4,4;6)")
     fp = _narrowing_funnel()
     plant = single_integrator(2)
-    cs = ControllerState(psi=psi, fp=fp)
+    tc = TriggerConfig()
     x = np.array([1.0, 2.0])
-    ev = make_event(cs, x, 0.25, 3, "Initial", plant, TriggerConfig(), rng=rng)
-    assert cs.event is ev
-    assert ev.index == 3 and ev.cause == "Initial"
-    assert ev.x == pytest.approx(x)
-    assert ev.u == pytest.approx(
-        continuous_law(x, 0.25, psi, fp, plant.g(x))
+    u = continuous_law(x, 0.25, psi, fp, plant.g(x))
+    ev = make_event(psi, fp, x, 0.25, u, 3, "Initial", plant, tc, rng=np.random.default_rng(4))
+    x[0] = 9.0  # the event keeps its own copy of the state
+    assert ev.index == 3 and ev.cause == "Initial" and ev.t == 0.25
+    np.testing.assert_array_equal(ev.x, [1.0, 2.0])
+    assert ev.u is u
+    want = compute_trigger_radius(
+        np.array([1.0, 2.0]), 0.25, psi, fp, plant, tc, rng=np.random.default_rng(4)
     )
-    assert ev.delta > 0.0
+    assert ev.delta == want > 0.0

@@ -1,9 +1,11 @@
-"""The batch read-out and the plain-float pointwise loop agree."""
+"""The batch read-out, the plain-float pointwise loop and the reference law agree."""
 
 import numpy as np
 import pytest
 
 from stlfunnel import kernels
+from stlfunnel.controller import continuous_law
+from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
@@ -26,6 +28,9 @@ def _assert_batch_matches_pointwise(X, T, psi, fp, plant, eta):
         assert XI[p] == pytest.approx(xi, rel=1e-13, abs=1e-14)
         if -1.0 < xi < 0.0:
             np.testing.assert_allclose(U[p], u, rtol=1e-11, atol=1e-12)
+            # The kernels' actuation fields describe the same g as plant.g.
+            ref = continuous_law(X[p], float(T[p]), psi, fp, plant.g(X[p]), SmoothingConfig(eta=eta))
+            np.testing.assert_allclose(ref, u, rtol=1e-11, atol=1e-12)
         else:
             assert np.all(np.isnan(U[p])) and np.all(np.isnan(u))
 

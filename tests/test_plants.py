@@ -9,7 +9,6 @@ from stlfunnel.plants import (
     OMNI_B,
     OMNI_R,
     Plant,
-    actuation_gram_pd,
     omni_robot_team,
     single_integrator,
 )
@@ -67,12 +66,6 @@ def test_omni_gain_scales_actuation():
     b = omni_robot_team(n_agents=1, input_gain=100.0)
     x = np.array([1.0, 2.0, 33.0])
     assert b.g(x) == pytest.approx(100.0 * a.g(x))
-
-
-def test_actuation_gram_positive_definite(rng):
-    team = omni_robot_team(n_agents=3, input_gain=100.0)
-    states = rng.uniform(-180, 180, (20, 9))
-    assert actuation_gram_pd(team, states) > 0.0
 
 
 def test_rk4_fourth_order_convergence():

@@ -16,7 +16,6 @@ from stlfunnel.robustness import (
     smooth_psi_hessian,
     smooth_psi_value,
     smooth_psi_value_and_grad,
-    softmin_weights,
 )
 from conftest import (
     PSI1_TEXT,
@@ -80,16 +79,6 @@ def test_underapproximation_bound(seed, x, eta):
     gap = math.log(len(psi.leaves)) / eta
     assert smooth <= exact + 1e-9
     assert exact <= smooth + gap + 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 10_000), x=st.lists(_coords, min_size=5, max_size=5), eta=_etas)
-def test_softmin_weights_simplex(seed, x, eta):
-    psi = _seeded_psi(seed, 5)
-    w = softmin_weights(psi, np.asarray(x), SmoothingConfig(eta=eta))
-    assert w.shape == (len(psi.leaves),)
-    assert np.all(w >= 0.0)
-    assert float(w.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 # A selector repeated within a leaf: h = 3 - sqrt(2) |x0 - 1| and

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from stlfunnel import sim
+from stlfunnel import kernels, sim
 from stlfunnel.controller import TriggerConfig
 from stlfunnel.errors import WindowError
-from stlfunnel.funnel import SynthesisConfig
+from stlfunnel.formulas import normalize_sequential
+from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
 from stlfunnel.parsing import parse_formula
 from stlfunnel.plants import single_integrator
 from stlfunnel.sequencer import SequencerConfig
@@ -60,6 +61,33 @@ def test_event_log_and_held_input():
     event_ks = {int(round(e.t / traj.dt)) for e in events}
     changed = np.nonzero(np.any(np.diff(traj.U, axis=0) != 0.0, axis=1))[0] + 1
     assert set(changed.tolist()) <= event_ks
+    # Each event holds the law of the phase active after any jump.  The
+    # second spec switches into a phase with a new funnel, where the
+    # pre-jump input differs from the post-jump one.
+    _assert_events_hold_phase_law(_toy_spec(), traj, metrics, events)
+    two_phase = _toy_spec(theta=parse_formula("F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"))
+    _assert_events_hold_phase_law(two_phase, *run_episode(two_phase))
+
+
+def _assert_events_hold_phase_law(spec, traj, metrics, events):
+    """Every event's u is u_xi_eval at its state and its phase's funnel clock, bitwise."""
+    tasks = normalize_sequential(spec.theta)
+    switches = [e for e in events if e.cause == "ModeSwitch"]
+    assert metrics.satisfied and len(switches) == len(tasks)
+    for e in events:
+        k = int(round(e.t / traj.dt))
+        # The terminal mode keeps the last phase's funnel and clock; with
+        # no terminal tail its only event is the closing switch.
+        q = min(int(traj.mode[k]), len(tasks))
+        rec = metrics.funnels[q - 1]
+        fp = FunnelParams(
+            t_star=rec["t_star"], r=rec["r"], rho_max=rec["rho_max"],
+            perf=PerformanceFunction(rec["gamma0"], rec["gamma_inf"], rec["l"]),
+        )
+        clock = (k - int(round(rec["entry_time"] / traj.dt))) * traj.dt
+        table = kernels.compile_leaf_table(tasks[q - 1].psi)
+        xi, u = kernels.u_xi_eval(table, e.x, clock, spec.seq_cfg.smoothing.eta, fp, spec.plant)
+        assert np.array_equal(e.u, u), (e.cause, e.t)
 
 
 def test_terminal_tail_extends_run():
