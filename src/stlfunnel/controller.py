@@ -28,7 +28,7 @@ from scipy.stats import qmc
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, transformed_error
-from .plants import Plant
+from .plants import _DEG, Plant
 from .kernels import _hessian_form, _leaf_readout, _omni_gT, _softmin_grad, _softmin_xi
 from .robustness import smooth_psi_value_and_grad
 
@@ -45,7 +45,6 @@ Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
 
 _XI_GUARD = 1e-3
 _CORNER_CAP = 1024
-_DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,18 @@ def continuous_law(
     t: float,
     psi: NonTemporalFormula,
     fp: FunnelParams,
-    g: np.ndarray,
+    plant: Plant,
     smoothing: SmoothingConfig = SmoothingConfig(),
 ) -> np.ndarray:
-    """Reference law u = -eps * g^T * grad rho from the dense actuation matrix.
+    """Reference law u = -eps * g(x)^T * grad rho from the dense ``plant.g(x)``.
 
-    ``g`` is the actuation matrix already evaluated at x.  Raises
-    FunnelViolation outside the funnel.  Not on the episode path: the
-    loop evaluates the same law through ``kernels.u_xi_eval``, and the
-    tests hold both that and the analytic Jacobian to this form.
+    Raises FunnelViolation outside the funnel.  Not on the episode path:
+    the loop evaluates the same law through ``kernels.u_xi_eval``, and
+    the tests hold both that and the analytic Jacobian to this form.
     """
     te = transformed_error(psi, fp, x, t, smoothing)
     _, grad = smooth_psi_value_and_grad(psi, x, smoothing)
-    return -te.eps * (np.asarray(g).T @ grad)
+    return -te.eps * (plant.g(x).T @ grad)
 
 
 def _law_jacobian_batch(
@@ -147,15 +145,16 @@ def _law_jacobian_batch(
     M_x = _hessian_form(grads, coef, eps[:, None] * curv, psi)
     m_t = -(slope * xi * fp.perf.l * decay / gamma)[:, None] * grad
 
-    if plant.kernel_kind == 0:
-        return plant.kernel_gain * M_x, plant.kernel_gain * m_t, xi
+    if plant.gbase is None:
+        return plant.gain * M_x, plant.gain * m_t, xi
     # Per agent g^T and its heading derivative are (cos, sin, 1) and
     # (-sin, cos, 0) times a fixed basis; theta is in degrees.
     n_agents = n // 3
     th = X[:, 2::3] * _DEG
     cos, sin = np.cos(th), np.sin(th)
-    gT = _omni_gT(cos, sin, np.ones_like(cos), plant.kernel_gbase)
-    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), plant.kernel_gbase) * _DEG
+    gbase = plant.gain * plant.gbase
+    gT = _omni_gT(cos, sin, np.ones_like(cos), gbase)
+    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), gbase) * _DEG
     du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
     du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
     dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)

@@ -20,10 +20,8 @@ There are two entry points over that form:
   per-call numpy overhead dominates at that size (README, "Leaf
   evaluation", has the measured numbers).
 
-Plant kinds understood by the law: 0 is a scaled identity actuation
-(``Plant.kernel_gain``), 1 is the three-wheel omni team whose per-agent
-actuation is a planar rotation of ``Plant.kernel_gbase`` with the
-orientation state held in degrees.
+The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
+``Plant.gbase``, the plant's one description of its actuation.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .formulas import NonTemporalFormula
+from .plants import _DEG
 
 __all__ = [
     "USING_NUMBA",
@@ -51,7 +50,6 @@ __all__ = [
 # record this flag with every benchmark result.
 USING_NUMBA = False
 
-_DEG = math.pi / 180.0
 _KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
 # rot(theta)^T = cos(theta) * _ROT_C + sin(theta) * _ROT_S + _ROT_Z.
 _ROT_C = np.diag([1.0, 1.0, 0.0])
@@ -160,10 +158,9 @@ def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp,
     if xi <= -1.0 or xi >= 0.0:
         return xi, np.full(plant.m, np.nan)
     scale = -math.log(-(xi + 1.0) / xi)
-    if plant.kernel_kind == 0:
-        gain = plant.kernel_gain
-        return xi, np.array([gain * g * scale for g in grad])
-    gb = plant.kernel_gbase.tolist()
+    if plant.gbase is None:
+        return xi, np.array([plant.gain * g * scale for g in grad])
+    gb = (plant.gain * plant.gbase).tolist()
     u = []
     for a in range(0, len(xs), 3):
         th = xs[a + 2] * _DEG
@@ -344,11 +341,11 @@ def u_xi_batch(
     _, grad, _ = _softmin_grad(readout, w, psi, n)
     with np.errstate(invalid="ignore", divide="ignore"):
         eps = np.where((xi > -1.0) & (xi < 0.0), np.log(-(xi + 1.0) / xi), np.nan)
-    if plant.kernel_kind == 0:
-        U = plant.kernel_gain * grad
+    if plant.gbase is None:
+        U = plant.gain * grad
     else:
         th = X[:, 2::3] * _DEG
-        gT = _omni_gT(np.cos(th), np.sin(th), np.ones_like(th), plant.kernel_gbase)
+        gT = _omni_gT(np.cos(th), np.sin(th), np.ones_like(th), plant.gain * plant.gbase)
         U = (gT @ grad.reshape(P, -1, 3, 1)).reshape(P, n)
     return -eps[:, None] * U, xi
 

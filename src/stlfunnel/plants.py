@@ -1,20 +1,16 @@
-"""Plant models: control-affine dynamics with bounded additive noise.
-
-The controller side only ever sees the actuation matrix g(x); the drift
-f stays opaque behind the Plant interface, which is what justifies a
-feedback law built purely from g and the robustness gradient.
-"""
+"""Plant models: drift-free control-affine dynamics with bounded additive noise."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Plant", "single_integrator", "omni_robot_team"]
 
+# Orientation states are held in degrees.
 _DEG = math.pi / 180.0
 
 # Wheel geometry of the three-wheel omni robot: wheel headings 120
@@ -31,45 +27,80 @@ OMNI_B = np.array(
 )
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hashing, as an ndarray field cannot compare.
+@dataclass(frozen=True, eq=False)
 class Plant:
-    """Control-affine plant dx/dt = f(x) + g(x) u + w.
+    """Control-affine plant dx/dt = g(x) u + w with |w_i| <= w_max, as plain data.
 
-    ``kernel_kind``/``kernel_gain``/``kernel_gbase`` mirror g(x) in the
-    form the numeric kernels consume: kind 0 is gain * identity, kind 1
-    is the omni team with per-agent base matrix ``kernel_gbase``
-    rotated by the agent's orientation state (held in degrees).
+    There is no drift.  ``gain`` and ``gbase`` are the one description of
+    g: the law, its Jacobian and the trigger radius read them in
+    ``kernels`` and ``controller``, ``held_rate`` integrates the held
+    input, and ``g`` builds the dense matrix the tests compare against.
+
+    * ``gbase`` None: the fully actuated integrator, g = gain * identity.
+    * ``gbase`` a 3x3 matrix: a team of n / 3 omni robots with per-agent
+      state (x, y, heading in degrees) and three inputs each; g is
+      block-diagonal with blocks gain * rot(theta_a) @ gbase.
     """
 
     n: int
     m: int
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    w_max: float
-    kernel_kind: int
-    kernel_gain: float = 1.0
-    kernel_gbase: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    w_max: float = 0.0
+    gain: float = 1.0
+    gbase: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.m != self.n:
+            raise ValueError(f"need n = m >= 1, got n={self.n}, m={self.m}")
+        if not self.gain > 0.0:
+            raise ValueError(f"gain must be positive, got {self.gain}")
+        if not self.w_max >= 0.0:
+            raise ValueError(f"w_max must be non-negative, got {self.w_max}")
+        if self.gbase is not None and (np.shape(self.gbase) != (3, 3) or self.n % 3 != 0):
+            raise ValueError(
+                f"an omni team needs a 3x3 gbase and n divisible by 3, got {np.shape(self.gbase)} and {self.n}"
+            )
+
+    def g(self, x: np.ndarray) -> np.ndarray:
+        """The dense actuation matrix g(x) (n, m): the reference form."""
+        if self.gbase is None:
+            return self.gain * np.eye(self.n)
+        gb = self.gain * self.gbase
+        out = np.zeros((self.n, self.m))
+        for a in range(0, self.n, 3):
+            th = x[a + 2] * _DEG
+            c, s = math.cos(th), math.sin(th)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            out[a : a + 3, a : a + 3] = rot @ gb
+        return out
+
+    def held_rate(self, u: np.ndarray, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """dx/dt = g(x) u + w as a function of x, with u and w held.
+
+        The integrator's rate is the constant gain * u + w.  An omni
+        agent's body velocity gain * gbase @ u_a is fixed over the hold,
+        so only its rotation into the world frame depends on x.
+        """
+        if self.gbase is None:
+            rate = self.gain * u + w
+            return lambda x: rate
+        v = u.reshape(-1, 3) @ (self.gain * self.gbase).T
+        vx, vy, vth = v.T
+
+        def rate(x: np.ndarray) -> np.ndarray:
+            th = x[2::3] * _DEG
+            c, s = np.cos(th), np.sin(th)
+            return np.stack([c * vx - s * vy, s * vx + c * vy, vth], axis=1).ravel() + w
+
+        return rate
 
 
 def single_integrator(dim: int, gain: float = 1.0, w_max: float = 0.0) -> Plant:
-    """Fully actuated integrator: f = 0, g = gain * identity."""
-    if dim < 1 or gain <= 0.0:
-        raise ValueError("need dim >= 1 and positive gain")
-    eye = gain * np.eye(dim)
-    return Plant(
-        n=dim,
-        m=dim,
-        f=lambda x: np.zeros(dim),
-        g=lambda x: eye,
-        w_max=float(w_max),
-        kernel_kind=0,
-        kernel_gain=float(gain),
-    )
+    """Fully actuated integrator: g = gain * identity."""
+    return Plant(n=dim, m=dim, w_max=float(w_max), gain=float(gain))
 
 
-def omni_robot_team(
-    n_agents: int = 3, input_gain: float = 1.0, w_max: float = 0.0
-) -> Plant:
+def omni_robot_team(n_agents: int = 3, input_gain: float = 1.0, w_max: float = 0.0) -> Plant:
     """Team of three-wheel omni-directional robots.
 
     Per-agent state is (x, y, orientation-in-degrees); inputs are the
@@ -78,26 +109,10 @@ def omni_robot_team(
     gain 1 commands wheel angular velocity through the bare geometry;
     scenario files may raise it to model a wheel-speed servo gain.
     """
-    if n_agents < 1 or input_gain <= 0.0:
-        raise ValueError("need n_agents >= 1 and positive input_gain")
-    gbase = np.linalg.inv(OMNI_B.T) * OMNI_R * float(input_gain)
-    dim = 3 * n_agents
-
-    def g(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        for a in range(n_agents):
-            th = x[3 * a + 2] * _DEG
-            c, s = math.cos(th), math.sin(th)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            out[3 * a : 3 * a + 3, 3 * a : 3 * a + 3] = rot @ gbase
-        return out
-
     return Plant(
-        n=dim,
-        m=dim,
-        f=lambda x: np.zeros(dim),
-        g=g,
+        n=3 * n_agents,
+        m=3 * n_agents,
         w_max=float(w_max),
-        kernel_kind=1,
-        kernel_gbase=gbase,
+        gain=float(input_gain),
+        gbase=np.linalg.inv(OMNI_B.T) * OMNI_R,
     )

@@ -35,17 +35,11 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
         + [f"u{j}" for j in range(m)]
         + ["rho_active", "gamma", "mode"]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(traj.t.shape[0]):
-            cells = [
-                _row([traj.t[k]]),
-                _row(traj.X[k]),
-                _row(traj.U[k]),
-                _row([traj.rho_active[k], traj.gamma[k]]),
-                str(int(traj.mode[k])),
-            ]
-            fh.write(",".join(cells) + "\n")
+    data = np.column_stack([traj.t, traj.X, traj.U, traj.rho_active, traj.gamma, traj.mode])
+    np.savetxt(
+        path, data, fmt=[_FMT] * (len(header) - 1) + ["%d"], delimiter=",",
+        header=",".join(header), comments="",
+    )
 
 
 def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -> None:
@@ -104,20 +98,13 @@ def write_funnel_data(path: str | Path, traj: Trajectory, funnels: list[dict]) -
     last_rho_max = funnels[-1]["rho_max"] if funnels else np.nan
     m = traj.U.shape[1]
     header = ["t", "mode", "rho_active", "lower", "upper"] + [f"u{j}" for j in range(m)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(traj.t.shape[0]):
-            mode = int(traj.mode[k])
-            # The terminal mode keeps the last funnel.
-            hi = bounds.get(mode, last_rho_max)
-            lo = hi - traj.gamma[k]
-            cells = [
-                _FMT % traj.t[k],
-                str(mode),
-                _row([traj.rho_active[k], lo, hi]),
-                _row(traj.U[k]),
-            ]
-            fh.write(",".join(cells) + "\n")
+    # The terminal mode keeps the last funnel.
+    hi = np.array([bounds.get(int(q), last_rho_max) for q in traj.mode], dtype=float)
+    data = np.column_stack([traj.t, traj.mode, traj.rho_active, hi - traj.gamma, hi, traj.U])
+    np.savetxt(
+        path, data, fmt=[_FMT, "%d"] + [_FMT] * (len(header) - 2), delimiter=",",
+        header=",".join(header), comments="",
+    )
 
 
 def write_all(

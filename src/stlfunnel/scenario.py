@@ -130,14 +130,6 @@ def build_episode(
     except ParseError as exc:
         raise ConfigError(f"formula: {exc}") from exc
 
-    x0 = np.asarray(cfg["x0"], dtype=float)
-    if x0.shape[0] != plant.n:
-        raise ConfigError(f"x0 has dimension {x0.shape[0]}, plant expects {plant.n}")
-    if theta.min_dim > plant.n:
-        raise ConfigError(
-            f"formula references state index {theta.min_dim - 1}, plant has {plant.n}"
-        )
-
     raw_synth = cfg.get("synthesis", {})
     if isinstance(raw_synth, dict):
         synth = (SynthesisConfig(**raw_synth),)
@@ -150,16 +142,19 @@ def build_episode(
     )
     trigger = TriggerConfig(**cfg.get("trigger", {}))
 
-    return EpisodeSpec(
-        plant=plant,
-        theta=theta,
-        x0=x0,
-        seq_cfg=seq_cfg,
-        trigger=trigger,
-        dt=float(dt if dt is not None else cfg.get("dt", 0.01)),
-        horizon=cfg.get("horizon"),
-        seed=int(seed if seed is not None else cfg.get("seed", 0)),
-    )
+    try:
+        return EpisodeSpec(
+            plant=plant,
+            theta=theta,
+            x0=np.asarray(cfg["x0"], dtype=float),
+            seq_cfg=seq_cfg,
+            trigger=trigger,
+            dt=float(dt if dt is not None else cfg.get("dt", 0.01)),
+            horizon=cfg.get("horizon"),
+            seed=int(seed if seed is not None else cfg.get("seed", 0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def bundled_scenario_path(name: str = "multi_robot.yaml") -> Path:

@@ -4,12 +4,12 @@ Each sample evaluates the law and the funnel state once, at one site in
 ``run_episode``: if a mode jump is due, the sample is evaluated again in
 the new phase and that evaluation replaces the first.  When the trigger
 fires, the event holds the input the loop just evaluated and adds only
-the trigger radius.  The sample is then logged and one step of
-dx/dt = f + g u_held + w is integrated with a fresh uniform noise draw
-held constant across the step.  A failure at any of these stages logs
-the sample with a NaN input and ends the episode, again at one site.
-All clocks advance on an integer step counter so jump bookkeeping is
-exact.
+the trigger radius.  The sample is then logged and one RK4 step of
+``Plant.held_rate``, dx/dt = g(x) u_held + w, is integrated with a fresh
+uniform noise draw held constant across the step.  A failure at any of
+these stages logs the sample with a NaN input and ends the episode,
+again at one site.  All clocks advance on an integer step counter so
+jump bookkeeping is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    """Everything needed to run one closed-loop episode."""
+    """Everything needed to run one closed-loop episode, with its sizes checked."""
 
     plant: Plant
     theta: SequentialFormula
@@ -44,6 +44,15 @@ class EpisodeSpec:
     dt: float = 0.01
     horizon: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        n = self.plant.n
+        if np.shape(self.x0) != (n,):
+            raise ValueError(f"x0 has shape {np.shape(self.x0)}, plant expects ({n},)")
+        if self.theta.min_dim > n:
+            raise ValueError(f"formula references state index {self.theta.min_dim - 1}, plant has {n}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:
@@ -88,10 +97,7 @@ class RunMetrics:
 
 def step_rk4(plant: Plant, x: np.ndarray, u_held: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """Classical fourth-order step with input and noise held constant."""
-
-    def rate(xs: np.ndarray) -> np.ndarray:
-        return plant.f(xs) + plant.g(xs) @ u_held + w
-
+    rate = plant.held_rate(u_held, w)
     k1 = rate(x)
     k2 = rate(x + 0.5 * dt * k1)
     k3 = rate(x + 0.5 * dt * k2)

@@ -134,8 +134,10 @@ def test_c05_held_input_deviation_bound(benchmark_run, seeded_metrics, capsys):
     )
     ok = worst <= delta_u
     _verdict(
-        capsys, ok, "held-input deviation",
-        f"max |u_cont - u_held|_inf = {worst:.4f} <= delta_u = {delta_u} on all runs",
+        capsys, ok, "held-input deviation (estimate)",
+        f"max |u_cont - u_held|_inf at grid samples = {worst:.4f} <= delta_u = {delta_u} "
+        "on all runs; delta_u / L_z uses a sampled Lipschitz estimate, and the law "
+        "jumps at 45 degrees inside some trigger boxes",
     )
 
 
@@ -194,8 +196,8 @@ def test_c07_gradient_suite(benchmark_run, capsys):
         for j in range(x.size):
             e = np.zeros_like(x)
             e[j] = h
-            up = continuous_law(x + e, t, psi, fp, plant.g(x + e), smoothing)
-            dn = continuous_law(x - e, t, psi, fp, plant.g(x - e), smoothing)
+            up = continuous_law(x + e, t, psi, fp, plant, smoothing)
+            dn = continuous_law(x - e, t, psi, fp, plant, smoothing)
             fd_jac[:, j] = (up - dn) / (2 * h)
         jerr = np.linalg.norm(du_dx - fd_jac) / max(1.0, np.linalg.norm(fd_jac))
         worst_jac = max(worst_jac, jerr)

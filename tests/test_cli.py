@@ -65,6 +65,15 @@ def test_bad_formula_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_spec_size_mismatch_is_config_error(tmp_path, capsys):
+    scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", "x0: [0.0, 1.0]"))
+    code = main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "x0" in capsys.readouterr().err
+    scn = _write(tmp_path, TOY_SCENARIO)
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--dt", "0"]) == 2
+
+
 def test_unfinished_task_exits_three(tmp_path, capsys):
     late = TOY_SCENARIO.replace(
         'formula: "F[0,3](ball(0;2;1.5))"',

@@ -52,7 +52,7 @@ def test_law_hand_computed_1d():
     psi = parse_psi("ball(0;0;1)")
     fp = _flat_funnel()
     plant = single_integrator(1)
-    u = continuous_law(np.array([0.9]), 0.0, psi, fp, plant.g(np.array([0.9])))
+    u = continuous_law(np.array([0.9]), 0.0, psi, fp, plant)
     assert u == pytest.approx([math.log(1.5)], rel=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_law_pushes_toward_satisfaction():
     fp = _flat_funnel(rho_max=2.0, width=12.0)
     plant = single_integrator(2)
     x = np.array([0.0, 0.0])
-    u = continuous_law(x, 0.0, psi, fp, plant.g(x))
+    u = continuous_law(x, 0.0, psi, fp, plant)
     direction = u / np.linalg.norm(u)
     to_target = np.array([5.0, 5.0]) / math.sqrt(50.0)
     assert direction == pytest.approx(to_target, abs=1e-9)
@@ -86,13 +86,13 @@ def test_law_jacobian_matches_fd_integrator(rng):
             e = np.zeros(2)
             e[i] = h
             fd = (
-                continuous_law(x + e, t, psi, fp, plant.g(x + e), sm)
-                - continuous_law(x - e, t, psi, fp, plant.g(x - e), sm)
+                continuous_law(x + e, t, psi, fp, plant, sm)
+                - continuous_law(x - e, t, psi, fp, plant, sm)
             ) / (2 * h)
             assert du_dx[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
         fd_t = (
-            continuous_law(x, t + h, psi, fp, plant.g(x), sm)
-            - continuous_law(x, t - h, psi, fp, plant.g(x), sm)
+            continuous_law(x, t + h, psi, fp, plant, sm)
+            - continuous_law(x, t - h, psi, fp, plant, sm)
         ) / (2 * h)
         assert du_dt == pytest.approx(fd_t, rel=1e-5, abs=1e-7)
     assert checked >= 10
@@ -123,13 +123,13 @@ def test_law_jacobian_matches_fd_omni(rng):
             e = np.zeros(9)
             e[i] = h
             fd = (
-                continuous_law(x + e, t, psi, fp, plant.g(x + e), sm)
-                - continuous_law(x - e, t, psi, fp, plant.g(x - e), sm)
+                continuous_law(x + e, t, psi, fp, plant, sm)
+                - continuous_law(x - e, t, psi, fp, plant, sm)
             ) / (2 * h)
             assert du_dx[:, i] == pytest.approx(fd, rel=2e-5, abs=1e-6)
         fd_t = (
-            continuous_law(x, t + h, psi, fp, plant.g(x), sm)
-            - continuous_law(x, t - h, psi, fp, plant.g(x), sm)
+            continuous_law(x, t + h, psi, fp, plant, sm)
+            - continuous_law(x, t - h, psi, fp, plant, sm)
         ) / (2 * h)
         assert du_dt == pytest.approx(fd_t, rel=2e-5, abs=1e-8)
     assert checked >= 10
@@ -404,12 +404,12 @@ def test_trigger_radius_bounds_input_deviation(rng):
     t_i = 0.5
     delta = compute_trigger_radius(x_i, t_i, psi, fp, plant, tc, sm, rng)
     assert delta >= tc.delta_floor
-    u_i = continuous_law(x_i, t_i, psi, fp, plant.g(x_i), sm)
+    u_i = continuous_law(x_i, t_i, psi, fp, plant, sm)
     worst = 0.0
     for _ in range(500):
         x = x_i + rng.uniform(-delta, delta, 2)
         t = t_i + float(rng.uniform(0.0, delta))
-        u = continuous_law(x, t, psi, fp, plant.g(x), sm)
+        u = continuous_law(x, t, psi, fp, plant, sm)
         worst = max(worst, float(np.max(np.abs(u - u_i))))
     assert worst <= tc.delta_u + 1e-9
 
@@ -454,7 +454,7 @@ def test_make_event_snapshots_state_and_input():
     plant = single_integrator(2)
     tc = TriggerConfig()
     x = np.array([1.0, 2.0])
-    u = continuous_law(x, 0.25, psi, fp, plant.g(x))
+    u = continuous_law(x, 0.25, psi, fp, plant)
     ev = make_event(psi, fp, x, 0.25, u, 3, "Initial", plant, tc, rng=np.random.default_rng(4))
     x[0] = 9.0  # the event keeps its own copy of the state
     assert ev.index == 3 and ev.cause == "Initial" and ev.t == 0.25

@@ -29,7 +29,7 @@ def _assert_batch_matches_pointwise(X, T, psi, fp, plant, eta):
         if -1.0 < xi < 0.0:
             np.testing.assert_allclose(U[p], u, rtol=1e-11, atol=1e-12)
             # The kernels' actuation fields describe the same g as plant.g.
-            ref = continuous_law(X[p], float(T[p]), psi, fp, plant.g(X[p]), SmoothingConfig(eta=eta))
+            ref = continuous_law(X[p], float(T[p]), psi, fp, plant, SmoothingConfig(eta=eta))
             np.testing.assert_allclose(ref, u, rtol=1e-11, atol=1e-12)
         else:
             assert np.all(np.isnan(U[p])) and np.all(np.isnan(u))

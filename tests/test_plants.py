@@ -1,4 +1,4 @@
-"""Plant models: actuation structure, invertibility, and RK4 order."""
+"""Plant models: actuation structure, validation, the held rate and RK4 order."""
 
 import math
 
@@ -25,7 +25,6 @@ def test_wheel_geometry_matrix_invertible():
 def test_single_integrator_dynamics():
     p = single_integrator(3, gain=2.0)
     x = np.array([1.0, -1.0, 0.5])
-    assert p.f(x) == pytest.approx(np.zeros(3))
     assert p.g(x) == pytest.approx(2.0 * np.eye(3))
     assert p.n == 3 and p.m == 3
 
@@ -68,27 +67,73 @@ def test_omni_gain_scales_actuation():
     assert b.g(x) == pytest.approx(100.0 * a.g(x))
 
 
-def test_rk4_fourth_order_convergence():
-    # dx/dt = -x + u with u held at 1: known closed form.
-    plant = Plant(
-        n=1, m=1,
-        f=lambda x: -x,
-        g=lambda x: np.eye(1),
-        w_max=0.0,
-        kernel_kind=0, kernel_gain=1.0, kernel_gbase=np.zeros((3, 3)),
-    )
-    u = np.array([1.0])
-    w = np.zeros(1)
-    x0 = np.array([2.0])
-    horizon = 1.0
-    exact = 1.0 + (2.0 - 1.0) * math.exp(-horizon)
+def test_plant_rejects_inconsistent_fields():
+    gbase = np.linalg.inv(OMNI_B.T) * OMNI_R
+    bad = [
+        dict(n=3, m=3, gbase=np.eye(2)),
+        dict(n=3, m=6, gbase=gbase),
+        dict(n=2, m=3),
+        dict(n=0, m=0),
+        dict(n=2, m=2, gain=0.0),
+        dict(n=2, m=2, gain=math.nan),
+        dict(n=2, m=2, w_max=-0.1),
+    ]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            Plant(**fields)
+
+
+def test_plant_compares_by_identity():
+    # Comparing the gbase arrays field by field would raise.
+    a, b = omni_robot_team(), omni_robot_team()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_omni_team_of_four_states_rejected():
+    # Used to pass construction and fail with IndexError inside the law.
+    with pytest.raises(ValueError, match="divisible by 3"):
+        Plant(n=4, m=4, gbase=np.linalg.inv(OMNI_B.T) * OMNI_R)
+
+
+@pytest.mark.parametrize("plant", [single_integrator(4, gain=2.5), omni_robot_team(3, input_gain=100.0)])
+def test_held_rate_matches_dense_reference(plant):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = rng.uniform(-50.0, 50.0, plant.n)
+        x[2::3] = rng.uniform(-360.0, 720.0, len(x[2::3]))  # headings, degrees
+        u = rng.uniform(-20.0, 20.0, plant.m)
+        w = rng.uniform(-0.5, 0.5, plant.n)
+        rate = plant.held_rate(u, w)
+        np.testing.assert_allclose(rate(x), plant.g(x) @ u + w, rtol=1e-12)
+
+
+def test_rk4_fourth_order_on_omni_arc():
+    # One agent with a held input that turns it: the heading is linear in
+    # t and the position integrates rot(theta(t)) @ v in closed form.
+    plant = omni_robot_team(n_agents=1, input_gain=100.0)
+    u = np.array([1.0, 2.0, 15.0])
+    v = plant.gain * plant.gbase @ u
+    omega = math.radians(v[2])
+    assert abs(v[2]) > 10.0  # degrees per second
+    x0 = np.array([1.0, -2.0, 30.0])
+    horizon = 2.0
+    p0 = math.radians(x0[2])
+    p1 = p0 + omega * horizon
+    ds, dc = math.sin(p1) - math.sin(p0), math.cos(p1) - math.cos(p0)
+    exact = np.array([
+        x0[0] + (ds * v[0] + dc * v[1]) / omega,
+        x0[1] + (-dc * v[0] + ds * v[1]) / omega,
+        x0[2] + v[2] * horizon,
+    ])
+    w = np.zeros(3)
     errs = []
     for steps in (8, 16, 32, 64):
         dt = horizon / steps
         x = x0.copy()
         for _ in range(steps):
             x = step_rk4(plant, x, u, w, dt)
-        errs.append(abs(x[0] - exact))
+        errs.append(float(np.max(np.abs(x - exact))))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     for rate in rates:
         assert rate == pytest.approx(4.0, abs=0.3)

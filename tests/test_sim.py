@@ -200,3 +200,27 @@ def test_step_rk4_matches_exact_linear_flow():
     w = np.array([-1.0])  # dx/dt = -1 constant
     out = step_rk4(plant, x, u, w, 0.1)
     assert out[0] == pytest.approx(0.9, abs=1e-15)
+
+
+def _planar_spec(**kw):
+    return _toy_spec(plant=single_integrator(2), theta=parse_formula("F[0,3](ball(0,1;2,2;1.5))"), **kw)
+
+
+def test_spec_rejects_short_x0():
+    # Used to raise IndexError inside the episode loop.
+    with pytest.raises(ValueError, match="x0"):
+        _planar_spec(x0=np.array([0.0]))
+
+
+def test_spec_rejects_long_x0():
+    # Used to raise a matmul ValueError inside the episode loop.
+    with pytest.raises(ValueError, match="x0"):
+        _planar_spec(x0=np.zeros(3))
+
+
+def test_spec_rejects_formula_beyond_state_and_nonpositive_dt():
+    with pytest.raises(ValueError, match="state index 1"):
+        _toy_spec(theta=parse_formula("F[0,3](ball(0,1;2,2;1.5))"))
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt"):
+            _toy_spec(dt=dt)
