@@ -43,8 +43,6 @@ from .funnel import (
     audit_funnel,
     gamma_at,
     synthesize_funnel,
-    transform,
-    transformed_error,
 )
 from .optimize import OptimizationResult, optimize_robustness
 from .plants import Plant, omni_robot_team, single_integrator
@@ -59,8 +57,6 @@ from .controller import (
 from .sequencer import (
     HybridState,
     SequencerConfig,
-    active_psi,
-    funnel_clock,
     init_sequencer,
     jump_if_due,
 )
@@ -99,7 +95,6 @@ __all__ = [
     "TriggerEvent",
     "TriggerFloorError",
     "WindowError",
-    "active_psi",
     "affine",
     "audit_funnel",
     "ball",
@@ -109,7 +104,6 @@ __all__ = [
     "continuous_law",
     "exact_psi_batch",
     "exact_psi_value",
-    "funnel_clock",
     "gamma_at",
     "init_sequencer",
     "join",
@@ -130,7 +124,5 @@ __all__ = [
     "smooth_psi_value_and_grad",
     "step_rk4",
     "synthesize_funnel",
-    "transform",
-    "transformed_error",
     "write_all",
 ]

@@ -27,7 +27,7 @@ from scipy.stats import qmc
 
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
-from .funnel import FunnelParams, transformed_error
+from .funnel import FunnelParams, gamma_at
 from .plants import _DEG, Plant
 from .kernels import _hessian_form, _leaf_readout, _omni_gT, _softmin_grad, _softmin_xi
 from .robustness import smooth_psi_value_and_grad
@@ -94,9 +94,12 @@ def continuous_law(
     the loop evaluates the same law through ``kernels.u_xi_eval``, and
     the tests hold both that and the analytic Jacobian to this form.
     """
-    te = transformed_error(psi, fp, x, t, smoothing)
-    _, grad = smooth_psi_value_and_grad(psi, x, smoothing)
-    return -te.eps * (plant.g(x).T @ grad)
+    rho, grad = smooth_psi_value_and_grad(psi, x, smoothing)
+    xi = (rho - fp.rho_max) / gamma_at(fp.perf, t)
+    if not (-1.0 < xi < 0.0):
+        raise FunnelViolation(xi, t)
+    eps = math.log(-(xi + 1.0) / xi)
+    return -eps * (plant.g(x).T @ grad)
 
 
 def _law_jacobian_batch(

@@ -7,10 +7,11 @@ active conjunction stays inside
 
 with gamma(t) = (gamma0 - gamma_inf) * exp(-l t) + gamma_inf.  The
 normalized error xi = (rho - rho_max) / gamma(t) then lives in (-1, 0)
-and is mapped to an unconstrained error by the strictly increasing
-transform S.  Parameter synthesis picks (t_star, rho_max, r, gamma0,
-gamma_inf, l) so that gamma(t_star) <= rho_max - r, which forces
-rho > r at the satisfaction time t_star.
+and the law maps it to an unconstrained error by the strictly increasing
+transform S(xi) = ln(-(xi + 1) / xi), with S(-1/2) = 0.  Parameter
+synthesis picks (t_star, rho_max, r, gamma0, gamma_inf, l) so that
+gamma(t_star) <= rho_max - r, which forces rho > r at the satisfaction
+time t_star.
 """
 
 from __future__ import annotations
@@ -20,18 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FunnelViolation, SynthesisError
-from .formulas import AtomicTask, NonTemporalFormula, SmoothingConfig
+from .errors import SynthesisError
+from .formulas import AtomicTask, SmoothingConfig
 from .robustness import smooth_psi_value_and_grad
 
 __all__ = [
     "PerformanceFunction",
     "FunnelParams",
-    "TransformedError",
     "SynthesisConfig",
     "gamma_at",
-    "transform",
-    "transformed_error",
     "synthesize_funnel",
     "audit_funnel",
 ]
@@ -71,44 +69,6 @@ class FunnelParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.r < self.rho_max):
             raise ValueError("need 0 < r < rho_max")
-
-
-@dataclass(frozen=True)
-class TransformedError:
-    """Funnel-relative error at one (x, t) point."""
-
-    e: float
-    xi: float
-    eps: float
-
-
-def transform(xi: float, M: float = 0.0) -> float:
-    """Strictly increasing map from (-1, M) onto the reals.
-
-    S(xi) = ln(-(xi + 1) / (xi - M)); the M = 0 case is the one used by
-    the controller, with S(-1/2) = 0.
-    """
-    return math.log(-(xi + 1.0) / (xi - M))
-
-
-def transformed_error(
-    psi: NonTemporalFormula,
-    fp: FunnelParams,
-    x: np.ndarray,
-    t: float,
-    cfg: SmoothingConfig = SmoothingConfig(),
-) -> TransformedError:
-    """Normalized and transformed tracking error at (x, t).
-
-    Raises FunnelViolation when xi leaves (-1, 0), which means the
-    prescribed bound has been broken.
-    """
-    rho, _ = smooth_psi_value_and_grad(psi, x, cfg)
-    e = rho - fp.rho_max
-    xi = e / gamma_at(fp.perf, t)
-    if not (-1.0 < xi < 0.0):
-        raise FunnelViolation(xi, t)
-    return TransformedError(e=e, xi=xi, eps=transform(xi))
 
 
 @dataclass(frozen=True)

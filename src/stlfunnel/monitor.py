@@ -42,7 +42,7 @@ def _window_values(
 
 
 def monitor_robustness(
-    f: TemporalFormula | SequentialFormula, traj: "Trajectory", t: float
+    f: TemporalFormula | SequentialFormula, traj: Trajectory, t: float
 ) -> float:
     """Exact robustness of a temporal formula over a sampled trajectory.
 

@@ -2,17 +2,20 @@
 
 One funnel controller is active per mode.  Completing task q jumps the
 mode counter, accumulates the elapsed local clock into Delta, resets
-the clock, and synthesizes a fresh funnel for task q+1 from the state
-at the jump.  Windows of ordered-conjunction tasks live on the global
-clock and are shifted by Delta at each entry; chain-step windows are
-already relative to the previous satisfaction time and are used as-is.
-After the final task the system enters a terminal mode that keeps the
-last conjunction and funnel active.
+the clock, and enters task q+1 from the state at the jump.  Entering a
+task resolves the mode once: windows of ordered-conjunction tasks live
+on the global clock and are shifted by Delta, chain-step windows are
+already relative to the previous satisfaction time and are used as-is,
+and the funnel is synthesized.  The resulting ``HybridState`` holds the
+mode's conjunction, funnel, task kind and jump window, so the
+per-sample jump check only compares numbers.  After the final task the
+system enters a terminal mode that keeps the last conjunction and
+funnel active.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,48 +52,75 @@ class SequencerConfig:
 
 @dataclass
 class HybridState:
-    """Mode, clocks, and the active funnel of one episode."""
+    """The active mode of one episode, resolved once when it is entered.
+
+    Entering task q fixes its conjunction ``psi``, its funnel ``fp``,
+    whether it is an Always task, and its jump window ``[lo, hi]`` on
+    the mode clock ``t_local``: Always tasks jump at hi, Eventually
+    tasks anywhere in [lo, hi] with hi the funnel's t_star.  None of
+    these change until the next jump.  The terminal mode keeps the last
+    task's ``psi`` and ``fp`` and sets ``offset`` to that task's clock at
+    the jump; the funnel is evaluated at ``t_local + offset``, and
+    ``offset`` is 0.0 in every other mode.
+    """
 
     tasks: list[AtomicTask]
     q: int
-    t_local: float
     Delta: float
+    psi: NonTemporalFormula
     fp: FunnelParams
-    terminal_offset: float = 0.0
-    jump_times: list[float] = field(default_factory=list)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def terminal(self) -> bool:
-        return self.q > self.n_tasks
-
-    @property
-    def active_task(self) -> AtomicTask:
-        return self.tasks[min(self.q, self.n_tasks) - 1]
+    always: bool
+    jump_window: tuple[float, float]
+    jump_times: list[float]
+    t_local: float = 0.0
+    terminal: bool = False
+    offset: float = 0.0
 
 
-def _entry_task(task: AtomicTask, delta: float) -> AtomicTask:
-    """Shift a task window onto the clock that starts at mode entry."""
-    if task.p == 0:
-        return task
-    lo, hi = task.window
-    if hi - delta < -_TIME_TOL:
-        raise DeadlineError(0, delta, float("nan"))
-    return replace(task, window=(max(lo - delta, 0.0), hi - delta))
+def _enter(
+    tasks: list[AtomicTask],
+    q: int,
+    delta: float,
+    x: np.ndarray,
+    cfg: SequencerConfig,
+    jump_times: list[float],
+    rho: float = float("nan"),
+) -> HybridState:
+    """Resolve task q (1-based), entered at global time delta in state x.
+
+    Ordered-conjunction windows are shifted onto the mode clock; a
+    window that already closed raises DeadlineError for task q with the
+    robustness ``rho`` at the jump.  The funnel is synthesized here,
+    once per mode.
+    """
+    task = tasks[q - 1]
+    if task.p == 1:
+        lo, hi = task.window
+        if hi - delta < -_TIME_TOL:
+            raise DeadlineError(q, delta, rho)
+        lo, hi = max(lo - delta, 0.0), hi - delta
+        task = replace(task, window=(lo, hi))
+    else:
+        lo, hi = task.local_window
+    fp = synthesize_funnel(task, x, cfg.task_synthesis(q - 1, len(tasks)), cfg.smoothing)
+    always = task.m == 1
+    return HybridState(
+        tasks=tasks,
+        q=q,
+        Delta=delta,
+        psi=task.psi,
+        fp=fp,
+        always=always,
+        jump_window=(max(lo, 0.0), hi if always else fp.t_star),
+        jump_times=jump_times,
+    )
 
 
 def init_sequencer(
     theta: SequentialFormula, x0: np.ndarray, cfg: SequencerConfig = SequencerConfig()
 ) -> HybridState:
     """Mode-1 hybrid state with the first funnel synthesized at x0."""
-    tasks = normalize_sequential(theta)
-    fp = synthesize_funnel(
-        _entry_task(tasks[0], 0.0), x0, cfg.task_synthesis(0, len(tasks)), cfg.smoothing
-    )
-    return HybridState(tasks=tasks, q=1, t_local=0.0, Delta=0.0, fp=fp)
+    return _enter(normalize_sequential(theta), 1, 0.0, x0, cfg, [])
 
 
 def jump_if_due(
@@ -105,58 +135,32 @@ def jump_if_due(
     robustness sits in (r, rho_max) and the local clock is inside the
     jump window; Always tasks jump when the local clock reaches the
     window deadline.  A clock past its deadline without a jump raises
-    DeadlineError.  Returns None when no jump is due.
+    DeadlineError, as does entering a task whose window already closed.
+    Returns None when no jump is due.
     """
     if z.terminal:
         return None
-    task = z.active_task
-    entry = _entry_task(task, z.Delta)
-    lo, hi = entry.window if task.p == 1 else entry.local_window
-    lo = max(lo, 0.0)
     if rho is None:
-        rho, _ = smooth_psi_value_and_grad(task.psi, np.asarray(x, dtype=float), cfg.smoothing)
-
-    if task.m == 1:
-        due = z.t_local >= hi - _TIME_TOL
+        rho, _ = smooth_psi_value_and_grad(z.psi, np.asarray(x, dtype=float), cfg.smoothing)
+    lo, hi = z.jump_window
+    t = z.t_local
+    if z.always:
+        due = t >= hi - _TIME_TOL
         if due and not rho > z.fp.r:
-            raise DeadlineError(z.q, z.Delta + z.t_local, rho)
+            raise DeadlineError(z.q, z.Delta + t, rho)
     else:
-        top = z.fp.t_star
-        due = (z.fp.r < rho < z.fp.rho_max) and (lo - _TIME_TOL <= z.t_local <= top + _TIME_TOL)
-        if not due and z.t_local > top + _TIME_TOL:
-            raise DeadlineError(z.q, z.Delta + z.t_local, rho)
+        due = (z.fp.r < rho < z.fp.rho_max) and (lo - _TIME_TOL <= t <= hi + _TIME_TOL)
+        if not due and t > hi + _TIME_TOL:
+            raise DeadlineError(z.q, z.Delta + t, rho)
     if not due:
         return None
 
-    new_q = z.q + 1
-    new_delta = z.Delta + z.t_local
-    if new_q <= z.n_tasks:
-        next_task = _entry_task(z.tasks[new_q - 1], new_delta)
-        fp = synthesize_funnel(
-            next_task, x, cfg.task_synthesis(new_q - 1, z.n_tasks), cfg.smoothing
-        )
-        offset = 0.0
-    else:
-        # Terminal mode: keep the last funnel; its clock keeps running
-        # so the prescribed bound continues to narrow, never re-widens.
-        fp = z.fp
-        offset = z.t_local
-    return HybridState(
-        tasks=z.tasks,
-        q=new_q,
-        t_local=0.0,
-        Delta=new_delta,
-        fp=fp,
-        terminal_offset=offset,
-        jump_times=z.jump_times + [new_delta],
+    delta = z.Delta + t
+    jump_times = z.jump_times + [delta]
+    if z.q < len(z.tasks):
+        return _enter(z.tasks, z.q + 1, delta, x, cfg, jump_times, rho)
+    # Terminal mode: keep the last funnel; its clock keeps running so
+    # the prescribed bound continues to narrow, never re-widens.
+    return replace(
+        z, q=z.q + 1, Delta=delta, t_local=0.0, terminal=True, offset=t, jump_times=jump_times
     )
-
-
-def funnel_clock(z: HybridState) -> float:
-    """Clock against which the active funnel is evaluated."""
-    return z.t_local + (z.terminal_offset if z.terminal else 0.0)
-
-
-def active_psi(z: HybridState) -> NonTemporalFormula:
-    return z.active_task.psi
-

@@ -23,16 +23,17 @@ import numpy as np
 from . import kernels
 from .controller import TriggerConfig, TriggerEvent, make_event, should_trigger
 from .errors import DeadlineError, SynthesisError, TriggerFloorError
-from .formulas import SequentialFormula, SmoothingConfig, normalize_sequential
+from .formulas import SequentialFormula, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
 from .plants import Plant
-from .sequencer import HybridState, SequencerConfig, active_psi, funnel_clock, init_sequencer, jump_if_due
+from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due
 
 __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hashing, as an ndarray field cannot compare.
+@dataclass(frozen=True, eq=False)
 class EpisodeSpec:
     """Everything needed to run one closed-loop episode, with its sizes checked."""
 
@@ -190,7 +191,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         return finish(f"synthesis: {exc}", 0.0)
 
     metrics.funnels.append(_funnel_record(z))
-    table = kernels.compile_leaf_table(active_psi(z))
+    table = kernels.compile_leaf_table(z.psi)
     event: TriggerEvent | None = None
     jumped = False
     k = 0
@@ -199,7 +200,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     while True:
         t = k * dt
         z.t_local = (k - k_entry) * dt
-        t_fun = funnel_clock(z)
+        t_fun = z.t_local + z.offset
         xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
         gam = gamma_at(z.fp.perf, t_fun)
         rho = z.fp.rho_max + xi * gam
@@ -215,7 +216,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 z, jumped, k_entry = z_next, True, k
                 if not z.terminal:
                     metrics.funnels.append(_funnel_record(z))
-                table = kernels.compile_leaf_table(active_psi(z))
+                table = kernels.compile_leaf_table(z.psi)
                 continue  # evaluate this sample again in the new phase
 
         if jumped:
@@ -227,7 +228,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         if cause is not None:
             try:
                 event = make_event(
-                    active_psi(z), z.fp, x, t_fun, u_cont, len(events), cause,
+                    z.psi, z.fp, x, t_fun, u_cont, len(events), cause,
                     plant, spec.trigger, smoothing, rng,
                 )
             except TriggerFloorError:

@@ -21,14 +21,14 @@ from stlfunnel.controller import (
     make_event,
     should_trigger,
 )
-from stlfunnel.errors import TriggerFloorError
+from stlfunnel.errors import FunnelViolation, TriggerFloorError
 from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.robustness import leaf_values
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
-from stlfunnel.sequencer import active_psi, funnel_clock, init_sequencer
+from stlfunnel.sequencer import init_sequencer
 from conftest import PSI1_TEXT
 
 
@@ -54,6 +54,37 @@ def test_law_hand_computed_1d():
     plant = single_integrator(1)
     u = continuous_law(np.array([0.9]), 0.0, psi, fp, plant)
     assert u == pytest.approx([math.log(1.5)], rel=1e-12)
+
+
+def test_law_transform_values():
+    # rho = 1 - |x| in a flat unit-width funnel at rho_max = 0.5, so
+    # x = 0.5 - xi puts the error at xi and u = S(xi) with unit gain.
+    # S maps (-1, 0) onto the reals, increasing, with S(-1/2) = 0.
+    psi = parse_psi("ball(0;0;1)")
+    fp = _flat_funnel()
+    plant = single_integrator(1)
+
+    def S(xi):
+        return continuous_law(np.array([0.5 - xi]), 0.0, psi, fp, plant)[0]
+
+    assert S(-0.5) == pytest.approx(0.0, abs=1e-12)
+    assert S(-0.31) == pytest.approx(math.log(0.69 / 0.31))
+    assert S(-0.69) == pytest.approx(-math.log(0.69 / 0.31))
+
+
+def test_law_funnel_error_inside_and_outside():
+    psi = parse_psi("ball(0;0;1)")
+    fp = _flat_funnel()
+    plant = single_integrator(1, gain=2.0)
+    # rho = 0.1: e = xi = -0.4 and u = gain * S(-0.4).
+    u = continuous_law(np.array([0.9]), 0.0, psi, fp, plant)
+    assert u == pytest.approx([2.0 * math.log(0.6 / 0.4)], rel=1e-12)
+    with pytest.raises(FunnelViolation) as below:
+        continuous_law(np.array([5.0]), 0.0, psi, fp, plant)  # rho < rho_max - gamma
+    assert below.value.xi == pytest.approx(-4.5)
+    with pytest.raises(FunnelViolation) as above:
+        continuous_law(np.array([0.0]), 0.0, psi, fp, plant)  # rho = 1.0 > rho_max
+    assert above.value.xi == pytest.approx(0.5)
 
 
 def test_law_pushes_toward_satisfaction():
@@ -224,7 +255,7 @@ def test_trigger_radius_pinned_to_finite_difference_radius():
     for delta_u, fd_radius in ((50.0, 0.125), (5.0, 0.1131052226669569)):
         tc = replace(spec.trigger, delta_u=delta_u)
         delta = compute_trigger_radius(
-            x0, funnel_clock(z), active_psi(z), z.fp, spec.plant, tc,
+            x0, z.t_local + z.offset, z.psi, z.fp, spec.plant, tc,
             spec.seq_cfg.smoothing, np.random.default_rng(7),
         )
         assert delta == pytest.approx(fd_radius, rel=1e-6)
@@ -273,7 +304,7 @@ def _bundled_phase1_case():
     spec = build_episode(load_scenario(bundled_scenario_path()))
     x0 = np.asarray(spec.x0, dtype=float)
     z = init_sequencer(spec.theta, x0, spec.seq_cfg)
-    return (x0, funnel_clock(z), active_psi(z), z.fp, spec.plant,
+    return (x0, z.t_local + z.offset, z.psi, z.fp, spec.plant,
             replace(spec.trigger, delta_u=5.0), spec.seq_cfg.smoothing)
 
 

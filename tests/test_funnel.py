@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stlfunnel.errors import FunnelViolation, SynthesisError
-from stlfunnel.formulas import AtomicTask, SmoothingConfig
+from stlfunnel.errors import SynthesisError
+from stlfunnel.formulas import AtomicTask
 from stlfunnel.funnel import (
     FunnelParams,
     PerformanceFunction,
@@ -14,8 +14,6 @@ from stlfunnel.funnel import (
     audit_funnel,
     gamma_at,
     synthesize_funnel,
-    transform,
-    transformed_error,
 )
 from stlfunnel.parsing import parse_psi
 
@@ -40,30 +38,6 @@ def test_gamma_validation():
         PerformanceFunction(gamma0=1.0, gamma_inf=0.0, l=0.0)
     with pytest.raises(ValueError):
         PerformanceFunction(gamma0=1.0, gamma_inf=0.5, l=-0.1)
-
-
-def test_transform_values():
-    # S maps (-1, 0) onto the reals, increasing, with S(-1/2) = 0.
-    assert transform(-0.5) == pytest.approx(0.0)
-    assert transform(-0.31) == pytest.approx(math.log(0.69 / 0.31))
-    assert transform(-0.69) == pytest.approx(-math.log(0.69 / 0.31))
-
-
-def test_transformed_error_inside_and_outside():
-    psi = parse_psi("ball(0;0;1)")
-    fp = FunnelParams(
-        t_star=1.0, r=0.25, rho_max=0.5,
-        perf=PerformanceFunction(gamma0=1.0, gamma_inf=1.0, l=0.0),
-    )
-    te = transformed_error(psi, fp, np.array([0.9]), 0.0)
-    # rho = 0.1, e = -0.4, xi = -0.4.
-    assert te.e == pytest.approx(-0.4)
-    assert te.xi == pytest.approx(-0.4)
-    assert te.eps == pytest.approx(math.log(0.6 / 0.4))
-    with pytest.raises(FunnelViolation):
-        transformed_error(psi, fp, np.array([5.0]), 0.0)  # rho < rho_max - gamma
-    with pytest.raises(FunnelViolation):
-        transformed_error(psi, fp, np.array([0.0]), 0.0)  # rho = 1.0 > rho_max
 
 
 def test_synthesis_first_branch_constant_width():

@@ -7,14 +7,7 @@ from stlfunnel.errors import DeadlineError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import SynthesisConfig
 from stlfunnel.parsing import parse_formula
-from stlfunnel.sequencer import (
-    HybridState,
-    SequencerConfig,
-    active_psi,
-    funnel_clock,
-    init_sequencer,
-    jump_if_due,
-)
+from stlfunnel.sequencer import SequencerConfig, init_sequencer, jump_if_due
 
 
 def test_chain_normalization_matches_cumulative_oracle():
@@ -49,8 +42,9 @@ def test_init_creates_mode_one():
     f = parse_formula("F[0,5](ball(0;0;4))")
     z = init_sequencer(f, np.array([2.0]), _cfg(chi=0.5))
     assert z.q == 1 and z.Delta == 0.0 and not z.terminal
-    assert active_psi(z) is z.tasks[0].psi
-    assert funnel_clock(z) == 0.0
+    assert z.psi is z.tasks[0].psi and z.offset == 0.0
+    # F[0,5]: the jump window runs from the window start to t_star.
+    assert not z.always and z.jump_window == (0.0, z.fp.t_star)
 
 
 def test_eventually_jump_fires_inside_window_and_band():
@@ -66,8 +60,9 @@ def test_eventually_jump_fires_inside_window_and_band():
     assert z2.jump_times == [1.0]
     # Terminal keeps the funnel and continues its clock.
     assert z2.fp is z.fp
+    assert z2.psi is z.psi
     z2.t_local = 0.75
-    assert funnel_clock(z2) == pytest.approx(1.75)
+    assert z2.t_local + z2.offset == pytest.approx(1.75)
 
 
 def test_eventually_overdue_raises():
@@ -141,6 +136,20 @@ def test_missed_entry_deadline_raises():
     z.fp = z.fp  # jump due via rho in band
     with pytest.raises(DeadlineError):
         jump_if_due(z, np.array([1.0]), cfg)
+
+
+def test_missed_entry_deadline_names_entered_task():
+    # Task 1 holds until its deadline at t = 1; jumping at t = 3 enters
+    # task 2, whose global window [1, 2] has already closed.
+    f = parse_formula("G[0,1](ball(0;0;4)) and F[1,2](ball(0;6;4))")
+    cfg = _cfg(chi=0.5)
+    z = init_sequencer(f, np.array([2.0]), cfg)
+    assert z.always and z.jump_window == (0.0, 1.0)
+    z.t_local = 3.0
+    with pytest.raises(DeadlineError, match="task 2 missed its deadline at t=3 ") as info:
+        jump_if_due(z, np.array([1.0]), cfg, rho=3.0)
+    assert info.value.task_index == 2
+    assert info.value.t == 3.0 and info.value.rho == 3.0
 
 
 def test_synthesis_override_broadcast_vs_per_task():

@@ -13,7 +13,7 @@ from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
 from stlfunnel.parsing import parse_formula
 from stlfunnel.plants import single_integrator
 from stlfunnel.sequencer import SequencerConfig
-from stlfunnel.sim import EpisodeSpec, RunMetrics, run_episode, step_rk4
+from stlfunnel.sim import EpisodeSpec, run_episode, step_rk4
 
 
 def _toy_spec(**kw):
@@ -224,3 +224,10 @@ def test_spec_rejects_formula_beyond_state_and_nonpositive_dt():
     for dt in (0.0, -0.01):
         with pytest.raises(ValueError, match="dt"):
             _toy_spec(dt=dt)
+
+
+def test_spec_compares_by_identity():
+    # Comparing the 2-state x0 arrays field by field would raise.
+    a, b = _planar_spec(x0=np.zeros(2)), _planar_spec(x0=np.zeros(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2 and hash(a) == hash(a)
