@@ -320,7 +320,7 @@ def should_trigger(x: np.ndarray, t: float, event: TriggerEvent) -> Cause | None
 
     StateDeviation takes precedence when both conditions exceed.
     """
-    if float(np.max(np.abs(np.asarray(x) - event.x))) > event.delta:
+    if float(np.abs(np.asarray(x) - event.x).max()) > event.delta:
         return "StateDeviation"
     if t - event.t > event.delta:
         return "MaxInterval"

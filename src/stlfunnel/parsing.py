@@ -2,20 +2,27 @@
 
 Grammar (whitespace-insensitive)::
 
-    theta := phi ("and" phi)* | chain
-    chain := "F[" NUM "," NUM "](" psi "and" chain ")"
-           | "F[" NUM "," NUM "]" psi
-    phi   := ("G" | "F") "[" NUM "," NUM "]" psi
-    psi   := term ("and" term)*
-    term  := pred | "not" pred | "(" psi ")"
-    pred  := "ball(" IDXLIST ";" NUMLIST ";" NUM ")"
-           | "join(" IDXLIST ";" IDXLIST ";" NUM ")"
-           | "band(" IDX ";" NUM ";" NUM ")"
-           | "aff(" NUMLIST ";" NUM ")"
+    theta  := phi ("and" phi)* | chain
+    chain  := "F" window "(" psi "and" chain ")" | "F" window arg
+    phi    := ("G" | "F") window arg
+    window := "[" NUM "," NUM "]"
+    arg    := "(" psi ")" | psi
+    psi    := term ("and" term)*
+    term   := pred | "not" pred | "(" psi ")"
+    pred   := "ball(" IDXLIST ";" NUMLIST ";" POS ")"
+            | "join(" IDXLIST ";" IDXLIST ";" POS ")"
+            | "band(" IDX ";" NUM ";" POS ")"
+            | "aff(" NUMLIST ";" NUM ")"
 
-A band term desugars into two opposing affine leaves.  A chain with a
-single step is indistinguishable from a plain Eventually atom and is
-parsed as one.
+POS is a positive NUM, and an ``aff`` needs a nonzero coefficient.
+
+A "(" right after a window always opens ``arg``, so ``F[0,1](p) and q``
+is an error rather than a two-term ``psi``.  A ``psi`` ends before an
+"and" followed by "G[" or "F[": inside an Eventually's parentheses that
+"and" nests the next chain step, anywhere else it starts the next atom
+of the ordered conjunction.  A chain with a single step is
+indistinguishable from a plain Eventually atom and is parsed as one.
+A band term desugars into two opposing affine leaves.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import FormulaError, ParseError
 from .formulas import NonTemporalFormula, SequentialFormula, TemporalFormula
 from .predicates import PredicateSpec, affine, ball, join
 
-__all__ = ["parse_formula", "parse_psi", "band_leaves"]
+__all__ = ["parse_formula", "parse_psi"]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -38,11 +45,28 @@ _TOKEN_RE = re.compile(
 
 def band_leaves(idx: int, center: float, halfwidth: float) -> tuple[PredicateSpec, PredicateSpec]:
     """Two affine leaves encoding |x_idx - center| < halfwidth."""
-    if halfwidth <= 0.0:
-        raise ValueError("band halfwidth must be positive")
     upper = affine((idx,), (1.0,), center + halfwidth)
     lower = affine((idx,), (-1.0,), halfwidth - center)
     return upper, lower
+
+
+def _aff(coeffs: tuple[float, ...], offset: float) -> PredicateSpec:
+    sel = tuple(i for i, c in enumerate(coeffs) if c != 0.0)
+    if not sel:
+        raise ValueError("affine predicate needs a nonzero coefficient")
+    return affine(sel, tuple(coeffs[i] for i in sel), offset)
+
+
+# Each predicate's ";"-separated fields and its leaf builder.  A field is
+# a state index ("i"), a number ("x") or a positive number ("r"); a
+# trailing "+" reads a comma list.
+_PREDICATES = {
+    "ball": (("i+", "x+", "r"), ball),
+    "join": (("i+", "i+", "r"), join),
+    "band": (("i", "x", "r"), band_leaves),
+    "aff": (("x+", "x"), _aff),
+}
+_FIELDS = {"i": "a state index", "x": "a number", "r": "a positive number"}
 
 
 @dataclass
@@ -91,220 +115,134 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _expect(self, text: str) -> _Token:
+    def _expect(self, text: str) -> None:
         tok = self._next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
 
-    def _number(self) -> float:
-        tok = self._next()
-        if tok.kind != "num":
-            raise ParseError(f"expected a number, found {tok.text!r}", tok.pos)
-        return float(tok.text)
+    def _at(self, text: str, ahead: int = 0) -> bool:
+        tok = self._peek(ahead)
+        return tok is not None and tok.text == text
 
-    def _index(self) -> int:
-        tok = self._next()
-        if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            raise ParseError(f"expected a state index, found {tok.text!r}", tok.pos)
-        return int(tok.text)
-
-    def _at_word(self, *words: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "word" and tok.text in words
-
-    # -- grammar ------------------------------------------------------
-
-    def parse_theta(self) -> SequentialFormula:
-        first = self._peek()
-        if first is None:
-            raise ParseError("empty formula", 0)
-        if first.text == "F":
-            chain = self._parse_chain()
-            if len(chain) > 1:
-                self._end()
-                return self._make_sequential("s2", chain, first.pos)
-            atoms = chain
-        else:
-            atoms = [self._parse_phi()]
-        while self._at_word("and"):
-            self._next()
-            atoms.append(self._parse_phi())
-        self._end()
-        return self._make_sequential("s1", atoms, first.pos)
-
-    def _make_sequential(self, kind, atoms, pos) -> SequentialFormula:
-        try:
-            return SequentialFormula(kind=kind, atoms=tuple(atoms))
-        except FormulaError as exc:
-            raise ParseError(str(exc), pos) from exc
+    def _at_atom(self, ahead: int) -> bool:
+        """True when the token ``ahead`` opens a temporal atom ("G[" or "F[")."""
+        return (self._at("G", ahead) or self._at("F", ahead)) and self._at("[", ahead + 1)
 
     def _end(self) -> None:
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
 
-    def _window(self) -> tuple[float, float]:
-        self._expect("[")
-        a = self._number()
-        self._expect(",")
-        b = self._number()
-        self._expect("]")
-        return a, b
-
-    def _parse_phi(self) -> TemporalFormula:
+    def _scalar(self, kind: str) -> int | float:
+        """One value of a field kind in ``_FIELDS``."""
         tok = self._next()
-        if tok.text not in ("G", "F"):
-            raise ParseError(f"expected G or F, found {tok.text!r}", tok.pos)
-        a, b = self._window()
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "(":
-            # Parenthesized argument: stop at the matching paren so a
-            # following "and" stays with the outer conjunction.
+        if tok.kind == "num" and kind == "i" and tok.text.isdecimal():
+            return int(tok.text)
+        if tok.kind == "num" and (kind == "x" or (kind == "r" and float(tok.text) > 0.0)):
+            return float(tok.text)
+        raise ParseError(f"expected {_FIELDS[kind]}, found {tok.text!r}", tok.pos)
+
+    def _field(self, kind: str):
+        """One predicate field; a ``kind`` ending in "+" is a comma list."""
+        values = [self._scalar(kind[0])]
+        while kind.endswith("+") and self._at(","):
             self._next()
-            leaves = list(self._parse_term())
-            while self._at_word("and"):
+            values.append(self._scalar(kind[0]))
+        return tuple(values) if kind.endswith("+") else values[0]
+
+    # -- grammar ------------------------------------------------------
+
+    def parse_theta(self) -> SequentialFormula:
+        atoms = self._atom()
+        kind = "s2" if len(atoms) > 1 else "s1"
+        while kind == "s1" and self._at("and"):
+            self._next()
+            start = self._peek()
+            step = self._atom()
+            if len(step) > 1:
+                raise ParseError("a chain must be the whole formula", start.pos)
+            atoms += step
+        self._end()
+        try:
+            return SequentialFormula(kind=kind, atoms=tuple(atoms))
+        except FormulaError as exc:
+            raise ParseError(str(exc), self.tokens[0].pos) from exc
+
+    def _atom(self) -> list[TemporalFormula]:
+        """One temporal atom, followed by the chain steps nested in its
+        parentheses after "and"."""
+        op = self._next()
+        if op.text not in ("G", "F"):
+            raise ParseError(f"expected G or F, found {op.text!r}", op.pos)
+        self._expect("[")
+        a = self._scalar("x")
+        self._expect(",")
+        b = self._scalar("x")
+        self._expect("]")
+        rest: list[TemporalFormula] = []
+        if self._at("("):
+            self._next()
+            psi = self._psi()
+            if self._at("and"):
                 self._next()
-                leaves.extend(self._parse_term())
+                rest = self._atom()
             self._expect(")")
-            psi = self._make_psi(leaves, nxt.pos)
         else:
-            psi = self._parse_psi()
-        return self._make_atom(tok, a, b, psi)
-
-    def _make_atom(self, tok: _Token, a: float, b: float, psi: NonTemporalFormula) -> TemporalFormula:
+            psi = self._psi()
         try:
-            return TemporalFormula(op=tok.text, a=a, b=b, psi=psi)
+            return [TemporalFormula(op=op.text, a=a, b=b, psi=psi)] + rest
         except FormulaError as exc:
-            raise ParseError(str(exc), tok.pos) from exc
+            raise ParseError(str(exc), op.pos) from exc
 
-    def _make_atom_f(self, a: float, b: float, psi: NonTemporalFormula, pos: int) -> TemporalFormula:
-        try:
-            return TemporalFormula(op="F", a=a, b=b, psi=psi)
-        except FormulaError as exc:
-            raise ParseError(str(exc), pos) from exc
-
-    def _parse_chain(self) -> list[TemporalFormula]:
-        """Parse one chain step, recursing when the conjunction nests
-        another Eventually window after an "and"."""
-        self._expect("F")
-        a, b = self._window()
-        tok = self._peek()
-        if tok is not None and tok.text == "(":
-            self._next()
-            leaves: list[PredicateSpec] = []
-            rest: list[TemporalFormula] = []
-            leaves.extend(self._parse_term())
-            while self._at_word("and"):
-                self._next()
-                if self._at_word("F") and self._peek(1) is not None and self._peek(1).text == "[":
-                    rest = self._parse_chain()
-                    break
-                leaves.extend(self._parse_term())
-            self._expect(")")
-            psi = self._make_psi(leaves, tok.pos)
-            return [self._make_atom_f(a, b, psi, tok.pos)] + rest
-        psi = self._parse_psi()
-        return [self._make_atom_f(a, b, psi, 0)]
-
-    def _parse_psi(self) -> NonTemporalFormula:
-        start = self._peek()
-        pos = start.pos if start is not None else len(self.text)
-        leaves = list(self._parse_term())
-        while self._at_word("and"):
-            self._next()
-            leaves.extend(self._parse_term())
-        return self._make_psi(leaves, pos)
-
-    def _make_psi(self, leaves: list[PredicateSpec], pos: int) -> NonTemporalFormula:
+    def _psi(self) -> NonTemporalFormula:
+        start = self.i
+        leaves = self._conjunction()
         try:
             psi = NonTemporalFormula(leaves=tuple(leaves))
             psi.validate(allow_nonconcave=self.allow_nonconcave)
-        except Exception as exc:
-            raise ParseError(str(exc), pos) from exc
+        except FormulaError as exc:
+            raise ParseError(str(exc), self.tokens[start].pos) from exc
         return psi
 
-    def _parse_term(self) -> list[PredicateSpec]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        if tok.text == "(":
+    def _conjunction(self) -> list[PredicateSpec]:
+        """term ("and" term)*, stopping before an "and" that opens an atom."""
+        leaves = self._term()
+        while self._at("and") and not self._at_atom(1):
             self._next()
-            leaves = list(self._parse_term())
-            while self._at_word("and"):
-                self._next()
-                leaves.extend(self._parse_term())
+            leaves += self._term()
+        return leaves
+
+    def _term(self) -> list[PredicateSpec]:
+        if self._at("("):
+            self._next()
+            leaves = self._conjunction()
             self._expect(")")
             return leaves
-        if tok.text == "not":
-            self._next()
-            pred = self._parse_pred()
+        if self._at("not"):
+            tok = self._next()
+            pred = self._pred()
             if len(pred) != 1:
                 raise ParseError("cannot negate a band; negate its sides separately", tok.pos)
             return [pred[0].negate()]
-        return list(self._parse_pred())
+        return list(self._pred())
 
-    def _parse_pred(self) -> tuple[PredicateSpec, ...]:
+    def _pred(self) -> tuple[PredicateSpec, ...]:
         tok = self._next()
-        if tok.kind != "word" or tok.text not in ("ball", "join", "band", "aff"):
+        if tok.text not in _PREDICATES:
             raise ParseError(f"expected a predicate, found {tok.text!r}", tok.pos)
+        kinds, build = _PREDICATES[tok.text]
         self._expect("(")
-        if tok.text == "ball":
-            sel = self._index_list()
-            self._expect(";")
-            center = self._number_list()
-            self._expect(";")
-            radius = self._number()
-            self._expect(")")
-            if len(sel) != len(center):
-                raise ParseError("ball selector and center lengths differ", tok.pos)
-            if radius <= 0.0:
-                raise ParseError("ball radius must be positive", tok.pos)
-            return (ball(tuple(sel), tuple(center), radius),)
-        if tok.text == "join":
-            sel_a = self._index_list()
-            self._expect(";")
-            sel_b = self._index_list()
-            self._expect(";")
-            radius = self._number()
-            self._expect(")")
-            if len(sel_a) != len(sel_b):
-                raise ParseError("join selector lengths differ", tok.pos)
-            if radius <= 0.0:
-                raise ParseError("join radius must be positive", tok.pos)
-            return (join(tuple(sel_a), tuple(sel_b), radius),)
-        if tok.text == "band":
-            idx = self._index()
-            self._expect(";")
-            center = self._number()
-            self._expect(";")
-            halfwidth = self._number()
-            self._expect(")")
-            if halfwidth <= 0.0:
-                raise ParseError("band halfwidth must be positive", tok.pos)
-            return band_leaves(idx, center, halfwidth)
-        coeffs = self._number_list()
-        self._expect(";")
-        offset = self._number()
+        fields = []
+        for k, kind in enumerate(kinds):
+            if k:
+                self._expect(";")
+            fields.append(self._field(kind))
         self._expect(")")
-        sel = tuple(i for i, c in enumerate(coeffs) if c != 0.0)
-        if not sel:
-            raise ParseError("affine predicate needs a nonzero coefficient", tok.pos)
-        return (affine(sel, tuple(coeffs[i] for i in sel), offset),)
-
-    def _index_list(self) -> list[int]:
-        indices = [self._index()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            indices.append(self._index())
-        return indices
-
-    def _number_list(self) -> list[float]:
-        numbers = [self._number()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            numbers.append(self._number())
-        return numbers
+        try:
+            leaves = build(*fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from exc
+        return leaves if isinstance(leaves, tuple) else (leaves,)
 
 
 def parse_formula(text: str, allow_nonconcave: bool = False) -> SequentialFormula:
@@ -315,6 +253,6 @@ def parse_formula(text: str, allow_nonconcave: bool = False) -> SequentialFormul
 def parse_psi(text: str, allow_nonconcave: bool = False) -> NonTemporalFormula:
     """Parse a bare conjunction (no temporal operators)."""
     parser = _Parser(text, allow_nonconcave)
-    psi = parser._parse_psi()
+    psi = parser._psi()
     parser._end()
     return psi

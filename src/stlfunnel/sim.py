@@ -239,7 +239,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             metrics.min_delta = min(metrics.min_delta, event.delta)
 
         u_held = event.u
-        dev = float(np.max(np.abs(u_cont - u_held)))
+        dev = float(np.abs(u_cont - u_held).max())
         metrics.max_input_deviation = max(metrics.max_input_deviation, dev)
         metrics.min_margin = min(metrics.min_margin, rho - (z.fp.rho_max - gam), z.fp.rho_max - rho)
         metrics.min_xi_gap = min(metrics.min_xi_gap, 1.0 + xi, -xi)

@@ -1,10 +1,13 @@
 """Formula text parsing: grammar coverage and error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlfunnel.errors import ParseError
-from stlfunnel.formulas import SequentialFormula
+from stlfunnel.formulas import NonTemporalFormula, SequentialFormula, TemporalFormula
 from stlfunnel.parsing import parse_formula, parse_psi
+from stlfunnel.predicates import affine, ball, join
 from conftest import PSI1_TEXT, PSI2_TEXT, THETA_TEXT
 
 
@@ -134,3 +137,107 @@ def test_chain_requires_eventually():
 def test_roundtrip_through_sequential_type():
     f = parse_formula(THETA_TEXT)
     assert isinstance(f, SequentialFormula)
+
+
+@pytest.mark.parametrize("op", ["G", "F"])
+def test_unparenthesized_atom_ends_before_next_atom(op):
+    f = parse_formula(f"{op}[0,1] ball(0;0;1) and G[2,3] ball(0;1;1)")
+    assert f.kind == "s1" and len(f.atoms) == 2
+    assert f == parse_formula(f"{op}[0,1](ball(0;0;1)) and G[2,3](ball(0;1;1))")
+
+
+@pytest.mark.parametrize("step", ["F[2,1](ball(0;1;1))", "F[2,1] ball(0;1;1)"])
+def test_bad_chain_step_window_is_reported_at_its_operator(step):
+    text = f"F[0,1] (ball(0;0;1) and {step})"
+    with pytest.raises(ParseError, match="bad window") as err:
+        parse_formula(text)
+    assert err.value.position == text.index("F[2,1]")
+
+
+# -- round trip: random ASTs rendered to text parse back to themselves ----
+
+_INDEX = st.integers(0, 5)
+_REAL = st.floats(-100.0, 100.0, allow_nan=False)
+_RADIUS = st.floats(0.01, 100.0)
+
+
+def _seq(values) -> str:
+    return ",".join(map(repr, values))
+
+
+@st.composite
+def _term(draw, anchor: bool = False):
+    """One predicate as (text, leaves); an anchor is a bounded leaf."""
+    kind = draw(st.sampled_from(["ball", "join", "band"] if anchor else ["ball", "join", "aff", "band"]))
+    if kind == "band":
+        idx, center, width = draw(_INDEX), draw(_REAL), draw(_RADIUS)
+        upper = affine((idx,), (1.0,), center + width)
+        lower = affine((idx,), (-1.0,), width - center)
+        return f"band({idx};{center!r};{width!r})", [upper, lower]
+    n = draw(st.integers(1, 3))
+    sel = draw(st.lists(_INDEX, min_size=n, max_size=n))
+    if kind == "ball":
+        center, radius = draw(st.lists(_REAL, min_size=n, max_size=n)), draw(_RADIUS)
+        text, leaf = f"ball({_seq(sel)};{_seq(center)};{radius!r})", ball(sel, center, radius)
+    elif kind == "join":
+        sel_b, radius = draw(st.lists(_INDEX, min_size=n, max_size=n)), draw(_RADIUS)
+        text, leaf = f"join({_seq(sel)};{_seq(sel_b)};{radius!r})", join(sel, sel_b, radius)
+    else:
+        coeffs = draw(st.lists(_REAL.filter(bool), min_size=n, max_size=n))
+        dense = {i: c for i, c in zip(sel, coeffs)}
+        offset = draw(_REAL)
+        text = f"aff({_seq(dense.get(i, 0.0) for i in range(max(dense) + 1))};{offset!r})"
+        leaf = affine(sorted(dense), [dense[i] for i in sorted(dense)], offset)
+    if not anchor and draw(st.booleans()):
+        return "not " + text, [leaf.negate()]
+    return text, [leaf]
+
+
+@st.composite
+def _psi(draw, bare: bool):
+    """A conjunction as (text, psi), some terms grouped in parentheses.
+
+    A bare argument may not open with "(", which would read as its own
+    parentheses.
+    """
+    terms = draw(st.lists(_term(), max_size=3))
+    terms.insert(draw(st.integers(0, len(terms))), draw(_term(anchor=True)))
+    texts = [text for text, _ in terms]
+    i = draw(st.integers(int(bare), len(texts)))
+    j = draw(st.integers(i, len(texts)))
+    if j > i:
+        texts[i:j] = ["(" + " and ".join(texts[i:j]) + ")"]
+    text = " and ".join(texts)
+    psi = NonTemporalFormula(tuple(leaf for _, leaves in terms for leaf in leaves))
+    return (text if bare else f"({text})"), psi
+
+
+@st.composite
+def _formula(draw):
+    chain = draw(st.booleans())
+    k = draw(st.integers(2, 4) if chain else st.integers(1, 3))
+    times = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=2 * k, max_size=2 * k)))
+    texts, atoms = [], []
+    for step in range(k):
+        op = "F" if chain else draw(st.sampled_from("GF"))
+        a, b = times[2 * step : 2 * step + 2]
+        # Only the last chain step may leave its argument bare.
+        bare = draw(st.booleans()) and (not chain or step == k - 1)
+        arg, psi = draw(_psi(bare))
+        space = " " if bare else draw(st.sampled_from(["", " "]))
+        texts.append(f"{op}[{a!r},{b!r}]{space}{arg}")
+        atoms.append(TemporalFormula(op=op, a=a, b=b, psi=psi))
+    if chain:
+        text = texts[-1]
+        for step_text in reversed(texts[:-1]):
+            text = step_text[:-1] + f" and {text})"
+    else:
+        text = " and ".join(texts)
+    return text, SequentialFormula(kind="s2" if chain else "s1", atoms=tuple(atoms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formula())
+def test_rendered_formula_parses_back(case):
+    text, expected = case
+    assert parse_formula(text, allow_nonconcave=True) == expected
