@@ -28,7 +28,7 @@ from .formulas import (
 )
 from .parsing import parse_formula, parse_psi
 from .predicates import PredicateSpec, affine, ball, join
-from .robustness import (
+from .kernels import (
     exact_psi_batch,
     exact_psi_value,
     smooth_psi_hessian,

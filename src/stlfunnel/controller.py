@@ -10,8 +10,15 @@ or when delta_i seconds elapse, with delta_i chosen so the frozen input
 stays within delta_u of the law over the whole inter-event box.  The
 law's Lipschitz constant over that box comes from its analytic
 Jacobian, evaluated in one vectorized pass over the probe points.
-``continuous_law`` is the dense-g(x) reference form of the law that the
-tests compare against; it is not on the episode path.
+
+This module keeps only the trigger: its configuration and event record,
+the box corners and probe points, the radius loop, ``should_trigger``
+and ``make_event``.  The funnel guard on the probe rows and the law
+Jacobian over them are evaluated in ``kernels`` (``guarded_readout``,
+``law_row_sums``).  ``continuous_law``, the law from the dense g(x), and
+``law_jacobian``, a one-row call into ``kernels.law_jacobian_batch``,
+are the reference forms the tests compare against; neither is on the
+episode path.
 """
 
 from __future__ import annotations
@@ -28,9 +35,8 @@ from scipy.stats import qmc
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .plants import _DEG, Plant
-from .kernels import _hessian_form, _leaf_readout, _omni_gT, _softmin_grad, _softmin_xi
-from .robustness import smooth_psi_value_and_grad
+from .kernels import guarded_readout, law_jacobian_batch, law_row_sums, smooth_psi_value_and_grad
+from .plants import Plant
 
 __all__ = [
     "TriggerConfig",
@@ -43,7 +49,6 @@ __all__ = [
 
 Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
 
-_XI_GUARD = 1e-3
 _CORNER_CAP = 1024
 
 
@@ -102,70 +107,6 @@ def continuous_law(
     return -eps * (plant.g(x).T @ grad)
 
 
-def _law_jacobian_batch(
-    X: np.ndarray,
-    T: np.ndarray,
-    psi: NonTemporalFormula,
-    fp: FunnelParams,
-    plant: Plant,
-    smoothing: SmoothingConfig,
-    readout: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
-
-    With q = grad rho, u = -eps * g(x)^T q differentiates into g^T M_x
-    and g^T m_t, where
-
-        M_x = -eps * hess - (slope / gamma) * q q^T,
-        m_t = -(d eps/dt) * q,   d eps/dt = slope * xi * l * decay / gamma,
-
-    slope = dS/dxi, and hess is the softmin Hessian over the leaf
-    gradients q_i,
-
-        sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
-
-    The leaf gradients and Hessians come from the batch read-out in
-    ``kernels``, where w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i), so all
-    outer products collect into one batched matmul over the leaf
-    gradients with q appended.  The omni team applies g^T per agent as
-    3x3 blocks and adds the heading column d rot/d theta (degrees).
-    Rows whose xi leaves (-1, 0) are not finite.  ``readout`` is
-    ``kernels._leaf_readout(X, psi)`` when the caller already has it.
-    """
-    P, n = X.shape
-    eta = smoothing.eta
-    readout = _leaf_readout(X, psi) if readout is None else readout
-    xi, w, gamma, decay = _softmin_xi(readout[2], T, fp, eta)
-    leaf_grads, grad, curv = _softmin_grad(readout, w, psi, n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps = np.log(-(xi + 1.0) / xi)
-        slope = 1.0 / (1.0 + xi) - 1.0 / xi
-
-    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
-    coef = np.concatenate(
-        [-eps[:, None] * (curv - eta * w), -(eps * eta + slope / gamma)[:, None]], axis=1
-    )
-    M_x = _hessian_form(grads, coef, eps[:, None] * curv, psi)
-    m_t = -(slope * xi * fp.perf.l * decay / gamma)[:, None] * grad
-
-    if plant.gbase is None:
-        return plant.gain * M_x, plant.gain * m_t, xi
-    # Per agent g^T and its heading derivative are (cos, sin, 1) and
-    # (-sin, cos, 0) times a fixed basis; theta is in degrees.
-    n_agents = n // 3
-    th = X[:, 2::3] * _DEG
-    cos, sin = np.cos(th), np.sin(th)
-    gbase = plant.gain * plant.gbase
-    gT = _omni_gT(cos, sin, np.ones_like(cos), gbase)
-    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), gbase) * _DEG
-    du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
-    du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
-    dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)
-    rows = np.arange(n)
-    du_dx[:, rows, 3 * (rows // 3) + 2] -= eps[:, None] * dgT_grad
-    return du_dx, du_dt, xi
-
-
 def law_jacobian(
     x: np.ndarray,
     t: float,
@@ -180,28 +121,12 @@ def law_jacobian(
     trigger radius.  Raises FunnelViolation outside the funnel.
     """
     x = np.asarray(x, dtype=float)
-    du_dx, du_dt, xi = _law_jacobian_batch(
-        x[None, :], np.array([float(t)]), psi, fp, plant, smoothing
+    du_dx, du_dt, xi = law_jacobian_batch(
+        x[None, :], np.array([float(t)]), psi, fp, plant, smoothing.eta
     )
     if not (-1.0 < xi[0] < 0.0):
         raise FunnelViolation(float(xi[0]), t)
     return du_dx[0], du_dt[0]
-
-
-def _law_row_sums(
-    pts: np.ndarray,
-    psi: NonTemporalFormula,
-    fp: FunnelParams,
-    plant: Plant,
-    smoothing: SmoothingConfig,
-    readout: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
-    """Per probe point and input j, sum_k |du_j/dz_k| over z = (x, t)."""
-    du_dx, du_dt, _ = _law_jacobian_batch(
-        pts[:, :-1], pts[:, -1], psi, fp, plant, smoothing, readout
-    )
-    # A matrix-vector product sums the short last axis faster than .sum().
-    return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,17 +164,6 @@ def _probe_points(
     return np.vstack([pts, corners])
 
 
-def _guarded_readout(
-    pts: np.ndarray, psi: NonTemporalFormula, fp: FunnelParams, eta: float
-) -> tuple[np.ndarray, ...] | None:
-    """Leaf read-out of the probe rows, or None if a row's xi leaves the guard band."""
-    readout = _leaf_readout(pts[:, :-1], psi)
-    xi = _softmin_xi(readout[2], pts[:, -1], fp, eta)[0]
-    if np.all((xi > -1.0 + _XI_GUARD) & (xi < -_XI_GUARD)):
-        return readout
-    return None
-
-
 def compute_trigger_radius(
     x_i: np.ndarray,
     t_i: float,
@@ -277,7 +191,7 @@ def compute_trigger_radius(
     all-points test, not a different test: a round is accepted exactly
     when every probe passes, the rng is drawn in the same order whether
     or not the Sobol rows are built (the engine has its own generator),
-    and the accepted round's leaf read-outs feed the Jacobian pass
+    and the accepted round's guard read-outs feed the Jacobian pass
     unchanged.  The probes, the radius and the rng stream therefore do
     not depend on the order of the checks.  With concave leaves the soft
     minimum is concave in x and gamma decreases in t, so the lowest xi
@@ -293,10 +207,10 @@ def compute_trigger_radius(
     while True:
         seed = int(rng.integers(2**32))
         corners = _corners(x_i, t_i, bx, bt, rng)
-        at_corners = _guarded_readout(corners, psi, fp, eta)
+        at_corners = guarded_readout(corners, psi, fp, eta)
         if at_corners is not None:
             pts = _probe_points(x_i, t_i, bx, bt, tc, seed, corners)
-            at_sobol = _guarded_readout(pts[: tc.sample_count], psi, fp, eta)
+            at_sobol = guarded_readout(pts[: tc.sample_count], psi, fp, eta)
             if at_sobol is not None:
                 break
         bx *= tc.shrink
@@ -306,8 +220,7 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
             )
 
-    readout = tuple(np.concatenate(pair) for pair in zip(at_sobol, at_corners))
-    row_sums = _law_row_sums(pts, psi, fp, plant, smoothing, readout)
+    row_sums = law_row_sums(pts, psi, fp, plant, eta, (at_sobol, at_corners))
     l_z = float(row_sums.max()) * tc.lipschitz_safety
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
     if delta < tc.delta_floor:

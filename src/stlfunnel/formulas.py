@@ -11,6 +11,7 @@ scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FormulaError
@@ -97,6 +98,8 @@ class TemporalFormula:
     def __post_init__(self) -> None:
         if self.op not in ("G", "F"):
             raise FormulaError(f"unsupported temporal operator {self.op!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise FormulaError(f"window bounds must be finite, got [{self.a}, {self.b}]")
         if self.a < 0.0 or self.b < self.a:
             raise FormulaError(f"bad window [{self.a}, {self.b}]")
 

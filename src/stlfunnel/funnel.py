@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SynthesisError
 from .formulas import AtomicTask, SmoothingConfig
-from .robustness import smooth_psi_value_and_grad
+from .kernels import smooth_psi_value_and_grad
 
 __all__ = [
     "PerformanceFunction",

@@ -1,27 +1,28 @@
-"""Leaf evaluation: the only module that evaluates ball, join and affine leaves.
+"""Leaf evaluation: the one module that evaluates leaves, their soft minimum and the law.
 
-A conjunction compiles once per formula into one record per leaf in
-plain Python numbers (``compile_leaf_table``) and, once per formula and
-state size, into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).
-There are two entry points over that form:
+The smoothed robustness of a conjunction is the soft minimum
+rho = -(1/eta) * ln sum_i exp(-eta * h_i(x)), which under-approximates
+the exact minimum by at most ln(m)/eta for m leaves.  A conjunction
+compiles once per formula into one record per leaf in plain Python
+numbers (``compile_leaf_table``) and, once per formula and state size,
+into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).  There are two
+entry points over that form:
 
-* The batch read-out (``_leaf_readout``, ``_softmin_xi``,
-  ``_softmin_grad``, ``_hessian_form``): leaf values, gradients and
-  Hessians at every row of a state array in a few numpy passes.  It
-  serves the trigger guard and the law Jacobian in ``controller``,
-  ``u_xi_batch``, ``exact_psi_batch`` and ``softmin_hessian``.  Leaf
-  values are an elementwise multiply and an axis sum, with no BLAS, so
-  they round as the pointwise loop does.
 * The pointwise loop over plain Python floats (``leaf_pass``,
-  ``smooth_rho_grad``, ``u_xi_eval``): the per-step law of the episode
-  loop and the per-state value and gradient used by the funnel, the
-  optimizer and the sequencer.  On one state it is several times
-  faster than a one-row numpy pass over the read-out, whose fixed
-  per-call numpy overhead dominates at that size (README, "Leaf
-  evaluation", has the measured numbers).
+  ``smooth_rho_grad``, ``u_xi_eval`` and the per-state value fronts):
+  the per-step law of the episode loop and the value and gradient used
+  by the funnel, the optimizer and the sequencer.  On one state it is
+  several times faster than a one-row numpy pass, whose fixed per-call
+  overhead dominates at that size (README, "Leaf evaluation").
+* The batch read-out: leaf values, gradients and Hessians at every row
+  of a state array in a few numpy passes.  Leaf values are summed
+  without BLAS, so they round as the pointwise loop does.  It serves the
+  trigger radius (``guarded_readout``, ``law_row_sums``), ``u_xi_batch``,
+  ``law_jacobian_batch``, ``exact_psi_batch`` and ``smooth_psi_hessian``;
+  the batch law and its Jacobian share one front, ``_law_front``.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
-``Plant.gbase``, the plant's one description of its actuation.
+``Plant.gbody``, the plant's one description of its actuation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formulas import NonTemporalFormula
+from .formulas import NonTemporalFormula, SmoothingConfig
 from .plants import _DEG
 
 __all__ = [
@@ -41,9 +42,16 @@ __all__ = [
     "leaf_pass",
     "smooth_rho_grad",
     "u_xi_eval",
+    "leaf_values",
+    "exact_psi_value",
+    "smooth_psi_value",
+    "smooth_psi_value_and_grad",
     "u_xi_batch",
+    "law_jacobian_batch",
+    "guarded_readout",
+    "law_row_sums",
     "exact_psi_batch",
-    "softmin_hessian",
+    "smooth_psi_hessian",
 ]
 
 # There is no compiled path; perfbench/episode.py and perfbench/baseline.py
@@ -160,7 +168,7 @@ def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp,
     scale = -math.log(-(xi + 1.0) / xi)
     if plant.gbase is None:
         return xi, np.array([plant.gain * g * scale for g in grad])
-    gb = (plant.gain * plant.gbase).tolist()
+    gb = plant.gbody_rows
     u = []
     for a in range(0, len(xs), 3):
         th = xs[a + 2] * _DEG
@@ -173,6 +181,37 @@ def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp,
         for j in range(3):
             u.append((gb[0][j] * v0 + gb[1][j] * v1 + gb[2][j] * gw) * scale)
     return xi, np.array(u)
+
+
+def leaf_values(psi: NonTemporalFormula, x: np.ndarray) -> np.ndarray:
+    """Signed value of every leaf at x, in leaf order."""
+    xs = np.asarray(x, dtype=float).tolist()
+    return np.array(leaf_pass(compile_leaf_table(psi), xs)[0])
+
+
+def exact_psi_value(psi: NonTemporalFormula, x: np.ndarray) -> float:
+    """Exact conjunction robustness: the minimum signed leaf value."""
+    return float(leaf_values(psi, x).min())
+
+
+def smooth_psi_value_and_grad(
+    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
+) -> tuple[float, np.ndarray]:
+    """Soft minimum of the leaf values and its gradient.
+
+    The gradient is the softmin-weighted combination of leaf gradients;
+    weights are nonnegative and sum to one.  A single leaf reduces to
+    the exact value and gradient.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    rho, grad = smooth_rho_grad(compile_leaf_table(psi), xs, cfg.eta)
+    return rho, np.array(grad)
+
+
+def smooth_psi_value(
+    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
+) -> float:
+    return smooth_psi_value_and_grad(psi, x, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +306,30 @@ def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return h_min[:, 0] - np.log(z[:, 0]) / eta, w / z
 
 
-def _softmin_xi(h: np.ndarray, T: np.ndarray, fp, eta: float) -> tuple[np.ndarray, ...]:
-    """Funnel error of the leaves' soft minimum at every row.
+class _Readout(NamedTuple):
+    """Leaf read-out and funnel error of rows (x, t); every field is row-wise,
+    so blocks concatenated field by field equal one read-out of all their rows."""
 
-    Returns xi, the normalized softmin weights w, gamma(T) and its
-    decaying part (gamma0 - gamma_inf) * exp(-l * T).
-    """
+    r: np.ndarray  # (P, L, W) leaf read-outs
+    nd: np.ndarray  # (P, L) their norms
+    xi: np.ndarray  # (P,) funnel error of the soft minimum
+    w: np.ndarray  # (P, L) normalized softmin weights
+    gamma: np.ndarray  # (P,) funnel width gamma(T)
+    decay: np.ndarray  # (P,) its decaying part (gamma0 - gamma_inf) * exp(-l * T)
+
+
+def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout:
+    """Leaf read-out, softmin weights and funnel error at every row of X at times T."""
+    r, nd, h = _leaf_readout(X, psi)
     rho, w = _softmin(h, eta)
     pf = fp.perf
     decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
     gamma = decay + pf.gamma_inf
-    return (rho - fp.rho_max) / gamma, w, gamma, decay
+    return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
 
 
 def _softmin_grad(
-    readout: tuple[np.ndarray, ...], w: np.ndarray, psi: NonTemporalFormula, n: int
+    r: np.ndarray, nd: np.ndarray, w: np.ndarray, psi: NonTemporalFormula, n: int
 ) -> tuple[np.ndarray, ...]:
     """Leaf gradients q_i (P, L, n), softmin gradient q (P, n) and curv (P, L).
 
@@ -292,7 +340,6 @@ def _softmin_grad(
     so w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i).
     """
     mp = _leaf_maps(psi, n)
-    r, nd, _ = readout
     P = r.shape[0]
     with np.errstate(divide="ignore"):
         inv_nd = np.where(mp.norm & (nd > 0.0), 1.0 / nd, 0.0)
@@ -303,28 +350,51 @@ def _softmin_grad(
 
 
 def _hessian_form(
-    grads: np.ndarray, coef: np.ndarray, ata_coef: np.ndarray, psi: NonTemporalFormula
+    leaf_grads: np.ndarray, grad: np.ndarray, leaf_coef: np.ndarray, grad_coef: np.ndarray,
+    ata_coef: np.ndarray, psi: NonTemporalFormula,
 ) -> np.ndarray:
-    """sum_k coef_k g_k g_k^T + sum_i ata_coef_i A_i^T A_i at every row: (P, n, n).
+    """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (P, n, n).
 
-    ``grads`` (P, K, n) are the leaf gradients, possibly with the softmin
-    gradient appended, so every outer product goes into one batched matmul.
+    The softmin gradient q (P, n) is appended to the leaf gradients q_i
+    (P, L, n), so every outer product goes into one batched matmul.
     """
-    P, _, n = grads.shape
+    P, _, n = leaf_grads.shape
+    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
+    coef = np.concatenate([leaf_coef, grad_coef[:, None]], axis=1)
     out = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
     out += (ata_coef @ _leaf_maps(psi, n).ata).reshape(P, n, n)
     return out
 
 
-def _omni_gT(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, gbase: np.ndarray) -> np.ndarray:
-    """Per-agent 3x3 blocks gbase^T (c0 * _ROT_C + c1 * _ROT_S + c2 * _ROT_Z).
+def _omni_gT(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, gbody: np.ndarray) -> np.ndarray:
+    """Per-agent 3x3 blocks gbody^T (c0 * _ROT_C + c1 * _ROT_S + c2 * _ROT_Z).
 
     With (c0, c1, c2) = (cos, sin, 1) of each agent's heading this is
     the omni team's g^T; with (-sin, cos, 0) its heading derivative per
     radian.  Inputs are (P, agents); the result is (P, agents, 3, 3).
     """
-    basis = np.stack([(gbase.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
+    basis = np.stack([(gbody.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
     return (np.stack([c0, c1, c2], axis=2) @ basis).reshape(*c0.shape, 3, 3)
+
+
+def _law_front(
+    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
+    ro: _Readout | None = None,
+) -> tuple:
+    """What the batch law and its Jacobian share at every row, in this order:
+    the read-out (``ro`` if the caller has it), ``_softmin_grad``, eps (NaN
+    where xi leaves (-1, 0)) and the omni headings' cos, sin and g^T blocks."""
+    ro = _readout(X, T, psi, fp, eta) if ro is None else ro
+    leaf_grads, grad, curv = _softmin_grad(ro.r, ro.nd, ro.w, psi, X.shape[1])
+    xi = ro.xi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps = np.where((xi > -1.0) & (xi < 0.0), np.log(-(xi + 1.0) / xi), np.nan)
+    if plant.gbase is None:
+        return ro, leaf_grads, grad, curv, eps, None
+    th = X[:, 2::3] * _DEG
+    cos, sin = np.cos(th), np.sin(th)
+    gT = _omni_gT(cos, sin, np.ones_like(cos), plant.gbody)
+    return ro, leaf_grads, grad, curv, eps, (cos, sin, gT)
 
 
 def u_xi_batch(
@@ -336,18 +406,88 @@ def u_xi_batch(
     """
     X = np.asarray(X, dtype=float)
     P, n = X.shape
-    readout = _leaf_readout(X, psi)
-    xi, w, _, _ = _softmin_xi(readout[2], np.asarray(T, dtype=float), fp, eta)
-    _, grad, _ = _softmin_grad(readout, w, psi, n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps = np.where((xi > -1.0) & (xi < 0.0), np.log(-(xi + 1.0) / xi), np.nan)
-    if plant.gbase is None:
+    ro, _, grad, _, eps, omni = _law_front(X, np.asarray(T, dtype=float), psi, fp, plant, eta)
+    if omni is None:
         U = plant.gain * grad
     else:
-        th = X[:, 2::3] * _DEG
-        gT = _omni_gT(np.cos(th), np.sin(th), np.ones_like(th), plant.gain * plant.gbase)
-        U = (gT @ grad.reshape(P, -1, 3, 1)).reshape(P, n)
-    return -eps[:, None] * U, xi
+        U = (omni[2] @ grad.reshape(P, -1, 3, 1)).reshape(P, n)
+    return -eps[:, None] * U, ro.xi
+
+
+def law_jacobian_batch(
+    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
+    readout: _Readout | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
+
+    With q = grad rho, u = -eps * g(x)^T q differentiates into g^T M_x
+    and g^T m_t, where
+
+        M_x = -eps * hess - (slope / gamma) * q q^T,
+        m_t = -(d eps/dt) * q,   d eps/dt = slope * xi * l * decay / gamma,
+
+    slope = dS/dxi, and hess is the softmin Hessian over the leaf
+    gradients q_i,
+
+        sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
+
+    With w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i), all outer products
+    collect into one batched matmul over the leaf gradients with q
+    appended.  The omni team applies g^T per agent as 3x3 blocks and adds
+    the heading column d rot/d theta (degrees).  Rows whose xi leaves
+    (-1, 0) are not finite.  ``readout`` is the read-out of the rows when
+    the caller already has it.
+    """
+    P, n = X.shape
+    ro, leaf_grads, grad, curv, eps, omni = _law_front(X, T, psi, fp, plant, eta, readout)
+    xi = ro.xi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = 1.0 / (1.0 + xi) - 1.0 / xi
+
+    M_x = _hessian_form(
+        leaf_grads, grad, -eps[:, None] * (curv - eta * ro.w), -(eps * eta + slope / ro.gamma),
+        eps[:, None] * curv, psi,
+    )
+    m_t = -(slope * xi * fp.perf.l * ro.decay / ro.gamma)[:, None] * grad
+
+    if omni is None:
+        return plant.gain * M_x, plant.gain * m_t, xi
+    # Per agent g^T and its heading derivative are (cos, sin, 1) and
+    # (-sin, cos, 0) times a fixed basis; theta is in degrees.
+    n_agents = n // 3
+    cos, sin, gT = omni
+    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), plant.gbody) * _DEG
+    du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
+    du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
+    dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)
+    rows = np.arange(n)
+    du_dx[:, rows, 3 * (rows // 3) + 2] -= eps[:, None] * dgT_grad
+    return du_dx, du_dt, xi
+
+
+def guarded_readout(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout | None:
+    """Read-out of the probe rows (x, t), or None if a row's xi leaves
+    (-1 + 1e-3, -1e-3), the band where the law Jacobian stays finite."""
+    ro = _readout(pts[:, :-1], pts[:, -1], psi, fp, eta)
+    if np.all((ro.xi > -1.0 + 1e-3) & (ro.xi < -1e-3)):
+        return ro
+    return None
+
+
+def law_row_sums(
+    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
+    blocks: tuple[_Readout, ...] | None = None,
+) -> np.ndarray:
+    """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t).
+
+    ``blocks`` are the ``guarded_readout`` results of consecutive row
+    blocks of ``pts``, in order, when the caller has them; the Jacobian
+    then reuses their read-out, weights and funnel error.
+    """
+    readout = None if blocks is None else _Readout(*(np.concatenate(f) for f in zip(*blocks)))
+    du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, readout)
+    # A matrix-vector product sums the short last axis faster than .sum().
+    return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
@@ -355,18 +495,23 @@ def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
     return _leaf_readout(np.asarray(X, dtype=float), psi)[2].min(axis=1)
 
 
-def softmin_hessian(psi: NonTemporalFormula, X: np.ndarray, eta: float) -> np.ndarray:
-    """Hessian of the soft minimum at every row of X: (P, n, n).
+def smooth_psi_hessian(
+    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
+) -> np.ndarray:
+    """Hessian of the soft minimum at x.
+
+    Combines weighted leaf Hessians with the curvature of the weights:
 
         H = sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T)
 
-    with q the softmin gradient, through the same leaf Hessian as the
-    law Jacobian.
+    where q is the softmin gradient, through the same leaf Hessian as
+    the law Jacobian.  Concave leaves make the first term negative
+    semidefinite and the weight term is always negative semidefinite, so
+    the soft minimum stays concave.
     """
-    X = np.asarray(X, dtype=float)
-    readout = _leaf_readout(X, psi)
-    w = _softmin(readout[2], eta)[1]
-    leaf_grads, grad, curv = _softmin_grad(readout, w, psi, X.shape[1])
-    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
-    coef = np.concatenate([curv - eta * w, np.full((X.shape[0], 1), eta)], axis=1)
-    return _hessian_form(grads, coef, -curv, psi)
+    X = np.asarray(x, dtype=float)[None, :]
+    eta = cfg.eta
+    r, nd, h = _leaf_readout(X, psi)
+    w = _softmin(h, eta)[1]
+    leaf_grads, grad, curv = _softmin_grad(r, nd, w, psi, X.shape[1])
+    return _hessian_form(leaf_grads, grad, curv - eta * w, np.full(1, eta), -curv, psi)[0]

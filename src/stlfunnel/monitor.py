@@ -20,25 +20,12 @@ import numpy as np
 
 from .errors import WindowError
 from .formulas import SequentialFormula, TemporalFormula, normalize_sequential
-from .robustness import exact_psi_batch
+from .kernels import exact_psi_batch
 
 if TYPE_CHECKING:
     from .sim import Trajectory
 
 __all__ = ["monitor_robustness"]
-
-
-def _window_values(
-    times: np.ndarray, values: np.ndarray, lo: float, hi: float, closed_end: bool
-) -> np.ndarray:
-    if times[0] > lo + 1e-12:
-        raise WindowError(f"window start {lo:.6g} precedes first sample {times[0]:.6g}")
-    if closed_end and times[-1] < hi - 1e-12:
-        raise WindowError(f"window end {hi:.6g} exceeds last sample {times[-1]:.6g}")
-    mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-    if not mask.any():
-        raise WindowError(f"no samples inside window [{lo:.6g}, {hi:.6g}]")
-    return values[mask]
 
 
 def monitor_robustness(
@@ -50,9 +37,11 @@ def monitor_robustness(
     over the trajectory samples: Always takes the window minimum,
     Eventually the window maximum, and a sequential formula the minimum
     over its atomic tasks.  Chains are evaluated through their
-    cumulative-window normalization.
+    cumulative-window normalization.  Only the samples inside a window
+    are read out.
     """
     times = np.asarray(traj.t, dtype=float)
+    X = np.asarray(traj.X, dtype=float)
     if f.__class__ is TemporalFormula:
         atoms = [(f.op, f.a, f.b, f.psi)]
     else:
@@ -62,8 +51,14 @@ def monitor_robustness(
         ]
     value = np.inf
     for op, a, b, psi in atoms:
-        rho = exact_psi_batch(psi, np.asarray(traj.X, dtype=float))
-        window = _window_values(times, rho, t + a, t + b, closed_end=(op == "G"))
-        atom_value = window.min() if op == "G" else window.max()
-        value = min(value, atom_value)
+        lo, hi = t + a, t + b
+        if times[0] > lo + 1e-12:
+            raise WindowError(f"window start {lo:.6g} precedes first sample {times[0]:.6g}")
+        if op == "G" and times[-1] < hi - 1e-12:
+            raise WindowError(f"window end {hi:.6g} exceeds last sample {times[-1]:.6g}")
+        mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
+        if not mask.any():
+            raise WindowError(f"no samples inside window [{lo:.6g}, {hi:.6g}]")
+        rho = exact_psi_batch(psi, X[mask])
+        value = min(value, rho.min() if op == "G" else rho.max())
     return float(value)

@@ -19,8 +19,7 @@ from scipy.optimize import minimize
 
 from .errors import OptimizationError
 from .formulas import NonTemporalFormula, SmoothingConfig
-from .kernels import compile_leaf_table, leaf_pass
-from .robustness import smooth_psi_value_and_grad
+from .kernels import compile_leaf_table, leaf_pass, smooth_psi_value_and_grad
 
 __all__ = ["OptimizationResult", "optimize_robustness", "cached_optimum"]
 

@@ -27,6 +27,7 @@ A band term desugars into two opposing affine leaves.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -138,8 +139,12 @@ class _Parser:
         tok = self._next()
         if tok.kind == "num" and kind == "i" and tok.text.isdecimal():
             return int(tok.text)
-        if tok.kind == "num" and (kind == "x" or (kind == "r" and float(tok.text) > 0.0)):
-            return float(tok.text)
+        if tok.kind == "num" and kind != "i":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"expected a finite number, found {tok.text!r}", tok.pos)
+            if kind == "x" or value > 0.0:
+                return value
         raise ParseError(f"expected {_FIELDS[kind]}, found {tok.text!r}", tok.pos)
 
     def _field(self, kind: str):

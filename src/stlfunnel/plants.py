@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ class Plant:
 
     There is no drift.  ``gain`` and ``gbase`` are the one description of
     g: the law, its Jacobian and the trigger radius read them in
-    ``kernels`` and ``controller``, ``held_rate`` integrates the held
-    input, and ``g`` builds the dense matrix the tests compare against.
+    ``kernels``, ``held_rate`` integrates the held input, and ``g``
+    builds the dense matrix the tests compare against.
 
     * ``gbase`` None: the fully actuated integrator, g = gain * identity.
     * ``gbase`` a 3x3 matrix: a team of n / 3 omni robots with per-agent
@@ -61,11 +62,21 @@ class Plant:
                 f"an omni team needs a 3x3 gbase and n divisible by 3, got {np.shape(self.gbase)} and {self.n}"
             )
 
+    @functools.cached_property
+    def gbody(self) -> np.ndarray | None:
+        """An omni agent's body actuation gain * gbase, once per plant (None otherwise)."""
+        return None if self.gbase is None else self.gain * self.gbase
+
+    @functools.cached_property
+    def gbody_rows(self) -> tuple[tuple[float, ...], ...] | None:
+        """``gbody`` as rows of plain floats, for the pointwise law."""
+        return None if self.gbase is None else tuple(map(tuple, self.gbody.tolist()))
+
     def g(self, x: np.ndarray) -> np.ndarray:
         """The dense actuation matrix g(x) (n, m): the reference form."""
         if self.gbase is None:
             return self.gain * np.eye(self.n)
-        gb = self.gain * self.gbase
+        gb = self.gbody
         out = np.zeros((self.n, self.m))
         for a in range(0, self.n, 3):
             th = x[a + 2] * _DEG
@@ -84,7 +95,7 @@ class Plant:
         if self.gbase is None:
             rate = self.gain * u + w
             return lambda x: rate
-        v = u.reshape(-1, 3) @ (self.gain * self.gbase).T
+        v = u.reshape(-1, 3) @ self.gbody.T
         vx, vy, vth = v.T
 
         def rate(x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ within a leaf; its terms add up.  This module only describes leaves:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["PredicateSpec", "ball", "join", "affine"]
@@ -46,6 +47,8 @@ class PredicateSpec:
             raise ValueError("join selector lengths differ")
         if self.kind == "affine" and len(self.sel) != len(self.coeffs):
             raise ValueError("affine selector and coefficient lengths differ")
+        if not all(map(math.isfinite, (*self.center, *self.coeffs, self.radius, self.offset))):
+            raise ValueError("predicate centre, radius, coefficients and offset must be finite")
 
     @property
     def min_dim(self) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DeadlineError
 from .formulas import AtomicTask, NonTemporalFormula, SequentialFormula, SmoothingConfig, normalize_sequential
 from .funnel import FunnelParams, SynthesisConfig, synthesize_funnel
-from .robustness import smooth_psi_value_and_grad
+from .kernels import smooth_psi_value_and_grad
 
 __all__ = ["SequencerConfig", "HybridState", "init_sequencer", "jump_if_due"]
 

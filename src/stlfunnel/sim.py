@@ -50,6 +50,8 @@ class EpisodeSpec:
         n = self.plant.n
         if np.shape(self.x0) != (n,):
             raise ValueError(f"x0 has shape {np.shape(self.x0)}, plant expects ({n},)")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be finite, got {np.asarray(self.x0, dtype=float).tolist()}")
         if self.theta.min_dim > n:
             raise ValueError(f"formula references state index {self.theta.min_dim - 1}, plant has {n}")
         if not self.dt > 0.0:

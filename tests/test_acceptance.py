@@ -19,15 +19,11 @@ from stlfunnel.formulas import (
     normalize_sequential,
 )
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig, gamma_at, synthesize_funnel
+from stlfunnel.kernels import exact_psi_value, smooth_psi_value, smooth_psi_value_and_grad
 from stlfunnel.monitor import monitor_robustness
 from stlfunnel.optimize import optimize_robustness
 from stlfunnel.parsing import parse_formula
 from stlfunnel.plants import omni_robot_team
-from stlfunnel.robustness import (
-    exact_psi_value,
-    smooth_psi_value,
-    smooth_psi_value_and_grad,
-)
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import SequencerConfig, init_sequencer, jump_if_due
 from stlfunnel.sim import run_episode

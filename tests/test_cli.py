@@ -74,6 +74,13 @@ def test_spec_size_mismatch_is_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--dt", "0"]) == 2
 
 
+def test_non_finite_x0_is_config_error(tmp_path, capsys):
+    for value in (".inf", ".nan"):
+        scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", f"x0: [{value}]"))
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+        assert "x0 must be finite" in capsys.readouterr().err
+
+
 def test_unfinished_task_exits_three(tmp_path, capsys):
     late = TOY_SCENARIO.replace(
         'formula: "F[0,3](ball(0;2;1.5))"',

@@ -8,12 +8,11 @@ import pytest
 from scipy.stats import qmc
 
 from stlfunnel import kernels
-from stlfunnel.kernels import _leaf_readout, _softmin_xi
+from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_row_sums, leaf_values
 from stlfunnel.controller import (
     TriggerConfig,
     TriggerEvent,
     _corners,
-    _law_row_sums,
     _probe_points,
     compute_trigger_radius,
     continuous_law,
@@ -26,7 +25,6 @@ from stlfunnel.formulas import SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
-from stlfunnel.robustness import leaf_values
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
 from conftest import PSI1_TEXT
@@ -208,7 +206,7 @@ def test_law_row_sums_match_fd_integrator(rng):
     )
     pts = np.vstack([probes, [[0.5, 1.0, 0.0, 0.4]]])
     _assert_in_funnel(pts, psi, fp, plant, sm)
-    rows = _law_row_sums(pts, psi, fp, plant, sm)
+    rows = law_row_sums(pts, psi, fp, plant, sm.eta)
     assert np.all(np.isfinite(rows))
     np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
 
@@ -237,7 +235,7 @@ def test_law_row_sums_match_fd_omni(rng):
         boxes.append(_probe_points(x, t, 1.0, 1.0, tc, seed, _corners(x, t, 1.0, 1.0, rng)))
     pts = np.vstack(boxes)
     _assert_in_funnel(pts, psi, fp, plant, sm)
-    rows = _law_row_sums(pts, psi, fp, plant, sm)
+    rows = law_row_sums(pts, psi, fp, plant, sm.eta)
     np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
 
 
@@ -291,7 +289,7 @@ def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
         rounds += 1
         if min(bx, bt) < tc.delta_floor:
             raise TriggerFloorError(t, "no admissible box")
-    l_z = float(_law_row_sums(pts, psi, fp, plant, sm).max()) * tc.lipschitz_safety
+    l_z = float(law_row_sums(pts, psi, fp, plant, sm.eta).max()) * tc.lipschitz_safety
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
     if delta < tc.delta_floor:
         raise TriggerFloorError(t, "delta below floor")
@@ -368,6 +366,23 @@ def test_corner_first_guard_matches_full_round(case, rounds):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_guard_blocks_feed_the_jacobian_unchanged():
+    # The radius loop hands law_row_sums the guard's read-outs of the
+    # Sobol block and of the corner block.  Every read-out field is
+    # computed row by row, so the rows sums equal one pass over the
+    # stacked probe rows bit for bit.
+    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
+    rng = np.random.default_rng(7)
+    seed = int(rng.integers(2**32))
+    corners = _corners(x, t, 0.125, 0.125, rng)
+    pts = _probe_points(x, t, 0.125, 0.125, tc, seed, corners)
+    blocks = tuple(guarded_readout(b, psi, fp, sm.eta) for b in (pts[: tc.sample_count], corners))
+    assert all(b is not None for b in blocks)
+    np.testing.assert_array_equal(
+        law_row_sums(pts, psi, fp, plant, sm.eta, blocks), law_row_sums(pts, psi, fp, plant, sm.eta)
+    )
+
+
 @pytest.mark.parametrize(
     "text, norm_only",
     [
@@ -395,7 +410,7 @@ def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
     pts = np.column_stack([rng.uniform(-3.0, 5.0, (200, 4)), rng.uniform(0.0, 6.0, 200)])
     pts = np.vstack([pts, [[1.0, 2.0, 2.0, 0.0, 0.7], [0.0, 0.0, 0.0, 0.0, 0.0]]])
     _, _, h = _leaf_readout(pts[:, :-1], psi)
-    got = _softmin_xi(h, pts[:, -1], fp, sm.eta)[0]
+    got = _readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi
     table = kernels.compile_leaf_table(psi)
     want_h = np.array([leaf_values(psi, p[:-1]) for p in pts])
     want = np.array([kernels.u_xi_eval(table, p[:-1], p[-1], sm.eta, fp, plant)[0] for p in pts])

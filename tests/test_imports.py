@@ -1,4 +1,5 @@
-"""No module of the package and no test imports a name it never uses."""
+"""No module of the package and no test imports a name it never uses, and
+no package module uses another's underscore-prefixed functions or classes."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "stlfunnel").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "stlfunnel").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,44 @@ def test_scan_finds_unused_and_spares_exported():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    """An underscore-prefixed function or class name; all-caps constants are exempt."""
+    return name.startswith("_") and not name.startswith("__") and not name.isupper()
+
+
+def private_reads(source: str) -> list[str]:
+    """Private names taken from other package modules, as "module.name".
+
+    Counts ``from .m import _f`` and, for a module bound by ``from . import m``,
+    every read of ``m._f``.
+    """
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "stlfunnel"):
+            for a in node.names:
+                if node.module in (None, "stlfunnel"):
+                    modules.add(a.asname or a.name)
+                elif _private(a.name):
+                    found.append(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_scan_finds_private_reads_and_spares_constants():
+    source = (
+        "from .kernels import _leaf_readout, _DEG, u_xi_eval\n"
+        "from . import plants\nfrom numpy import _private\n"
+        "plants._Maps(plants._DEG, plants.__name__, _private)\n"
+    )
+    assert private_reads(source) == ["kernels._leaf_readout", "plants._Maps"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []

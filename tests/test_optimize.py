@@ -56,7 +56,7 @@ def test_fixture_psi2_value():
 
 def test_result_beats_every_probe(rng):
     # Concavity: no random probe may beat the reported optimum.
-    from stlfunnel.robustness import smooth_psi_value
+    from stlfunnel.kernels import smooth_psi_value
 
     cfg = SmoothingConfig(eta=1.0)
     for _ in range(10):

@@ -1,10 +1,12 @@
 """Formula text parsing: grammar coverage and error reporting."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlfunnel.errors import ParseError
+from stlfunnel.errors import FormulaError, ParseError
 from stlfunnel.formulas import NonTemporalFormula, SequentialFormula, TemporalFormula
 from stlfunnel.parsing import parse_formula, parse_psi
 from stlfunnel.predicates import affine, ball, join
@@ -64,7 +66,7 @@ def test_band_desugars_to_two_affine_leaves():
     affs = [leaf for leaf in psi.leaves if leaf.kind == "affine"]
     assert len(affs) == 2
     import numpy as np
-    from stlfunnel.robustness import leaf_values
+    from stlfunnel.kernels import leaf_values
 
     x = np.array([0.0, 0.0, 43.0])
     values = sorted(
@@ -115,6 +117,22 @@ def test_fixture_formulas_parse(subtests=None):
 def test_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_formula(text)
+
+
+@pytest.mark.parametrize(
+    "text, position", [("F[0,1e999](ball(0;0;4))", 4), ("F[0,1](ball(0;1e999;1))", 14)]
+)
+def test_non_finite_number_is_rejected_at_its_token(text, position):
+    with pytest.raises(ParseError, match="finite number") as err:
+        parse_formula(text)
+    assert err.value.position == position
+
+
+def test_temporal_formula_rejects_non_finite_bounds():
+    psi = parse_psi("ball(0;0;1)")
+    for a, b in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(FormulaError, match="finite"):
+            TemporalFormula(op="F", a=a, b=b, psi=psi)
 
 
 def test_parse_error_position():

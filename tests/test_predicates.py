@@ -4,12 +4,14 @@ Each leaf is evaluated as a one-leaf conjunction through the evaluator:
 a one-leaf soft minimum is the leaf itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from stlfunnel.formulas import NonTemporalFormula
+from stlfunnel.kernels import smooth_psi_hessian, smooth_psi_value_and_grad
 from stlfunnel.predicates import affine, ball, join
-from stlfunnel.robustness import smooth_psi_hessian, smooth_psi_value_and_grad
 from conftest import brute_leaf, central_diff
 
 
@@ -112,6 +114,18 @@ def test_spec_validation_errors():
         join((0, 1), (2,), 2.0)
     with pytest.raises(ValueError):
         affine((0,), (1.0, 2.0), 0.0)
+
+
+def test_spec_rejects_non_finite_numbers():
+    for build in (
+        lambda: ball((0,), (math.inf,), 1.0),
+        lambda: ball((0,), (0.0,), math.nan),
+        lambda: join((0,), (1,), math.inf),
+        lambda: affine((0,), (math.nan,), 0.0),
+        lambda: affine((0,), (1.0,), -math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 def test_min_dim():

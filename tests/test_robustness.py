@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
-from stlfunnel.parsing import parse_psi
-from stlfunnel.robustness import (
+from stlfunnel.kernels import (
     exact_psi_batch,
     exact_psi_value,
     leaf_values,
@@ -17,6 +16,7 @@ from stlfunnel.robustness import (
     smooth_psi_value,
     smooth_psi_value_and_grad,
 )
+from stlfunnel.parsing import parse_psi
 from conftest import (
     PSI1_TEXT,
     PSI2_TEXT,

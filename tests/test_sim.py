@@ -218,6 +218,12 @@ def test_spec_rejects_long_x0():
         _planar_spec(x0=np.zeros(3))
 
 
+def test_spec_rejects_non_finite_x0():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            _planar_spec(x0=np.array([0.0, bad]))
+
+
 def test_spec_rejects_formula_beyond_state_and_nonpositive_dt():
     with pytest.raises(ValueError, match="state index 1"):
         _toy_spec(theta=parse_formula("F[0,3](ball(0,1;2,2;1.5))"))
