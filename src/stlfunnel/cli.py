@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad configuration or formula, 3 task not completed
-(deadline missed or horizon exhausted), 4 runtime guarantee lost (funnel
-exit or trigger radius collapse).
+(no feasible funnel at the start, deadline missed or horizon exhausted),
+4 runtime guarantee lost (funnel exit or trigger radius collapse).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _failure_exit(failure: str | None) -> int:
     kind = failure.split(":", 1)[0].strip()
     if kind in ("funnel", "trigger_floor"):
         return EXIT_GUARANTEE
-    if kind in ("deadline", "horizon"):
+    if kind in ("synthesis", "deadline", "horizon"):
         return EXIT_TASK
     return EXIT_CONFIG
 

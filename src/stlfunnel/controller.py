@@ -10,6 +10,11 @@ or when delta_i seconds elapse, with delta_i chosen so the frozen input
 stays within delta_u of the law over the whole inter-event box.  The
 law's Lipschitz constant over that box comes from its analytic
 Jacobian, evaluated in one vectorized pass over the probe points.
+The probes are the box corners plus quasi-random points: one
+unscrambled Sobol point set per (dimension, sample count), built once
+per process and moved on each round by a random shift modulo 1
+(Cranley and Patterson, SIAM J. Numer. Anal. 1976) drawn from the
+round's seed.
 
 This module keeps only the trigger: its configuration and event record,
 the box corners and probe points, the radius loop, ``should_trigger``
@@ -150,18 +155,40 @@ def _corners(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Gener
     return pts
 
 
+@functools.lru_cache(maxsize=None)
+def _sobol_base(dims: int, count: int) -> np.ndarray:
+    """The first ``count`` unscrambled Sobol points in [0, 1)^dims, built once."""
+    base = qmc.Sobol(d=dims, scramble=False).random(count)
+    base.setflags(write=False)
+    return base
+
+
+def _shifted_unit(dims: int, count: int, seed: int) -> np.ndarray:
+    """The Sobol base moved by a random shift modulo 1 drawn from ``seed``.
+
+    A Cranley-Patterson rotation: the shift is uniform on [0, 1)^dims,
+    so every point is uniform on the cube, and a shift modulo 1 keeps
+    the base's stratification (for a power-of-two ``count``, one point
+    in each 1/count stratum of every coordinate).
+    """
+    unit = _sobol_base(dims, count) + np.random.default_rng(seed).random(dims)
+    unit[unit >= 1.0] -= 1.0
+    return unit
+
+
 def _probe_points(
     x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, seed: int,
     corners: np.ndarray,
 ) -> np.ndarray:
-    """Scrambled Sobol points of the box drawn from ``seed``, then ``corners``."""
+    """Shifted Sobol points of the box drawn from ``seed``, then ``corners``."""
     dims = x.shape[0] + 1
-    sobol = qmc.Sobol(d=dims, scramble=True, seed=seed)
-    unit = sobol.random(tc.sample_count)
-    pts = np.empty((tc.sample_count, dims))
-    pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
-    pts[:, -1] = t + unit[:, -1] * bt
-    return np.vstack([pts, corners])
+    count = tc.sample_count
+    unit = _shifted_unit(dims, count, seed)
+    pts = np.empty((count + corners.shape[0], dims))
+    pts[:count, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
+    pts[:count, -1] = t + unit[:, -1] * bt
+    pts[count:] = corners
+    return pts
 
 
 def compute_trigger_radius(
@@ -184,20 +211,20 @@ def compute_trigger_radius(
     is finite at every probe; radii below ``delta_floor`` raise
     TriggerFloorError.
 
-    Each round draws the Sobol seed and then the corners (a random
+    Each round draws the shift seed and then the corners (a random
     subsample above 2^10 of them) from ``rng``, and checks the corners
-    first.  The scrambled Sobol rows are built and checked only when
-    every corner passes.  This is an early exit from the same
-    all-points test, not a different test: a round is accepted exactly
-    when every probe passes, the rng is drawn in the same order whether
-    or not the Sobol rows are built (the engine has its own generator),
-    and the accepted round's guard read-outs feed the Jacobian pass
-    unchanged.  The probes, the radius and the rng stream therefore do
-    not depend on the order of the checks.  With concave leaves the soft
-    minimum is concave in x and gamma decreases in t, so the lowest xi
-    over the box sits at a vertex: when the corners are all 2^(n+1)
-    vertices, a box that crosses the lower wall fails at a corner and
-    its Sobol rows are never built.
+    first.  The Sobol rows, the cached base moved by a shift from that
+    seed's own generator, are built and checked only when every corner
+    passes.  This is an early exit from the same all-points test, not a
+    different test: a round is accepted exactly when every probe
+    passes, the rng is drawn in the same order whether or not the Sobol
+    rows are built, and the accepted round's guard read-outs feed the
+    Jacobian pass unchanged.  The probes, the radius and the rng stream
+    therefore do not depend on the order of the checks.  With concave
+    leaves the soft minimum is concave in x and gamma decreases in t, so
+    the lowest xi over the box sits at a vertex: when the corners are
+    all 2^(n+1) vertices, a box that crosses the lower wall fails at a
+    corner and its Sobol rows are never built.
     """
     if rng is None:
         rng = np.random.default_rng(0)

@@ -154,8 +154,9 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         traj = Trajectory(
             dt=dt,
             t=np.asarray(rows_t),
-            X=np.asarray(rows_x),
-            U=np.asarray(rows_u),
+            # Shaped (samples, n) and (samples, m) even with no sample.
+            X=np.asarray(rows_x).reshape(-1, plant.n),
+            U=np.asarray(rows_u).reshape(-1, plant.m),
             rho_active=np.asarray(rows_rho),
             gamma=np.asarray(rows_gamma),
             mode=np.asarray(rows_mode, dtype=int),

@@ -92,6 +92,25 @@ def test_unfinished_task_exits_three(tmp_path, capsys):
     assert "failure=horizon" in capsys.readouterr().err
 
 
+def test_failure_before_first_sample_exits_three(tmp_path, capsys):
+    # No funnel contains a start this far out, so synthesis fails at
+    # t = 0 and the run has no sample: the writers still produce every
+    # artifact, the CSVs with their headers only.
+    scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", "x0: [1.0e+300]"))
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", str(scn), "--out", str(out)])
+    assert code == 3
+    assert "failure=synthesis" in capsys.readouterr().err
+    for fname in ("trajectory.csv", "events.csv", "metrics.txt", "funnel.csv"):
+        assert (out / fname).is_file(), fname
+    assert (out / "trajectory.csv").read_text().splitlines() == [
+        "t,x0,u0,rho_active,gamma,mode"
+    ]
+    assert (out / "events.csv").read_text().splitlines() == ["i,t_i,cause,delta_i,x0,u0"]
+    assert (out / "funnel.csv").read_text().splitlines() == ["t,mode,rho_active,lower,upper,u0"]
+    assert "satisfied=false" in (out / "metrics.txt").read_text()
+
+
 def test_lost_guarantee_exits_four(tmp_path, capsys):
     noisy = TOY_SCENARIO.replace(
         "plant:\n  kind: single_integrator\n  dim: 1",

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from stlfunnel import kernels
+from stlfunnel import controller, kernels
 from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_row_sums, leaf_values
 from stlfunnel.controller import (
     TriggerConfig,
     TriggerEvent,
     _corners,
     _probe_points,
+    _shifted_unit,
+    _sobol_base,
     compute_trigger_radius,
     continuous_law,
     law_jacobian,
@@ -27,7 +29,9 @@ from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
+from stlfunnel.sim import run_episode
 from conftest import PSI1_TEXT
+from test_cli import TOY_SCENARIO
 
 
 def _flat_funnel(rho_max=0.5, width=1.0):
@@ -260,10 +264,14 @@ def test_trigger_radius_pinned_to_finite_difference_radius():
 
 
 def _reference_probe_points(x, t, bx, bt, tc, rng):
-    """Probe points as drawn by one full round: seed, Sobol rows, then corners."""
+    """Probe points as drawn by one full round: seed, Sobol rows, then corners.
+
+    The Sobol rows are a fresh unscrambled Sobol set moved by a shift
+    modulo 1 from the seed's own generator.
+    """
     dims = x.shape[0] + 1
-    sobol = qmc.Sobol(d=dims, scramble=True, seed=int(rng.integers(2**32)))
-    unit = sobol.random(tc.sample_count)
+    shift = np.random.default_rng(int(rng.integers(2**32))).random(dims)
+    unit = (qmc.Sobol(d=dims, scramble=False).random(tc.sample_count) + shift) % 1.0
     pts = np.empty((tc.sample_count, dims))
     pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:, -1] = t + unit[:, -1] * bt
@@ -297,7 +305,9 @@ def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
 
 
 # Each case's delta_u makes delta_u / L_z the binding term, so the
-# radius depends on every probe point.
+# radius is the largest Jacobian row sum over the accepted round's
+# probes.  In most cases that row is a corner; in the interior case it
+# is a Sobol row, so that case also pins the shifted Sobol points.
 def _bundled_phase1_case():
     spec = build_episode(load_scenario(bundled_scenario_path()))
     x0 = np.asarray(spec.x0, dtype=float)
@@ -343,6 +353,14 @@ def _omni4_case():
             TriggerConfig(delta_u=1.0), SmoothingConfig())
 
 
+def _integrator_interior_case():
+    # The ball's law is steepest near its centre, inside the box, so the
+    # largest row sum sits at a Sobol row, not at a corner.
+    psi = parse_psi("ball(0,1;0,0;3)")
+    return (np.array([0.6, 0.0]), 0.2, psi, _narrowing_funnel(), single_integrator(2),
+            TriggerConfig(delta_u=0.5), SmoothingConfig())
+
+
 @pytest.mark.parametrize(
     "case, rounds",
     [
@@ -350,8 +368,9 @@ def _omni4_case():
         (_integrator_wall_case, 5),
         (_integrator_peak_case, 7),
         (_omni4_case, 3),
+        (_integrator_interior_case, 1),
     ],
-    ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4"],
+    ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4", "integrator-interior"],
 )
 def test_corner_first_guard_matches_full_round(case, rounds):
     # Checking the corners before building the Sobol rows is only an
@@ -364,6 +383,64 @@ def test_corner_first_guard_matches_full_round(case, rounds):
     assert expected < tc.delta_x0 * tc.shrink ** (rounds - 1)
     assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_interior_case_peaks_at_a_sobol_row():
+    # The interior case's accepted round is its first: there the largest
+    # row sum is a Sobol row's, about five times the corners' largest.
+    x, t, psi, fp, plant, tc, sm = _integrator_interior_case()
+    rng = np.random.default_rng(7)
+    seed = int(rng.integers(2**32))
+    corners = _corners(x, t, tc.delta_x0, tc.delta_t0, rng)
+    pts = _probe_points(x, t, tc.delta_x0, tc.delta_t0, tc, seed, corners)
+    rows = law_row_sums(pts, psi, fp, plant, sm.eta).max(axis=1)
+    assert rows[: tc.sample_count].max() > 4.0 * rows[tc.sample_count :].max()
+
+
+@pytest.mark.parametrize("count", [64, 256])
+def test_shifted_sobol_probes_stratify_the_box(rng, count):
+    tc = TriggerConfig(sample_count=count)
+    for dims in range(2, 14):
+        base = _sobol_base(dims, count)
+        assert _sobol_base(dims, count) is base
+        assert not base.flags.writeable
+        for seed in (0, 1, 12345, 2**32 - 1):
+            unit = _shifted_unit(dims, count, seed)
+            assert unit.shape == (count, dims)
+            assert np.all((unit >= 0.0) & (unit < 1.0))
+            # Each coordinate has one point in each stratum of width 1/count.
+            strata = np.sort(np.floor(unit * count), axis=0)
+            every = np.arange(count, dtype=float)[:, None]
+            np.testing.assert_array_equal(strata, np.broadcast_to(every, unit.shape))
+            x = rng.uniform(-5.0, 5.0, dims - 1)
+            t = float(rng.uniform(0.0, 3.0))
+            bx, bt = rng.uniform(0.01, 1.0, 2)
+            corners = _corners(x, t, bx, bt, rng)
+            pts = _probe_points(x, t, bx, bt, tc, seed, corners)
+            rows = pts[:count]
+            assert np.all((rows[:, :-1] >= x - bx) & (rows[:, :-1] <= x + bx))
+            assert np.all((rows[:, -1] >= t) & (rows[:, -1] <= t + bt))
+            np.testing.assert_array_equal(pts[count:], corners)
+
+
+def test_one_sobol_engine_per_probe_dimension(tmp_path, monkeypatch):
+    # Rounds move the cached base instead of building an engine, so an
+    # episode builds one engine per probe dimension, however many
+    # rounds it accepts.
+    built = []
+    sobol = controller.qmc.Sobol
+
+    def counting_sobol(*args, **kwargs):
+        built.append(kwargs["d"])
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(controller.qmc, "Sobol", counting_sobol)
+    _sobol_base.cache_clear()
+    path = tmp_path / "toy.yaml"
+    path.write_text(TOY_SCENARIO)
+    _, metrics, _ = run_episode(build_episode(load_scenario(path)))
+    assert metrics.satisfied and metrics.triggers > 1
+    assert built == [2]
 
 
 def test_guard_blocks_feed_the_jacobian_unchanged():
