@@ -60,7 +60,7 @@ from .sequencer import (
     init_sequencer,
     jump_if_due,
 )
-from .sim import EpisodeSpec, RunMetrics, Trajectory, run_episode, step_rk4
+from .sim import EpisodeSpec, RunMetrics, Trajectory, run_episode
 from .scenario import build_episode, bundled_scenario_path, load_scenario
 from .reporting import write_all
 
@@ -122,7 +122,6 @@ __all__ = [
     "smooth_psi_hessian",
     "smooth_psi_value",
     "smooth_psi_value_and_grad",
-    "step_rk4",
     "synthesize_funnel",
     "write_all",
 ]

@@ -76,8 +76,8 @@ class TriggerConfig:
             raise ValueError("shrink must sit in (0, 1)")
         if self.lipschitz_safety < 1.0:
             raise ValueError("lipschitz_safety must be at least 1")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
+        if self.sample_count < 1 or self.sample_count & (self.sample_count - 1):
+            raise ValueError(f"sample_count must be a power of two for Sobol balance, got {self.sample_count}")
 
 
 @dataclass(frozen=True)

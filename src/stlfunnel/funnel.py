@@ -120,6 +120,8 @@ def synthesize_funnel(
     lo = max(lo, 0.0)
 
     rho0, _ = smooth_psi_value_and_grad(phi.psi, np.asarray(x0, dtype=float), smoothing)
+    if not math.isfinite(rho0):
+        raise SynthesisError(f"robustness at x0 is not finite ({rho0})")
     if rho_opt is None:
         rho_opt = cached_optimum(phi.psi, smoothing.eta)
     if rho_opt <= 0.0:

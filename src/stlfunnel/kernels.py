@@ -125,10 +125,13 @@ def smooth_rho_grad(table: tuple[tuple, ...], xs: list[float], eta: float) -> tu
     The gradient accumulates w_i * grad h_i leaf by leaf, so a selector
     that repeats within a leaf adds up.  The gradient of a norm at its
     own centre is taken as zero; any subgradient is admissible there and
-    zero keeps the law continuous through the centre.
+    zero keeps the law continuous through the centre.  A non-finite
+    smallest leaf value (an overflowing norm) is rho, with a NaN gradient.
     """
     h, diffs = leaf_pass(table, xs)
     m = min(h)
+    if not math.isfinite(m):
+        return m, [math.nan] * len(xs)
     w = np.exp(-eta * (np.array(h) - m))
     z = w.sum()
     rho = m - math.log(z) / eta

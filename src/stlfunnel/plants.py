@@ -1,10 +1,9 @@
-"""Plant models: drift-free control-affine dynamics with bounded additive noise."""
+"""Plant models as plain data: drift-free control-affine dynamics, bounded additive noise."""
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,8 @@ class Plant:
 
     There is no drift.  ``gain`` and ``gbase`` are the one description of
     g: the law, its Jacobian and the trigger radius read them in
-    ``kernels``, ``held_rate`` integrates the held input, and ``g``
-    builds the dense matrix the tests compare against.
+    ``kernels``, ``sim.step_rk4`` moves the state by the exact held flow,
+    and ``g`` builds the dense matrix the tests compare against.
 
     * ``gbase`` None: the fully actuated integrator, g = gain * identity.
     * ``gbase`` a 3x3 matrix: a team of n / 3 omni robots with per-agent
@@ -69,7 +68,7 @@ class Plant:
 
     @functools.cached_property
     def gbody_rows(self) -> tuple[tuple[float, ...], ...] | None:
-        """``gbody`` as rows of plain floats, for the pointwise law."""
+        """``gbody`` as rows of plain floats, for the pointwise law and the held flow."""
         return None if self.gbase is None else tuple(map(tuple, self.gbody.tolist()))
 
     def g(self, x: np.ndarray) -> np.ndarray:
@@ -84,26 +83,6 @@ class Plant:
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             out[a : a + 3, a : a + 3] = rot @ gb
         return out
-
-    def held_rate(self, u: np.ndarray, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """dx/dt = g(x) u + w as a function of x, with u and w held.
-
-        The integrator's rate is the constant gain * u + w.  An omni
-        agent's body velocity gain * gbase @ u_a is fixed over the hold,
-        so only its rotation into the world frame depends on x.
-        """
-        if self.gbase is None:
-            rate = self.gain * u + w
-            return lambda x: rate
-        v = u.reshape(-1, 3) @ self.gbody.T
-        vx, vy, vth = v.T
-
-        def rate(x: np.ndarray) -> np.ndarray:
-            th = x[2::3] * _DEG
-            c, s = np.cos(th), np.sin(th)
-            return np.stack([c * vx - s * vy, s * vx + c * vy, vth], axis=1).ravel() + w
-
-        return rate
 
 
 def single_integrator(dim: int, gain: float = 1.0, w_max: float = 0.0) -> Plant:

@@ -4,12 +4,12 @@ Each sample evaluates the law and the funnel state once, at one site in
 ``run_episode``: if a mode jump is due, the sample is evaluated again in
 the new phase and that evaluation replaces the first.  When the trigger
 fires, the event holds the input the loop just evaluated and adds only
-the trigger radius.  The sample is then logged and one RK4 step of
-``Plant.held_rate``, dx/dt = g(x) u_held + w, is integrated with a fresh
-uniform noise draw held constant across the step.  A failure at any of
-these stages logs the sample with a NaN input and ends the episode,
-again at one site.  All clocks advance on an integer step counter so
-jump bookkeeping is exact.
+the trigger radius.  The sample is then logged and ``step_rk4`` moves the
+state by the exact zero-order-hold flow of dx/dt = g(x) u_held + w, with
+a fresh uniform noise draw held constant across the step.  A failure at
+any of these stages logs the sample with a NaN input and ends the
+episode, again at one site.  All clocks advance on an integer step
+counter so jump bookkeeping is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
-from .plants import Plant
+from .plants import _DEG, Plant
 from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due
 
 __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
@@ -99,13 +99,28 @@ class RunMetrics:
 
 
 def step_rk4(plant: Plant, x: np.ndarray, u_held: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """Classical fourth-order step with input and noise held constant."""
-    rate = plant.held_rate(u_held, w)
-    k1 = rate(x)
-    k2 = rate(x + 0.5 * dt * k1)
-    k3 = rate(x + 0.5 * dt * k2)
-    k4 = rate(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """Exact flow of dx/dt = g(x) u + w over ``dt`` with u and w held.
+
+    No Runge-Kutta is left; the name is kept only for the benchmark tracer.
+    The integrator moves by dt (gain u + w).  An omni agent's body velocity
+    v = gbody u_a is fixed, so its heading turns by phi = dt (v_th + w_th)
+    and, with phi in radians, its position by dt sinc(phi/2) rot(th0 +
+    phi/2) (v_x, v_y) + dt (w_x, w_y); sinc(0) = 1 is the straight line.
+    """
+    if plant.gbase is None:
+        return x + dt * (plant.gain * u_held + w)
+    xs, us, ws = x.tolist(), u_held.tolist(), w.tolist()
+    out = []
+    for a in range(0, len(xs), 3):
+        vx, vy, vth = (r[0] * us[a] + r[1] * us[a + 1] + r[2] * us[a + 2] for r in plant.gbody_rows)
+        turn = dt * (vth + ws[a + 2])  # degrees
+        half = 0.5 * turn * _DEG
+        arc = dt if half == 0.0 else dt * math.sin(half) / half
+        mid = xs[a + 2] * _DEG + half
+        c, s = math.cos(mid), math.sin(mid)
+        out += (xs[a] + arc * (c * vx - s * vy) + dt * ws[a],
+                xs[a + 1] + arc * (s * vx + c * vy) + dt * ws[a + 1], xs[a + 2] + turn)
+    return np.array(out)
 
 
 def _funnel_record(z: HybridState) -> dict:

@@ -93,14 +93,15 @@ def test_unfinished_task_exits_three(tmp_path, capsys):
 
 
 def test_failure_before_first_sample_exits_three(tmp_path, capsys):
-    # No funnel contains a start this far out, so synthesis fails at
-    # t = 0 and the run has no sample: the writers still produce every
-    # artifact, the CSVs with their headers only.
+    # The leaf norm overflows this far out, so synthesis fails at t = 0,
+    # naming the robustness, and the run has no sample: the writers still
+    # produce every artifact, the CSVs with their headers only.
     scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", "x0: [1.0e+300]"))
     out = tmp_path / "o"
     code = main(["run", "--scenario", str(scn), "--out", str(out)])
     assert code == 3
-    assert "failure=synthesis" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failure=synthesis: robustness at x0 is not finite (-inf)" in err
     for fname in ("trajectory.csv", "events.csv", "metrics.txt", "funnel.csv"):
         assert (out / fname).is_file(), fname
     assert (out / "trajectory.csv").read_text().splitlines() == [

@@ -502,6 +502,12 @@ def test_trigger_config_rejects_empty_probe_set():
     assert TriggerConfig(sample_count=1).sample_count == 1
 
 
+@pytest.mark.parametrize("count", [3, 100, 255])
+def test_trigger_config_rejects_count_off_power_of_two(count):
+    with pytest.raises(ValueError, match="power of two"):
+        TriggerConfig(sample_count=count)
+
+
 def test_trigger_strict_inequalities():
     ev = TriggerEvent(
         index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial"

@@ -1,4 +1,4 @@
-"""Plant models: actuation structure, validation, the held rate and RK4 order."""
+"""Plant models: actuation structure, validation and the exact held flow."""
 
 import math
 
@@ -96,19 +96,37 @@ def test_omni_team_of_four_states_rejected():
         Plant(n=4, m=4, gbase=np.linalg.inv(OMNI_B.T) * OMNI_R)
 
 
+def _dense_rk4(plant, x, u, w, dt, steps):
+    """Fine classical RK4 of the dense rate g(x) u + w: the reference."""
+    def rate(y):
+        return plant.g(y) @ u + w
+
+    h = dt / steps
+    for _ in range(steps):
+        k1 = rate(x)
+        k2 = rate(x + 0.5 * h * k1)
+        k3 = rate(x + 0.5 * h * k2)
+        k4 = rate(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def _draw(plant, rng):
+    x = rng.uniform(-50.0, 50.0, plant.n)
+    x[2::3] = rng.uniform(-360.0, 720.0, len(x[2::3]))  # headings, degrees
+    return x, rng.uniform(-20.0, 20.0, plant.m), rng.uniform(-0.5, 0.5, plant.n)
+
+
 @pytest.mark.parametrize("plant", [single_integrator(4, gain=2.5), omni_robot_team(3, input_gain=100.0)])
-def test_held_rate_matches_dense_reference(plant):
+def test_flow_matches_dense_integration(plant):
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = rng.uniform(-50.0, 50.0, plant.n)
-        x[2::3] = rng.uniform(-360.0, 720.0, len(x[2::3]))  # headings, degrees
-        u = rng.uniform(-20.0, 20.0, plant.m)
-        w = rng.uniform(-0.5, 0.5, plant.n)
-        rate = plant.held_rate(u, w)
-        np.testing.assert_allclose(rate(x), plant.g(x) @ u + w, rtol=1e-12)
+    for _ in range(10):
+        x, u, w = _draw(plant, rng)
+        want = _dense_rk4(plant, x, u, w, 0.1, 100)
+        np.testing.assert_allclose(step_rk4(plant, x, u, w, 0.1), want, rtol=1e-12, atol=1e-11)
 
 
-def test_rk4_fourth_order_on_omni_arc():
+def test_flow_equals_closed_form_omni_arc():
     # One agent with a held input that turns it: the heading is linear in
     # t and the position integrates rot(theta(t)) @ v in closed form.
     plant = omni_robot_team(n_agents=1, input_gain=100.0)
@@ -126,22 +144,40 @@ def test_rk4_fourth_order_on_omni_arc():
         x0[1] + (-dc * v[0] + ds * v[1]) / omega,
         x0[2] + v[2] * horizon,
     ])
-    w = np.zeros(3)
-    errs = []
-    for steps in (8, 16, 32, 64):
-        dt = horizon / steps
-        x = x0.copy()
-        for _ in range(steps):
-            x = step_rk4(plant, x, u, w, dt)
-        errs.append(float(np.max(np.abs(x - exact))))
-    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
-    for rate in rates:
-        assert rate == pytest.approx(4.0, abs=0.3)
+    np.testing.assert_allclose(step_rk4(plant, x0, u, np.zeros(3), horizon), exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("plant", [single_integrator(4, gain=2.5), omni_robot_team(3, input_gain=100.0)])
+def test_two_steps_equal_one_double_step(plant):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, u, w = _draw(plant, rng)
+        twice = step_rk4(plant, step_rk4(plant, x, u, w, 0.05), u, w, 0.05)
+        np.testing.assert_allclose(twice, step_rk4(plant, x, u, w, 0.1), rtol=0.0, atol=1e-12)
+
+
+def test_zero_turn_moves_in_a_straight_line():
+    # The heading noise cancels the body turn exactly: phi == 0.
+    plant = omni_robot_team(n_agents=1, input_gain=100.0)
+    u = np.array([3.0, -1.0, 2.0])
+    b20, b21, b22 = plant.gbody_rows[2]
+    turn = b20 * u[0] + b21 * u[1] + b22 * u[2]
+    assert turn != 0.0
+    w = np.array([0.25, -0.5, -turn])
+    x0 = np.array([1.0, -2.0, 30.0])
+    dt = 0.5
+    vx, vy, _ = plant.gbody @ u
+    c, s = math.cos(math.radians(30.0)), math.sin(math.radians(30.0))
+    line = x0 + dt * np.array([c * vx - s * vy + w[0], s * vx + c * vy + w[1], 0.0])
+    out = step_rk4(plant, x0, u, w, dt)
+    assert out[2] == x0[2]
+    np.testing.assert_allclose(out, line, rtol=0.0, atol=1e-12)
 
 
 def test_rk4_noise_enters_additively():
-    plant = single_integrator(2)
-    x = np.zeros(2)
-    w = np.array([0.5, -0.25])
-    out = step_rk4(plant, x, np.zeros(2), w, 0.1)
-    assert out == pytest.approx(w * 0.1)
+    # With no input the omni heading noise turns nothing that moves.
+    for plant in (single_integrator(2), omni_robot_team(n_agents=1, input_gain=100.0)):
+        x = np.array([1.0, -2.0, 30.0])[: plant.n]
+        w = np.array([0.5, -0.25, 2.0])[: plant.n]
+        out = step_rk4(plant, x, np.zeros(plant.m), w, 0.1)
+        assert out == pytest.approx(x + w * 0.1, abs=1e-15)
