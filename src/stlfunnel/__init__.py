@@ -30,9 +30,7 @@ from .parsing import parse_formula, parse_psi
 from .predicates import PredicateSpec, affine, ball, join
 from .kernels import (
     exact_psi_batch,
-    exact_psi_value,
     smooth_psi_hessian,
-    smooth_psi_value,
     smooth_psi_value_and_grad,
 )
 from .monitor import monitor_robustness
@@ -51,7 +49,6 @@ from .controller import (
     TriggerEvent,
     compute_trigger_radius,
     continuous_law,
-    law_jacobian,
     should_trigger,
 )
 from .sequencer import (
@@ -103,12 +100,10 @@ __all__ = [
     "compute_trigger_radius",
     "continuous_law",
     "exact_psi_batch",
-    "exact_psi_value",
     "gamma_at",
     "init_sequencer",
     "join",
     "jump_if_due",
-    "law_jacobian",
     "load_scenario",
     "monitor_robustness",
     "normalize_sequential",
@@ -120,7 +115,6 @@ __all__ = [
     "should_trigger",
     "single_integrator",
     "smooth_psi_hessian",
-    "smooth_psi_value",
     "smooth_psi_value_and_grad",
     "synthesize_funnel",
     "write_all",

@@ -10,20 +10,17 @@ or when delta_i seconds elapse, with delta_i chosen so the frozen input
 stays within delta_u of the law over the whole inter-event box.  The
 law's Lipschitz constant over that box comes from its analytic
 Jacobian, evaluated in one vectorized pass over the probe points.
-The probes are the box corners plus quasi-random points: one
-unscrambled Sobol point set per (dimension, sample count), built once
-per process and moved on each round by a random shift modulo 1
-(Cranley and Patterson, SIAM J. Numer. Anal. 1976) drawn from the
-round's seed.
+The probes are the box corners plus a Latin hypercube (McKay, Beckman
+and Conover, Technometrics 1979) drawn from the round's seed: for any
+sample count, one point in each 1/count stratum of every coordinate.
 
 This module keeps only the trigger: its configuration and event record,
 the box corners and probe points, the radius loop, ``should_trigger``
 and ``make_event``.  The funnel guard on the probe rows and the law
 Jacobian over them are evaluated in ``kernels`` (``guarded_readout``,
-``law_row_sums``).  ``continuous_law``, the law from the dense g(x), and
-``law_jacobian``, a one-row call into ``kernels.law_jacobian_batch``,
-are the reference forms the tests compare against; neither is on the
-episode path.
+``law_row_sums``).  ``continuous_law``, the law from the dense g(x), is
+the reference form the tests compare against; it is not on the episode
+path.
 """
 
 from __future__ import annotations
@@ -35,19 +32,17 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import guarded_readout, law_jacobian_batch, law_row_sums, smooth_psi_value_and_grad
+from .kernels import guarded_readout, law_row_sums, smooth_psi_value_and_grad
 from .plants import Plant
 
 __all__ = [
     "TriggerConfig",
     "TriggerEvent",
     "continuous_law",
-    "law_jacobian",
     "compute_trigger_radius",
     "should_trigger",
 ]
@@ -76,8 +71,8 @@ class TriggerConfig:
             raise ValueError("shrink must sit in (0, 1)")
         if self.lipschitz_safety < 1.0:
             raise ValueError("lipschitz_safety must be at least 1")
-        if self.sample_count < 1 or self.sample_count & (self.sample_count - 1):
-            raise ValueError(f"sample_count must be a power of two for Sobol balance, got {self.sample_count}")
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -112,28 +107,6 @@ def continuous_law(
     return -eps * (plant.g(x).T @ grad)
 
 
-def law_jacobian(
-    x: np.ndarray,
-    t: float,
-    psi: NonTemporalFormula,
-    fp: FunnelParams,
-    plant: Plant,
-    smoothing: SmoothingConfig = SmoothingConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobian of the law: (du/dx with shape (m, n), du/dt).
-
-    A batch of one over the vectorized Jacobian that also sizes the
-    trigger radius.  Raises FunnelViolation outside the funnel.
-    """
-    x = np.asarray(x, dtype=float)
-    du_dx, du_dt, xi = law_jacobian_batch(
-        x[None, :], np.array([float(t)]), psi, fp, plant, smoothing.eta
-    )
-    if not (-1.0 < xi[0] < 0.0):
-        raise FunnelViolation(float(xi[0]), t)
-    return du_dx[0], du_dt[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _corner_signs(dims: int) -> np.ndarray:
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=dims)))
@@ -155,24 +128,15 @@ def _corners(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Gener
     return pts
 
 
-@functools.lru_cache(maxsize=None)
-def _sobol_base(dims: int, count: int) -> np.ndarray:
-    """The first ``count`` unscrambled Sobol points in [0, 1)^dims, built once."""
-    base = qmc.Sobol(d=dims, scramble=False).random(count)
-    base.setflags(write=False)
-    return base
-
-
-def _shifted_unit(dims: int, count: int, seed: int) -> np.ndarray:
-    """The Sobol base moved by a random shift modulo 1 drawn from ``seed``.
-
-    A Cranley-Patterson rotation: the shift is uniform on [0, 1)^dims,
-    so every point is uniform on the cube, and a shift modulo 1 keeps
-    the base's stratification (for a power-of-two ``count``, one point
-    in each 1/count stratum of every coordinate).
-    """
-    unit = _sobol_base(dims, count) + np.random.default_rng(seed).random(dims)
-    unit[unit >= 1.0] -= 1.0
+def _latin_hypercube(dims: int, count: int, seed: int) -> np.ndarray:
+    """``count`` points in [0, 1]^dims drawn from ``seed``, one per 1/count
+    stratum of every coordinate: per coordinate, a random permutation of
+    the strata plus a uniform offset inside each."""
+    rng = np.random.default_rng(seed)
+    strata = np.broadcast_to(np.arange(count, dtype=float)[:, None], (count, dims))
+    unit = rng.permuted(strata, axis=0)
+    unit += rng.random((count, dims))
+    unit /= count
     return unit
 
 
@@ -180,10 +144,10 @@ def _probe_points(
     x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, seed: int,
     corners: np.ndarray,
 ) -> np.ndarray:
-    """Shifted Sobol points of the box drawn from ``seed``, then ``corners``."""
+    """Latin hypercube rows of the box drawn from ``seed``, then ``corners``."""
     dims = x.shape[0] + 1
     count = tc.sample_count
-    unit = _shifted_unit(dims, count, seed)
+    unit = _latin_hypercube(dims, count, seed)
     pts = np.empty((count + corners.shape[0], dims))
     pts[:count, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:count, -1] = t + unit[:, -1] * bt
@@ -205,26 +169,26 @@ def compute_trigger_radius(
 
     L_z estimates the Lipschitz constant of the law over the box
     B(x_i, box_x) x [t_i, t_i + box_t]: the max infinity-norm of the
-    analytic Jacobian with respect to z = (x, t) at quasi-random probes
-    plus box corners, times a safety factor.  The box first shrinks
-    until all probes keep xi inside (-1 + 1e-3, -1e-3), so the Jacobian
-    is finite at every probe; radii below ``delta_floor`` raise
+    analytic Jacobian with respect to z = (x, t) at Latin hypercube
+    probes plus box corners, times a safety factor.  The box first
+    shrinks until all probes keep xi inside (-1 + 1e-3, -1e-3), so the
+    Jacobian is finite at every probe; radii below ``delta_floor`` raise
     TriggerFloorError.
 
-    Each round draws the shift seed and then the corners (a random
+    Each round draws the hypercube's seed and then the corners (a random
     subsample above 2^10 of them) from ``rng``, and checks the corners
-    first.  The Sobol rows, the cached base moved by a shift from that
-    seed's own generator, are built and checked only when every corner
-    passes.  This is an early exit from the same all-points test, not a
-    different test: a round is accepted exactly when every probe
-    passes, the rng is drawn in the same order whether or not the Sobol
-    rows are built, and the accepted round's guard read-outs feed the
-    Jacobian pass unchanged.  The probes, the radius and the rng stream
-    therefore do not depend on the order of the checks.  With concave
+    first.  The hypercube rows, drawn from that seed's own generator,
+    are built and checked only when every corner passes.  This is an
+    early exit from the same all-points test, not a different test: a
+    round is accepted exactly when every probe passes, the rng is drawn
+    in the same order whether or not the hypercube rows are built, and
+    the accepted round's guard read-outs feed the Jacobian pass
+    unchanged.  The probes, the radius and the rng stream therefore do
+    not depend on the order of the checks.  With concave
     leaves the soft minimum is concave in x and gamma decreases in t, so
     the lowest xi over the box sits at a vertex: when the corners are
     all 2^(n+1) vertices, a box that crosses the lower wall fails at a
-    corner and its Sobol rows are never built.
+    corner and its hypercube rows are never built.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -237,8 +201,8 @@ def compute_trigger_radius(
         at_corners = guarded_readout(corners, psi, fp, eta)
         if at_corners is not None:
             pts = _probe_points(x_i, t_i, bx, bt, tc, seed, corners)
-            at_sobol = guarded_readout(pts[: tc.sample_count], psi, fp, eta)
-            if at_sobol is not None:
+            at_rows = guarded_readout(pts[: tc.sample_count], psi, fp, eta)
+            if at_rows is not None:
                 break
         bx *= tc.shrink
         bt *= tc.shrink
@@ -247,7 +211,7 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
             )
 
-    row_sums = law_row_sums(pts, psi, fp, plant, eta, (at_sobol, at_corners))
+    row_sums = law_row_sums(pts, psi, fp, plant, eta, (at_rows, at_corners))
     l_z = float(row_sums.max()) * tc.lipschitz_safety
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
     if delta < tc.delta_floor:

@@ -9,7 +9,7 @@ into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).  There are two
 entry points over that form:
 
 * The pointwise loop over plain Python floats (``leaf_pass``,
-  ``smooth_rho_grad``, ``u_xi_eval`` and the per-state value fronts):
+  ``smooth_rho_grad``, ``u_xi_eval`` and ``smooth_psi_value_and_grad``):
   the per-step law of the episode loop and the value and gradient used
   by the funnel, the optimizer and the sequencer.  On one state it is
   several times faster than a one-row numpy pass, whose fixed per-call
@@ -42,9 +42,6 @@ __all__ = [
     "leaf_pass",
     "smooth_rho_grad",
     "u_xi_eval",
-    "leaf_values",
-    "exact_psi_value",
-    "smooth_psi_value",
     "smooth_psi_value_and_grad",
     "u_xi_batch",
     "law_jacobian_batch",
@@ -186,17 +183,6 @@ def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp,
     return xi, np.array(u)
 
 
-def leaf_values(psi: NonTemporalFormula, x: np.ndarray) -> np.ndarray:
-    """Signed value of every leaf at x, in leaf order."""
-    xs = np.asarray(x, dtype=float).tolist()
-    return np.array(leaf_pass(compile_leaf_table(psi), xs)[0])
-
-
-def exact_psi_value(psi: NonTemporalFormula, x: np.ndarray) -> float:
-    """Exact conjunction robustness: the minimum signed leaf value."""
-    return float(leaf_values(psi, x).min())
-
-
 def smooth_psi_value_and_grad(
     psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
 ) -> tuple[float, np.ndarray]:
@@ -209,12 +195,6 @@ def smooth_psi_value_and_grad(
     xs = np.asarray(x, dtype=float).tolist()
     rho, grad = smooth_rho_grad(compile_leaf_table(psi), xs, cfg.eta)
     return rho, np.array(grad)
-
-
-def smooth_psi_value(
-    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
-) -> float:
-    return smooth_psi_value_and_grad(psi, x, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,17 @@ def monitor_robustness(
     Eventually the window maximum, and a sequential formula the minimum
     over its atomic tasks.  Chains are evaluated through their
     cumulative-window normalization.  Only the samples inside a window
-    are read out.
+    are read out.  A trajectory without samples raises WindowError, and a
+    non-finite time or window state raises ValueError naming its time.
     """
     times = np.asarray(traj.t, dtype=float)
     X = np.asarray(traj.X, dtype=float)
+    if times.size == 0:
+        raise WindowError("trajectory has no samples")
+    bad = ~np.isfinite(times)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"trajectory time {times[k]} at sample {k} is not finite")
     if f.__class__ is TemporalFormula:
         atoms = [(f.op, f.a, f.b, f.psi)]
     else:
@@ -59,6 +66,10 @@ def monitor_robustness(
         mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
         if not mask.any():
             raise WindowError(f"no samples inside window [{lo:.6g}, {hi:.6g}]")
-        rho = exact_psi_batch(psi, X[mask])
+        window = X[mask]
+        bad = ~np.isfinite(window).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite state at t={times[mask][bad.argmax()]:.6g}")
+        rho = exact_psi_batch(psi, window)
         value = min(value, rho.min() if op == "G" else rho.max())
     return float(value)

@@ -204,10 +204,6 @@ def optimize_robustness(
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_optimum(psi: NonTemporalFormula, eta: float) -> float:
-    return optimize_robustness(psi, SmoothingConfig(eta=eta)).rho_opt
-
-
 def cached_optimum(psi: NonTemporalFormula, eta: float) -> float:
     """Memoized smooth optimum for repeated synthesis calls."""
-    return _cached_optimum(psi, eta)
+    return optimize_robustness(psi, SmoothingConfig(eta=eta)).rho_opt

@@ -135,14 +135,19 @@ def read_trajectory(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load (times, states) from a trajectory CSV written by write_trajectory.
 
     Any file with a ``t`` column and ``x0..x{n-1}`` columns is accepted.
+    A file with no data rows, as a run that fails before its first sample
+    writes, loads as zero samples.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        empty = not any(line.strip() for line in fh)
     if "t" not in header:
         raise ValueError("trajectory file has no 't' column")
     x_cols = [(int(name[1:]), i) for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
     if not x_cols:
         raise ValueError("trajectory file has no state columns x0..xN")
     x_cols.sort()
+    if empty:
+        return np.empty(0), np.empty((0, len(x_cols)))
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=[header.index("t")] + [c for _, c in x_cols], ndmin=2)
     return data[:, 0], data[:, 1:]

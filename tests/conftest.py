@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from stlfunnel.formulas import NonTemporalFormula
+from stlfunnel.formulas import NonTemporalFormula, normalize_sequential
 from stlfunnel.predicates import PredicateSpec, affine, ball, join
 
 PSI1_TEXT = (
@@ -26,23 +26,40 @@ PSI2_TEXT = (
 THETA_TEXT = f"F[0,50] ({PSI1_TEXT}) and F[50,100] ({PSI2_TEXT})"
 
 
+def _norm(diffs) -> float:
+    # d * d is the correctly rounded square; d ** 2 goes through the C
+    # library's pow, which can land one ulp away.
+    return math.sqrt(sum(d * d for d in diffs))
+
+
 def brute_leaf(leaf: PredicateSpec, x: np.ndarray) -> float:
     """Leaf value computed directly from its definition."""
     if leaf.kind == "affine":
         h = leaf.offset - sum(c * x[i] for c, i in zip(leaf.coeffs, leaf.sel))
     elif leaf.kind == "ball":
-        h = leaf.radius - math.sqrt(
-            sum((x[i] - c) ** 2 for i, c in zip(leaf.sel, leaf.center))
-        )
+        h = leaf.radius - _norm(x[i] - c for i, c in zip(leaf.sel, leaf.center))
     else:
-        h = leaf.radius - math.sqrt(
-            sum((x[i] - x[j]) ** 2 for i, j in zip(leaf.sel, leaf.sel_b))
-        )
+        h = leaf.radius - _norm(x[i] - x[j] for i, j in zip(leaf.sel, leaf.sel_b))
     return -h if leaf.negated else h
 
 
 def brute_exact(psi: NonTemporalFormula, x: np.ndarray) -> float:
     return min(brute_leaf(leaf, x) for leaf in psi.leaves)
+
+
+def brute_monitor(theta, times, states, t: float) -> float:
+    """Min over the tasks of the window minimum (G) or maximum (F) of
+    ``brute_exact``, enumerating the samples inside each window."""
+    out = math.inf
+    for task in normalize_sequential(theta):
+        lo, hi = t + task.window[0], t + task.window[1]
+        vals = [
+            brute_exact(task.psi, x)
+            for tt, x in zip(times, states)
+            if lo - 1e-12 <= tt <= hi + 1e-12
+        ]
+        out = min(out, min(vals) if task.m == 1 else max(vals))
+    return out
 
 
 def brute_smooth(psi: NonTemporalFormula, x: np.ndarray, eta: float) -> float:

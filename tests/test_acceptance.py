@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stlfunnel.controller import continuous_law, law_jacobian
+from stlfunnel.controller import continuous_law
 from stlfunnel.formulas import (
     SequentialFormula,
     SmoothingConfig,
@@ -19,7 +19,7 @@ from stlfunnel.formulas import (
     normalize_sequential,
 )
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig, gamma_at, synthesize_funnel
-from stlfunnel.kernels import exact_psi_value, smooth_psi_value, smooth_psi_value_and_grad
+from stlfunnel.kernels import exact_psi_batch, law_jacobian_batch, smooth_psi_value_and_grad
 from stlfunnel.monitor import monitor_robustness
 from stlfunnel.optimize import optimize_robustness
 from stlfunnel.parsing import parse_formula
@@ -28,7 +28,7 @@ from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenar
 from stlfunnel.sequencer import SequencerConfig, init_sequencer, jump_if_due
 from stlfunnel.sim import run_episode
 
-from conftest import random_concave_psi
+from conftest import brute_monitor, random_concave_psi
 
 SEEDED_RUN_SEEDS = tuple(range(10))
 
@@ -181,13 +181,13 @@ def test_c07_gradient_suite(benchmark_run, capsys):
             e = np.zeros_like(x)
             e[j] = h
             fd[j] = (
-                smooth_psi_value(psi, x + e, smoothing)
-                - smooth_psi_value(psi, x - e, smoothing)
+                smooth_psi_value_and_grad(psi, x + e, smoothing)[0]
+                - smooth_psi_value_and_grad(psi, x - e, smoothing)[0]
             ) / (2 * h)
         err = np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(fd))
         worst_grad = max(worst_grad, err)
 
-        du_dx, _ = law_jacobian(x, t, psi, fp, plant, smoothing)
+        du_dx = law_jacobian_batch(x[None, :], np.array([t]), psi, fp, plant, smoothing.eta)[0][0]
         fd_jac = np.empty_like(du_dx)
         for j in range(x.size):
             e = np.zeros_like(x)
@@ -215,8 +215,8 @@ def test_c08_under_approximation_suite(capsys):
         psi = random_concave_psi(rng, dim, int(rng.integers(1, 6)))
         x = rng.uniform(-8.0, 8.0, dim)
         eta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-        smooth = smooth_psi_value(psi, x, SmoothingConfig(eta=eta))
-        exact = exact_psi_value(psi, x)
+        smooth, _ = smooth_psi_value_and_grad(psi, x, SmoothingConfig(eta=eta))
+        exact = exact_psi_batch(psi, x[None, :])[0]
         m = len(psi.leaves)
         slack = 1e-9 * max(1.0, abs(exact))
         if not (smooth <= exact + slack and exact <= smooth + math.log(m) / eta + slack):
@@ -254,21 +254,6 @@ def test_c09_funnel_deadline_identity(capsys):
     )
 
 
-def _brute_monitor(theta, times, states, t):
-    """Enumerate window samples and fold with plain min/max."""
-    out = np.inf
-    for task in normalize_sequential(theta):
-        lo, hi = t + task.window[0], t + task.window[1]
-        vals = [
-            exact_psi_value(task.psi, x)
-            for tt, x in zip(times, states)
-            if lo - 1e-12 <= tt <= hi + 1e-12
-        ]
-        agg = min(vals) if task.m == 1 else max(vals)
-        out = min(out, agg)
-    return out
-
-
 def test_c10_monitor_matches_brute_force(capsys):
     rng = np.random.default_rng(99)
     mismatches = 0
@@ -297,7 +282,7 @@ def test_c10_monitor_matches_brute_force(capsys):
                 atoms.append(TemporalFormula(op=op, a=a, b=b, psi=random_concave_psi(rng, dim)))
             theta = SequentialFormula(kind="s1", atoms=tuple(atoms))
         got = monitor_robustness(theta, SimpleNamespace(t=times, X=states), 0.0)
-        if got != _brute_monitor(theta, times, states, 0.0):
+        if got != brute_monitor(theta, times, states, 0.0):
             mismatches += 1
     ok = mismatches == 0
     _verdict(

@@ -1,5 +1,7 @@
 """Command line interface: exit codes, artifacts, and output text."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,29 @@ def test_monitor_uncovered_window_exits_two(tmp_path, capsys):
         "--formula", "G[0,50](ball(0;2;1.5))",
     ])
     assert code == 2
+
+
+def test_monitor_on_failed_run_log_exits_two(tmp_path, capsys):
+    # A run that fails before its first sample writes a header-only log.
+    scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", "x0: [1.0e+300]"))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 3
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "monitor", "--trajectory", str(out / "trajectory.csv"),
+            "--formula", "F[0,3](ball(0;2;1.5))",
+        ])
+    assert code == 2
+    assert "trajectory has no samples" in capsys.readouterr().err
+
+
+def test_monitor_non_finite_state_exits_two(tmp_path, capsys):
+    log = _write(tmp_path, "t,x0\n0,nan\n0.5,1\n", "trajectory.csv")
+    code = main(["monitor", "--trajectory", str(log), "--formula", "G[0,0.5] (ball(0;0;2))"])
+    assert code == 2
+    assert "non-finite state at t=0" in capsys.readouterr().err
 
 
 def test_formula_argument_can_be_a_file(tmp_path, capsys):

@@ -5,20 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
-from stlfunnel import controller, kernels
-from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_row_sums, leaf_values
+from stlfunnel import kernels
+from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_jacobian_batch, law_row_sums
 from stlfunnel.controller import (
     TriggerConfig,
     TriggerEvent,
     _corners,
+    _latin_hypercube,
     _probe_points,
-    _shifted_unit,
-    _sobol_base,
     compute_trigger_radius,
     continuous_law,
-    law_jacobian,
     make_event,
     should_trigger,
 )
@@ -29,9 +26,7 @@ from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
-from stlfunnel.sim import run_episode
 from conftest import PSI1_TEXT
-from test_cli import TOY_SCENARIO
 
 
 def _flat_funnel(rho_max=0.5, width=1.0):
@@ -100,6 +95,14 @@ def test_law_pushes_toward_satisfaction():
     assert direction == pytest.approx(to_target, abs=1e-9)
 
 
+def _law_jacobian(x, t, psi, fp, plant, sm):
+    """(du/dx, du/dt) at one state from the batch Jacobian, or None outside the funnel."""
+    du_dx, du_dt, xi = law_jacobian_batch(x[None, :], np.array([t]), psi, fp, plant, sm.eta)
+    if not -1.0 < xi[0] < 0.0:
+        return None
+    return du_dx[0], du_dt[0]
+
+
 def test_law_jacobian_matches_fd_integrator(rng):
     psi = parse_psi("ball(0,1;1,2;4) and aff(0.5,-0.25;3) and join(0;1;6)")
     fp = _narrowing_funnel()
@@ -109,10 +112,10 @@ def test_law_jacobian_matches_fd_integrator(rng):
     for _ in range(40):
         x = rng.uniform(-2, 4, 2)
         t = float(rng.uniform(0.0, 4.0))
-        try:
-            du_dx, du_dt = law_jacobian(x, t, psi, fp, plant, sm)
-        except Exception:
+        jac = _law_jacobian(x, t, psi, fp, plant, sm)
+        if jac is None:
             continue
+        du_dx, du_dt = jac
         checked += 1
         h = 1e-6
         for i in range(2):
@@ -146,10 +149,10 @@ def test_law_jacobian_matches_fd_omni(rng):
     for _ in range(30):
         x = base + rng.uniform(-2, 2, 9)
         t = float(rng.uniform(0.0, 6.0))
-        try:
-            du_dx, du_dt = law_jacobian(x, t, psi, fp, plant, sm)
-        except Exception:
+        jac = _law_jacobian(x, t, psi, fp, plant, sm)
+        if jac is None:
             continue
+        du_dx, du_dt = jac
         checked += 1
         h = 1e-6
         for i in range(9):
@@ -264,15 +267,17 @@ def test_trigger_radius_pinned_to_finite_difference_radius():
 
 
 def _reference_probe_points(x, t, bx, bt, tc, rng):
-    """Probe points as drawn by one full round: seed, Sobol rows, then corners.
+    """Probe points as drawn by one full round: seed, hypercube rows, then corners.
 
-    The Sobol rows are a fresh unscrambled Sobol set moved by a shift
-    modulo 1 from the seed's own generator.
+    The rows are a Latin hypercube from the seed's own generator: per
+    coordinate, a permutation of the strata plus a uniform offset.
     """
     dims = x.shape[0] + 1
-    shift = np.random.default_rng(int(rng.integers(2**32))).random(dims)
-    unit = (qmc.Sobol(d=dims, scramble=False).random(tc.sample_count) + shift) % 1.0
-    pts = np.empty((tc.sample_count, dims))
+    count = tc.sample_count
+    gen = np.random.default_rng(int(rng.integers(2**32)))
+    perm = gen.permuted(np.tile(np.arange(count), (dims, 1)), axis=1).T
+    unit = (perm + gen.random((count, dims))) / count
+    pts = np.empty((count, dims))
     pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:, -1] = t + unit[:, -1] * bt
     return np.vstack([pts, _corners(x, t, bx, bt, rng)])
@@ -307,7 +312,7 @@ def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
 # Each case's delta_u makes delta_u / L_z the binding term, so the
 # radius is the largest Jacobian row sum over the accepted round's
 # probes.  In most cases that row is a corner; in the interior case it
-# is a Sobol row, so that case also pins the shifted Sobol points.
+# is a hypercube row, so that case also pins the hypercube points.
 def _bundled_phase1_case():
     spec = build_episode(load_scenario(bundled_scenario_path()))
     x0 = np.asarray(spec.x0, dtype=float)
@@ -329,7 +334,7 @@ def _integrator_wall_case():
 
 def _integrator_peak_case():
     # x sits 0.02 from the ball's centre, where rho peaks above the upper
-    # wall: every corner passes, and rounds fail at interior Sobol rows.
+    # wall: every corner passes, and rounds fail at interior hypercube rows.
     psi = parse_psi("ball(0;0;1)")
     fp = _flat_funnel(rho_max=0.99, width=1.0)
     return (np.array([0.02]), 0.0, psi, fp, single_integrator(1),
@@ -338,7 +343,7 @@ def _integrator_peak_case():
 
 def _omni4_case():
     # n = 12: 2^13 box vertices, so the corners are a random subsample
-    # of _CORNER_CAP rows drawn after the Sobol seed.
+    # of _CORNER_CAP rows drawn after the hypercube seed.
     psi = parse_psi(
         "ball(0,1;20,30;10) and ball(3,4;40,60;10) and ball(6,7;60,30;10) "
         "and ball(9,10;30,80;10) and join(0,1;6,7;30) and join(3,4;9,10;40) "
@@ -355,7 +360,7 @@ def _omni4_case():
 
 def _integrator_interior_case():
     # The ball's law is steepest near its centre, inside the box, so the
-    # largest row sum sits at a Sobol row, not at a corner.
+    # largest row sum sits at a hypercube row, not at a corner.
     psi = parse_psi("ball(0,1;0,0;3)")
     return (np.array([0.6, 0.0]), 0.2, psi, _narrowing_funnel(), single_integrator(2),
             TriggerConfig(delta_u=0.5), SmoothingConfig())
@@ -373,7 +378,7 @@ def _integrator_interior_case():
     ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4", "integrator-interior"],
 )
 def test_corner_first_guard_matches_full_round(case, rounds):
-    # Checking the corners before building the Sobol rows is only an
+    # Checking the corners before building the hypercube rows is only an
     # early exit: the radius and the rng stream after the call are the
     # same as when every round draws and checks all probes at once.
     x, t, psi, fp, plant, tc, sm = case()
@@ -387,7 +392,7 @@ def test_corner_first_guard_matches_full_round(case, rounds):
 
 def test_interior_case_peaks_at_a_sobol_row():
     # The interior case's accepted round is its first: there the largest
-    # row sum is a Sobol row's, about five times the corners' largest.
+    # row sum is a hypercube row's, about five times the corners' largest.
     x, t, psi, fp, plant, tc, sm = _integrator_interior_case()
     rng = np.random.default_rng(7)
     seed = int(rng.integers(2**32))
@@ -397,20 +402,18 @@ def test_interior_case_peaks_at_a_sobol_row():
     assert rows[: tc.sample_count].max() > 4.0 * rows[tc.sample_count :].max()
 
 
-@pytest.mark.parametrize("count", [64, 256])
+@pytest.mark.parametrize("count", [64, 100, 256])
 def test_shifted_sobol_probes_stratify_the_box(rng, count):
+    # The probe rows are a Latin hypercube for any count: a power of two
+    # or not, each coordinate has one point in each stratum of width 1/count.
     tc = TriggerConfig(sample_count=count)
+    every = np.arange(count, dtype=float)[:, None]
     for dims in range(2, 14):
-        base = _sobol_base(dims, count)
-        assert _sobol_base(dims, count) is base
-        assert not base.flags.writeable
         for seed in (0, 1, 12345, 2**32 - 1):
-            unit = _shifted_unit(dims, count, seed)
+            unit = _latin_hypercube(dims, count, seed)
             assert unit.shape == (count, dims)
-            assert np.all((unit >= 0.0) & (unit < 1.0))
-            # Each coordinate has one point in each stratum of width 1/count.
+            assert np.all((unit >= 0.0) & (unit <= 1.0))
             strata = np.sort(np.floor(unit * count), axis=0)
-            every = np.arange(count, dtype=float)[:, None]
             np.testing.assert_array_equal(strata, np.broadcast_to(every, unit.shape))
             x = rng.uniform(-5.0, 5.0, dims - 1)
             t = float(rng.uniform(0.0, 3.0))
@@ -423,29 +426,9 @@ def test_shifted_sobol_probes_stratify_the_box(rng, count):
             np.testing.assert_array_equal(pts[count:], corners)
 
 
-def test_one_sobol_engine_per_probe_dimension(tmp_path, monkeypatch):
-    # Rounds move the cached base instead of building an engine, so an
-    # episode builds one engine per probe dimension, however many
-    # rounds it accepts.
-    built = []
-    sobol = controller.qmc.Sobol
-
-    def counting_sobol(*args, **kwargs):
-        built.append(kwargs["d"])
-        return sobol(*args, **kwargs)
-
-    monkeypatch.setattr(controller.qmc, "Sobol", counting_sobol)
-    _sobol_base.cache_clear()
-    path = tmp_path / "toy.yaml"
-    path.write_text(TOY_SCENARIO)
-    _, metrics, _ = run_episode(build_episode(load_scenario(path)))
-    assert metrics.satisfied and metrics.triggers > 1
-    assert built == [2]
-
-
 def test_guard_blocks_feed_the_jacobian_unchanged():
     # The radius loop hands law_row_sums the guard's read-outs of the
-    # Sobol block and of the corner block.  Every read-out field is
+    # hypercube block and of the corner block.  Every read-out field is
     # computed row by row, so the rows sums equal one pass over the
     # stacked probe rows bit for bit.
     x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
@@ -489,7 +472,7 @@ def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
     _, _, h = _leaf_readout(pts[:, :-1], psi)
     got = _readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi
     table = kernels.compile_leaf_table(psi)
-    want_h = np.array([leaf_values(psi, p[:-1]) for p in pts])
+    want_h = np.array([kernels.leaf_pass(table, p[:-1].tolist())[0] for p in pts])
     want = np.array([kernels.u_xi_eval(table, p[:-1], p[-1], sm.eta, fp, plant)[0] for p in pts])
     np.testing.assert_array_equal(h, want_h)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -499,13 +482,8 @@ def test_trigger_config_rejects_empty_probe_set():
     for count in (0, -8):
         with pytest.raises(ValueError, match="sample_count"):
             TriggerConfig(sample_count=count)
-    assert TriggerConfig(sample_count=1).sample_count == 1
-
-
-@pytest.mark.parametrize("count", [3, 100, 255])
-def test_trigger_config_rejects_count_off_power_of_two(count):
-    with pytest.raises(ValueError, match="power of two"):
-        TriggerConfig(sample_count=count)
+    for count in (1, 3, 100):
+        assert TriggerConfig(sample_count=count).sample_count == count
 
 
 def test_trigger_strict_inequalities():

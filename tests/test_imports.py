@@ -1,7 +1,10 @@
-"""No module of the package and no test imports a name it never uses, and
-no package module uses another's underscore-prefixed functions or classes."""
+"""No module of the package and no test imports a name it never uses, no
+package module uses another's underscore-prefixed functions or classes, and
+the command line does not load scipy.stats."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,10 @@ def test_scan_finds_private_reads_and_spares_constants():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stlfunnel.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,29 +6,13 @@ import numpy as np
 import pytest
 
 from stlfunnel.errors import WindowError
-from stlfunnel.formulas import normalize_sequential
 from stlfunnel.monitor import monitor_robustness
 from stlfunnel.parsing import parse_formula
-from conftest import brute_exact, random_concave_psi
+from conftest import brute_monitor, random_concave_psi
 
 
 def _traj(times, states):
     return SimpleNamespace(t=np.asarray(times, float), X=np.asarray(states, float))
-
-
-def brute_monitor(theta, times, states, t):
-    """Direct evaluation: min over tasks of window min (G) / max (F)."""
-    out = np.inf
-    for task in normalize_sequential(theta):
-        lo, hi = t + task.window[0], t + task.window[1]
-        vals = [
-            brute_exact(task.psi, x)
-            for tt, x in zip(times, states)
-            if lo - 1e-12 <= tt <= hi + 1e-12
-        ]
-        agg = min(vals) if task.m == 1 else max(vals)
-        out = min(out, agg)
-    return out
 
 
 def test_eventually_window_max():
@@ -118,3 +102,27 @@ def test_empty_window_raises():
     times = np.arange(0.0, 2.0, 0.5)
     with pytest.raises(WindowError):
         monitor_robustness(f, _traj(times, times[:, None]), 0.0)
+
+
+def test_empty_trajectory_raises():
+    f = parse_formula("F[0,1](ball(0;0;1))")
+    with pytest.raises(WindowError, match="no samples"):
+        monitor_robustness(f, _traj(np.empty(0), np.empty((0, 1))), 0.0)
+
+
+def test_non_finite_state_raises_with_its_time():
+    # min(inf, nan) is inf in Python, so an unchecked NaN would read rho=inf.
+    times = np.array([0.0, 0.5])
+    f = parse_formula("G[0,0.5] (ball(0;0;2))")
+    with pytest.raises(ValueError, match="non-finite state at t=0$"):
+        monitor_robustness(f, _traj(times, [[np.nan], [1.0]]), 0.0)
+    # With several atoms the NaN atom is not dropped either.
+    f = parse_formula("F[0,0.5] (ball(0;1;2)) and G[0.5,0.5] (ball(0;1;2))")
+    with pytest.raises(ValueError, match="t=0.5$"):
+        monitor_robustness(f, _traj(times, [[1.0], [np.inf]]), 0.0)
+
+
+def test_non_finite_time_raises():
+    f = parse_formula("F[0,1](ball(0;0;1))")
+    with pytest.raises(ValueError, match="time nan at sample 1"):
+        monitor_robustness(f, _traj([0.0, np.nan, 1.0], [[0.0], [0.0], [0.0]]), 0.0)

@@ -56,7 +56,7 @@ def test_fixture_psi2_value():
 
 def test_result_beats_every_probe(rng):
     # Concavity: no random probe may beat the reported optimum.
-    from stlfunnel.kernels import smooth_psi_value
+    from stlfunnel.kernels import smooth_psi_value_and_grad
 
     cfg = SmoothingConfig(eta=1.0)
     for _ in range(10):
@@ -64,7 +64,7 @@ def test_result_beats_every_probe(rng):
         res = optimize_robustness(psi, cfg)
         for _ in range(200):
             x = rng.uniform(-15, 15, 4)
-            assert smooth_psi_value(psi, x, cfg) <= res.rho_opt + 1e-7
+            assert smooth_psi_value_and_grad(psi, x, cfg)[0] <= res.rho_opt + 1e-7
 
 
 def test_initial_point_does_not_change_optimum(rng):

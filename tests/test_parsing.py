@@ -66,12 +66,10 @@ def test_band_desugars_to_two_affine_leaves():
     affs = [leaf for leaf in psi.leaves if leaf.kind == "affine"]
     assert len(affs) == 2
     import numpy as np
-    from stlfunnel.kernels import leaf_values
+    from conftest import brute_leaf
 
     x = np.array([0.0, 0.0, 43.0])
-    values = sorted(
-        h for leaf, h in zip(psi.leaves, leaf_values(psi, x)) if leaf.kind == "affine"
-    )
+    values = sorted(brute_leaf(leaf, x) for leaf in affs)
     # |x2 - 45| = 2 inside the width-5 band: margins 3 below, 7 above.
     assert values == pytest.approx([3.0, 7.0])
 

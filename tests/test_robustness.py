@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.kernels import (
+    compile_leaf_table,
     exact_psi_batch,
-    exact_psi_value,
-    leaf_values,
+    leaf_pass,
     smooth_psi_hessian,
-    smooth_psi_value,
     smooth_psi_value_and_grad,
 )
 from stlfunnel.parsing import parse_psi
@@ -38,13 +37,13 @@ def test_exact_equals_brute_force(rng):
     for _ in range(50):
         psi = random_concave_psi(rng, 5)
         x = rng.uniform(-15, 15, 5)
-        assert exact_psi_value(psi, x) == pytest.approx(brute_exact(psi, x), abs=1e-12)
+        assert exact_psi_batch(psi, x[None, :])[0] == pytest.approx(brute_exact(psi, x), abs=1e-12)
 
 
 def test_leaf_values_order_matches_leaves(rng):
     psi = parse_psi("ball(0;0;2) and aff(1;3) and join(0;1;4)")
     x = rng.uniform(-3, 3, 2)
-    vals = leaf_values(psi, x)
+    vals = leaf_pass(compile_leaf_table(psi), x.tolist())[0]
     assert vals == pytest.approx([psi_leaf_val(psi, i, x) for i in range(3)])
 
 
@@ -59,7 +58,7 @@ def test_smooth_equals_brute_force(rng):
     for _ in range(50):
         psi = random_concave_psi(rng, 4)
         x = rng.uniform(-12, 12, 4)
-        v = smooth_psi_value(psi, x, cfg)
+        v, _ = smooth_psi_value_and_grad(psi, x, cfg)
         assert v == pytest.approx(brute_smooth(psi, x, 1.7), rel=1e-12, abs=1e-12)
 
 
@@ -74,8 +73,8 @@ def test_underapproximation_bound(seed, x, eta):
     psi = _seeded_psi(seed, 6)
     cfg = SmoothingConfig(eta=eta)
     xv = np.asarray(x)
-    smooth = smooth_psi_value(psi, xv, cfg)
-    exact = exact_psi_value(psi, xv)
+    smooth, _ = smooth_psi_value_and_grad(psi, xv, cfg)
+    exact = exact_psi_batch(psi, xv[None, :])[0]
     gap = math.log(len(psi.leaves)) / eta
     assert smooth <= exact + 1e-9
     assert exact <= smooth + gap + 1e-9
@@ -93,7 +92,7 @@ def test_smooth_grad_matches_finite_differences(rng):
     cases += [(parse_psi(text), rng.uniform(-8, 8, 5)) for text in REPEATED_SELECTORS]
     for psi, x in cases:
         _, grad = smooth_psi_value_and_grad(psi, x, cfg)
-        fd = central_diff(lambda y: smooth_psi_value(psi, y, cfg), x)
+        fd = central_diff(lambda y: smooth_psi_value_and_grad(psi, y, cfg)[0], x)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -118,7 +117,8 @@ def test_batch_matches_pointwise(rng):
     psi = parse_psi(PSI1_TEXT)
     X = rng.uniform(0, 100, (40, 9))
     batch = exact_psi_batch(psi, X)
-    direct = np.array([exact_psi_value(psi, x) for x in X])
+    table = compile_leaf_table(psi)
+    direct = np.array([min(leaf_pass(table, x.tolist())[0]) for x in X])
     assert batch == pytest.approx(direct, abs=1e-12)
 
 
@@ -126,9 +126,9 @@ def test_fixture_values_at_known_points():
     psi2 = parse_psi(PSI2_TEXT)
     x = np.array([90.0, 90.0, 45.0, 90.0, 90.0, 45.0, 90.0, 90.0, 45.0])
     # All agents collapsed at the corner: leaves (10, 10, 10, 5, 5, 5).
-    assert exact_psi_value(psi2, x) == pytest.approx(5.0)
+    assert exact_psi_batch(psi2, x[None, :])[0] == pytest.approx(5.0)
     expected = -math.log(3 * math.exp(-10.0) + 3 * math.exp(-5.0))
-    assert smooth_psi_value(psi2, x, SmoothingConfig(eta=1.0)) == pytest.approx(
+    assert smooth_psi_value_and_grad(psi2, x, SmoothingConfig(eta=1.0))[0] == pytest.approx(
         expected, rel=1e-14
     )
 
