@@ -1,0 +1,144 @@
+"""Alternating parent/change pairs of the episode benchmark, one row in BENCH_episode.json.
+
+Run from the repository root:
+
+    python3 benchmarks/bench_episode.py --workload rendezvous3 --seeds 20-29 \\
+        --label "what the change does"
+
+The parent commit (``--parent``, default HEAD) is exported with
+``git archive`` into a temporary directory, so it runs from its
+committed files alone; the change is this checkout's working tree.
+Pair i runs ``perfbench/run.py --workload W --seed seeds[i]`` once on
+each side with the same ``--seconds``, the parent first in even pairs
+and the change first in odd ones.  The runner only starts those runs
+and reads the JSON object each prints last; it changes nothing under
+``perfbench/``.
+
+The row appended to ``BENCH_episode.json`` holds the parent's SHA, the
+change (a SHA, or the working tree on top of the parent), the seeds,
+and per end-to-end metric the median and quartiles of each side's runs,
+how many pairs the change won (ties count for neither) and each side's
+failed operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = ROOT / "BENCH_episode.json"
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _export(rev: str, dest: Path) -> None:
+    """The committed files of ``rev`` under ``dest``."""
+    archive = dest / "tree.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``root``: its last printed JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{root}: perfbench/run.py exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def _seeds(text: str) -> list[int]:
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="a range lo-hi or a comma list")
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length of every run (default: BENCHMARK.json's run_seconds)")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seeds = _seeds(args.seeds)
+    parent = _git("rev-parse", args.parent)
+    dirty = _git("status", "--porcelain")
+    change = f"working tree on {_git('rev-parse', 'HEAD')}" if dirty else _git("rev-parse", "HEAD")
+
+    runs = {"parent": [], "change": []}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-episode-"))
+    try:
+        _export(parent, tmp)
+        roots = {"parent": tmp / "tree", "change": ROOT}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run(roots[side], args.workload, seed, seconds))
+            values = {side: runs[side][-1]["metrics"]["update_latency_ms.p50"]["value"]
+                      for side in order}
+            print(f"pair {i} seed {seed}: update_latency_ms.p50 {values}", flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    metrics = {}
+    for name, direction in better.items():
+        side_values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (p - c) > 0.0 for p, c in zip(side_values["parent"], side_values["change"]))
+        metrics[name] = {
+            "unit": runs["parent"][0]["metrics"][name]["unit"],
+            "better": direction,
+            "parent": _summary(side_values["parent"]),
+            "change": _summary(side_values["change"]),
+            "change_wins": wins,
+        }
+    row = {
+        "label": args.label,
+        "parent": parent,
+        "change": change,
+        "workload": args.workload,
+        "seeds": seeds,
+        "seconds": seconds,
+        "pairs": len(seeds),
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+        "source": "benchmarks/bench_episode.py",
+        "metrics": metrics,
+    }
+    rows = json.loads(RECORD.read_text()) if RECORD.exists() else []
+    rows.append(row)
+    RECORD.write_text(json.dumps(rows, indent=1) + "\n")
+    print(json.dumps(row, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,14 +13,18 @@ Jacobian, evaluated in one vectorized pass over the probe points.
 The probes are the box corners plus a Latin hypercube (McKay, Beckman
 and Conover, Technometrics 1979) drawn from the round's seed: for any
 sample count, one point in each 1/count stratum of every coordinate.
+Where the corners outnumber the hypercube rows, a cheaper upper bound
+on the same sampled estimate comes first, and when it already leaves
+delta_u / L_z above the box the Jacobian pass is skipped; each event
+records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
 the box corners and probe points, the radius loop, ``should_trigger``
-and ``make_event``.  The funnel guard on the probe rows and the law
-Jacobian over them are evaluated in ``kernels`` (``guarded_readout``,
-``law_row_sums``).  ``continuous_law``, the law from the dense g(x), is
-the reference form the tests compare against; it is not on the episode
-path.
+and ``make_event``.  The funnel guard on the probe rows, the law
+Jacobian over them and its row bound are evaluated in ``kernels``
+(``guarded_readout``, ``law_row_sums``, ``law_row_bound``).
+``continuous_law``, the law from the dense g(x), is the reference form
+the tests compare against; it is not on the episode path.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import guarded_readout, law_row_sums, smooth_psi_value_and_grad
+from .kernels import guarded_readout, law_row_bound, law_row_sums, smooth_psi_value_and_grad
 from .plants import Plant
 
 __all__ = [
@@ -48,6 +52,9 @@ __all__ = [
 ]
 
 Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
+# What set the radius: the row bound without the Jacobian pass, or after
+# that pass the box term or delta_u / L_z.
+DeltaBy = Literal["bound", "box", "lipschitz"]
 
 _CORNER_CAP = 1024
 
@@ -83,6 +90,7 @@ class TriggerEvent:
     u: np.ndarray
     delta: float
     cause: Cause
+    delta_by: DeltaBy
 
 
 def continuous_law(
@@ -164,8 +172,8 @@ def compute_trigger_radius(
     tc: TriggerConfig = TriggerConfig(),
     smoothing: SmoothingConfig = SmoothingConfig(),
     rng: np.random.Generator | None = None,
-) -> float:
-    """Trigger radius delta_i = min(delta_u / L_z, box_x, box_t).
+) -> tuple[float, DeltaBy]:
+    """Trigger radius delta_i = min(delta_u / L_z, box_x, box_t), and what set it.
 
     L_z estimates the Lipschitz constant of the law over the box
     B(x_i, box_x) x [t_i, t_i + box_t]: the max infinity-norm of the
@@ -189,6 +197,21 @@ def compute_trigger_radius(
     the lowest xi over the box sits at a vertex: when the corners are
     all 2^(n+1) vertices, a box that crosses the lower wall fails at a
     corner and its hypercube rows are never built.
+
+    ``delta_by`` names the term that set the radius.  When the corners
+    outnumber the hypercube rows (n >= 8 at the default 256 rows), the
+    accepted round first takes ``kernels.law_row_bound``, an upper bound
+    on the largest Jacobian row sum over the same probes, from the guard's
+    read-outs alone.  If even that bound leaves delta_u / L_z above the
+    box (with a 1e-9 relative margin for rounding), the box term binds,
+    the Jacobian pass is skipped and ``delta_by`` is "bound".  Otherwise
+    the pass runs over all probes as before, and ``delta_by`` is "box" or
+    "lipschitz".  The radius is the same either way.  The gate is there
+    because the bound pays only where the pass is large: at 1280 probe
+    rows (n = 9) it costs about a third of the pass and settles most
+    radii of the bundled scenario, while at 264 rows (n = 2), where
+    numpy's fixed cost per call dominates, it costs about two thirds of
+    the pass and settles under half of the patrol benchmark's radii.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -211,12 +234,20 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
             )
 
-    row_sums = law_row_sums(pts, psi, fp, plant, eta, (at_rows, at_corners))
-    l_z = float(row_sums.max()) * tc.lipschitz_safety
-    delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
+    box = min(bx, bt)
+    blocks = (at_rows, at_corners)
+    # A NaN bound fails the comparison and falls through to the exact pass.
+    if (corners.shape[0] > tc.sample_count
+            and law_row_bound(pts, psi, fp, plant, eta, blocks) * tc.lipschitz_safety
+            * box * (1.0 + 1e-9) < tc.delta_u):
+        delta, delta_by = box, "bound"
+    else:
+        l_z = float(law_row_sums(pts, psi, fp, plant, eta, blocks).max()) * tc.lipschitz_safety
+        delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
+        delta_by = "lipschitz" if delta < box else "box"
     if delta < tc.delta_floor:
         raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {tc.delta_floor:g}")
-    return delta
+    return delta, delta_by
 
 
 def should_trigger(x: np.ndarray, t: float, event: TriggerEvent) -> Cause | None:
@@ -250,5 +281,7 @@ def make_event(
     trigger radius, which may raise TriggerFloorError.
     """
     x = np.asarray(x, dtype=float)
-    delta = compute_trigger_radius(x, t, psi, fp, plant, tc, smoothing, rng)
-    return TriggerEvent(index=index, t=t, x=x.copy(), u=u, delta=delta, cause=cause)
+    delta, delta_by = compute_trigger_radius(x, t, psi, fp, plant, tc, smoothing, rng)
+    return TriggerEvent(
+        index=index, t=t, x=x.copy(), u=u, delta=delta, cause=cause, delta_by=delta_by
+    )

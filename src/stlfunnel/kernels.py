@@ -17,7 +17,8 @@ entry points over that form:
 * The batch read-out: leaf values, gradients and Hessians at every row
   of a state array in a few numpy passes.  Leaf values are summed
   without BLAS, so they round as the pointwise loop does.  It serves the
-  trigger radius (``guarded_readout``, ``law_row_sums``), ``u_xi_batch``,
+  trigger radius (``guarded_readout``, ``law_row_sums`` and its cheaper
+  upper bound ``law_row_bound``), ``u_xi_batch``,
   ``law_jacobian_batch``, ``exact_psi_batch`` and ``smooth_psi_hessian``;
   the batch law and its Jacobian share one front, ``_law_front``.
 
@@ -47,6 +48,7 @@ __all__ = [
     "law_jacobian_batch",
     "guarded_readout",
     "law_row_sums",
+    "law_row_bound",
     "exact_psi_batch",
     "smooth_psi_hessian",
 ]
@@ -211,7 +213,10 @@ class _LeafMaps(NamedTuple):
     c: np.ndarray  # (L, W) ball centres
     lin: np.ndarray  # (L, W) derivative of an affine read-out w.r.t. r_i
     grad_map: np.ndarray  # (L * W, L * n) read-out derivatives -> leaf gradients
+    slot_grad: np.ndarray  # (L * W, n) row j of -sign_i A_i, per slot
+    slot_l1: np.ndarray  # (L * W, L) |row j of A_i|_1 in leaf i's column
     ata: np.ndarray  # (L, n * n) A_i^T A_i
+    ata_rows: np.ndarray  # (L, n) |A_i^T A_i| 1
     norm: np.ndarray  # (L,) ball or join
     signs: np.ndarray  # (L,)
     csts: np.ndarray  # (L,)
@@ -254,10 +259,13 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
         np.add.at(A[i], (rows, ia[i]), a[i])
         np.add.at(A[i], (rows, ib[i]), -b[i])
         grad_map[i, :, i, :] = -sign * A[i]
-    ata = (A.transpose(0, 2, 1) @ A).reshape(L, n * n)
+    ata = A.transpose(0, 2, 1) @ A
     maps = _LeafMaps(
         ia=ia, a=a, ib=ib, b=b, c=c, lin=lin,
-        grad_map=grad_map.reshape(L * W, L * n), ata=ata,
+        grad_map=grad_map.reshape(L * W, L * n),
+        slot_grad=grad_map.sum(axis=2).reshape(L * W, n),
+        slot_l1=np.repeat(np.eye(L), W, axis=0) * np.abs(A).sum(axis=2).reshape(L * W, 1),
+        ata=ata.reshape(L, n * n), ata_rows=np.abs(ata).sum(axis=2),
         norm=np.array([leaf[0] != 0 for leaf in table]),
         signs=np.array([leaf[1] for leaf in table]),
         csts=np.array([leaf[5] for leaf in table]),
@@ -311,6 +319,18 @@ def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: flo
     return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
 
 
+def _unit_readout(r: np.ndarray, nd: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative of each leaf's read-out w.r.t. r_i (P, L, W), and 1/|r_i| (P, L).
+
+    It is r_i / |r_i| for ball and join leaves (zero, and 1/|r_i| zero,
+    at a norm centre) and ones on an affine leaf's slots, so that
+    q_i = -sign_i A_i^T unit_i.
+    """
+    with np.errstate(divide="ignore"):
+        inv_nd = np.where(mp.norm & (nd > 0.0), 1.0 / nd, 0.0)
+    return r * inv_nd[:, :, None] + mp.lin, inv_nd
+
+
 def _softmin_grad(
     r: np.ndarray, nd: np.ndarray, w: np.ndarray, psi: NonTemporalFormula, n: int
 ) -> tuple[np.ndarray, ...]:
@@ -324,9 +344,7 @@ def _softmin_grad(
     """
     mp = _leaf_maps(psi, n)
     P = r.shape[0]
-    with np.errstate(divide="ignore"):
-        inv_nd = np.where(mp.norm & (nd > 0.0), 1.0 / nd, 0.0)
-    unit = r * inv_nd[:, :, None] + mp.lin
+    unit, inv_nd = _unit_readout(r, nd, mp)
     leaf_grads = (unit.reshape(P, -1) @ mp.grad_map).reshape(P, -1, n)
     grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
     return leaf_grads, grad, w * mp.signs * inv_nd
@@ -471,6 +489,77 @@ def law_row_sums(
     du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, readout)
     # A matrix-vector product sums the short last axis faster than .sum().
     return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
+
+
+def law_row_bound(
+    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
+    blocks: tuple[_Readout, ...],
+) -> float:
+    """An upper bound on ``law_row_sums(pts, ...).max()`` from the read-outs alone.
+
+    ``blocks`` are the ``guarded_readout`` results of consecutive row
+    blocks of ``pts``, in order.  No Jacobian and no (P, n, n) or
+    (P, L, n) array is formed; each term of ``law_jacobian_batch`` is
+    bounded row by row:
+
+    * leaf gradients: b_i = |A_i|^T |unit_i| >= |q_i|, and q = sum_i w_i q_i;
+    * the weights' curvature sum_i w_i q_i q_i^T - q q^T is the covariance
+      sum_i w_i (q_i - q)(q_i - q)^T, and
+      |q_i - q| <= e_i = (1 - 2 w_i) b_i + s with s = sum_k w_k b_k
+      (zero for one leaf);
+    * |M_x| 1 <= |eps| sum_i |curv_i| (b_i |b_i|_1 + |A_i^T A_i| 1)
+      + |eps| eta sum_i w_i e_i |e_i|_1 + (slope / gamma) |q| |q|_1,
+      and |m_t| is exact;
+    * the input map: |gain| for the integrator; for the omni team the
+      entrywise |g^T| per agent, plus the heading column's exact
+      |eps| |dg^T/dtheta q|.
+
+    Every b_i and e_i is nonnegative, so |e_i|_1 = (1 - 2 w_i) |b_i|_1 + |s|_1
+    and |s|_1 = sum_k w_k |b_k|_1; the sums over leaves then collect into
+    one coefficient per leaf on b_i, which is linear in |unit_i|, so a
+    single matrix product over the read-out slots gives them.  The result
+    is the largest entry over rows and inputs; it is NaN or inf only
+    where a row's read-out is.
+    """
+    ro = _Readout(*(np.concatenate(f) for f in zip(*blocks)))
+    P, n = pts.shape[0], pts.shape[1] - 1
+    mp = _leaf_maps(psi, n)
+    # Rows run along the last axis from here on: the read-out is stored
+    # row-fastest, and the arrays are only a few entries wide per row.
+    unit, inv_nd = _unit_readout(ro.r, ro.nd, mp)
+    L, W = mp.a.shape
+    unit = unit.transpose(1, 2, 0)
+    w, inv_nd = ro.w.T, inv_nd.T
+    grad = mp.slot_grad.T @ (unit * w[:, None, :]).reshape(L * W, P)
+    abs_unit = np.abs(unit)
+    b_l1 = mp.slot_l1.T @ abs_unit.reshape(L * W, P)
+    curv = w * inv_nd
+    spread = 1.0 - 2.0 * w
+    e_w = w * (spread * b_l1 + (w * b_l1).sum(axis=0))
+    coef = curv * b_l1 + eta * (e_w * spread + e_w.sum(axis=0) * w)
+    v = np.abs(mp.slot_grad.T) @ (abs_unit * coef[:, None, :]).reshape(L * W, P)
+    v += mp.ata_rows.T @ curv
+    xi = ro.xi
+    eps = np.abs(np.log(-(xi + 1.0) / xi))
+    v *= eps
+    slope = 1.0 / (1.0 + xi) - 1.0 / xi
+    abs_grad = np.abs(grad)
+    v += slope / ro.gamma * (abs_grad.sum(axis=0) + np.abs(xi * fp.perf.l * ro.decay)) * abs_grad
+    if plant.gbase is None:
+        return float(v.max()) * plant.gain
+    # Per agent g^T has the columns c0 = cos G0 - sin G1, c1 = sin G0 + cos G1
+    # and G2, with G_k row k of gbody; its heading derivative per degree
+    # has the columns -c1 and c0 (and zero) times pi / 180.
+    th = pts[:, 2:-1:3].T[:, None, :] * _DEG
+    cos, sin = np.cos(th), np.sin(th)
+    g0, g1, g2 = plant.gbody[:, :, None]
+    c0 = cos * g0 - sin * g1
+    c1 = sin * g0 + cos * g1
+    v = v.reshape(-1, 3, P)
+    q = grad.reshape(-1, 3, P)
+    rows = np.abs(c0) * v[:, :1] + np.abs(c1) * v[:, 1:2] + np.abs(g2) * v[:, 2:]
+    rows += eps * _DEG * np.abs(c0 * q[:, 1:2] - c1 * q[:, :1])
+    return float(rows.max())
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
 
 def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -> None:
     header = (
-        ["i", "t_i", "cause", "delta_i"]
+        ["i", "t_i", "cause", "delta_i", "delta_by"]
         + [f"x{i}" for i in range(n)]
         + [f"u{j}" for j in range(m)]
     )
@@ -56,6 +56,7 @@ def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -
                 _FMT % ev.t,
                 ev.cause,
                 _FMT % ev.delta,
+                ev.delta_by,
                 _row(ev.x),
                 _row(ev.u),
             ]
@@ -67,6 +68,9 @@ def _metric_lines(metrics: RunMetrics) -> list[str]:
     for f in dataclasses.fields(RunMetrics):
         val = getattr(metrics, f.name)
         if f.name == "funnels":
+            continue
+        if isinstance(val, dict):
+            lines += [f"{f.name}.{key}={count}" for key, count in val.items()]
             continue
         if val is None:
             out = ""

@@ -19,11 +19,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import get_args
 
 import numpy as np
 
 from . import kernels
-from .controller import TriggerConfig, TriggerEvent, make_event, should_trigger
+from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger
 from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
 from .funnel import gamma_at
@@ -97,6 +98,8 @@ class RunMetrics:
     min_delta: float = math.inf
     min_inter_event: float = math.inf
     min_xi_gap: float = math.inf
+    # Events per term that set the radius (``TriggerEvent.delta_by``).
+    delta_by: dict[str, int] = field(default_factory=lambda: dict.fromkeys(get_args(DeltaBy), 0))
     funnels: list[dict] = field(default_factory=list)
 
 
@@ -147,14 +150,17 @@ _HEAP_PAD = 16 << 20
 def _keep_freed_heap() -> None:
     """Keep up to ``_HEAP_PAD`` bytes of freed heap instead of returning it.
 
-    Every event's Jacobian pass allocates and frees a few MB of numpy
-    temporaries (4.1 MB at n = 9 with 1280 probe rows).  glibc hands
-    freed memory at the top of its heap back to the kernel once it
-    exceeds a trim threshold that tracks the largest block freed so far,
-    so without a pad every event faults those pages in again: on
-    rendezvous3 about 5e5 minor faults per episode against 3e3 with the
-    pad, and 3.0-3.8 s against 2.4-2.8 s (2-core shared host).  A no-op
-    where the C library has no ``mallopt``.
+    Every event's trigger radius allocates and frees MBs of numpy
+    temporaries at n = 9 with 1280 probe rows: about 2 MB for the row
+    bound and 4.1 MB when the Jacobian pass runs (``tracemalloc`` peaks).
+    glibc hands freed memory at the top of its heap back to the kernel
+    once it exceeds a trim threshold that tracks the largest block freed
+    so far, so without a pad every event faults those pages in again.
+    On rendezvous3 at seeds 0-9, with the pass running in about 30 of
+    519 events, that is a median 2.4e5 minor faults per episode against
+    2.6e3 with the pad, and 1.70 s against 1.45 s (median episode, slower
+    in 10 of 10 pairs; 2-core shared host).  patrol2d (n = 2) is flat.
+    A no-op where the C library has no ``mallopt``.
     """
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -281,6 +287,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             events.append(replace(event, t=t))
             event_steps.append(k)
             metrics.min_delta = min(metrics.min_delta, event.delta)
+            metrics.delta_by[event.delta_by] += 1
 
         u_held = event.u
         dev = float(np.abs(u_cont - u_held).max())

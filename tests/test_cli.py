@@ -34,6 +34,15 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
         assert (out / fname).is_file(), fname
     text = capsys.readouterr().out
     assert "satisfied=true" in text
+    # Each event names the term that set its radius, and metrics.txt
+    # counts them.  Four corners never outnumber the hypercube rows, so
+    # no radius of this one-state run is settled by the row bound.
+    metrics = dict(line.split("=", 1) for line in (out / "metrics.txt").read_text().splitlines())
+    counts = {k: int(metrics[f"delta_by.{k}"]) for k in ("bound", "box", "lipschitz")}
+    assert sum(counts.values()) == int(metrics["triggers"]) > 0 and counts["bound"] == 0
+    rows = (out / "events.csv").read_text().splitlines()
+    by = [row.split(",")[4] for row in rows[1:]]
+    assert {k: by.count(k) for k in counts} == counts
 
 
 def test_run_seed_and_dt_overrides(tmp_path):
@@ -109,7 +118,7 @@ def test_failure_before_first_sample_exits_three(tmp_path, capsys):
     assert (out / "trajectory.csv").read_text().splitlines() == [
         "t,x0,u0,rho_active,gamma,mode"
     ]
-    assert (out / "events.csv").read_text().splitlines() == ["i,t_i,cause,delta_i,x0,u0"]
+    assert (out / "events.csv").read_text().splitlines() == ["i,t_i,cause,delta_i,delta_by,x0,u0"]
     assert (out / "funnel.csv").read_text().splitlines() == ["t,mode,rho_active,lower,upper,u0"]
     assert "satisfied=false" in (out / "metrics.txt").read_text()
 

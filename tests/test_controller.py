@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stlfunnel import kernels
+from stlfunnel import controller, kernels
 from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_jacobian_batch, law_row_sums
 from stlfunnel.controller import (
     TriggerConfig,
@@ -259,7 +259,7 @@ def test_trigger_radius_pinned_to_finite_difference_radius():
     assert z.q == 1
     for delta_u, fd_radius in ((50.0, 0.125), (5.0, 0.1131052226669569)):
         tc = replace(spec.trigger, delta_u=delta_u)
-        delta = compute_trigger_radius(
+        delta, _ = compute_trigger_radius(
             x0, z.t_local + z.offset, z.psi, z.fp, spec.plant, tc,
             spec.seq_cfg.smoothing, np.random.default_rng(7),
         )
@@ -386,11 +386,48 @@ def test_corner_first_guard_matches_full_round(case, rounds):
     expected, ref_rounds = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
     assert ref_rounds == rounds
     assert expected < tc.delta_x0 * tc.shrink ** (rounds - 1)
-    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == expected
+    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == (expected, "lipschitz")
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_interior_case_peaks_at_a_sobol_row():
+@pytest.mark.parametrize(
+    "delta_u, delta_by", [(50.0, "bound"), (7.0, "box"), (5.0, "lipschitz")]
+)
+def test_omni_radius_equals_exact_row_sums_radius(delta_u, delta_by):
+    # n = 9: the 2^10 corners outnumber the 256 hypercube rows, so the
+    # radius tries the row bound first.  At delta_u = 50 the bound settles
+    # the box term without the Jacobian pass; at 7 it does not, and the
+    # pass finds that the box term binds anyway; at 5 delta_u / L_z binds.
+    # Each way the radius and the rng stream equal the full round's
+    # min(delta_u / (safety * max row sum), box_x, box_t).
+    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
+    tc = replace(tc, delta_u=delta_u)
+    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    expected, _ = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
+    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == (expected, delta_by)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_row_bound_runs_only_where_corners_outnumber_rows(monkeypatch):
+    # Where the 2^(n+1) corners are no more than the hypercube rows the
+    # Jacobian pass is cheap, and the radius never computes the bound.
+    def refuse(*args):
+        raise AssertionError("law_row_bound called")
+
+    monkeypatch.setattr(controller, "law_row_bound", refuse)
+    for case in (_integrator_wall_case, _integrator_peak_case, _integrator_interior_case):
+        x, t, psi, fp, plant, tc, sm = case()
+        compute_trigger_radius(x, t, psi, fp, plant, tc, sm, np.random.default_rng(7))
+    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
+    at_par = replace(tc, delta_u=50.0, sample_count=1024)
+    assert compute_trigger_radius(x, t, psi, fp, plant, at_par, sm, np.random.default_rng(7))[1] == "box"
+    with pytest.raises(AssertionError, match="law_row_bound called"):
+        compute_trigger_radius(
+            x, t, psi, fp, plant, replace(at_par, sample_count=1023), sm, np.random.default_rng(7)
+        )
+
+
+def test_interior_case_peaks_at_a_hypercube_row():
     # The interior case's accepted round is its first: there the largest
     # row sum is a hypercube row's, about five times the corners' largest.
     x, t, psi, fp, plant, tc, sm = _integrator_interior_case()
@@ -403,7 +440,7 @@ def test_interior_case_peaks_at_a_sobol_row():
 
 
 @pytest.mark.parametrize("count", [64, 100, 256])
-def test_shifted_sobol_probes_stratify_the_box(rng, count):
+def test_latin_hypercube_probes_stratify_the_box(rng, count):
     # The probe rows are a Latin hypercube for any count: a power of two
     # or not, each coordinate has one point in each stratum of width 1/count.
     tc = TriggerConfig(sample_count=count)
@@ -488,7 +525,7 @@ def test_trigger_config_rejects_empty_probe_set():
 
 def test_trigger_strict_inequalities():
     ev = TriggerEvent(
-        index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial"
+        index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial", delta_by="box"
     )
     # Exactly at the radius or the interval: hold.
     assert should_trigger(np.array([0.5, 0.0]), 1.0, ev) is None
@@ -509,7 +546,7 @@ def test_trigger_radius_bounds_input_deviation(rng):
     sm = SmoothingConfig()
     x_i = np.array([1.0, 1.0])
     t_i = 0.5
-    delta = compute_trigger_radius(x_i, t_i, psi, fp, plant, tc, sm, rng)
+    delta, _ = compute_trigger_radius(x_i, t_i, psi, fp, plant, tc, sm, rng)
     assert delta >= tc.delta_floor
     u_i = continuous_law(x_i, t_i, psi, fp, plant, sm)
     worst = 0.0
@@ -570,4 +607,4 @@ def test_make_event_snapshots_state_and_input():
     want = compute_trigger_radius(
         np.array([1.0, 2.0]), 0.25, psi, fp, plant, tc, rng=np.random.default_rng(4)
     )
-    assert ev.delta == want > 0.0
+    assert (ev.delta, ev.delta_by) == want and ev.delta > 0.0

@@ -5,10 +5,11 @@ import pytest
 
 from stlfunnel import kernels
 from stlfunnel.controller import continuous_law
-from stlfunnel.formulas import SmoothingConfig
+from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
+from stlfunnel.predicates import ball
 
 from conftest import PSI1_TEXT, random_concave_psi
 
@@ -62,3 +63,61 @@ def test_input_is_nan_outside_open_interval():
     # rho(5) = -4 far below the funnel floor: xi <= -1.
     xi, u = kernels.u_xi_eval(table, np.array([5.0]), 0.0, 1.0, fp, plant)
     assert xi <= -1.0 and np.isnan(u[0])
+
+
+def _random_psi(rng, dim):
+    """``random_concave_psi`` with some leaves negated and, sometimes, a ball
+    that reads one state twice; one draw in four has a single leaf."""
+    n_leaves = 1 if rng.random() < 0.25 else int(rng.integers(2, 6))
+    leaves = [
+        leaf.negate() if rng.random() < 0.3 else leaf
+        for leaf in random_concave_psi(rng, dim, n_leaves).leaves
+    ]
+    if n_leaves > 1 and rng.random() < 0.5:
+        j, c = int(rng.integers(dim)), float(rng.uniform(-5.0, 5.0))
+        leaves.append(ball((j, j), (c, c), float(rng.uniform(1.0, 8.0))))
+    return NonTemporalFormula(leaves=tuple(leaves))
+
+
+@pytest.mark.parametrize("kind", ["integrator", "omni"])
+def test_law_row_bound_covers_row_sums(rng, kind):
+    # The bound that lets the trigger radius skip the Jacobian pass holds
+    # at every probe row the guard accepts.  Each draw places a box
+    # of rows (x, t) and a funnel wide enough that every row's xi lies in
+    # the guard's band, and hands both functions the guard's read-outs
+    # of two row blocks, as the radius loop does.
+    for _ in range(150):
+        if kind == "omni":
+            plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
+        else:
+            plant = single_integrator(int(rng.integers(1, 7)), gain=float(rng.uniform(0.5, 5.0)))
+        n = plant.n
+        psi = _random_psi(rng, n)
+        eta = float(rng.uniform(0.3, 3.0))
+        x = rng.uniform(-8.0, 8.0, n)
+        width = float(rng.uniform(0.01, 3.0))
+        first = psi.leaves[0]
+        if first.kind == "ball" and rng.random() < 0.5:
+            # Rows close to a ball's centre, where its curvature dominates.
+            x[list(first.sel)] = first.center
+            width = 10.0 ** rng.uniform(-3.0, -1.0)
+        if kind == "omni":
+            x[2::3] = rng.uniform(0.0, 360.0, n // 3)
+        P = 48
+        pts = np.column_stack([
+            x + rng.uniform(-width, width, (P, n)), rng.uniform(0.0, 4.0, P),
+        ])
+        rho = kernels._softmin(kernels._leaf_readout(pts[:, :-1], psi)[2], eta)[0]
+        spread = float(rho.max() - rho.min())
+        rho_max = max(float(rho.max()) + 0.3 * spread + 0.1, 1.0)
+        gamma_inf = 1.5 * (rho_max - float(rho.min())) + 0.1
+        fp = _funnel(rho_max, float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf, float(rng.uniform(0.0, 1.0)))
+        k = int(rng.integers(1, P))
+        blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (pts[:k], pts[k:]))
+        assert all(b is not None for b in blocks)
+        exact = kernels.law_row_sums(pts, psi, fp, plant, eta, blocks).max()
+        assert np.isfinite(exact)
+        # Where the bound is tight, as when one leaf's |q| q^T term dominates,
+        # the two sides round apart by a few ulps; the radius compares the
+        # bound with a 1e-9 relative margin.
+        assert kernels.law_row_bound(pts, psi, fp, plant, eta, blocks) >= exact * (1.0 - 1e-12)
