@@ -91,6 +91,10 @@ class TriggerEvent:
     delta: float
     cause: Cause
     delta_by: DeltaBy
+    # For a StateDeviation or MaxInterval event, max(|x - x_k|_inf, t - t_k)
+    # / delta_k against the previous event k when the trigger fired: how far
+    # past the box the grid sample was.  None for Initial and ModeSwitch.
+    overshoot: float | None = None
 
 
 def continuous_law(
@@ -210,7 +214,7 @@ def compute_trigger_radius(
     because the bound pays only where the pass is large: at 1280 probe
     rows (n = 9) it costs about a third of the pass and settles most
     radii of the bundled scenario, while at 264 rows (n = 2), where
-    numpy's fixed cost per call dominates, it costs about two thirds of
+    numpy's fixed cost per call dominates, it costs nearly as much as
     the pass and settles under half of the patrol benchmark's radii.
     """
     if rng is None:

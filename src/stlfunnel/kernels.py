@@ -19,11 +19,18 @@ entry points over that form:
   without BLAS, so they round as the pointwise loop does.  It serves the
   trigger radius (``guarded_readout``, ``law_row_sums`` and its cheaper
   upper bound ``law_row_bound``), ``u_xi_batch``,
-  ``law_jacobian_batch``, ``exact_psi_batch`` and ``smooth_psi_hessian``;
-  the batch law and its Jacobian share one front, ``_law_front``.
+  ``law_jacobian_batch``, ``exact_psi_batch`` and ``smooth_psi_hessian``.
+
+The batch read-out has one layout: rows run along the last axis of every
+array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
+leaf values and softmin weights are (L, P), and ``_leaf_maps``'s fields
+broadcast against them.  Blocks join along that axis (``_join``), and one
+gradient step (``_leaf_grads``) serves the batch law, its Jacobian, the
+row bound and the Hessian.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
-``Plant.gbody``, the plant's one description of its actuation.
+``Plant.gbody``, the plant's one description of its actuation; the omni
+team's g^T is written once, as per-agent columns (``_omni_columns``).
 """
 
 from __future__ import annotations
@@ -58,10 +65,6 @@ __all__ = [
 USING_NUMBA = False
 
 _KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
-# rot(theta)^T = cos(theta) * _ROT_C + sin(theta) * _ROT_S + _ROT_Z.
-_ROT_C = np.diag([1.0, 1.0, 0.0])
-_ROT_S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_ROT_Z = np.diag([0.0, 0.0, 1.0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,26 +203,25 @@ def smooth_psi_value_and_grad(
 
 
 # ---------------------------------------------------------------------------
-# batch read-out
+# batch read-out; every array keeps its rows along the last axis
 
 
 class _LeafMaps(NamedTuple):
     """Batch form of a conjunction over an n-dimensional state (L leaves, W slots)."""
 
     ia: np.ndarray  # (L, W) state index read with weight a
-    a: np.ndarray  # (L, W)
     ib: np.ndarray  # (L, W) state index read with weight -b (join partners)
-    b: np.ndarray  # (L, W)
-    c: np.ndarray  # (L, W) ball centres
-    lin: np.ndarray  # (L, W) derivative of an affine read-out w.r.t. r_i
-    grad_map: np.ndarray  # (L * W, L * n) read-out derivatives -> leaf gradients
-    slot_grad: np.ndarray  # (L * W, n) row j of -sign_i A_i, per slot
-    slot_l1: np.ndarray  # (L * W, L) |row j of A_i|_1 in leaf i's column
-    ata: np.ndarray  # (L, n * n) A_i^T A_i
-    ata_rows: np.ndarray  # (L, n) |A_i^T A_i| 1
-    norm: np.ndarray  # (L,) ball or join
-    signs: np.ndarray  # (L,)
-    csts: np.ndarray  # (L,)
+    a: np.ndarray  # (L, W, 1)
+    b: np.ndarray  # (L, W, 1)
+    c: np.ndarray  # (L, W, 1) ball centres
+    lin: np.ndarray  # (L, W, 1) derivative of an affine read-out w.r.t. r_i
+    l1: np.ndarray  # (L, 1, W) |row j of A_i|_1
+    grad: np.ndarray  # (n, L * W) -sign_i A_i^T side by side
+    ata: np.ndarray  # (n * n, L) A_i^T A_i, one column per leaf
+    ata_rows: np.ndarray  # (n, L) |A_i^T A_i| 1
+    norm: np.ndarray  # (L, 1) ball or join
+    signs: np.ndarray  # (L, 1)
+    csts: np.ndarray  # (L, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,9 +233,10 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
     coeff_j x[sel_j] for an affine leaf; unused slots read zero.  Ball
     and join leaves take the norm of r_i, affine leaves the sum of its
     slots, so h_i = sign_i * (cst_i - read-out).  Row j of A_i is
-    a_ij e_ia - b_ij e_ib; ``grad_map`` is block-diagonal and takes the
-    read-out derivatives to the leaf gradients -sign_i A_i^T.  Repeated
-    selectors add up in A_i.  Cached per formula and state size.
+    a_ij e_ia - b_ij e_ib; ``grad`` holds the -sign_i A_i^T side by side,
+    which take the read-out derivatives to the leaf gradients.  The sign
+    does not change |A_i| or A_i^T A_i.  Repeated selectors add up in A_i.
+    Cached per formula and state size.
     """
     table = compile_leaf_table(psi)
     L, W = len(table), max(len(leaf[2]) for leaf in table)
@@ -241,7 +244,6 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
     ib = np.zeros((L, W), dtype=np.intp)
     a, b, c, lin = (np.zeros((L, W)) for _ in range(4))
     A = np.zeros((L, W, n))
-    grad_map = np.zeros((L, W, L, n))
     rows = np.arange(W)
     for i, (kind, sign, sel, sel_b, pars, _) in enumerate(table):
         k = len(sel)
@@ -258,17 +260,16 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
             b[i, :k] = 1.0
         np.add.at(A[i], (rows, ia[i]), a[i])
         np.add.at(A[i], (rows, ib[i]), -b[i])
-        grad_map[i, :, i, :] = -sign * A[i]
+        A[i] *= -sign  # -sign_i A_i from here on
     ata = A.transpose(0, 2, 1) @ A
     maps = _LeafMaps(
-        ia=ia, a=a, ib=ib, b=b, c=c, lin=lin,
-        grad_map=grad_map.reshape(L * W, L * n),
-        slot_grad=grad_map.sum(axis=2).reshape(L * W, n),
-        slot_l1=np.repeat(np.eye(L), W, axis=0) * np.abs(A).sum(axis=2).reshape(L * W, 1),
-        ata=ata.reshape(L, n * n), ata_rows=np.abs(ata).sum(axis=2),
-        norm=np.array([leaf[0] != 0 for leaf in table]),
-        signs=np.array([leaf[1] for leaf in table]),
-        csts=np.array([leaf[5] for leaf in table]),
+        ia=ia, ib=ib, a=a[:, :, None], b=b[:, :, None], c=c[:, :, None], lin=lin[:, :, None],
+        l1=np.abs(A).sum(axis=2)[:, None, :],
+        grad=A.reshape(L * W, n).T.copy(),
+        ata=ata.reshape(L, n * n).T.copy(), ata_rows=np.abs(ata).sum(axis=2).T.copy(),
+        norm=np.array([[leaf[0] != 0] for leaf in table]),
+        signs=np.array([[leaf[1]] for leaf in table]),
+        csts=np.array([[leaf[5]] for leaf in table]),
     )
     for arr in maps:
         arr.setflags(write=False)
@@ -276,35 +277,37 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
 
 
 def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, ...]:
-    """Leaf read-outs at every row of X: r (P, L, W), |r| (P, L) and h (P, L).
+    """Leaf read-outs at every row of X (P, n): r (L, W, P), |r| (L, P) and h (L, P).
 
     r_i = A_i x - c_i over ``_leaf_maps``; ball and join leaves take
     h_i = sign_i * (cst_i - |r_i|), affine leaves sign_i * (cst_i - sum_j r_ij).
     """
     mp = _leaf_maps(psi, X.shape[1])
-    r = X[:, mp.ia] * mp.a
-    r -= X[:, mp.ib] * mp.b
+    XT = X.T
+    r = XT[mp.ia] * mp.a
+    r -= XT[mp.ib] * mp.b
     r -= mp.c
-    nd = np.sqrt((r * r).sum(axis=2))
-    return r, nd, mp.signs * (mp.csts - np.where(mp.norm, nd, r.sum(axis=2)))
+    nd = np.sqrt((r * r).sum(axis=1))
+    return r, nd, mp.signs * (mp.csts - np.where(mp.norm, nd, r.sum(axis=1)))
 
 
 def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Soft minimum of the leaf values of every row and its normalized weights."""
-    h_min = h.min(axis=1, keepdims=True)
+    """Soft minimum of the leaf values h (L, P) of every row and its normalized weights."""
+    h_min = h.min(axis=0)
     w = np.exp(-eta * (h - h_min))
-    z = w.sum(axis=1, keepdims=True)
-    return h_min[:, 0] - np.log(z[:, 0]) / eta, w / z
+    z = w.sum(axis=0)
+    return h_min - np.log(z) / eta, w / z
 
 
 class _Readout(NamedTuple):
-    """Leaf read-out and funnel error of rows (x, t); every field is row-wise,
-    so blocks concatenated field by field equal one read-out of all their rows."""
+    """Leaf read-out and funnel error of rows (x, t); rows run along every
+    field's last axis, so blocks joined field by field (``_join``) equal
+    one read-out of all their rows."""
 
-    r: np.ndarray  # (P, L, W) leaf read-outs
-    nd: np.ndarray  # (P, L) their norms
+    r: np.ndarray  # (L, W, P) leaf read-outs
+    nd: np.ndarray  # (L, P) their norms
     xi: np.ndarray  # (P,) funnel error of the soft minimum
-    w: np.ndarray  # (P, L) normalized softmin weights
+    w: np.ndarray  # (L, P) normalized softmin weights
     gamma: np.ndarray  # (P,) funnel width gamma(T)
     decay: np.ndarray  # (P,) its decaying part (gamma0 - gamma_inf) * exp(-l * T)
 
@@ -319,83 +322,93 @@ def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: flo
     return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
 
 
-def _unit_readout(r: np.ndarray, nd: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative of each leaf's read-out w.r.t. r_i (P, L, W), and 1/|r_i| (P, L).
+def _join(blocks: tuple[_Readout, ...]) -> _Readout:
+    """One read-out of the rows of consecutive read-out blocks."""
+    return _Readout(*(np.concatenate(f, axis=-1) for f in zip(*blocks)))
 
-    It is r_i / |r_i| for ball and join leaves (zero, and 1/|r_i| zero,
-    at a norm centre) and ones on an affine leaf's slots, so that
-    q_i = -sign_i A_i^T unit_i.
+
+def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, ...]:
+    """unit (L, W, P), curv (L, P) and the softmin gradient q (n, P).
+
+    unit_i is the derivative of leaf i's read-out w.r.t. r_i: r_i / |r_i|
+    for ball and join leaves and ones on an affine leaf's slots, so the
+    leaf gradient is q_i = -sign_i A_i^T unit_i and q = sum_i w_i q_i.
+    curv_i = w_i / |r_i| for ball and join leaves and zero for affine
+    ones.  At a norm centre unit_i and curv_i are zero.  A ball or join
+    leaf has the Hessian sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i with
+    u = r_i / |r_i|, so w_i H_i = sign_i curv_i (q_i q_i^T - A_i^T A_i).
     """
-    with np.errstate(divide="ignore"):
-        inv_nd = np.where(mp.norm & (nd > 0.0), 1.0 / nd, 0.0)
-    return r * inv_nd[:, :, None] + mp.lin, inv_nd
-
-
-def _softmin_grad(
-    r: np.ndarray, nd: np.ndarray, w: np.ndarray, psi: NonTemporalFormula, n: int
-) -> tuple[np.ndarray, ...]:
-    """Leaf gradients q_i (P, L, n), softmin gradient q (P, n) and curv (P, L).
-
-    curv_i = w_i * sign_i / |r_i| for ball and join leaves and zero for
-    affine ones; at a norm centre the leaf's gradient and curv are zero.
-    A ball or join leaf has the Hessian
-    sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i with u = r_i / |r_i|,
-    so w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i).
-    """
-    mp = _leaf_maps(psi, n)
-    P = r.shape[0]
-    unit, inv_nd = _unit_readout(r, nd, mp)
-    leaf_grads = (unit.reshape(P, -1) @ mp.grad_map).reshape(P, -1, n)
-    grad = (w[:, None, :] @ leaf_grads)[:, 0, :]
-    return leaf_grads, grad, w * mp.signs * inv_nd
+    inv_nd = np.divide(1.0, nd, out=np.zeros_like(nd), where=mp.norm & (nd > 0.0))
+    unit = r * inv_nd[:, None, :]
+    unit += mp.lin
+    L, W, P = unit.shape
+    q = mp.grad @ (unit * w[:, None, :]).reshape(L * W, P)
+    return unit, w * inv_nd, q
 
 
 def _hessian_form(
-    leaf_grads: np.ndarray, grad: np.ndarray, leaf_coef: np.ndarray, grad_coef: np.ndarray,
-    ata_coef: np.ndarray, psi: NonTemporalFormula,
+    unit: np.ndarray, q: np.ndarray, leaf_coef: np.ndarray, grad_coef: np.ndarray,
+    ata_coef: np.ndarray, mp: _LeafMaps,
 ) -> np.ndarray:
-    """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (P, n, n).
+    """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (n, n, P).
 
-    The softmin gradient q (P, n) is appended to the leaf gradients q_i
-    (P, L, n), so every outer product goes into one batched matmul.
+    The leaf gradients q_i = -sign_i A_i^T unit_i and the softmin
+    gradient q stack into one (L + 1, n, P) array, so all outer products
+    form in one contraction; the A_i^T A_i term is one matrix product.
     """
-    P, _, n = leaf_grads.shape
-    grads = np.concatenate([leaf_grads, grad[:, None, :]], axis=1)
-    coef = np.concatenate([leaf_coef, grad_coef[:, None]], axis=1)
-    out = (grads.transpose(0, 2, 1) * coef[:, None, :]) @ grads
-    out += (ata_coef @ _leaf_maps(psi, n).ata).reshape(P, n, n)
+    L, W, P = unit.shape
+    n = q.shape[0]
+    grads = np.empty((L + 1, n, P))
+    np.matmul(mp.grad.reshape(n, L, W).transpose(1, 0, 2), unit, out=grads[:L])
+    grads[L] = q
+    coef = np.concatenate([leaf_coef, grad_coef[None]])
+    out = np.einsum("kap,kbp->abp", grads * coef[:, None, :], grads)
+    out += (mp.ata @ ata_coef).reshape(n, n, P)
     return out
 
 
-def _omni_gT(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, gbody: np.ndarray) -> np.ndarray:
-    """Per-agent 3x3 blocks gbody^T (c0 * _ROT_C + c1 * _ROT_S + c2 * _ROT_Z).
-
-    With (c0, c1, c2) = (cos, sin, 1) of each agent's heading this is
-    the omni team's g^T; with (-sin, cos, 0) its heading derivative per
-    radian.  Inputs are (P, agents); the result is (P, agents, 3, 3).
-    """
-    basis = np.stack([(gbody.T @ rot).ravel() for rot in (_ROT_C, _ROT_S, _ROT_Z)])
-    return (np.stack([c0, c1, c2], axis=2) @ basis).reshape(*c0.shape, 3, 3)
-
-
-def _law_front(
-    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
-    ro: _Readout | None = None,
-) -> tuple:
-    """What the batch law and its Jacobian share at every row, in this order:
-    the read-out (``ro`` if the caller has it), ``_softmin_grad``, eps (NaN
-    where xi leaves (-1, 0)) and the omni headings' cos, sin and g^T blocks."""
-    ro = _readout(X, T, psi, fp, eta) if ro is None else ro
-    leaf_grads, grad, curv = _softmin_grad(ro.r, ro.nd, ro.w, psi, X.shape[1])
-    xi = ro.xi
+def _eps_slope(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eps = ln(-(xi + 1) / xi), NaN where xi leaves (-1, 0), and slope = d eps / d xi."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        eps = np.where((xi > -1.0) & (xi < 0.0), np.log(-(xi + 1.0) / xi), np.nan)
-    if plant.gbase is None:
-        return ro, leaf_grads, grad, curv, eps, None
-    th = X[:, 2::3] * _DEG
+        eps = np.log(-(xi + 1.0) / xi)
+        slope = 1.0 / (1.0 + xi) - 1.0 / xi
+    # The log is NaN outside [-1, 0] and infinite where its argument is 0 or
+    # overflows, as at xi = -1 and -0.0.
+    eps[np.isinf(eps)] = np.nan
+    return eps, slope
+
+
+def _omni_columns(X: np.ndarray, gbody: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns of the omni team's g^T per agent at every row of X (P, n).
+
+    With G_k row k of gbody and theta an agent's heading, they are
+    c0 = cos G0 - sin G1, c1 = sin G0 + cos G1 (both (agents, 3, P)) and
+    G2 ((1, 3, 1)).
+    """
+    # Stored rows-last like every operand they meet.
+    th = np.multiply(X[:, 2::3].T[:, None, :], _DEG, order="C")
     cos, sin = np.cos(th), np.sin(th)
-    gT = _omni_gT(cos, sin, np.ones_like(cos), plant.gbody)
-    return ro, leaf_grads, grad, curv, eps, (cos, sin, gT)
+    g0, g1, g2 = gbody[:, None, :, None]
+    return cos * g0 - sin * g1, sin * g0 + cos * g1, g2
+
+
+def _omni_apply(cols: tuple[np.ndarray, ...], v: np.ndarray) -> np.ndarray:
+    """The per-agent 3x3 blocks with columns ``cols`` (``_omni_columns``, g^T,
+    or their absolute values) applied to v (n, ..., P)."""
+    blocks = v.reshape(v.shape[0] // 3, 3, -1, v.shape[-1])
+    c0, c1, g2 = (c[:, :, None] for c in cols)
+    out = c0 * blocks[:, :1]
+    out += c1 * blocks[:, 1:2]
+    out += g2 * blocks[:, 2:]
+    return out.reshape(v.shape)
+
+
+def _omni_heading(cols: tuple[np.ndarray, ...], q: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale * (d g^T / d theta) q at every row (n, P): per agent the
+    columns -c1 and c0 of ``_omni_columns`` applied to q, times pi / 180
+    per degree of heading."""
+    qa = q.reshape(-1, 3, q.shape[-1])
+    return ((scale * _DEG) * (cols[0] * qa[:, 1:2] - cols[1] * qa[:, :1])).reshape(q.shape)
 
 
 def u_xi_batch(
@@ -406,13 +419,10 @@ def u_xi_batch(
     Returns U (P, m) and xi (P,); rows whose xi leaves (-1, 0) are NaN in U.
     """
     X = np.asarray(X, dtype=float)
-    P, n = X.shape
-    ro, _, grad, _, eps, omni = _law_front(X, np.asarray(T, dtype=float), psi, fp, plant, eta)
-    if omni is None:
-        U = plant.gain * grad
-    else:
-        U = (omni[2] @ grad.reshape(P, -1, 3, 1)).reshape(P, n)
-    return -eps[:, None] * U, ro.xi
+    ro = _readout(X, np.asarray(T, dtype=float), psi, fp, eta)
+    q = _leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, X.shape[1]))[2]
+    U = plant.gain * q if plant.gbase is None else _omni_apply(_omni_columns(X, plant.gbody), q)
+    return (-_eps_slope(ro.xi)[0] * U).T, ro.xi
 
 
 def law_jacobian_batch(
@@ -432,38 +442,33 @@ def law_jacobian_batch(
 
         sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
 
-    With w_i H_i = curv_i * (q_i q_i^T - A_i^T A_i), all outer products
-    collect into one batched matmul over the leaf gradients with q
+    With w_i H_i = sign_i curv_i (q_i q_i^T - A_i^T A_i), all outer products
+    collect into one contraction over the leaf gradients with q
     appended.  The omni team applies g^T per agent as 3x3 blocks and adds
-    the heading column d rot/d theta (degrees).  Rows whose xi leaves
+    the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
     (-1, 0) are not finite.  ``readout`` is the read-out of the rows when
-    the caller already has it.
+    the caller already has it.  The results are views of arrays stored
+    rows-last.
     """
-    P, n = X.shape
-    ro, leaf_grads, grad, curv, eps, omni = _law_front(X, T, psi, fp, plant, eta, readout)
+    n = X.shape[1]
+    mp = _leaf_maps(psi, n)
+    ro = _readout(X, T, psi, fp, eta) if readout is None else readout
+    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
+    curv *= mp.signs
     xi = ro.xi
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slope = 1.0 / (1.0 + xi) - 1.0 / xi
-
+    eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
-        leaf_grads, grad, -eps[:, None] * (curv - eta * ro.w), -(eps * eta + slope / ro.gamma),
-        eps[:, None] * curv, psi,
+        unit, q, -eps * (curv - eta * ro.w), -(eps * eta + slope / ro.gamma), eps * curv, mp
     )
-    m_t = -(slope * xi * fp.perf.l * ro.decay / ro.gamma)[:, None] * grad
-
-    if omni is None:
-        return plant.gain * M_x, plant.gain * m_t, xi
-    # Per agent g^T and its heading derivative are (cos, sin, 1) and
-    # (-sin, cos, 0) times a fixed basis; theta is in degrees.
-    n_agents = n // 3
-    cos, sin, gT = omni
-    dgT = _omni_gT(-sin, cos, np.zeros_like(cos), plant.gbody) * _DEG
-    du_dx = (gT @ M_x.reshape(P, n_agents, 3, n)).reshape(P, n, n)
-    du_dt = np.einsum("pajk,pak->paj", gT, m_t.reshape(P, n_agents, 3)).reshape(P, n)
-    dgT_grad = np.einsum("pajk,pak->paj", dgT, grad.reshape(P, n_agents, 3)).reshape(P, n)
-    rows = np.arange(n)
-    du_dx[:, rows, 3 * (rows // 3) + 2] -= eps[:, None] * dgT_grad
-    return du_dx, du_dt, xi
+    m_t = -(slope * xi * fp.perf.l * ro.decay / ro.gamma) * q
+    if plant.gbase is None:
+        du_dx, du_dt = plant.gain * M_x, plant.gain * m_t
+    else:
+        cols = _omni_columns(X, plant.gbody)
+        du_dx, du_dt = _omni_apply(cols, M_x), _omni_apply(cols, m_t)
+        rows = np.arange(n)
+        du_dx[rows, 3 * (rows // 3) + 2] -= _omni_heading(cols, q, eps)
+    return du_dx.transpose(2, 0, 1), du_dt.T, xi
 
 
 def guarded_readout(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout | None:
@@ -485,10 +490,9 @@ def law_row_sums(
     blocks of ``pts``, in order, when the caller has them; the Jacobian
     then reuses their read-out, weights and funnel error.
     """
-    readout = None if blocks is None else _Readout(*(np.concatenate(f) for f in zip(*blocks)))
+    readout = None if blocks is None else _join(blocks)
     du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, readout)
-    # A matrix-vector product sums the short last axis faster than .sum().
-    return np.abs(du_dx, out=du_dx) @ np.ones(du_dx.shape[2]) + np.abs(du_dt)
+    return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
 
 
 def law_row_bound(
@@ -498,8 +502,8 @@ def law_row_bound(
     """An upper bound on ``law_row_sums(pts, ...).max()`` from the read-outs alone.
 
     ``blocks`` are the ``guarded_readout`` results of consecutive row
-    blocks of ``pts``, in order.  No Jacobian and no (P, n, n) or
-    (P, L, n) array is formed; each term of ``law_jacobian_batch`` is
+    blocks of ``pts``, in order.  No Jacobian and no (n, n, P) or
+    (L, n, P) array is formed; each term of ``law_jacobian_batch`` is
     bounded row by row:
 
     * leaf gradients: b_i = |A_i|^T |unit_i| >= |q_i|, and q = sum_i w_i q_i;
@@ -521,50 +525,36 @@ def law_row_bound(
     is the largest entry over rows and inputs; it is NaN or inf only
     where a row's read-out is.
     """
-    ro = _Readout(*(np.concatenate(f) for f in zip(*blocks)))
-    P, n = pts.shape[0], pts.shape[1] - 1
-    mp = _leaf_maps(psi, n)
-    # Rows run along the last axis from here on: the read-out is stored
-    # row-fastest, and the arrays are only a few entries wide per row.
-    unit, inv_nd = _unit_readout(ro.r, ro.nd, mp)
-    L, W = mp.a.shape
-    unit = unit.transpose(1, 2, 0)
-    w, inv_nd = ro.w.T, inv_nd.T
-    grad = mp.slot_grad.T @ (unit * w[:, None, :]).reshape(L * W, P)
+    ro = _join(blocks)
+    X = pts[:, :-1]
+    mp = _leaf_maps(psi, X.shape[1])
+    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
+    L, W, P = unit.shape
+    w = ro.w
     abs_unit = np.abs(unit)
-    b_l1 = mp.slot_l1.T @ abs_unit.reshape(L * W, P)
-    curv = w * inv_nd
+    b_l1 = (mp.l1 @ abs_unit)[:, 0]
     spread = 1.0 - 2.0 * w
     e_w = w * (spread * b_l1 + (w * b_l1).sum(axis=0))
     coef = curv * b_l1 + eta * (e_w * spread + e_w.sum(axis=0) * w)
-    v = np.abs(mp.slot_grad.T) @ (abs_unit * coef[:, None, :]).reshape(L * W, P)
-    v += mp.ata_rows.T @ curv
+    v = np.abs(mp.grad) @ (abs_unit * coef[:, None, :]).reshape(L * W, P)
+    v += mp.ata_rows @ curv
     xi = ro.xi
-    eps = np.abs(np.log(-(xi + 1.0) / xi))
-    v *= eps
-    slope = 1.0 / (1.0 + xi) - 1.0 / xi
-    abs_grad = np.abs(grad)
-    v += slope / ro.gamma * (abs_grad.sum(axis=0) + np.abs(xi * fp.perf.l * ro.decay)) * abs_grad
+    eps, slope = _eps_slope(xi)
+    v *= np.abs(eps)
+    abs_q = np.abs(q)
+    v += slope / ro.gamma * (abs_q.sum(axis=0) + np.abs(xi * fp.perf.l * ro.decay)) * abs_q
     if plant.gbase is None:
         return float(v.max()) * plant.gain
-    # Per agent g^T has the columns c0 = cos G0 - sin G1, c1 = sin G0 + cos G1
-    # and G2, with G_k row k of gbody; its heading derivative per degree
-    # has the columns -c1 and c0 (and zero) times pi / 180.
-    th = pts[:, 2:-1:3].T[:, None, :] * _DEG
-    cos, sin = np.cos(th), np.sin(th)
-    g0, g1, g2 = plant.gbody[:, :, None]
-    c0 = cos * g0 - sin * g1
-    c1 = sin * g0 + cos * g1
-    v = v.reshape(-1, 3, P)
-    q = grad.reshape(-1, 3, P)
-    rows = np.abs(c0) * v[:, :1] + np.abs(c1) * v[:, 1:2] + np.abs(g2) * v[:, 2:]
-    rows += eps * _DEG * np.abs(c0 * q[:, 1:2] - c1 * q[:, :1])
+    c0, c1, g2 = _omni_columns(X, plant.gbody)
+    heading = np.abs(_omni_heading((c0, c1, g2), q, eps))
+    rows = _omni_apply((np.abs(c0, out=c0), np.abs(c1, out=c1), np.abs(g2)), v)
+    rows += heading
     return float(rows.max())
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
     """Exact robustness, the minimum leaf value, at every row of X."""
-    return _leaf_readout(np.asarray(X, dtype=float), psi)[2].min(axis=1)
+    return _leaf_readout(np.asarray(X, dtype=float), psi)[2].min(axis=0)
 
 
 def smooth_psi_hessian(
@@ -583,7 +573,9 @@ def smooth_psi_hessian(
     """
     X = np.asarray(x, dtype=float)[None, :]
     eta = cfg.eta
+    mp = _leaf_maps(psi, X.shape[1])
     r, nd, h = _leaf_readout(X, psi)
     w = _softmin(h, eta)[1]
-    leaf_grads, grad, curv = _softmin_grad(r, nd, w, psi, X.shape[1])
-    return _hessian_form(leaf_grads, grad, curv - eta * w, np.full(1, eta), -curv, psi)[0]
+    unit, curv, q = _leaf_grads(r, nd, w, mp)
+    curv *= mp.signs
+    return _hessian_form(unit, q, curv - eta * w, np.full(1, eta), -curv, mp)[:, :, 0]

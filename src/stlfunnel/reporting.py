@@ -44,7 +44,7 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
 
 def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -> None:
     header = (
-        ["i", "t_i", "cause", "delta_i", "delta_by"]
+        ["i", "t_i", "cause", "delta_i", "delta_by", "overshoot"]
         + [f"x{i}" for i in range(n)]
         + [f"u{j}" for j in range(m)]
     )
@@ -57,6 +57,7 @@ def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -
                 ev.cause,
                 _FMT % ev.delta,
                 ev.delta_by,
+                "" if ev.overshoot is None else _FMT % ev.overshoot,
                 _row(ev.x),
                 _row(ev.u),
             ]

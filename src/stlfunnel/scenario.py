@@ -67,7 +67,7 @@ SCENARIO_SCHEMA = {
                 "delta_x0": {"type": "number", "exclusiveMinimum": 0},
                 "delta_t0": {"type": "number", "exclusiveMinimum": 0},
                 "shrink": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "sample_count": {"type": "integer", "minimum": 8},
+                "sample_count": {"type": "integer", "minimum": 1},
                 "delta_floor": {"type": "number", "exclusiveMinimum": 0},
             },
         },

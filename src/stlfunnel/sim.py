@@ -95,6 +95,8 @@ class RunMetrics:
     # ("ExceptionType: message"); rho_theta then stays NaN.
     monitor_error: str | None = None
     max_input_deviation: float = 0.0
+    # Largest ``TriggerEvent.overshoot``; 0 when no event fired on the trigger.
+    max_overshoot: float = 0.0
     min_delta: float = math.inf
     min_inter_event: float = math.inf
     min_xi_gap: float = math.inf
@@ -151,8 +153,8 @@ def _keep_freed_heap() -> None:
     """Keep up to ``_HEAP_PAD`` bytes of freed heap instead of returning it.
 
     Every event's trigger radius allocates and frees MBs of numpy
-    temporaries at n = 9 with 1280 probe rows: about 2 MB for the row
-    bound and 4.1 MB when the Jacobian pass runs (``tracemalloc`` peaks).
+    temporaries at n = 9 with 1280 probe rows: about 1.8 MB for the row
+    bound and 3.4 MB when the Jacobian pass runs (``tracemalloc`` peaks).
     glibc hands freed memory at the top of its heap back to the kernel
     once it exceeds a trim threshold that tracks the largest block freed
     so far, so without a pad every event faults those pages in again.
@@ -276,6 +278,13 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         else:
             cause = should_trigger(x, t_fun, event)
         if cause is not None:
+            overshoot = None
+            if cause in ("StateDeviation", "MaxInterval"):
+                # The trigger tests grid samples only, so the state or clock
+                # has left the previous event's box by the time it fires.
+                reach = max(float(np.abs(x - event.x).max()), t_fun - event.t)
+                overshoot = reach / event.delta
+                metrics.max_overshoot = max(metrics.max_overshoot, overshoot)
             try:
                 event = make_event(
                     z.psi, z.fp, x, t_fun, u_cont, len(events), cause,
@@ -284,7 +293,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             except TriggerFloorError:
                 return fail("trigger_floor")
             # The controller tracks the funnel clock; log wall-clock time.
-            events.append(replace(event, t=t))
+            events.append(replace(event, t=t, overshoot=overshoot))
             event_steps.append(k)
             metrics.min_delta = min(metrics.min_delta, event.delta)
             metrics.delta_by[event.delta_by] += 1

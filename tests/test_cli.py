@@ -43,6 +43,16 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     rows = (out / "events.csv").read_text().splitlines()
     by = [row.split(",")[4] for row in rows[1:]]
     assert {k: by.count(k) for k in counts} == counts
+    # The trigger fires at the first grid sample past the box, so every
+    # StateDeviation or MaxInterval event overshoots its predecessor's radius;
+    # Initial and ModeSwitch events leave the column empty.
+    header = rows[0].split(",")
+    assert header[4:6] == ["delta_by", "overshoot"]
+    cells = [row.split(",") for row in rows[1:]]
+    fired = [float(c[5]) for c in cells if c[2] in ("StateDeviation", "MaxInterval")]
+    assert fired and min(fired) > 1.0
+    assert all(c[5] == "" for c in cells if c[2] in ("Initial", "ModeSwitch"))
+    assert float(metrics["max_overshoot"]) == max(fired)
 
 
 def test_run_seed_and_dt_overrides(tmp_path):
@@ -85,6 +95,13 @@ def test_spec_size_mismatch_is_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--dt", "0"]) == 2
 
 
+def test_scenario_sample_count_matches_trigger_config(tmp_path):
+    # A scenario file accepts every probe count TriggerConfig accepts.
+    for count, code in ((3, 0), (1, 0), (0, 2)):
+        scn = _write(tmp_path, TOY_SCENARIO + f"trigger:\n  sample_count: {count}\n")
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == code, count
+
+
 def test_non_finite_x0_is_config_error(tmp_path, capsys):
     for value in (".inf", ".nan"):
         scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", f"x0: [{value}]"))
@@ -118,7 +135,9 @@ def test_failure_before_first_sample_exits_three(tmp_path, capsys):
     assert (out / "trajectory.csv").read_text().splitlines() == [
         "t,x0,u0,rho_active,gamma,mode"
     ]
-    assert (out / "events.csv").read_text().splitlines() == ["i,t_i,cause,delta_i,delta_by,x0,u0"]
+    assert (out / "events.csv").read_text().splitlines() == [
+        "i,t_i,cause,delta_i,delta_by,overshoot,x0,u0"
+    ]
     assert (out / "funnel.csv").read_text().splitlines() == ["t,mode,rho_active,lower,upper,u0"]
     assert "satisfied=false" in (out / "metrics.txt").read_text()
 

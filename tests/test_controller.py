@@ -511,7 +511,8 @@ def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
     table = kernels.compile_leaf_table(psi)
     want_h = np.array([kernels.leaf_pass(table, p[:-1].tolist())[0] for p in pts])
     want = np.array([kernels.u_xi_eval(table, p[:-1], p[-1], sm.eta, fp, plant)[0] for p in pts])
-    np.testing.assert_array_equal(h, want_h)
+    # The read-out keeps rows along its last axis: h is (leaves, rows).
+    np.testing.assert_array_equal(h.T, want_h)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 

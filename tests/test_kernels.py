@@ -9,7 +9,7 @@ from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
-from stlfunnel.predicates import ball
+from stlfunnel.predicates import affine, ball, join
 
 from conftest import PSI1_TEXT, random_concave_psi
 
@@ -79,6 +79,15 @@ def _random_psi(rng, dim):
     return NonTemporalFormula(leaves=tuple(leaves))
 
 
+def _band_funnel(rng, pts, psi, eta):
+    """A funnel wide enough that every row (x, t) of pts has xi inside the guard's band."""
+    rho = kernels._softmin(kernels._leaf_readout(pts[:, :-1], psi)[2], eta)[0]
+    spread = float(rho.max() - rho.min())
+    rho_max = max(float(rho.max()) + 0.3 * spread + 0.1, 1.0)
+    gamma_inf = 1.5 * (rho_max - float(rho.min())) + 0.1
+    return _funnel(rho_max, float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf, float(rng.uniform(0.0, 1.0)))
+
+
 @pytest.mark.parametrize("kind", ["integrator", "omni"])
 def test_law_row_bound_covers_row_sums(rng, kind):
     # The bound that lets the trigger radius skip the Jacobian pass holds
@@ -107,11 +116,7 @@ def test_law_row_bound_covers_row_sums(rng, kind):
         pts = np.column_stack([
             x + rng.uniform(-width, width, (P, n)), rng.uniform(0.0, 4.0, P),
         ])
-        rho = kernels._softmin(kernels._leaf_readout(pts[:, :-1], psi)[2], eta)[0]
-        spread = float(rho.max() - rho.min())
-        rho_max = max(float(rho.max()) + 0.3 * spread + 0.1, 1.0)
-        gamma_inf = 1.5 * (rho_max - float(rho.min())) + 0.1
-        fp = _funnel(rho_max, float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf, float(rng.uniform(0.0, 1.0)))
+        fp = _band_funnel(rng, pts, psi, eta)
         k = int(rng.integers(1, P))
         blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (pts[:k], pts[k:]))
         assert all(b is not None for b in blocks)
@@ -121,3 +126,59 @@ def test_law_row_bound_covers_row_sums(rng, kind):
         # the two sides round apart by a few ulps; the radius compares the
         # bound with a 1e-9 relative margin.
         assert kernels.law_row_bound(pts, psi, fp, plant, eta, blocks) >= exact * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["integrator", "omni"])
+def test_batch_rows_are_independent(rng, kind):
+    # Every batch function computes each row on its own: P rows at once
+    # equal P one-row calls, and the bound over all rows is the largest
+    # one-row bound.  A misplaced axis or transpose in the rows-last layout
+    # mixes rows and fails this.  The conjunction has ten leaves of every
+    # kind, two of them negated and one ball reading a state twice.  The
+    # tolerance is relative to each array's largest entry, since BLAS may
+    # add a one-row product in another order.
+    if kind == "omni":
+        plant = omni_robot_team(3, input_gain=40.0)
+    else:
+        plant = single_integrator(5, gain=1.7)
+    n = plant.n
+    leaves = list(random_concave_psi(rng, n, 7).leaves)
+    leaves[1], leaves[4] = leaves[1].negate(), leaves[4].negate()
+    leaves.append(join((0,), (n - 1,), 12.0))
+    leaves.append(affine((0, 1, 2), (0.5, -1.0, 0.25), 20.0))
+    leaves.append(ball((1, 1), (2.0, 2.0), 9.0))
+    psi = NonTemporalFormula(leaves=tuple(leaves))
+    assert len(psi.leaves) >= 9 and {leaf.kind for leaf in psi.leaves} == {"ball", "join", "affine"}
+    eta = 0.8
+    P = 40
+    x = rng.uniform(-4.0, 4.0, n)
+    if kind == "omni":
+        x[2::3] = rng.uniform(0.0, 360.0, n // 3)
+    pts = np.column_stack([x + rng.uniform(-0.5, 0.5, (P, n)), rng.uniform(0.0, 3.0, P)])
+    fp = _band_funnel(rng, pts, psi, eta)
+
+    def law(rows):
+        return kernels.u_xi_batch(rows[:, :-1], rows[:, -1], psi, fp, plant, eta)
+
+    def jacobian(rows):
+        return kernels.law_jacobian_batch(rows[:, :-1], rows[:, -1], psi, fp, plant, eta)
+
+    def row_sums(rows):
+        return (kernels.law_row_sums(rows, psi, fp, plant, eta),)
+
+    for fn in (law, jacobian, row_sums):
+        whole = fn(pts)
+        rows = [fn(pts[p : p + 1]) for p in range(P)]
+        for k, full in enumerate(whole):
+            assert full.shape[0] == P
+            stacked = np.concatenate([row[k] for row in rows])
+            atol = 1e-14 * float(np.abs(full).max())
+            np.testing.assert_allclose(full, stacked, rtol=1e-14, atol=atol)
+
+    def bound(rows, cut):
+        blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (rows[:cut], rows[cut:]) if len(b))
+        assert all(b is not None for b in blocks)
+        return kernels.law_row_bound(rows, psi, fp, plant, eta, blocks)
+
+    single = max(bound(pts[p : p + 1], 1) for p in range(P))
+    assert bound(pts, 17) == pytest.approx(single, rel=1e-14, abs=0.0)
