@@ -10,8 +10,9 @@ checkout's working tree.  Pair i runs each workload's episode at
 ``--seed`` (default 7) once on each side, each in a fresh interpreter
 with BLAS threads pinned to 1, the parent first in even pairs and the
 change first in odd ones.  In that interpreter ``kernels.guarded_readout``,
-``kernels.law_row_bound`` and ``kernels.law_row_sums`` are wrapped where
-``controller`` looks them up, and every call's wall time is recorded.
+``kernels.joined_rows``, ``kernels.law_row_bound`` and
+``kernels.law_row_sums`` are wrapped where ``controller`` looks them up,
+when it does, and every call's wall time is recorded.
 
 Per workload, function and side, the row appended to
 ``BENCH_radius.json`` holds the calls per episode and, over the pairs,
@@ -38,7 +39,7 @@ from bench_episode import ROOT, _export, _git, _summary
 
 RECORD = ROOT / "BENCH_radius.json"
 WORKLOADS = ("rendezvous3", "patrol2d")
-FUNCTIONS = ("guarded_readout", "law_row_bound", "law_row_sums")
+FUNCTIONS = ("guarded_readout", "joined_rows", "law_row_bound", "law_row_sums")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -48,7 +49,7 @@ def _child(root: Path, workload: str, seed: int) -> None:
     from stlfunnel import controller, scenario, sim
 
     times = {name: [] for name in FUNCTIONS}
-    for name in FUNCTIONS:
+    for name in [name for name in FUNCTIONS if hasattr(controller, name)]:
         def timed(*args, _fn=getattr(controller, name), _log=times[name]):
             t0 = time.perf_counter()
             out = _fn(*args)

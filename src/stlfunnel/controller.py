@@ -22,7 +22,9 @@ This module keeps only the trigger: its configuration and event record,
 the box corners and probe points, the radius loop, ``should_trigger``
 and ``make_event``.  The funnel guard on the probe rows, the law
 Jacobian over them and its row bound are evaluated in ``kernels``
-(``guarded_readout``, ``law_row_sums``, ``law_row_bound``).
+(``guarded_readout``, ``joined_rows``, ``law_row_sums``,
+``law_row_bound``); the bound and the Jacobian share one joined read-out
+and one gradient step.
 ``continuous_law``, the law from the dense g(x), is the reference form
 the tests compare against; it is not on the episode path.
 """
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import guarded_readout, law_row_bound, law_row_sums, smooth_psi_value_and_grad
+from .kernels import guarded_readout, joined_rows, law_row_bound, law_row_sums, smooth_psi_value_and_grad
 from .plants import Plant
 
 __all__ = [
@@ -239,14 +241,14 @@ def compute_trigger_radius(
             )
 
     box = min(bx, bt)
-    blocks = (at_rows, at_corners)
+    rows = joined_rows((at_rows, at_corners), psi, x_i.shape[0])
     # A NaN bound fails the comparison and falls through to the exact pass.
     if (corners.shape[0] > tc.sample_count
-            and law_row_bound(pts, psi, fp, plant, eta, blocks) * tc.lipschitz_safety
+            and law_row_bound(pts, psi, fp, plant, eta, rows) * tc.lipschitz_safety
             * box * (1.0 + 1e-9) < tc.delta_u):
         delta, delta_by = box, "bound"
     else:
-        l_z = float(law_row_sums(pts, psi, fp, plant, eta, blocks).max()) * tc.lipschitz_safety
+        l_z = float(law_row_sums(pts, psi, fp, plant, eta, rows).max()) * tc.lipschitz_safety
         delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
         delta_by = "lipschitz" if delta < box else "box"
     if delta < tc.delta_floor:

@@ -9,9 +9,10 @@ into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).  There are two
 entry points over that form:
 
 * The pointwise loop over plain Python floats (``leaf_pass``,
-  ``smooth_rho_grad``, ``u_xi_eval`` and ``smooth_psi_value_and_grad``):
-  the per-step law of the episode loop and the value and gradient used
-  by the funnel, the optimizer and the sequencer.  On one state it is
+  ``smooth_rho_grad``, ``shortest_supergradient``, ``u_xi_eval`` and
+  ``smooth_psi_value_and_grad``): the per-step law of the episode loop,
+  the value and gradient used by the funnel and the sequencer, and the
+  optimizer's ascent direction.  On one state it is
   several times faster than a one-row numpy pass, whose fixed per-call
   overhead dominates at that size (README, "Leaf evaluation").
 * The batch read-out: leaf values, gradients and Hessians at every row
@@ -24,9 +25,10 @@ entry points over that form:
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
 leaf values and softmin weights are (L, P), and ``_leaf_maps``'s fields
-broadcast against them.  Blocks join along that axis (``_join``), and one
-gradient step (``_leaf_grads``) serves the batch law, its Jacobian, the
-row bound and the Hessian.
+broadcast against them.  Blocks join along that axis (``joined_rows``),
+and one gradient step (``_leaf_grads``) serves the batch law, its
+Jacobian, the row bound and the Hessian; a trigger radius that needs both
+the row bound and the Jacobian joins and differentiates its rows once.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
 ``Plant.gbody``, the plant's one description of its actuation; the omni
@@ -49,6 +51,7 @@ __all__ = [
     "compile_leaf_table",
     "leaf_pass",
     "smooth_rho_grad",
+    "shortest_supergradient",
     "u_xi_eval",
     "smooth_psi_value_and_grad",
     "u_xi_batch",
@@ -56,6 +59,7 @@ __all__ = [
     "guarded_readout",
     "law_row_sums",
     "law_row_bound",
+    "joined_rows",
     "exact_psi_batch",
     "smooth_psi_hessian",
 ]
@@ -65,6 +69,8 @@ __all__ = [
 USING_NUMBA = False
 
 _KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
+# Cap on the block-coordinate sweeps of ``shortest_supergradient``.
+_SWEEPS = 100
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,23 +127,27 @@ def leaf_pass(table: tuple[tuple, ...], xs: list[float]) -> tuple[list, list]:
     return h, diffs
 
 
-def smooth_rho_grad(table: tuple[tuple, ...], xs: list[float], eta: float) -> tuple[float, list]:
-    """Soft minimum of the leaf values at ``xs`` and its gradient (a list).
+def _softmin_terms(
+    table: tuple[tuple, ...], xs: list[float], eta: float, kink: float
+) -> tuple[float, list | None, list]:
+    """Soft minimum rho at ``xs``, the sum of w_i * grad h_i over the leaves
+    off their kink, and those within ``kink`` of it.
 
-    The gradient accumulates w_i * grad h_i leaf by leaf, so a selector
-    that repeats within a leaf adds up.  The gradient of a norm at its
-    own centre is taken as zero; any subgradient is admissible there and
-    zero keeps the law continuous through the centre.  A non-finite
-    smallest leaf value (an overflowing norm) is rho, with a NaN gradient.
+    A ball or join leaf whose difference vector has length at most
+    ``kink`` is left out of the sum and listed as (kind, sel, sel_b,
+    sign_i * w_i); every other leaf adds its gradient leaf by leaf, so a
+    selector that repeats within a leaf adds up.  With a non-finite
+    smallest leaf value (an overflowing norm) the sum is None.
     """
     h, diffs = leaf_pass(table, xs)
     m = min(h)
     if not math.isfinite(m):
-        return m, [math.nan] * len(xs)
+        return m, None, []
     w = np.exp(-eta * (np.array(h) - m))
-    z = w.sum()
+    z = float(w.sum())
     rho = m - math.log(z) / eta
     grad = [0.0] * len(xs)
+    kinks = []
     for (kind, sign, sel, sel_b, pars, _), wi, diff in zip(table, w.tolist(), diffs):
         ws = wi / z * sign
         if kind == 0:
@@ -145,16 +155,89 @@ def smooth_rho_grad(table: tuple[tuple, ...], xs: list[float], eta: float) -> tu
                 grad[j] -= ws * p
             continue
         d, nd = diff
-        if nd > 0.0:
-            if kind == 1:
-                for j, dj in zip(sel, d):
-                    grad[j] -= ws * dj / nd
+        if nd <= kink:
+            kinks.append((kind, sel, sel_b, ws))
+        elif kind == 1:
+            for j, dj in zip(sel, d):
+                grad[j] -= ws * dj / nd
+        else:
+            for j, k, dj in zip(sel, sel_b, d):
+                v = ws * dj / nd
+                grad[j] -= v
+                grad[k] += v
+    return rho, grad, kinks
+
+
+def smooth_rho_grad(table: tuple[tuple, ...], xs: list[float], eta: float) -> tuple[float, list]:
+    """Soft minimum of the leaf values at ``xs`` and its gradient (a list).
+
+    The gradient accumulates w_i * grad h_i leaf by leaf.  The gradient
+    of a norm at its own centre is taken as zero; any subgradient is
+    admissible there and zero keeps the law continuous through the
+    centre.  A non-finite smallest leaf value (an overflowing norm) is
+    rho, with a NaN gradient.
+    """
+    rho, grad, _ = _softmin_terms(table, xs, eta, 0.0)
+    return rho, [math.nan] * len(xs) if grad is None else grad
+
+
+def shortest_supergradient(
+    table: tuple[tuple, ...], xs: list[float], eta: float, kink: float
+) -> tuple[float, list]:
+    """Soft minimum at ``xs`` and the shortest element of its
+    ``kink``-superdifferential (a list), for concave leaves.
+
+    A ball or join leaf within ``kink`` of its kink counts as sitting on
+    it and contributes its whole superdifferential
+    {-w_i A_i^T s_i : |s_i| <= 1}, where row j of A_i reads x[sel_j], or
+    x[sel_j] - x[sel_b_j] for a join; every other leaf contributes
+    w_i grad h_i, as in ``smooth_rho_grad``.  The shortest element of the
+    sum comes from block-coordinate sweeps over the kink leaves: each
+    block is solved by least squares, s_i = A_i b / (w_i |row|^2) with b
+    the sum without leaf i, then scaled into the unit ball.  That solve is
+    exact when a leaf's selectors do not repeat, so A_i A_i^T is 1 or 2
+    times the identity; otherwise s_i is still admissible.  The sweeps stop
+    when one no longer shortens the sum.  So the result is zero when the
+    leaves within ``kink`` of their kink cancel the others' gradient, as
+    at a kink optimum, and wherever the smooth gradient is zero.
+    """
+    rho, g, kinks = _softmin_terms(table, xs, eta, kink)
+    if g is None:
+        return rho, [math.nan] * len(xs)
+    blocks = [(sel, sel_b if kind == 2 else (), ws, [0.0] * len(sel))
+              for kind, sel, sel_b, ws in kinks if ws > 0.0]
+    # Blocks over disjoint coordinates are solved exactly by one sweep.
+    read = [j for sel, sel_b, _, _ in blocks for j in sel + sel_b]
+    coupled = len(set(read)) < len(read)
+    gg = math.inf
+    for _ in range(_SWEEPS if coupled else 1):
+        for sel, sel_b, ws, s in blocks:
+            # Take leaf i's term out of g, solve its block, put it back.
+            if any(s):
+                _add_block(g, sel, sel_b, s, ws)
+            if sel_b:
+                s[:] = [(g[j] - g[k]) / (2.0 * ws) for j, k in zip(sel, sel_b)]
             else:
-                for j, k, dj in zip(sel, sel_b, d):
-                    v = ws * dj / nd
-                    grad[j] -= v
-                    grad[k] += v
-    return float(rho), grad
+                s[:] = [g[j] / ws for j in sel]
+            ns = math.hypot(*s)
+            if ns > 1.0:
+                s[:] = [v / ns for v in s]
+            if ns > 0.0:
+                _add_block(g, sel, sel_b, s, -ws)
+        if not coupled:
+            break
+        before, gg = gg, math.fsum(v * v for v in g)
+        if gg >= before * (1.0 - 1e-12):
+            break
+    return rho, g
+
+
+def _add_block(g: list, sel: tuple, sel_b: tuple, s: list, c: float) -> None:
+    """g += c A^T s for the rows of a ball (``sel_b`` empty) or a join."""
+    for j, sj in zip(sel, s):
+        g[j] += c * sj
+    for k, sj in zip(sel_b, s):
+        g[k] -= c * sj
 
 
 def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp, plant):
@@ -301,7 +384,7 @@ def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 class _Readout(NamedTuple):
     """Leaf read-out and funnel error of rows (x, t); rows run along every
-    field's last axis, so blocks joined field by field (``_join``) equal
+    field's last axis, so blocks joined field by field (``joined_rows``) equal
     one read-out of all their rows."""
 
     r: np.ndarray  # (L, W, P) leaf read-outs
@@ -322,11 +405,6 @@ def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: flo
     return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
 
 
-def _join(blocks: tuple[_Readout, ...]) -> _Readout:
-    """One read-out of the rows of consecutive read-out blocks."""
-    return _Readout(*(np.concatenate(f, axis=-1) for f in zip(*blocks)))
-
-
 def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, ...]:
     """unit (L, W, P), curv (L, P) and the softmin gradient q (n, P).
 
@@ -344,6 +422,24 @@ def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> 
     L, W, P = unit.shape
     q = mp.grad @ (unit * w[:, None, :]).reshape(L * W, P)
     return unit, w * inv_nd, q
+
+
+class _Rows(NamedTuple):
+    """A read-out of probe rows and its leaf gradients (``_leaf_grads``)."""
+
+    ro: _Readout
+    unit: np.ndarray
+    curv: np.ndarray  # unsigned, w_i / |r_i|
+    q: np.ndarray
+
+
+def joined_rows(blocks: tuple[_Readout, ...], psi: NonTemporalFormula, n: int) -> _Rows:
+    """One read-out of the rows of consecutive ``guarded_readout`` blocks
+    of an n-dimensional state, joined field by field, and its leaf
+    gradients: what ``law_row_bound`` and ``law_row_sums`` read, so a
+    radius that needs both joins and differentiates its rows once."""
+    ro = _Readout(*(np.concatenate(f, axis=-1) for f in zip(*blocks)))
+    return _Rows(ro, *_leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, n)))
 
 
 def _hessian_form(
@@ -427,7 +523,7 @@ def u_xi_batch(
 
 def law_jacobian_batch(
     X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
-    readout: _Readout | None = None,
+    rows: _Rows | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
 
@@ -446,15 +542,18 @@ def law_jacobian_batch(
     collect into one contraction over the leaf gradients with q
     appended.  The omni team applies g^T per agent as 3x3 blocks and adds
     the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
-    (-1, 0) are not finite.  ``readout`` is the read-out of the rows when
-    the caller already has it.  The results are views of arrays stored
-    rows-last.
+    (-1, 0) are not finite.  ``rows`` is the read-out of the rows and its
+    leaf gradients (``joined_rows``) when the caller already has them.  The
+    results are views of arrays stored rows-last.
     """
     n = X.shape[1]
     mp = _leaf_maps(psi, n)
-    ro = _readout(X, T, psi, fp, eta) if readout is None else readout
-    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
-    curv *= mp.signs
+    if rows is None:
+        ro = _readout(X, T, psi, fp, eta)
+        unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
+    else:
+        ro, unit, curv, q = rows
+    curv = curv * mp.signs
     xi = ro.xi
     eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
@@ -481,30 +580,28 @@ def guarded_readout(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) ->
 
 
 def law_row_sums(
-    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
-    blocks: tuple[_Readout, ...] | None = None,
+    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float, rows: _Rows | None = None,
 ) -> np.ndarray:
     """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t).
 
-    ``blocks`` are the ``guarded_readout`` results of consecutive row
-    blocks of ``pts``, in order, when the caller has them; the Jacobian
-    then reuses their read-out, weights and funnel error.
+    ``rows`` is the ``joined_rows`` of the ``guarded_readout`` results of
+    consecutive row blocks of ``pts``, in order, when the caller has them;
+    the Jacobian then reuses their read-out, weights, funnel error and
+    leaf gradients.
     """
-    readout = None if blocks is None else _join(blocks)
-    du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, readout)
+    du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, rows)
     return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
 
 
 def law_row_bound(
-    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
-    blocks: tuple[_Readout, ...],
+    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float, rows: _Rows,
 ) -> float:
     """An upper bound on ``law_row_sums(pts, ...).max()`` from the read-outs alone.
 
-    ``blocks`` are the ``guarded_readout`` results of consecutive row
-    blocks of ``pts``, in order.  No Jacobian and no (n, n, P) or
-    (L, n, P) array is formed; each term of ``law_jacobian_batch`` is
-    bounded row by row:
+    ``rows`` is the ``joined_rows`` of the ``guarded_readout`` results of
+    consecutive row blocks of ``pts``, in order.  No Jacobian and no
+    (n, n, P) or (L, n, P) array is formed; each term of
+    ``law_jacobian_batch`` is bounded row by row:
 
     * leaf gradients: b_i = |A_i|^T |unit_i| >= |q_i|, and q = sum_i w_i q_i;
     * the weights' curvature sum_i w_i q_i q_i^T - q q^T is the covariance
@@ -525,10 +622,9 @@ def law_row_bound(
     is the largest entry over rows and inputs; it is NaN or inf only
     where a row's read-out is.
     """
-    ro = _join(blocks)
     X = pts[:, :-1]
     mp = _leaf_maps(psi, X.shape[1])
-    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
+    ro, unit, curv, q = rows
     L, W, P = unit.shape
     w = ro.w
     abs_unit = np.abs(unit)

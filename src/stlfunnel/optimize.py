@@ -1,25 +1,36 @@
 """Maximization of the smoothed robustness.
 
-The smoothed conjunction of concave leaves is concave, so gradient
-ascent with a backtracking line search finds the global optimum on the
-smooth part of the surface.  Distance leaves keep the norm kink at
-coincidence points; when the maximizer sits on such a kink the ascent
-zigzags, so a stalled ascent is finished by a derivative-free polish
-and an exact coincidence snap, both accepted only if they do not lower
-the objective.
+The smoothed conjunction of concave leaves is concave, so a point is its
+maximum exactly when 0 lies in its superdifferential (Rockafellar,
+*Convex Analysis*, 1970).  A ball or join leaf has a kink where its
+difference vector vanishes; there its superdifferential is a whole ball
+of directions, and maximizers often sit on such kinks, where a plain
+gradient ascent zigzags.  The ascent here steps along the shortest
+element of a widened superdifferential instead
+(``kernels.shortest_supergradient``): a norm leaf within a tolerance of
+its kink contributes its whole ball, so a step cannot cross that kink and
+slides along it.  Steps follow Polak-Ribiere+ conjugate directions built
+from that element, with a backtracking line search refined once by a
+parabola.  The tolerance starts at the snap distance and falls tenfold
+each time the ascent stalls, that is, when the element is no longer than
+the tolerance, the line search fails or progress stops; below 1e-10 an
+exact coincidence snap finishes.  The same shortest supergradient at the
+returned point is its certificate: its length,
+``OptimizationResult.grad_norm``, is zero at a kink optimum.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import OptimizationError
 from .formulas import NonTemporalFormula, SmoothingConfig
-from .kernels import compile_leaf_table, leaf_pass, smooth_psi_value_and_grad
+from .kernels import compile_leaf_table, leaf_pass, shortest_supergradient
 
 __all__ = ["OptimizationResult", "optimize_robustness", "cached_optimum"]
 
@@ -31,8 +42,10 @@ _ESCAPE_NORM = 1e8
 _STALL_WINDOW = 100
 _STALL_GAIN = 1e-12
 # Generous on purpose: candidates are only accepted when they raise the
-# objective, so a wide net costs one evaluation and risks nothing.
+# objective, so a wide net costs one evaluation and risks nothing.  It is
+# also the first kink tolerance of the ascent.
 _SNAP_DIST = 0.5
+_KINK_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,6 +54,10 @@ class OptimizationResult:
     rho_opt: float
     iterations: int
     grad_norm: float
+
+
+def _dot(a: list, b: list) -> float:
+    return math.fsum(map(operator.mul, a, b))
 
 
 def _default_init(psi: NonTemporalFormula) -> np.ndarray:
@@ -121,9 +138,14 @@ def optimize_robustness(
     """Maximize the smoothed robustness of a conjunction.
 
     Starts from ``x_init`` when given, else from the mean of ball
-    centers.  Returns the best point seen; iterates escaping to
-    infinity raise OptimizationError (the conjunction then has no
-    bounded superlevel set).
+    centers, and ascends as the module docstring describes, with the kink
+    tolerance falling from ``_SNAP_DIST`` to below ``_KINK_FLOOR``;
+    ``_snap_candidate`` then tries the exact coincidence point.
+    ``grad_norm`` is the length of the shortest supergradient at the
+    returned point, counting norm leaves within the last tolerance of
+    their kink as on it: zero certifies a kink optimum.  Iterates
+    escaping to infinity raise OptimizationError (the conjunction then
+    has no bounded superlevel set).
     """
     psi.validate()
     if x_init is not None:
@@ -133,73 +155,75 @@ def optimize_robustness(
     else:
         x = _default_init(psi)
 
-    value, grad = smooth_psi_value_and_grad(psi, x, cfg)
+    table = compile_leaf_table(psi)
+    eta = cfg.eta
+    kink = _SNAP_DIST
+    xs = x.tolist()
+    value, d = shortest_supergradient(table, xs, eta, kink)
+    p, dd = d, _dot(d, d)
     step = 1.0
     iteration = 0
     window_ref = value
-    stalled = False
     while iteration < _MAX_ITER:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= _GRAD_TOL:
-            return OptimizationResult(
-                x_star=x, rho_opt=float(value), iterations=iteration, grad_norm=gnorm
-            )
-        # Backtracking from a step that grows again after successes, so
-        # progress is not throttled by one early short step.
-        step = min(step * 2.0, 1e6)
-        gg = gnorm * gnorm
-        while True:
-            x_new = x + step * grad
-            value_new, grad_new = smooth_psi_value_and_grad(psi, x_new, cfg)
-            if value_new >= value + _ARMIJO_SLOPE * step * gg:
-                break
-            step *= _ARMIJO_SHRINK
-            if step < 1e-18:
-                stalled = True
-                break
+        # Stationary at this tolerance: shrink it, or stop below the floor.
+        stalled = dd <= max(_GRAD_TOL, kink) ** 2
+        if not stalled:
+            # Backtracking from a step that grows again after successes, so
+            # progress is not throttled by one early short step.
+            step = min(step * 2.0, 1e6)
+            slope = _dot(d, p)
+            while True:
+                xs_new = [xi + step * pi for xi, pi in zip(xs, p)]
+                value_new, d_new = shortest_supergradient(table, xs_new, eta, kink)
+                if value_new >= value + _ARMIJO_SLOPE * step * slope:
+                    break
+                step *= _ARMIJO_SHRINK
+                if step < 1e-18:
+                    stalled = True
+                    break
+        if not stalled:
+            # Refine the accepted step once, to the top of the parabola
+            # through (0, value) with that slope and (step, value_new); the
+            # conjugate directions need steps near the line's maximum.
+            curv = value + step * slope - value_new
+            top = slope * step * step / (2.0 * curv) if curv > 0.0 else step
+            if top != step:
+                xs_top = [xi + top * pi for xi, pi in zip(xs, p)]
+                value_top, d_top = shortest_supergradient(table, xs_top, eta, kink)
+                if value_top > value_new:
+                    xs_new, value_new, d_new, step = xs_top, value_top, d_top, top
+            if not math.isfinite(value_new) or math.sqrt(_dot(xs_new, xs_new)) > _ESCAPE_NORM:
+                raise OptimizationError(
+                    "ascent iterates escape to infinity; the conjunction has no "
+                    "bounded superlevel set"
+                )
+            iteration += 1
+            dd_new = _dot(d_new, d_new)
+            beta = max(0.0, (dd_new - _dot(d_new, d)) / dd)
+            p = [di + beta * pi for di, pi in zip(d_new, p)]
+            if _dot(p, d_new) <= 0.0:  # not uphill: restart
+                p = d_new
+            xs, value, d, dd = xs_new, value_new, d_new, dd_new
+            if iteration % _STALL_WINDOW == 0:
+                stalled = value - window_ref < _STALL_GAIN * max(1.0, abs(value))
+                window_ref = value
         if stalled:
-            break
-        x, value, grad = x_new, value_new, grad_new
-        if not np.isfinite(value) or np.linalg.norm(x) > _ESCAPE_NORM:
-            raise OptimizationError(
-                "ascent iterates escape to infinity; the conjunction has no "
-                "bounded superlevel set"
-            )
-        iteration += 1
-        if iteration % _STALL_WINDOW == 0:
-            if value - window_ref < _STALL_GAIN * max(1.0, abs(value)):
-                stalled = True
+            if kink < _KINK_FLOOR:
                 break
+            kink /= 10.0
+            value, d = shortest_supergradient(table, xs, eta, kink)
+            p, dd = d, _dot(d, d)
+            step = 1.0
             window_ref = value
 
-    # Nonsmooth finish: zigzag or cap means the maximizer likely sits on
-    # a coincidence kink.  Polish without derivatives, then try the
-    # exact collapse; keep whichever point scores best.
-    res = minimize(
-        lambda p: -smooth_psi_value_and_grad(psi, p, cfg)[0],
-        x,
-        method="Powell",
-        options={"xtol": 1e-12, "ftol": 1e-14, "maxfev": 200_000},
-    )
-    iteration += int(res.nit)
-    if np.linalg.norm(res.x) > _ESCAPE_NORM:
-        raise OptimizationError(
-            "iterates escape to infinity; the conjunction has no bounded "
-            "superlevel set"
-        )
-    if -res.fun >= value:
-        x, value = res.x, -res.fun
+    x = np.array(xs)
     snapped = _snap_candidate(psi, x)
     if snapped is not None:
-        snap_value, _ = smooth_psi_value_and_grad(psi, snapped, cfg)
+        snap_value, snap_d = shortest_supergradient(table, snapped.tolist(), eta, kink)
         if snap_value >= value:
-            x, value = snapped, snap_value
-    _, grad = smooth_psi_value_and_grad(psi, x, cfg)
+            x, value, d = snapped, snap_value, snap_d
     return OptimizationResult(
-        x_star=x,
-        rho_opt=float(value),
-        iterations=iteration,
-        grad_norm=float(np.linalg.norm(grad)),
+        x_star=x, rho_opt=value, iterations=iteration, grad_norm=math.sqrt(_dot(d, d))
     )
 
 

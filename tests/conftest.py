@@ -81,9 +81,13 @@ def central_diff(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def random_concave_psi(
-    rng: np.random.Generator, dim: int, n_leaves: int | None = None
+    rng: np.random.Generator, dim: int, n_leaves: int | None = None,
+    kinds: tuple[str, ...] = ("ball", "join", "affine"),
 ) -> NonTemporalFormula:
-    """Random well-posed conjunction of concave leaves on a dim state."""
+    """Random well-posed conjunction of concave leaves on a dim state.
+
+    After a first ball, each leaf's kind is drawn from ``kinds`` (a join
+    falls back to an affine leaf below two dimensions)."""
     if n_leaves is None:
         n_leaves = int(rng.integers(1, 6))
     leaves = []
@@ -93,7 +97,7 @@ def random_concave_psi(
     center = tuple(float(c) for c in rng.uniform(-10, 10, k))
     leaves.append(ball(sel, center, float(rng.uniform(0.5, 10.0))))
     for _ in range(n_leaves - 1):
-        kind = rng.choice(["ball", "join", "affine"])
+        kind = rng.choice(list(kinds))
         if kind == "ball":
             k = int(rng.integers(1, dim + 1))
             sel = tuple(int(i) for i in rng.choice(dim, size=k, replace=False))
@@ -115,6 +119,41 @@ def random_concave_psi(
     psi = NonTemporalFormula(leaves=tuple(leaves))
     psi.validate()
     return psi
+
+
+def random_consistent_psi(rng: np.random.Generator, dim: int) -> tuple[NonTemporalFormula, list[float]]:
+    """Random conjunction of two to five ball and join leaves that all peak
+    at one shared point, and the leaves' radii.
+
+    The point's coordinates fall into groups of equal value; balls are
+    centred on it and joins pair coordinates of one group, so the smooth
+    optimum is the soft minimum of the radii,
+    -(1/eta) ln sum_i exp(-eta r_i).
+    """
+    n_leaves = int(rng.integers(2, 6))
+    group = rng.integers(0, int(rng.integers(1, dim + 1)), dim)
+    point = rng.uniform(-10, 10, dim)[group]
+    leaves, radii = [], []
+    for i in range(n_leaves):
+        radius = float(rng.uniform(0.5, 10.0))
+        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim) if group[a] == group[b]]
+        if i > 0 and pairs and rng.random() < 0.5:
+            picks = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+            sel_a, sel_b, used = [], [], set()
+            for a, b in (pairs[k] for k in picks):
+                if a not in used and b not in used:
+                    used.update((a, b))
+                    sel_a.append(a)
+                    sel_b.append(b)
+            leaves.append(join(tuple(sel_a), tuple(sel_b), radius))
+        else:
+            k = int(rng.integers(1, dim + 1))
+            sel = tuple(int(j) for j in rng.choice(dim, size=k, replace=False))
+            leaves.append(ball(sel, tuple(float(point[j]) for j in sel), radius))
+        radii.append(radius)
+    psi = NonTemporalFormula(leaves=tuple(leaves))
+    psi.validate()
+    return psi, radii
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from stlfunnel import controller, kernels
-from stlfunnel.kernels import _leaf_readout, _readout, guarded_readout, law_jacobian_batch, law_row_sums
+from stlfunnel.kernels import (
+    _leaf_readout, _readout, guarded_readout, joined_rows, law_jacobian_batch, law_row_sums,
+)
 from stlfunnel.controller import (
     TriggerConfig,
     TriggerEvent,
@@ -465,9 +467,9 @@ def test_latin_hypercube_probes_stratify_the_box(rng, count):
 
 def test_guard_blocks_feed_the_jacobian_unchanged():
     # The radius loop hands law_row_sums the guard's read-outs of the
-    # hypercube block and of the corner block.  Every read-out field is
-    # computed row by row, so the rows sums equal one pass over the
-    # stacked probe rows bit for bit.
+    # hypercube block and of the corner block, joined by ``joined_rows``.
+    # Every read-out field is computed row by row, so the rows sums equal
+    # one pass over the stacked probe rows bit for bit.
     x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
     rng = np.random.default_rng(7)
     seed = int(rng.integers(2**32))
@@ -476,7 +478,8 @@ def test_guard_blocks_feed_the_jacobian_unchanged():
     blocks = tuple(guarded_readout(b, psi, fp, sm.eta) for b in (pts[: tc.sample_count], corners))
     assert all(b is not None for b in blocks)
     np.testing.assert_array_equal(
-        law_row_sums(pts, psi, fp, plant, sm.eta, blocks), law_row_sums(pts, psi, fp, plant, sm.eta)
+        law_row_sums(pts, psi, fp, plant, sm.eta, joined_rows(blocks, psi, x.shape[0])),
+        law_row_sums(pts, psi, fp, plant, sm.eta),
     )
 
 

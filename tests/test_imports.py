@@ -1,6 +1,6 @@
 """No module of the package and no test imports a name it never uses, no
 package module uses another's underscore-prefixed functions or classes, and
-the command line does not load scipy.stats."""
+neither the package nor its command line loads any scipy module."""
 
 import ast
 import subprocess
@@ -81,8 +81,9 @@ def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stlfunnel.cli; "
-            "print('scipy.stats' in sys.modules)")
+@pytest.mark.parametrize("module", ["stlfunnel", "stlfunnel.cli"])
+def test_import_loads_no_scipy(module):
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -94,7 +94,7 @@ def test_law_row_bound_covers_row_sums(rng, kind):
     # at every probe row the guard accepts.  Each draw places a box
     # of rows (x, t) and a funnel wide enough that every row's xi lies in
     # the guard's band, and hands both functions the guard's read-outs
-    # of two row blocks, as the radius loop does.
+    # of two row blocks, joined once, as the radius loop does.
     for _ in range(150):
         if kind == "omni":
             plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
@@ -120,12 +120,13 @@ def test_law_row_bound_covers_row_sums(rng, kind):
         k = int(rng.integers(1, P))
         blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (pts[:k], pts[k:]))
         assert all(b is not None for b in blocks)
-        exact = kernels.law_row_sums(pts, psi, fp, plant, eta, blocks).max()
+        rows = kernels.joined_rows(blocks, psi, n)
+        exact = kernels.law_row_sums(pts, psi, fp, plant, eta, rows).max()
         assert np.isfinite(exact)
         # Where the bound is tight, as when one leaf's |q| q^T term dominates,
         # the two sides round apart by a few ulps; the radius compares the
         # bound with a 1e-9 relative margin.
-        assert kernels.law_row_bound(pts, psi, fp, plant, eta, blocks) >= exact * (1.0 - 1e-12)
+        assert kernels.law_row_bound(pts, psi, fp, plant, eta, rows) >= exact * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["integrator", "omni"])
@@ -178,7 +179,7 @@ def test_batch_rows_are_independent(rng, kind):
     def bound(rows, cut):
         blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (rows[:cut], rows[cut:]) if len(b))
         assert all(b is not None for b in blocks)
-        return kernels.law_row_bound(rows, psi, fp, plant, eta, blocks)
+        return kernels.law_row_bound(rows, psi, fp, plant, eta, kernels.joined_rows(blocks, psi, n))
 
     single = max(bound(pts[p : p + 1], 1) for p in range(P))
     assert bound(pts, 17) == pytest.approx(single, rel=1e-14, abs=0.0)

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 from stlfunnel.errors import FormulaError
-from stlfunnel.formulas import SmoothingConfig
+from stlfunnel.formulas import SmoothingConfig, normalize_sequential
+from stlfunnel.funnel import synthesize_funnel
 from stlfunnel.optimize import cached_optimum, optimize_robustness
-from stlfunnel.parsing import parse_psi
-from conftest import PSI1_TEXT, PSI2_TEXT, random_concave_psi
+from stlfunnel.parsing import parse_formula, parse_psi
+from conftest import PSI1_TEXT, PSI2_TEXT, random_concave_psi, random_consistent_psi
+
+# Both leaves peak at x3 = -7.5, x2 = x4 = 9.3, x1 = x5, but reaching that
+# point from the ball's centre moves x2 and x4 together along the join's kink.
+KINK_PAIR_TEXT = "ball(3,4;-7.5,9.3;7) and join(1,2;5,4;2.5)"
+
+
+def softmin_of(radii, eta: float) -> float:
+    """The soft minimum of leaf values that all sit at their maxima."""
+    return -math.log(math.fsum(math.exp(-eta * r) for r in radii)) / eta
 
 
 def test_single_ball_optimum_is_radius():
@@ -38,6 +48,35 @@ def test_collapse_instance_reaches_kink_optimum():
     expected = -math.log(math.exp(-2.0) + math.exp(-1.0))
     assert res.rho_opt == pytest.approx(expected, rel=1e-12)
     assert res.grad_norm == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.2, 1.0])
+def test_kink_pair_reaches_closed_form_with_certificate(eta):
+    res = optimize_robustness(parse_psi(KINK_PAIR_TEXT), SmoothingConfig(eta=eta))
+    assert res.rho_opt == pytest.approx(softmin_of([7.0, 2.5], eta), rel=1e-12)
+    assert res.grad_norm == 0.0
+    assert res.x_star[[2, 3, 4]] == pytest.approx([9.3, -7.5, 9.3], abs=1e-12)
+    assert res.x_star[1] == res.x_star[5]
+
+
+def test_kink_pair_task_synthesizes():
+    # The optimum 0.794 is positive, so the phase has a funnel.
+    eta = 0.2
+    (task,) = normalize_sequential(parse_formula(f"F[0,10] ({KINK_PAIR_TEXT})"))
+    fp = synthesize_funnel(task, np.zeros(6), smoothing=SmoothingConfig(eta=eta))
+    assert fp.rho_max < softmin_of([7.0, 2.5], eta)
+    assert fp.rho_max > 0.0
+
+
+def test_consistent_conjunctions_reach_softmin_of_radii():
+    # Every leaf peaks at one shared point, so the optimum is the soft
+    # minimum of the radii; reaching it needs every kink at once.
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        eta = (1.0, 0.2)[trial % 2]
+        psi, radii = random_consistent_psi(rng, int(rng.integers(2, 7)))
+        res = optimize_robustness(psi, SmoothingConfig(eta=eta))
+        assert res.rho_opt == pytest.approx(softmin_of(radii, eta), rel=1e-9), psi
 
 
 def test_fixture_psi1_value():
