@@ -1,9 +1,10 @@
 """Event-triggered hold around the funnel feedback law.
 
 The law is u(x, t) = -eps(x, t) * g(x)^T * grad rho(x) with eps the
-transformed funnel error.  The episode loop evaluates it once per
-sample (``kernels.u_xi_eval``) and hands that input to ``make_event``
-when the trigger fires, so an event adds only the trigger radius.
+transformed funnel error.  The episode loop evaluates it only where
+the trigger fires (``kernels.u_xi_eval``) and hands that input to
+``make_event``, so an event adds only the trigger radius; between
+events a sample reads the value of rho and runs ``should_trigger``.
 Between events the input is frozen; a new event fires when the state
 leaves an infinity-norm ball of radius delta_i around the event state
 or when delta_i seconds elapse, with delta_i chosen so the frozen input
@@ -110,8 +111,10 @@ def continuous_law(
     """Reference law u = -eps * g(x)^T * grad rho from the dense ``plant.g(x)``.
 
     Raises FunnelViolation outside the funnel.  Not on the episode path:
-    the loop evaluates the same law through ``kernels.u_xi_eval``, and
-    the tests hold both that and the analytic Jacobian to this form.
+    the loop evaluates the same law at events through
+    ``kernels.u_xi_eval`` and audits it after the loop through
+    ``kernels.u_xi_batch``; the tests hold both, and the analytic
+    Jacobian, to this form.
     """
     rho, grad = smooth_psi_value_and_grad(psi, x, smoothing)
     xi = (rho - fp.rho_max) / gamma_at(fp.perf, t)
@@ -256,12 +259,14 @@ def compute_trigger_radius(
     return delta, delta_by
 
 
-def should_trigger(x: np.ndarray, t: float, event: TriggerEvent) -> Cause | None:
+def should_trigger(x: np.ndarray | list[float], t: float, event: TriggerEvent) -> Cause | None:
     """Strict-inequality trigger test against the active event.
 
-    StateDeviation takes precedence when both conditions exceed.
+    StateDeviation takes precedence when both conditions exceed.  ``x``
+    is an array or the list of its floats; the deviation is the same
+    max |x_j - x_event_j| either way, in plain floats.
     """
-    if float(np.abs(np.asarray(x) - event.x).max()) > event.delta:
+    if max([abs(a - b) for a, b in zip(x, event.x.tolist())]) > event.delta:
         return "StateDeviation"
     if t - event.t > event.delta:
         return "MaxInterval"

@@ -9,18 +9,21 @@ into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).  There are two
 entry points over that form:
 
 * The pointwise loop over plain Python floats (``leaf_pass``,
-  ``smooth_rho_grad``, ``shortest_supergradient``, ``u_xi_eval`` and
-  ``smooth_psi_value_and_grad``): the per-step law of the episode loop,
-  the value and gradient used by the funnel and the sequencer, and the
-  optimizer's ascent direction.  On one state it is
+  ``smooth_rho``, ``smooth_rho_grad``, ``shortest_supergradient``,
+  ``u_xi_eval`` and ``smooth_psi_value_and_grad``): the episode loop's
+  per-sample value (``smooth_rho``, bitwise the value of
+  ``smooth_rho_grad``) and its law at events (``u_xi_eval``), the value
+  and gradient used by the funnel and the sequencer, and the optimizer's
+  ascent direction.  On one state it is
   several times faster than a one-row numpy pass, whose fixed per-call
   overhead dominates at that size (README, "Leaf evaluation").
 * The batch read-out: leaf values, gradients and Hessians at every row
   of a state array in a few numpy passes.  Leaf values are summed
   without BLAS, so they round as the pointwise loop does.  It serves the
   trigger radius (``guarded_readout``, ``law_row_sums`` and its cheaper
-  upper bound ``law_row_bound``), ``u_xi_batch``,
-  ``law_jacobian_batch``, ``exact_psi_batch`` and ``smooth_psi_hessian``.
+  upper bound ``law_row_bound``), the episode's held-input audit after
+  the loop (``u_xi_batch``, batched per phase), ``law_jacobian_batch``,
+  ``exact_psi_batch`` and ``smooth_psi_hessian``.
 
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
@@ -50,6 +53,7 @@ __all__ = [
     "USING_NUMBA",
     "compile_leaf_table",
     "leaf_pass",
+    "smooth_rho",
     "smooth_rho_grad",
     "shortest_supergradient",
     "u_xi_eval",
@@ -127,6 +131,24 @@ def leaf_pass(table: tuple[tuple, ...], xs: list[float]) -> tuple[list, list]:
     return h, diffs
 
 
+def _softmin_point(h: list, eta: float) -> tuple[float, np.ndarray | None, float]:
+    """Soft minimum of the leaf values ``h`` (a list), the unnormalized
+    weights exp(-eta * (h_i - min h)) and their sum.  A non-finite smallest
+    value (an overflowing norm) is the soft minimum, with no weights."""
+    m = min(h)
+    if not math.isfinite(m):
+        return m, None, 0.0
+    w = np.exp(-eta * (np.array(h) - m))
+    z = float(w.sum())
+    return m - math.log(z) / eta, w, z
+
+
+def smooth_rho(table: tuple[tuple, ...], xs: list[float], eta: float) -> float:
+    """Soft minimum of the leaf values at ``xs``: bitwise the value of
+    ``smooth_rho_grad``, without the gradient."""
+    return _softmin_point(leaf_pass(table, xs)[0], eta)[0]
+
+
 def _softmin_terms(
     table: tuple[tuple, ...], xs: list[float], eta: float, kink: float
 ) -> tuple[float, list | None, list]:
@@ -140,12 +162,9 @@ def _softmin_terms(
     smallest leaf value (an overflowing norm) the sum is None.
     """
     h, diffs = leaf_pass(table, xs)
-    m = min(h)
-    if not math.isfinite(m):
-        return m, None, []
-    w = np.exp(-eta * (np.array(h) - m))
-    z = float(w.sum())
-    rho = m - math.log(z) / eta
+    rho, w, z = _softmin_point(h, eta)
+    if w is None:
+        return rho, None, []
     grad = [0.0] * len(xs)
     kinks = []
     for (kind, sign, sel, sel_b, pars, _), wi, diff in zip(table, w.tolist(), diffs):

@@ -1,15 +1,18 @@
 """Fixed-step closed-loop simulation with event-triggered input holds.
 
-Each sample evaluates the law and the funnel state once, at one site in
-``run_episode``: if a mode jump is due, the sample is evaluated again in
-the new phase and that evaluation replaces the first.  When the trigger
-fires, the event holds the input the loop just evaluated and adds only
-the trigger radius.  The sample is then logged and ``step_rk4`` moves the
-state by the exact zero-order-hold flow of dx/dt = g(x) u_held + w, with
-a fresh uniform noise draw held constant across the step.  A failure at
-any of these stages logs the sample with a NaN input and ends the
-episode, again at one site.  All clocks advance on an integer step
-counter so jump bookkeeping is exact.
+Each sample evaluates only the smoothed robustness and the funnel state
+(``kernels.smooth_rho``), at one site in ``run_episode``: if a mode jump
+is due, the sample is evaluated again in the new phase and that
+evaluation replaces the first.  The law runs only where the trigger
+fires: ``kernels.u_xi_eval`` right before ``make_event``, which holds
+that input and adds the trigger radius.  The sample is then logged and
+``step_rk4`` moves the state by the exact zero-order-hold flow of
+dx/dt = g(x) u_held + w, with a fresh uniform noise draw held constant
+across the step.  A failure at any of these stages logs the sample with
+a NaN input and ends the episode, again at one site.  All clocks advance
+on an integer step counter so jump bookkeeping is exact.  The held-input
+audit (``RunMetrics.max_input_deviation``) runs after the loop, batched
+per phase over that phase's logged rows (``u_xi_batch``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import get_args
 import numpy as np
 
 from . import kernels
+from .kernels import u_xi_batch
 from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger
 from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
@@ -94,6 +98,10 @@ class RunMetrics:
     # Why the offline monitor could not score a satisfied run
     # ("ExceptionType: message"); rho_theta then stays NaN.
     monitor_error: str | None = None
+    # max |u(x_k, t_k) - U_k|_inf over the logged rows with a finite input,
+    # computed after the loop at grid samples only.  The trigger radius
+    # that should keep it below delta_u rests on a Lipschitz constant
+    # estimated at sampled probes, so this is an estimate, not a bound.
     max_input_deviation: float = 0.0
     # Largest ``TriggerEvent.overshoot``; 0 when no event fired on the trigger.
     max_overshoot: float = 0.0
@@ -142,6 +150,37 @@ def _funnel_record(z: HybridState) -> dict:
         "gamma_inf": pf.gamma_inf,
         "l": pf.l,
     }
+
+
+# Rows per ``u_xi_batch`` call of the input audit.  Blocks the size of a
+# trigger radius's probe batch reuse the freed heap the radius leaves
+# (``_keep_freed_heap``); one call per whole phase raised rendezvous3's
+# peak RSS by 1.1 MB (2 %), blocks of 1024 rows leave it flat.
+_AUDIT_ROWS = 1024
+
+
+def _input_deviation(
+    traj: Trajectory, phases: list[tuple[HybridState, int]], plant: Plant, eta: float
+) -> float:
+    """max |u(x_k, t_k) - U_k|_inf over the logged rows with a finite input.
+
+    ``u_xi_batch`` reads the law at each phase's rows, in blocks of
+    ``_AUDIT_ROWS``, at their funnel clock (k - k_entry) dt + offset,
+    which rounds as the loop's clock does.  Only a failure row, always
+    the last, is logged with a NaN input; it stays out.
+    """
+    rows = len(traj.t)
+    stop = rows - int(rows > 0 and np.isnan(traj.U[-1]).any())
+    ends = [min(k, stop) for _, k in phases[1:]] + [stop]
+    dev = 0.0
+    for (z, k_entry), end in zip(phases, ends):
+        for lo in range(k_entry, end, _AUDIT_ROWS):
+            hi = min(lo + _AUDIT_ROWS, end)
+            T = (np.arange(lo, hi) - k_entry) * traj.dt + z.offset
+            gap = u_xi_batch(traj.X[lo:hi], T, z.psi, z.fp, plant, eta)[0]
+            gap -= traj.U[lo:hi]
+            dev = max(dev, float(np.abs(gap, out=gap).max()))
+    return dev
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the freed heap an episode keeps.
@@ -216,6 +255,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         metrics.failure = failure
         metrics.failure_time = failure_time
         metrics.satisfied = failure is None
+        metrics.max_input_deviation = _input_deviation(traj, phases, plant, eta)
         if len(event_steps) >= 2:
             # Step counts keep the grid spacing exact in floats.
             metrics.min_inter_event = float(np.min(np.diff(event_steps))) * dt
@@ -237,10 +277,13 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         return finish(kind, t)
 
     event_steps: list[int] = []
+    # Each phase's state and entry step; row k of the log is sample k.
+    phases: list[tuple[HybridState, int]] = []
     try:
         z = init_sequencer(spec.theta, x, spec.seq_cfg)
     except (SynthesisError, DeadlineError) as exc:
         return finish(f"synthesis: {exc}", 0.0)
+    phases.append((z, 0))
 
     metrics.funnels.append(_funnel_record(z))
     table = kernels.compile_leaf_table(z.psi)
@@ -253,8 +296,9 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         t = k * dt
         z.t_local = (k - k_entry) * dt
         t_fun = z.t_local + z.offset
-        xi, u_cont = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)
+        xs = x.tolist()
         gam = gamma_at(z.fp.perf, t_fun)
+        xi = (kernels.smooth_rho(table, xs, eta) - z.fp.rho_max) / gam
         rho = z.fp.rho_max + xi * gam
 
         if not (-1.0 < xi < 0.0):
@@ -266,6 +310,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 return fail(f"deadline: {exc}")
             if z_next is not None:
                 z, jumped, k_entry = z_next, True, k
+                phases.append((z, k))
                 if not z.terminal:
                     metrics.funnels.append(_funnel_record(z))
                 table = kernels.compile_leaf_table(z.psi)
@@ -276,7 +321,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         elif event is None:
             cause = "Initial"
         else:
-            cause = should_trigger(x, t_fun, event)
+            cause = should_trigger(xs, t_fun, event)
         if cause is not None:
             overshoot = None
             if cause in ("StateDeviation", "MaxInterval"):
@@ -285,9 +330,10 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 reach = max(float(np.abs(x - event.x).max()), t_fun - event.t)
                 overshoot = reach / event.delta
                 metrics.max_overshoot = max(metrics.max_overshoot, overshoot)
+            u = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)[1]
             try:
                 event = make_event(
-                    z.psi, z.fp, x, t_fun, u_cont, len(events), cause,
+                    z.psi, z.fp, x, t_fun, u, len(events), cause,
                     plant, spec.trigger, smoothing, rng,
                 )
             except TriggerFloorError:
@@ -299,8 +345,6 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             metrics.delta_by[event.delta_by] += 1
 
         u_held = event.u
-        dev = float(np.abs(u_cont - u_held).max())
-        metrics.max_input_deviation = max(metrics.max_input_deviation, dev)
         metrics.min_margin = min(metrics.min_margin, rho - (z.fp.rho_max - gam), z.fp.rho_max - rho)
         metrics.min_xi_gap = min(metrics.min_xi_gap, 1.0 + xi, -xi)
 

@@ -183,3 +183,23 @@ def test_batch_rows_are_independent(rng, kind):
 
     single = max(bound(pts[p : p + 1], 1) for p in range(P))
     assert bound(pts, 17) == pytest.approx(single, rel=1e-14, abs=0.0)
+
+
+def test_value_is_bitwise_the_gradient_paths_value(rng):
+    # The episode loop reads rho from smooth_rho at every sample and the
+    # law from smooth_rho_grad only at events; both must see one value.
+    seen = set()
+    for _ in range(200):
+        dim = int(rng.integers(1, 8))
+        psi = _random_psi(rng, dim)
+        seen.update((leaf.kind, leaf.negated) for leaf in psi.leaves)
+        table = kernels.compile_leaf_table(psi)
+        eta = float(rng.uniform(0.1, 5.0))
+        xs = rng.uniform(-12.0, 12.0, dim).tolist()
+        assert kernels.smooth_rho(table, xs, eta) == kernels.smooth_rho_grad(table, xs, eta)[0]
+    assert seen == {(kind, neg) for kind in ("affine", "ball", "join") for neg in (False, True)}
+    # An overflowing norm is the value itself on both paths.
+    table = kernels.compile_leaf_table(parse_psi("ball(0,1;0,0;1) and ball(0;2;3)"))
+    xs = [1e300, 1e300]
+    rho = kernels.smooth_rho(table, xs, 1.0)
+    assert rho == -np.inf and rho == kernels.smooth_rho_grad(table, xs, 1.0)[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stlfunnel import kernels, sim
-from stlfunnel.controller import TriggerConfig
+from stlfunnel.controller import TriggerConfig, TriggerEvent, should_trigger
 from stlfunnel.errors import WindowError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
@@ -69,25 +69,137 @@ def test_event_log_and_held_input():
     _assert_events_hold_phase_law(two_phase, *run_episode(two_phase))
 
 
+def _phase_law(spec, traj, metrics):
+    """u_xi_eval at row k's phase and the funnel clock the loop used there.
+
+    Phase q's clock counts steps from its first row; the terminal mode
+    keeps the last phase's funnel and restarts its clock at the closing
+    switch, plus that phase's clock at the switch as an offset.
+    """
+    tasks = normalize_sequential(spec.theta)
+    eta = spec.seq_cfg.smoothing.eta
+    first = {int(q): int(np.argmax(traj.mode == q)) for q in np.unique(traj.mode)}
+
+    def law(k, x):
+        q = int(traj.mode[k])
+        p = min(q, len(tasks))
+        rec = metrics.funnels[p - 1]
+        fp = FunnelParams(
+            t_star=rec["t_star"], r=rec["r"], rho_max=rec["rho_max"],
+            perf=PerformanceFunction(rec["gamma0"], rec["gamma_inf"], rec["l"]),
+        )
+        clock = (k - first[q]) * traj.dt
+        if q > p:
+            clock += (first[q] - first[p]) * traj.dt
+        table = kernels.compile_leaf_table(tasks[p - 1].psi)
+        return kernels.u_xi_eval(table, x, clock, eta, fp, spec.plant)[1]
+
+    return law
+
+
 def _assert_events_hold_phase_law(spec, traj, metrics, events):
     """Every event's u is u_xi_eval at its state and its phase's funnel clock, bitwise."""
     tasks = normalize_sequential(spec.theta)
     switches = [e for e in events if e.cause == "ModeSwitch"]
     assert metrics.satisfied and len(switches) == len(tasks)
+    law = _phase_law(spec, traj, metrics)
     for e in events:
         k = int(round(e.t / traj.dt))
-        # The terminal mode keeps the last phase's funnel and clock; with
-        # no terminal tail its only event is the closing switch.
-        q = min(int(traj.mode[k]), len(tasks))
-        rec = metrics.funnels[q - 1]
-        fp = FunnelParams(
-            t_star=rec["t_star"], r=rec["r"], rho_max=rec["rho_max"],
-            perf=PerformanceFunction(rec["gamma0"], rec["gamma_inf"], rec["l"]),
+        assert np.array_equal(e.u, law(k, e.x)), (e.cause, e.t)
+
+
+def _two_phase_tail_spec():
+    return _toy_spec(
+        theta=parse_formula("F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"),
+        seq_cfg=SequencerConfig(terminal_tail=0.5),
+    )
+
+
+def test_law_runs_only_at_events(monkeypatch):
+    # Between events the loop reads only the value; the law is evaluated
+    # once per event, and each event holds it at its phase's clock.
+    calls = []
+    eval_law = kernels.u_xi_eval
+
+    def counted(*args):
+        calls.append(args)
+        return eval_law(*args)
+
+    monkeypatch.setattr(kernels, "u_xi_eval", counted)
+    spec = _two_phase_tail_spec()
+    traj, metrics, events = run_episode(spec)
+    monkeypatch.undo()
+    assert metrics.satisfied and traj.mode[-1] == 3
+    assert len(calls) == metrics.triggers == len(events)
+    # Some events fire inside the terminal tail, on its offset clock.
+    assert any(e.cause != "ModeSwitch" and traj.mode[int(round(e.t / traj.dt))] == 3 for e in events)
+    _assert_events_hold_phase_law(spec, traj, metrics, events)
+
+
+def test_trigger_test_same_for_list_and_array(rng):
+    for i in range(300):
+        n = int(rng.integers(1, 10))
+        ex = rng.uniform(-50.0, 50.0, n)
+        delta = float(rng.uniform(0.01, 1.0))
+        t = 1.0 + float(rng.uniform(0.0, 1.5)) * delta
+        x = ex + rng.uniform(-1.5, 1.5, n) * delta
+        exact = i % 3 == 0
+        if exact:
+            # One coordinate exactly delta away, the rest well inside,
+            # the clock too: the strict test must not fire.
+            x = ex + rng.uniform(-0.5, 0.5, n) * delta
+            j = int(rng.integers(n))
+            x[j] = ex[j] + delta
+            delta = abs(x[j] - ex[j])
+            t = 1.0 + 0.5 * delta
+        event = TriggerEvent(index=0, t=1.0, x=ex, u=np.zeros(n), delta=delta,
+                             cause="Initial", delta_by="box")
+        cause = should_trigger(x.tolist(), t, event)
+        assert cause == should_trigger(x, t, event)
+        if exact:
+            assert cause is None
+
+
+def _reference_deviation(spec, traj, metrics):
+    """max |u - U|_inf over the logged rows with a finite input, row by row."""
+    law = _phase_law(spec, traj, metrics)
+    dev = 0.0
+    for k in range(len(traj.t)):
+        if np.all(np.isfinite(traj.U[k])):
+            dev = max(dev, float(np.abs(law(k, traj.X[k]) - traj.U[k]).max()))
+    return dev
+
+
+@pytest.mark.parametrize("case", ["two_phase", "blocks", "horizon", "noise"])
+def test_input_audit_matches_per_sample_law(case, monkeypatch):
+    # The audit reads the law in batches per phase after the loop; it
+    # must agree with the law evaluated at every logged row on its own.
+    # "blocks" splits every phase into many short blocks.
+    if case == "blocks":
+        monkeypatch.setattr(sim, "_AUDIT_ROWS", 37)
+    if case in ("two_phase", "blocks"):
+        spec = _two_phase_tail_spec()
+    elif case == "horizon":
+        spec = _toy_spec(theta=parse_formula("F[2,3](ball(0;2;1.5))"), horizon=1.0)
+    else:
+        # Noise that leaves the funnel after some 70 samples.
+        spec = _toy_spec(
+            theta=parse_formula("F[2,3](ball(0;2;1.5))"),
+            plant=single_integrator(1, w_max=30.0), seed=5,
         )
-        clock = (k - int(round(rec["entry_time"] / traj.dt))) * traj.dt
-        table = kernels.compile_leaf_table(tasks[q - 1].psi)
-        xi, u = kernels.u_xi_eval(table, e.x, clock, spec.seq_cfg.smoothing.eta, fp, spec.plant)
-        assert np.array_equal(e.u, u), (e.cause, e.t)
+    traj, metrics, events = run_episode(spec)
+    assert (metrics.failure is None) == (case in ("two_phase", "blocks"))
+    # The noise run logs its failing sample with a NaN input; it stays out.
+    assert np.isnan(traj.U[-1]).all() == (case == "noise")
+    ref = _reference_deviation(spec, traj, metrics)
+    assert 0.0 < ref and math.isfinite(metrics.max_input_deviation)
+    assert metrics.max_input_deviation == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_input_audit_is_zero_without_samples():
+    traj, metrics, events = run_episode(_toy_spec(theta=parse_formula("G[0,1](ball(0;100;1))")))
+    assert metrics.failure.startswith("synthesis") and len(traj.t) == 0
+    assert metrics.max_input_deviation == 0.0
 
 
 def test_terminal_tail_extends_run():
