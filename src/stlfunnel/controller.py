@@ -75,11 +75,11 @@ class TriggerConfig:
     delta_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.delta_u, self.delta_x0, self.delta_t0, self.delta_floor) <= 0.0:
+        if not all(v > 0.0 for v in (self.delta_u, self.delta_x0, self.delta_t0, self.delta_floor)):
             raise ValueError("trigger lengths must be positive")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must sit in (0, 1)")
-        if self.lipschitz_safety < 1.0:
+        if not self.lipschitz_safety >= 1.0:
             raise ValueError("lipschitz_safety must be at least 1")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")

@@ -93,6 +93,10 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.r_frac < 1.0):
             raise ValueError("r_frac must sit in (0, 1)")
+        if not all(v is None or v > 0.0 for v in (self.chi, self.rho_max, self.r, self.gamma0, self.gamma_inf)):
+            raise ValueError("chi, rho_max, r, gamma0 and gamma_inf must be positive when set")
+        if not all(v is None or v >= 0.0 for v in (self.t_star, self.l)):
+            raise ValueError("t_star and l must be non-negative when set")
 
 
 def synthesize_funnel(

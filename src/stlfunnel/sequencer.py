@@ -42,6 +42,12 @@ class SequencerConfig:
     smoothing: SmoothingConfig = SmoothingConfig()
     terminal_tail: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.synthesis:
+            raise ValueError("synthesis needs at least one entry")
+        if not self.terminal_tail >= 0.0:
+            raise ValueError(f"terminal_tail must be non-negative, got {self.terminal_tail}")
+
     def task_synthesis(self, index: int, n_tasks: int) -> SynthesisConfig:
         if len(self.synthesis) == 1:
             return self.synthesis[0]

@@ -63,6 +63,13 @@ class EpisodeSpec:
             raise ValueError(f"formula references state index {self.theta.min_dim - 1}, plant has {n}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.horizon is not None and not self.horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        n_tasks, n_synth = len(normalize_sequential(self.theta)), len(self.seq_cfg.synthesis)
+        if n_synth not in (1, n_tasks):
+            raise ValueError(f"{n_synth} synthesis entries for {n_tasks} tasks: give one, or one per task")
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

@@ -102,6 +102,13 @@ def test_scenario_sample_count_matches_trigger_config(tmp_path):
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == code, count
 
 
+def test_nan_trigger_setting_is_config_error(tmp_path, capsys):
+    for field in ("delta_u", "delta_x0", "delta_t0", "delta_floor", "lipschitz_safety"):
+        scn = _write(tmp_path, TOY_SCENARIO + f"trigger:\n  {field}: .nan\n")
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2, field
+        assert "error:" in capsys.readouterr().err
+
+
 def test_non_finite_x0_is_config_error(tmp_path, capsys):
     for value in (".inf", ".nan"):
         scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", f"x0: [{value}]"))

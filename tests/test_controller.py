@@ -527,6 +527,13 @@ def test_trigger_config_rejects_empty_probe_set():
         assert TriggerConfig(sample_count=count).sample_count == count
 
 
+@pytest.mark.parametrize("field", ["delta_u", "delta_x0", "delta_t0", "delta_floor", "lipschitz_safety"])
+def test_trigger_config_rejects_nan(field):
+    # A NaN radius would stop both trigger tests from ever firing again.
+    with pytest.raises(ValueError, match="trigger lengths|lipschitz_safety"):
+        TriggerConfig(**{field: math.nan})
+
+
 def test_trigger_strict_inequalities():
     ev = TriggerEvent(
         index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial", delta_by="box"

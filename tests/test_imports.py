@@ -1,6 +1,7 @@
 """No module of the package and no test imports a name it never uses, no
 package module uses another's underscore-prefixed functions or classes, and
-neither the package nor its command line loads any scipy module."""
+neither the package nor its command line loads any module of scipy or of
+jsonschema and its dependencies."""
 
 import ast
 import subprocess
@@ -81,9 +82,10 @@ def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
 
 
+@pytest.mark.parametrize("package", ["scipy", "jsonschema", "referencing", "rpds", "attrs"])
 @pytest.mark.parametrize("module", ["stlfunnel", "stlfunnel.cli"])
-def test_import_loads_no_scipy(module):
+def test_import_loads_no_scipy(module, package):
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
