@@ -44,7 +44,7 @@ from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
 from .kernels import guarded_readout, joined_rows, law_row_bound, law_row_sums, smooth_psi_value_and_grad
-from .plants import Plant
+from .plants import Plant, is_int
 
 __all__ = [
     "TriggerConfig",
@@ -81,8 +81,8 @@ class TriggerConfig:
             raise ValueError("shrink must sit in (0, 1)")
         if not self.lipschitz_safety >= 1.0:
             raise ValueError("lipschitz_safety must be at least 1")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
+        if not is_int(self.sample_count) or self.sample_count < 1:
+            raise ValueError(f"sample_count must be an integer of at least 1, got {self.sample_count!r}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def compute_trigger_radius(
     in the same order whether or not the hypercube rows are built, and
     the accepted round's guard read-outs feed the Jacobian pass
     unchanged.  The probes, the radius and the rng stream therefore do
-    not depend on the order of the checks.  With concave
-    leaves the soft minimum is concave in x and gamma decreases in t, so
+    not depend on the order of the checks.  Every leaf is concave, so
+    the soft minimum is concave in x, and gamma decreases in t, so
     the lowest xi over the box sits at a vertex: when the corners are
     all 2^(n+1) vertices, a box that crosses the lower wall fails at a
     corner and its hypercube rows are never built.

@@ -1,10 +1,10 @@
 """Formula AST for the supported temporal-logic fragment.
 
 The fragment is conjunctive: a non-temporal formula is a conjunction of
-(possibly negated) predicate leaves; a temporal atom wraps one such
-conjunction in a single Always or Eventually operator with a bounded
-window; a sequential formula is either a conjunction of temporal atoms
-with non-overlapping, ordered windows (kind "s1") or a nested chain of
+concave predicate leaves; a temporal atom wraps one such conjunction in
+a single Always or Eventually operator with a bounded window; a
+sequential formula is either a conjunction of temporal atoms with
+non-overlapping, ordered windows (kind "s1") or a nested chain of
 Eventually operators (kind "s2").  Disjunction and until are out of
 scope.
 """
@@ -52,23 +52,16 @@ class NonTemporalFormula:
     def min_dim(self) -> int:
         return max(leaf.min_dim for leaf in self.leaves)
 
-    def validate(self, allow_nonconcave: bool = False) -> None:
-        """Reject formulas outside the concave, well-posed subset.
+    def validate(self) -> None:
+        """Reject conjunctions without a bounded superlevel set.
 
-        Well-posedness here means some state component has a bounded
-        superlevel set, for which a non-negated ball or join suffices,
-        as does a two-sided band (a pair of single-variable affine
-        bounds in opposite directions).  This is sufficient but not
+        Every leaf is concave; well-posedness here means some state
+        component has a bounded superlevel set, for which a ball or join
+        suffices, as does a two-sided band (a pair of single-variable
+        affine bounds in opposite directions).  This is sufficient but not
         necessary; other bounded polytopes are conservatively rejected.
         """
-        if not allow_nonconcave:
-            for leaf in self.leaves:
-                if not leaf.concave:
-                    raise FormulaError(
-                        "negated ball/join leaves are non-concave; "
-                        "pass allow_nonconcave to accept them"
-                    )
-        if any(leaf.kind in ("ball", "join") and not leaf.negated for leaf in self.leaves):
+        if any(leaf.kind in ("ball", "join") for leaf in self.leaves):
             return
         # Band desugaring leaves two opposing single-variable affine
         # bounds; accept any index bounded from both sides.
@@ -77,13 +70,10 @@ class NonTemporalFormula:
         for leaf in self.leaves:
             if leaf.kind != "affine" or len(leaf.sel) != 1 or leaf.coeffs[0] == 0.0:
                 continue
-            bounds_above = (leaf.coeffs[0] > 0.0) != leaf.negated
-            (upper if bounds_above else lower).add(leaf.sel[0])
+            (upper if leaf.coeffs[0] > 0.0 else lower).add(leaf.sel[0])
         if upper & lower:
             return
-        raise FormulaError(
-            "conjunction needs a non-negated ball/join leaf or a two-sided band"
-        )
+        raise FormulaError("conjunction needs a ball/join leaf or a two-sided band")
 
 
 @dataclass(frozen=True)

@@ -79,21 +79,17 @@ _SWEEPS = 100
 
 @functools.lru_cache(maxsize=None)
 def compile_leaf_table(psi: NonTemporalFormula) -> tuple[tuple, ...]:
-    """Per leaf (kind, sign, sel, sel_b, pars, cst) in plain Python numbers.
+    """Per leaf (kind, sel, sel_b, pars, cst) in plain Python numbers.
 
-    kind is 0 affine, 1 ball, 2 join; sign is -1.0 for a negated leaf;
-    pars holds the affine coefficients or the ball centre, cst the
-    offset or the radius.  Cached per formula.
+    kind is 0 affine, 1 ball, 2 join; pars holds the affine coefficients
+    or the ball centre, cst the offset or the radius.  Cached per formula.
     """
     table = []
     for leaf in psi.leaves:
         kind = _KIND_CODE[leaf.kind]
         pars = leaf.coeffs if kind == 0 else leaf.center
         cst = leaf.offset if kind == 0 else leaf.radius
-        table.append((
-            kind, -1.0 if leaf.negated else 1.0, leaf.sel, leaf.sel_b,
-            tuple(float(p) for p in pars), float(cst),
-        ))
+        table.append((kind, leaf.sel, leaf.sel_b, tuple(float(p) for p in pars), float(cst)))
     return tuple(table)
 
 
@@ -110,12 +106,12 @@ def leaf_pass(table: tuple[tuple, ...], xs: list[float]) -> tuple[list, list]:
     """
     h = []
     diffs = []
-    for kind, sign, sel, sel_b, pars, cst in table:
+    for kind, sel, sel_b, pars, cst in table:
         if kind == 0:
             acc = 0.0
             for j, p in zip(sel, pars):
                 acc += p * xs[j]
-            h.append(sign * (cst - acc))
+            h.append(cst - acc)
             diffs.append(None)
             continue
         if kind == 1:
@@ -126,7 +122,7 @@ def leaf_pass(table: tuple[tuple, ...], xs: list[float]) -> tuple[list, list]:
         for v in d:
             acc += v * v
         nd = math.sqrt(acc)
-        h.append(sign * (cst - nd))
+        h.append(cst - nd)
         diffs.append((d, nd))
     return h, diffs
 
@@ -156,10 +152,10 @@ def _softmin_terms(
     off their kink, and those within ``kink`` of it.
 
     A ball or join leaf whose difference vector has length at most
-    ``kink`` is left out of the sum and listed as (kind, sel, sel_b,
-    sign_i * w_i); every other leaf adds its gradient leaf by leaf, so a
-    selector that repeats within a leaf adds up.  With a non-finite
-    smallest leaf value (an overflowing norm) the sum is None.
+    ``kink`` is left out of the sum and listed as (kind, sel, sel_b, w_i);
+    every other leaf adds its gradient leaf by leaf, so a selector that
+    repeats within a leaf adds up.  With a non-finite smallest leaf value
+    (an overflowing norm) the sum is None.
     """
     h, diffs = leaf_pass(table, xs)
     rho, w, z = _softmin_point(h, eta)
@@ -167,8 +163,8 @@ def _softmin_terms(
         return rho, None, []
     grad = [0.0] * len(xs)
     kinks = []
-    for (kind, sign, sel, sel_b, pars, _), wi, diff in zip(table, w.tolist(), diffs):
-        ws = wi / z * sign
+    for (kind, sel, sel_b, pars, _), wi, diff in zip(table, w.tolist(), diffs):
+        ws = wi / z
         if kind == 0:
             for j, p in zip(sel, pars):
                 grad[j] -= ws * p
@@ -204,7 +200,7 @@ def shortest_supergradient(
     table: tuple[tuple, ...], xs: list[float], eta: float, kink: float
 ) -> tuple[float, list]:
     """Soft minimum at ``xs`` and the shortest element of its
-    ``kink``-superdifferential (a list), for concave leaves.
+    ``kink``-superdifferential (a list).
 
     A ball or join leaf within ``kink`` of its kink counts as sitting on
     it and contributes its whole superdifferential
@@ -318,11 +314,10 @@ class _LeafMaps(NamedTuple):
     c: np.ndarray  # (L, W, 1) ball centres
     lin: np.ndarray  # (L, W, 1) derivative of an affine read-out w.r.t. r_i
     l1: np.ndarray  # (L, 1, W) |row j of A_i|_1
-    grad: np.ndarray  # (n, L * W) -sign_i A_i^T side by side
+    grad: np.ndarray  # (n, L * W) -A_i^T side by side
     ata: np.ndarray  # (n * n, L) A_i^T A_i, one column per leaf
     ata_rows: np.ndarray  # (n, L) |A_i^T A_i| 1
     norm: np.ndarray  # (L, 1) ball or join
-    signs: np.ndarray  # (L, 1)
     csts: np.ndarray  # (L, 1)
 
 
@@ -334,20 +329,19 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
     x[sel_j] - centre_j for a ball, x[sel_j] - x[sel_b_j] for a join and
     coeff_j x[sel_j] for an affine leaf; unused slots read zero.  Ball
     and join leaves take the norm of r_i, affine leaves the sum of its
-    slots, so h_i = sign_i * (cst_i - read-out).  Row j of A_i is
-    a_ij e_ia - b_ij e_ib; ``grad`` holds the -sign_i A_i^T side by side,
-    which take the read-out derivatives to the leaf gradients.  The sign
-    does not change |A_i| or A_i^T A_i.  Repeated selectors add up in A_i.
+    slots, so h_i = cst_i - read-out.  Row j of A_i is a_ij e_ia - b_ij e_ib;
+    ``grad`` holds the -A_i^T side by side, which take the read-out
+    derivatives to the leaf gradients.  Repeated selectors add up in A_i.
     Cached per formula and state size.
     """
     table = compile_leaf_table(psi)
-    L, W = len(table), max(len(leaf[2]) for leaf in table)
+    L, W = len(table), max(len(leaf[1]) for leaf in table)
     ia = np.zeros((L, W), dtype=np.intp)
     ib = np.zeros((L, W), dtype=np.intp)
     a, b, c, lin = (np.zeros((L, W)) for _ in range(4))
     A = np.zeros((L, W, n))
     rows = np.arange(W)
-    for i, (kind, sign, sel, sel_b, pars, _) in enumerate(table):
+    for i, (kind, sel, sel_b, pars, _) in enumerate(table):
         k = len(sel)
         ia[i, :k] = sel
         if kind == 0:
@@ -362,7 +356,7 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
             b[i, :k] = 1.0
         np.add.at(A[i], (rows, ia[i]), a[i])
         np.add.at(A[i], (rows, ib[i]), -b[i])
-        A[i] *= -sign  # -sign_i A_i from here on
+    A *= -1.0  # -A_i from here on
     ata = A.transpose(0, 2, 1) @ A
     maps = _LeafMaps(
         ia=ia, ib=ib, a=a[:, :, None], b=b[:, :, None], c=c[:, :, None], lin=lin[:, :, None],
@@ -370,8 +364,7 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
         grad=A.reshape(L * W, n).T.copy(),
         ata=ata.reshape(L, n * n).T.copy(), ata_rows=np.abs(ata).sum(axis=2).T.copy(),
         norm=np.array([[leaf[0] != 0] for leaf in table]),
-        signs=np.array([[leaf[1]] for leaf in table]),
-        csts=np.array([[leaf[5]] for leaf in table]),
+        csts=np.array([[leaf[4]] for leaf in table]),
     )
     for arr in maps:
         arr.setflags(write=False)
@@ -382,7 +375,7 @@ def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, .
     """Leaf read-outs at every row of X (P, n): r (L, W, P), |r| (L, P) and h (L, P).
 
     r_i = A_i x - c_i over ``_leaf_maps``; ball and join leaves take
-    h_i = sign_i * (cst_i - |r_i|), affine leaves sign_i * (cst_i - sum_j r_ij).
+    h_i = cst_i - |r_i|, affine leaves cst_i - sum_j r_ij.
     """
     mp = _leaf_maps(psi, X.shape[1])
     XT = X.T
@@ -390,7 +383,7 @@ def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, .
     r -= XT[mp.ib] * mp.b
     r -= mp.c
     nd = np.sqrt((r * r).sum(axis=1))
-    return r, nd, mp.signs * (mp.csts - np.where(mp.norm, nd, r.sum(axis=1)))
+    return r, nd, mp.csts - np.where(mp.norm, nd, r.sum(axis=1))
 
 
 def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -429,11 +422,11 @@ def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> 
 
     unit_i is the derivative of leaf i's read-out w.r.t. r_i: r_i / |r_i|
     for ball and join leaves and ones on an affine leaf's slots, so the
-    leaf gradient is q_i = -sign_i A_i^T unit_i and q = sum_i w_i q_i.
+    leaf gradient is q_i = -A_i^T unit_i and q = sum_i w_i q_i.
     curv_i = w_i / |r_i| for ball and join leaves and zero for affine
     ones.  At a norm centre unit_i and curv_i are zero.  A ball or join
-    leaf has the Hessian sign_i * A_i^T (-(I - u u^T) / |r_i|) A_i with
-    u = r_i / |r_i|, so w_i H_i = sign_i curv_i (q_i q_i^T - A_i^T A_i).
+    leaf has the Hessian A_i^T (-(I - u u^T) / |r_i|) A_i with
+    u = r_i / |r_i|, so w_i H_i = curv_i (q_i q_i^T - A_i^T A_i).
     """
     inv_nd = np.divide(1.0, nd, out=np.zeros_like(nd), where=mp.norm & (nd > 0.0))
     unit = r * inv_nd[:, None, :]
@@ -448,7 +441,7 @@ class _Rows(NamedTuple):
 
     ro: _Readout
     unit: np.ndarray
-    curv: np.ndarray  # unsigned, w_i / |r_i|
+    curv: np.ndarray  # w_i / |r_i|
     q: np.ndarray
 
 
@@ -467,7 +460,7 @@ def _hessian_form(
 ) -> np.ndarray:
     """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (n, n, P).
 
-    The leaf gradients q_i = -sign_i A_i^T unit_i and the softmin
+    The leaf gradients q_i = -A_i^T unit_i and the softmin
     gradient q stack into one (L + 1, n, P) array, so all outer products
     form in one contraction; the A_i^T A_i term is one matrix product.
     """
@@ -557,7 +550,7 @@ def law_jacobian_batch(
 
         sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
 
-    With w_i H_i = sign_i curv_i (q_i q_i^T - A_i^T A_i), all outer products
+    With w_i H_i = curv_i (q_i q_i^T - A_i^T A_i), all outer products
     collect into one contraction over the leaf gradients with q
     appended.  The omni team applies g^T per agent as 3x3 blocks and adds
     the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
@@ -572,7 +565,6 @@ def law_jacobian_batch(
         unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
     else:
         ro, unit, curv, q = rows
-    curv = curv * mp.signs
     xi = ro.xi
     eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
@@ -682,9 +674,9 @@ def smooth_psi_hessian(
         H = sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T)
 
     where q is the softmin gradient, through the same leaf Hessian as
-    the law Jacobian.  Concave leaves make the first term negative
-    semidefinite and the weight term is always negative semidefinite, so
-    the soft minimum stays concave.
+    the law Jacobian.  Every leaf is concave, so the first term is negative
+    semidefinite, and the weight term always is, so the soft minimum is
+    concave.
     """
     X = np.asarray(x, dtype=float)[None, :]
     eta = cfg.eta
@@ -692,5 +684,4 @@ def smooth_psi_hessian(
     r, nd, h = _leaf_readout(X, psi)
     w = _softmin(h, eta)[1]
     unit, curv, q = _leaf_grads(r, nd, w, mp)
-    curv *= mp.signs
     return _hessian_form(unit, q, curv - eta * w, np.full(1, eta), -curv, mp)[:, :, 0]

@@ -1,10 +1,10 @@
 """Maximization of the smoothed robustness.
 
-The smoothed conjunction of concave leaves is concave, so a point is its
-maximum exactly when 0 lies in its superdifferential (Rockafellar,
-*Convex Analysis*, 1970).  A ball or join leaf has a kink where its
-difference vector vanishes; there its superdifferential is a whole ball
-of directions, and maximizers often sit on such kinks, where a plain
+Every leaf is concave, so the smoothed conjunction is concave, and a
+point is its maximum exactly when 0 lies in its superdifferential
+(Rockafellar, *Convex Analysis*, 1970).  A ball or join leaf has a kink
+where its difference vector vanishes; there its superdifferential is a
+whole ball of directions, and maximizers often sit on such kinks, where a plain
 gradient ascent zigzags.  The ascent here steps along the shortest
 element of a widened superdifferential instead
 (``kernels.shortest_supergradient``): a norm leaf within a tolerance of
@@ -66,7 +66,7 @@ def _default_init(psi: NonTemporalFormula) -> np.ndarray:
     sums = np.zeros(dim)
     counts = np.zeros(dim)
     for leaf in psi.leaves:
-        if leaf.kind == "ball" and not leaf.negated:
+        if leaf.kind == "ball":
             for idx, c in zip(leaf.sel, leaf.center):
                 sums[idx] += c
                 counts[idx] += 1
@@ -99,14 +99,14 @@ def _snap_candidate(psi: NonTemporalFormula, x: np.ndarray) -> np.ndarray | None
     near = [diff is not None and diff[1] < _SNAP_DIST for diff in diffs]
     touched = False
     for leaf, close in zip(psi.leaves, near):
-        if close and leaf.kind == "join" and not leaf.negated:
+        if close and leaf.kind == "join":
             touched = True
             for a, b in zip(leaf.sel, leaf.sel_b):
                 union(a, b)
     anchors: dict[int, float] = {}
     conflict: set[int] = set()
     for leaf, close in zip(psi.leaves, near):
-        if close and leaf.kind == "ball" and not leaf.negated:
+        if close and leaf.kind == "ball":
             touched = True
             for idx, c in zip(leaf.sel, leaf.center):
                 root = find(idx)

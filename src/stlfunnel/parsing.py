@@ -8,13 +8,17 @@ Grammar (whitespace-insensitive)::
     window := "[" NUM "," NUM "]"
     arg    := "(" psi ")" | psi
     psi    := term ("and" term)*
-    term   := pred | "not" pred | "(" psi ")"
+    term   := pred | "not" aff | "(" psi ")"
     pred   := "ball(" IDXLIST ";" NUMLIST ";" POS ")"
             | "join(" IDXLIST ";" IDXLIST ";" POS ")"
             | "band(" IDX ";" NUM ";" POS ")"
-            | "aff(" NUMLIST ";" NUM ")"
+            | aff
+    aff    := "aff(" NUMLIST ";" NUM ")"
 
 POS is a positive NUM, and an ``aff`` needs a nonzero coefficient.
+``not aff(c;o)`` is read as ``aff(-c;-o)``, so a leaf carries no sign;
+``not`` before any other predicate is an error at the ``not``, since its
+negation would not be concave.
 
 A "(" right after a window always opens ``arg``, so ``F[0,1](p) and q``
 is an error rather than a two-term ``psi``.  A ``psi`` ends before an
@@ -97,11 +101,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, allow_nonconcave: bool) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.allow_nonconcave = allow_nonconcave
 
     # -- token helpers ------------------------------------------------
 
@@ -204,7 +207,7 @@ class _Parser:
         leaves = self._conjunction()
         try:
             psi = NonTemporalFormula(leaves=tuple(leaves))
-            psi.validate(allow_nonconcave=self.allow_nonconcave)
+            psi.validate()
         except FormulaError as exc:
             raise ParseError(str(exc), self.tokens[start].pos) from exc
         return psi
@@ -225,10 +228,10 @@ class _Parser:
             return leaves
         if self._at("not"):
             tok = self._next()
-            pred = self._pred()
-            if len(pred) != 1:
-                raise ParseError("cannot negate a band; negate its sides separately", tok.pos)
-            return [pred[0].negate()]
+            if not self._at("aff"):
+                raise ParseError("only aff can be negated; a negated ball, join or band is not concave", tok.pos)
+            (leaf,) = self._pred()
+            return [affine(leaf.sel, tuple(-c for c in leaf.coeffs), -leaf.offset)]
         return list(self._pred())
 
     def _pred(self) -> tuple[PredicateSpec, ...]:
@@ -250,14 +253,14 @@ class _Parser:
         return leaves if isinstance(leaves, tuple) else (leaves,)
 
 
-def parse_formula(text: str, allow_nonconcave: bool = False) -> SequentialFormula:
+def parse_formula(text: str) -> SequentialFormula:
     """Parse a full sequential formula from text."""
-    return _Parser(text, allow_nonconcave).parse_theta()
+    return _Parser(text).parse_theta()
 
 
-def parse_psi(text: str, allow_nonconcave: bool = False) -> NonTemporalFormula:
+def parse_psi(text: str) -> NonTemporalFormula:
     """Parse a bare conjunction (no temporal operators)."""
-    parser = _Parser(text, allow_nonconcave)
+    parser = _Parser(text)
     psi = parser._psi()
     parser._end()
     return psi

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ OMNI_B = np.array(
         [OMNI_L, OMNI_L, OMNI_L],
     ]
 )
+
+
+def is_int(value: object) -> bool:
+    """True for an integer (a numpy one too), False for a float or a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # eq=False: identity equality and hashing, as an ndarray field cannot compare.
@@ -50,8 +56,8 @@ class Plant:
     gbase: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m != self.n:
-            raise ValueError(f"need n = m >= 1, got n={self.n}, m={self.m}")
+        if not (is_int(self.n) and is_int(self.m)) or self.n < 1 or self.m != self.n:
+            raise ValueError(f"need integers n = m >= 1, got n={self.n!r}, m={self.m!r}")
         if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
         if not self.w_max >= 0.0:

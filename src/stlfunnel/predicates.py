@@ -6,24 +6,27 @@ Three leaf kinds cover the supported fragment:
 * ``join``:   h(x) = radius - ||x[sel_a] - x[sel_b]||_2
 * ``affine``: h(x) = offset - sum(coeffs * x[sel])
 
+Each is concave in x, so every conjunction of them is.  A leaf carries no
+sign: the parser reads ``not aff(c;o)`` as ``aff(-c;-o)`` and refuses
+``not`` before any other predicate, whose negation would not be concave.
 A band constraint ``|x_k - c| < w`` is desugared by the parser into two
-affine leaves and never reaches this module as its own kind.  Negation
-flips the sign of value, gradient, and Hessian.  A selector may repeat
-within a leaf; its terms add up.  This module only describes leaves:
-``kernels`` is where they are evaluated.
+affine leaves and never reaches this module as its own kind.  A selector
+may repeat within a leaf; its terms add up.  This module only describes
+leaves: ``kernels`` is where they are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["PredicateSpec", "ball", "join", "affine"]
 
 
 @dataclass(frozen=True)
 class PredicateSpec:
-    """One leaf predicate, possibly negated.
+    """One concave leaf predicate.
 
     Fields are tuples so specs are hashable and safely shared.
     ``sel_b`` is only used by ``join``; ``coeffs`` only by ``affine``.
@@ -36,7 +39,9 @@ class PredicateSpec:
     coeffs: tuple[float, ...] = ()
     radius: float = 0.0
     offset: float = 0.0
-    negated: bool = False
+    # Always False: a leaf carries no sign.  Kept only because the exact
+    # robustness oracle in perfbench/episode.py still reads it.
+    negated: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("ball", "join", "affine"):
@@ -54,23 +59,6 @@ class PredicateSpec:
     def min_dim(self) -> int:
         """Smallest state dimension this predicate can be evaluated on."""
         return 1 + max(self.sel + self.sel_b, default=-1)
-
-    @property
-    def concave(self) -> bool:
-        """True when the signed leaf is concave in x."""
-        return self.kind == "affine" or not self.negated
-
-    def negate(self) -> "PredicateSpec":
-        return PredicateSpec(
-            kind=self.kind,
-            sel=self.sel,
-            sel_b=self.sel_b,
-            center=self.center,
-            coeffs=self.coeffs,
-            radius=self.radius,
-            offset=self.offset,
-            negated=not self.negated,
-        )
 
 
 def ball(sel: tuple[int, ...], center: tuple[float, ...], radius: float) -> PredicateSpec:

@@ -38,14 +38,13 @@ def _section(cls: type) -> dict[str, type]:
 # A None type marks a nested value, checked by ``_check_shape`` itself.
 _ROOT = {
     "name": str, "formula": str, "eta": float, "dt": float, "horizon": float, "seed": int,
-    "terminal_tail": float, "allow_nonconcave": bool,
-    "plant": None, "x0": None, "trigger": None, "synthesis": None,
+    "terminal_tail": float, "plant": None, "x0": None, "trigger": None, "synthesis": None,
 }
 _PLANTS = {
     "omni_team": {"n_agents": int, "input_gain": float, "w_max": float},
     "single_integrator": {"dim": int, "gain": float, "w_max": float},
 }
-_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "a boolean"}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
 
 
 def _fail(where: list, message: str) -> ConfigError:
@@ -54,7 +53,7 @@ def _fail(where: list, message: str) -> ConfigError:
 
 def _check_value(value: object, kind: type, where: list) -> None:
     # A bool is an int to Python, but neither a number nor an integer here.
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise _fail(where, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
 
 
@@ -115,7 +114,7 @@ def build_episode(cfg: dict, seed: int | None = None, dt: float | None = None) -
     try:
         args = {k: v for k, v in plant_cfg.items() if k != "kind"}
         plant = omni_robot_team(**args) if plant_cfg["kind"] == "omni_team" else single_integrator(**{"dim": 2, **args})
-        theta = parse_formula(cfg["formula"], allow_nonconcave=cfg.get("allow_nonconcave", False))
+        theta = parse_formula(cfg["formula"])
         seq_cfg = SequencerConfig(
             synthesis=tuple(SynthesisConfig(**entry) for entry in entries),
             smoothing=SmoothingConfig(eta=float(cfg.get("eta", 1.0))),

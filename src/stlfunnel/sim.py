@@ -33,7 +33,7 @@ from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
-from .plants import _DEG, Plant
+from .plants import _DEG, Plant, is_int
 from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due
 
 __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
@@ -65,8 +65,8 @@ class EpisodeSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         n_tasks, n_synth = len(normalize_sequential(self.theta)), len(self.seq_cfg.synthesis)
         if n_synth not in (1, n_tasks):
             raise ValueError(f"{n_synth} synthesis entries for {n_tasks} tasks: give one, or one per task")

@@ -35,12 +35,15 @@ def _norm(diffs) -> float:
 def brute_leaf(leaf: PredicateSpec, x: np.ndarray) -> float:
     """Leaf value computed directly from its definition."""
     if leaf.kind == "affine":
-        h = leaf.offset - sum(c * x[i] for c, i in zip(leaf.coeffs, leaf.sel))
-    elif leaf.kind == "ball":
-        h = leaf.radius - _norm(x[i] - c for i, c in zip(leaf.sel, leaf.center))
-    else:
-        h = leaf.radius - _norm(x[i] - x[j] for i, j in zip(leaf.sel, leaf.sel_b))
-    return -h if leaf.negated else h
+        return leaf.offset - sum(c * x[i] for c, i in zip(leaf.coeffs, leaf.sel))
+    if leaf.kind == "ball":
+        return leaf.radius - _norm(x[i] - c for i, c in zip(leaf.sel, leaf.center))
+    return leaf.radius - _norm(x[i] - x[j] for i, j in zip(leaf.sel, leaf.sel_b))
+
+
+def flipped(leaf: PredicateSpec) -> PredicateSpec:
+    """The leaf ``not aff(c;o)`` parses to for an affine ``leaf`` aff(c;o): aff(-c;-o)."""
+    return affine(leaf.sel, tuple(-c for c in leaf.coeffs), -leaf.offset)
 
 
 def brute_exact(psi: NonTemporalFormula, x: np.ndarray) -> float:

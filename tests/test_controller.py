@@ -488,8 +488,8 @@ def test_guard_blocks_feed_the_jacobian_unchanged():
     [
         ("ball(0,1;1,2;4) and ball(2;0;3)", True),
         ("join(0;1;6) and join(0,1;2,3;5) and ball(1,2;0.5,-1;3)", True),
-        ("ball(0,1;1,2;4) and not ball(2;0.5;0.5)", True),
-        ("ball(0,1;1,2;4) and not join(0;3;0.25)", True),
+        ("ball(0,1;1,2;4) and not aff(0,0,2;-0.5)", False),
+        ("join(0;3;0.25) and not aff(1,0,0,-1;0.25)", False),
         ("aff(0.5,-0.25,0.1;3) and ball(0,1;1,2;4)", False),
         ("aff(0,0,1;2) and not aff(1,1,0,0.3;-6) and join(1;2;5)", False),
     ],
@@ -502,7 +502,7 @@ def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
     # routines and the math module may round one ulp apart.  The last two
     # rows sit at norm centres: the first at ball(0,1;1,2;4)'s, the
     # origin at every join's and ball(2;0;3)'s.
-    psi = parse_psi(text, allow_nonconcave=True)
+    psi = parse_psi(text)
     assert norm_only == all(leaf.kind != "affine" for leaf in psi.leaves)
     fp = _narrowing_funnel()
     plant = single_integrator(4)

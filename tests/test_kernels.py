@@ -11,7 +11,7 @@ from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.predicates import affine, ball, join
 
-from conftest import PSI1_TEXT, random_concave_psi
+from conftest import PSI1_TEXT, flipped, random_concave_psi
 
 
 def _funnel(rho_max, gamma0, gamma_inf, l):
@@ -66,11 +66,12 @@ def test_input_is_nan_outside_open_interval():
 
 
 def _random_psi(rng, dim):
-    """``random_concave_psi`` with some leaves negated and, sometimes, a ball
-    that reads one state twice; one draw in four has a single leaf."""
+    """``random_concave_psi`` with some affine leaves written as ``not aff``
+    and, sometimes, a ball that reads one state twice; one draw in four has
+    a single leaf."""
     n_leaves = 1 if rng.random() < 0.25 else int(rng.integers(2, 6))
     leaves = [
-        leaf.negate() if rng.random() < 0.3 else leaf
+        flipped(leaf) if rng.random() < 0.3 and leaf.kind == "affine" else leaf
         for leaf in random_concave_psi(rng, dim, n_leaves).leaves
     ]
     if n_leaves > 1 and rng.random() < 0.5:
@@ -134,8 +135,8 @@ def test_batch_rows_are_independent(rng, kind):
     # Every batch function computes each row on its own: P rows at once
     # equal P one-row calls, and the bound over all rows is the largest
     # one-row bound.  A misplaced axis or transpose in the rows-last layout
-    # mixes rows and fails this.  The conjunction has ten leaves of every
-    # kind, two of them negated and one ball reading a state twice.  The
+    # mixes rows and fails this.  The conjunction has twelve leaves of every
+    # kind, two of them ``not aff`` and one ball reading a state twice.  The
     # tolerance is relative to each array's largest entry, since BLAS may
     # add a one-row product in another order.
     if kind == "omni":
@@ -144,12 +145,13 @@ def test_batch_rows_are_independent(rng, kind):
         plant = single_integrator(5, gain=1.7)
     n = plant.n
     leaves = list(random_concave_psi(rng, n, 7).leaves)
-    leaves[1], leaves[4] = leaves[1].negate(), leaves[4].negate()
+    leaves.append(flipped(affine((0, 2), (1.5, -0.5), 4.0)))
+    leaves.append(flipped(affine((1, 3, 4), (-1.0, 0.25, 2.0), -6.0)))
     leaves.append(join((0,), (n - 1,), 12.0))
     leaves.append(affine((0, 1, 2), (0.5, -1.0, 0.25), 20.0))
     leaves.append(ball((1, 1), (2.0, 2.0), 9.0))
     psi = NonTemporalFormula(leaves=tuple(leaves))
-    assert len(psi.leaves) >= 9 and {leaf.kind for leaf in psi.leaves} == {"ball", "join", "affine"}
+    assert len(psi.leaves) == 12 and {leaf.kind for leaf in psi.leaves} == {"ball", "join", "affine"}
     eta = 0.8
     P = 40
     x = rng.uniform(-4.0, 4.0, n)
@@ -192,12 +194,12 @@ def test_value_is_bitwise_the_gradient_paths_value(rng):
     for _ in range(200):
         dim = int(rng.integers(1, 8))
         psi = _random_psi(rng, dim)
-        seen.update((leaf.kind, leaf.negated) for leaf in psi.leaves)
+        seen.update(leaf.kind for leaf in psi.leaves)
         table = kernels.compile_leaf_table(psi)
         eta = float(rng.uniform(0.1, 5.0))
         xs = rng.uniform(-12.0, 12.0, dim).tolist()
         assert kernels.smooth_rho(table, xs, eta) == kernels.smooth_rho_grad(table, xs, eta)[0]
-    assert seen == {(kind, neg) for kind in ("affine", "ball", "join") for neg in (False, True)}
+    assert seen == {"affine", "ball", "join"}
     # An overflowing norm is the value itself on both paths.
     table = kernels.compile_leaf_table(parse_psi("ball(0,1;0,0;1) and ball(0;2;3)"))
     xs = [1e300, 1e300]

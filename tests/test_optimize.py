@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from stlfunnel.errors import FormulaError
-from stlfunnel.formulas import SmoothingConfig, normalize_sequential
+from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig, normalize_sequential
 from stlfunnel.funnel import synthesize_funnel
 from stlfunnel.optimize import cached_optimum, optimize_robustness
 from stlfunnel.parsing import parse_formula, parse_psi
-from conftest import PSI1_TEXT, PSI2_TEXT, random_concave_psi, random_consistent_psi
+from stlfunnel.predicates import affine
+from conftest import PSI1_TEXT, PSI2_TEXT, flipped, random_concave_psi, random_consistent_psi
 
 # Both leaves peak at x3 = -7.5, x2 = x4 = 9.3, x1 = x5, but reaching that
 # point from the ball's centre moves x2 and x4 together along the join's kink.
@@ -121,9 +122,10 @@ def test_explicit_init_dimension_checked():
         optimize_robustness(psi, x_init=np.array([0.0]))
 
 
-def test_nonconcave_rejected():
-    psi = parse_psi("ball(0;0;5) and not ball(0;3;1)", allow_nonconcave=True)
-    with pytest.raises(FormulaError):
+def test_unbounded_conjunction_rejected():
+    # Two affine bounds in the same direction leave x0 unbounded above.
+    psi = NonTemporalFormula(leaves=(affine((0,), (-1.0,), 2.0), flipped(affine((0,), (1.0,), -5.0))))
+    with pytest.raises(FormulaError, match="two-sided band"):
         optimize_robustness(psi)
 
 

@@ -75,8 +75,19 @@ def test_band_desugars_to_two_affine_leaves():
 
 
 def test_negated_predicate():
-    psi = parse_psi("ball(0;0;5) and not aff(1;2)")
-    assert psi.leaves[1].negated
+    # ``not aff(c;o)`` is the leaf aff(-c;-o); a leaf carries no sign.
+    psi = parse_psi("ball(0;0;5) and not aff(0,1.5,-2;3)")
+    assert psi == parse_psi("ball(0;0;5) and aff(0,-1.5,2;-3)")
+    assert psi.leaves[1] == affine((1, 2), (-1.5, 2.0), -3.0)
+
+
+@pytest.mark.parametrize("pred", ["ball(1;0;1)", "join(0;1;1)", "band(1;0;1)"])
+def test_not_before_a_norm_leaf_or_band_is_refused(pred):
+    # Its negation is not concave, so the error sits at the "not".
+    text = f"F[0,1](ball(0;0;5) and not {pred})"
+    with pytest.raises(ParseError, match="only aff can be negated") as err:
+        parse_formula(text)
+    assert err.value.position == text.index("not")
 
 
 def test_whitespace_and_floats():
@@ -140,9 +151,13 @@ def test_parse_error_position():
 
 
 def test_negated_conjunction_only_formula_rejected():
-    # A conjunction of negated leaves only has no bounded superlevel set.
-    with pytest.raises(ParseError):
+    # A negated ball is refused at its "not"; a conjunction of "not aff"
+    # leaves only has no bounded superlevel set.
+    with pytest.raises(ParseError) as err:
         parse_formula("F[0,1](not ball(0;0;1))")
+    assert err.value.position == 7
+    with pytest.raises(ParseError, match="two-sided band"):
+        parse_formula("F[0,1](not aff(1;0) and not aff(2;-1))")
 
 
 def test_chain_requires_eventually():
@@ -183,7 +198,8 @@ def _seq(values) -> str:
 
 @st.composite
 def _term(draw, anchor: bool = False):
-    """One predicate as (text, leaves); an anchor is a bounded leaf."""
+    """One predicate as (text, leaves); an anchor is a bounded leaf.  Only an
+    ``aff`` is ever negated, which negates its coefficients and offset."""
     kind = draw(st.sampled_from(["ball", "join", "band"] if anchor else ["ball", "join", "aff", "band"]))
     if kind == "band":
         idx, center, width = draw(_INDEX), draw(_REAL), draw(_RADIUS)
@@ -204,8 +220,8 @@ def _term(draw, anchor: bool = False):
         offset = draw(_REAL)
         text = f"aff({_seq(dense.get(i, 0.0) for i in range(max(dense) + 1))};{offset!r})"
         leaf = affine(sorted(dense), [dense[i] for i in sorted(dense)], offset)
-    if not anchor and draw(st.booleans()):
-        return "not " + text, [leaf.negate()]
+    if kind == "aff" and draw(st.booleans()):
+        return "not " + text, [affine(leaf.sel, [-c for c in leaf.coeffs], -leaf.offset)]
     return text, [leaf]
 
 
@@ -256,4 +272,4 @@ def _formula(draw):
 @given(_formula())
 def test_rendered_formula_parses_back(case):
     text, expected = case
-    assert parse_formula(text, allow_nonconcave=True) == expected
+    assert parse_formula(text) == expected

@@ -12,7 +12,7 @@ import pytest
 from stlfunnel.formulas import NonTemporalFormula
 from stlfunnel.kernels import smooth_psi_hessian, smooth_psi_value_and_grad
 from stlfunnel.predicates import affine, ball, join
-from conftest import brute_leaf, central_diff
+from conftest import brute_leaf, central_diff, flipped
 
 
 def leaf_value_and_grad(p, x):
@@ -57,13 +57,15 @@ def test_affine_value_and_grad():
 
 
 def test_negation_flips_value_grad_hessian(rng):
-    p = ball((0, 1), (1.0, -2.0), 3.0)
+    # ``not aff(c;o)`` is the leaf aff(-c;-o): its value and gradient are
+    # exactly the negated ones, and both Hessians are zero.
+    p = affine((0, 1, 3), (1.0, -2.0, 0.3), 3.0)
     x = rng.uniform(-5, 5, 4)
     h, g = leaf_value_and_grad(p, x)
-    hn, gn = leaf_value_and_grad(p.negate(), x)
-    assert hn == pytest.approx(-h)
-    assert gn == pytest.approx(-g)
-    assert leaf_hessian(p.negate(), x) == pytest.approx(-leaf_hessian(p, x))
+    hn, gn = leaf_value_and_grad(flipped(p), x)
+    assert hn == -h
+    assert np.array_equal(gn, -g)
+    assert np.all(leaf_hessian(flipped(p), x) == 0.0) and np.all(leaf_hessian(p, x) == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +74,7 @@ def test_negation_flips_value_grad_hessian(rng):
         ball((0, 2), (1.0, -1.0), 2.5),
         join((0, 1), (2, 3), 4.0),
         affine((1, 3), (0.5, -2.0), 1.0),
-        ball((0, 1, 2, 3), (0.0, 1.0, 2.0, 3.0), 5.0).negate(),
+        flipped(affine((0, 1, 2, 3), (0.5, 1.0, -2.0, 3.0), 5.0)),
     ],
 )
 def test_grad_matches_finite_differences(p, rng):

@@ -132,11 +132,3 @@ def test_fixture_values_at_known_points():
         expected, rel=1e-14
     )
 
-
-def test_negated_leaf_needs_nonconcave_flag():
-    from stlfunnel.errors import FormulaError
-
-    psi = parse_psi("ball(0;0;5) and not ball(1;0;1)", allow_nonconcave=True)
-    with pytest.raises(FormulaError):
-        psi.validate()
-    psi.validate(allow_nonconcave=True)

@@ -4,7 +4,10 @@ Every invalid case below breaks one rule, and ``build_episode(load_scenario(path
 must raise ConfigError for it.  ``test_rule_is_enforced`` holds the rules
 a scenario file has always been held to; ``test_refused_since_shape_check``
 holds the inputs refused since the config objects became the only
-description of a valid scenario.
+description of a valid scenario, and those refused since every leaf is
+concave by construction.  ``test_readme_tables_match_the_loader`` keeps
+the README's tables of keys and types equal to what ``load_scenario``
+accepts.
 """
 
 import copy
@@ -14,8 +17,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from stlfunnel import scenario
 from stlfunnel.cli import main
+from stlfunnel.controller import TriggerConfig
 from stlfunnel.errors import ConfigError
+from stlfunnel.funnel import SynthesisConfig
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 
 INTEGRATOR = {
@@ -147,6 +153,11 @@ def test_rule_is_enforced(tmp_path, base, path, value):
         _build(tmp_path, _with(base, path, value))
 
 
+NONCONCAVE = [
+    ("allow_nonconcave", INTEGRATOR, ("allow_nonconcave",), True),
+    ("not-ball", INTEGRATOR, ("formula",), "F[0,3](ball(0;2;1.5) and not ball(0;0;1))"),
+    ("not-join", OMNI, ("formula",), "F[0,3](ball(0,1;2,0;1.5) and not join(0;1;0.5))"),
+]
 REFUSED = [
     # An integral float in an integer field.
     ("float-sample_count", INTEGRATOR, ("trigger", "sample_count"), 256.0),
@@ -164,6 +175,8 @@ REFUSED = [
     *[(f"nan-{k}", INTEGRATOR, (k,), math.nan) for k in ("horizon", "terminal_tail")],
     *[(f"nan-synthesis-{k}", INTEGRATOR, ("synthesis", k), math.nan)
       for k in ("chi", "t_star", "rho_max", "r", "gamma0", "gamma_inf", "l")],
+    # Every leaf is concave: there is no switch for a negated ball or join.
+    *NONCONCAVE,
 ]
 
 
@@ -171,6 +184,15 @@ REFUSED = [
 def test_refused_since_shape_check(tmp_path, base, path, value):
     with pytest.raises(ConfigError):
         _build(tmp_path, _with(base, path, value))
+
+
+@pytest.mark.parametrize("cfg", [_with(*r[1:]) for r in NONCONCAVE], ids=[r[0] for r in NONCONCAVE])
+def test_nonconcave_scenario_exits_2_without_output(tmp_path, monkeypatch, cfg):
+    monkeypatch.setattr("stlfunnel.cli.run_episode", lambda spec: pytest.fail("a run started"))
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 ACCEPTED = [
@@ -183,7 +205,7 @@ ACCEPTED = [
     ("unit-sample_count", INTEGRATOR, ("trigger", "sample_count"), 1),
     ("zero-synthesis-bounds", INTEGRATOR, ("synthesis",), {"t_star": 0.0, "l": 0}),
     ("synthesis-list", INTEGRATOR, ("synthesis",), [{"chi": 0.5}]),
-    ("allow_nonconcave", INTEGRATOR, ("allow_nonconcave",), True),
+    ("not-aff", INTEGRATOR, ("formula",), "F[0,3](ball(0;2;1.5) and not aff(1;-3))"),
     ("minimal", INTEGRATOR, ("name",), DROP),
 ]
 
@@ -222,3 +244,33 @@ def test_shape_errors_name_the_key(tmp_path):
         _build(tmp_path, _with(INTEGRATOR, ("plant", "input_gain"), 5.0))
     with pytest.raises(ConfigError, match="trigger lengths must be positive"):
         _build(tmp_path, _with(INTEGRATOR, ("trigger", "delta_u"), math.nan))
+
+
+def _readme_tables():
+    """The README's "Scenario files" tables in order, each as rows of cells
+    with the backticks stripped."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], []
+    for line in section.splitlines() + [""]:
+        if line.startswith("|"):
+            rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+        elif rows:
+            tables.append(rows[2:])
+            rows = []
+    return tables
+
+
+def test_readme_tables_match_the_loader():
+    # A "number", an "integer" or a "string"; any other type (a mapping or
+    # a list) is a nested value, which the loader marks None.
+    types = {"number": float, "integer": int, "string": str}
+    root, plants, trigger, synthesis = _readme_tables()
+    assert {row[0]: types.get(row[1]) for row in root} == scenario._ROOT
+    documented, kind = {}, None
+    for row in plants:
+        kind = row[0] or kind
+        documented.setdefault(kind, {})[row[1]] = types.get(row[2])
+    assert documented == scenario._PLANTS
+    assert {row[0]: types.get(row[1]) for row in trigger} == scenario._section(TriggerConfig)
+    assert {row[0]: types.get(row[1]) for row in synthesis} == scenario._section(SynthesisConfig)

@@ -11,7 +11,7 @@ from stlfunnel.errors import WindowError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
 from stlfunnel.parsing import parse_formula
-from stlfunnel.plants import single_integrator
+from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.sequencer import SequencerConfig
 from stlfunnel.sim import EpisodeSpec, run_episode, step_rk4
 
@@ -26,6 +26,27 @@ def _toy_spec(**kw):
     )
     base.update(kw)
     return EpisodeSpec(**base)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TriggerConfig(sample_count=256.0),
+        lambda: TriggerConfig(sample_count=True),
+        lambda: _toy_spec(seed=7.0),
+        lambda: _toy_spec(seed=True),
+        lambda: single_integrator(1.0),
+        lambda: single_integrator(True),
+        lambda: omni_robot_team(1.0),
+    ],
+    ids=["sample_count-float", "sample_count-bool", "seed-float", "seed-bool",
+         "dim-float", "dim-bool", "n_agents-float"],
+)
+def test_integer_fields_refuse_floats_and_bools(build):
+    # Each object checks its own integer fields, so neither a float nor a
+    # bool gets as far as the episode (or, for a bool seed, runs as 1).
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 def test_integrator_run_satisfies_task():
