@@ -1,4 +1,4 @@
-"""Per-call times of the trigger radius's kernels, parent against change, one row per workload.
+"""Per-call times of the trigger radius and its kernels, parent against change, one row per workload.
 
 Run from the repository root:
 
@@ -9,10 +9,12 @@ The parent commit (``--parent``, default HEAD) is exported with
 checkout's working tree.  Pair i runs each workload's episode at
 ``--seed`` (default 7) once on each side, each in a fresh interpreter
 with BLAS threads pinned to 1, the parent first in even pairs and the
-change first in odd ones.  In that interpreter ``kernels.guarded_readout``,
-``kernels.joined_rows``, ``kernels.law_row_bound`` and
-``kernels.law_row_sums`` are wrapped where ``controller`` looks them up,
-when it does, and every call's wall time is recorded.
+change first in odd ones.  In that interpreter
+``controller.compute_trigger_radius`` (the whole radius, called by
+``make_event``) and ``kernels.guarded_rows``, ``kernels.law_row_bound``
+and ``kernels.law_row_sums`` are wrapped where ``controller`` looks them
+up, when it does, and every call's wall time is recorded; a name a side's
+``controller`` lacks records no calls.
 
 Per workload, function and side, the row appended to
 ``BENCH_radius.json`` holds the calls per episode and, over the pairs,
@@ -39,7 +41,7 @@ from bench_episode import ROOT, _export, _git, _summary
 
 RECORD = ROOT / "BENCH_radius.json"
 WORKLOADS = ("rendezvous3", "patrol2d")
-FUNCTIONS = ("guarded_readout", "joined_rows", "law_row_bound", "law_row_sums")
+FUNCTIONS = ("compute_trigger_radius", "guarded_rows", "law_row_bound", "law_row_sums")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
     for row in rows:
         for name, f in row["functions"].items():
             p, c = f["parent_us"], f["change_us"]
-            print(f"{row['workload']:12s} {name:16s} calls {f['calls']['change']} "
+            print(f"{row['workload']:12s} {name:22s} calls {f['calls']['change']} "
                   f"parent {p['median']:8.1f} [{p['q1']:.1f}, {p['q3']:.1f}] us  "
                   f"change {c['median']:8.1f} [{c['q1']:.1f}, {c['q3']:.1f}] us  "
                   f"won {f['change_wins']}/{row['pairs']}")

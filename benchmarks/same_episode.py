@@ -1,0 +1,259 @@
+"""Bitwise comparison of episodes, or of the kernels, between a parent commit and this checkout.
+
+Run from the repository root:
+
+    python3 benchmarks/same_episode.py --parent HEAD~1 --seeds 0-9
+    python3 benchmarks/same_episode.py --parent HEAD~1 --formulas 200
+
+The parent commit (``--parent``) is exported with ``git archive``, as
+``bench_episode.py`` does; the change is this checkout's working tree.
+Each side runs in a fresh interpreter that imports its own tree's package
+and pickles what it computed; this process compares the two.
+
+Episode mode runs each workload (rendezvous3, the bundled scenario, and
+patrol2d, ``perfbench/patrol2d.yaml`` of each side's tree) at every seed
+and compares ``t``, ``X``, ``U``, ``rho_active``, ``gamma``, ``mode``,
+every ``TriggerEvent`` field, ``rho_theta``, ``max_input_deviation`` and
+the funnel records.  ``--formulas N`` instead draws N seeded conjunctions
+of ball, join, affine and ``not aff`` leaves on integrators and omni
+teams, with 16 states, a funnel and a trigger configuration each, and
+compares ``leaf_pass``, ``smooth_rho_grad``, ``shortest_supergradient``,
+``exact_psi_batch``, ``u_xi_batch``, ``law_jacobian_batch`` and
+``compute_trigger_radius`` (the radius, ``delta_by`` and the generator's
+state after the call).
+
+Per workload and seed, or per kernel, it prints "bitwise" or the first
+field that differs and its max relative difference, and it exits 1 when
+anything differs.  It checks changes meant to keep behaviour; it is not
+a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from bench_episode import ROOT, _export, _git, _seeds
+
+WORKLOADS = ("rendezvous3", "patrol2d")
+KERNELS = ("leaf_pass", "smooth_rho_grad", "shortest_supergradient", "exact_psi_batch",
+           "u_xi_batch", "law_jacobian_batch", "compute_trigger_radius")
+ROWS = 16
+
+
+def _column(values: list) -> np.ndarray:
+    """Per-event values as one array: text as strings, numbers as float64 with None as NaN."""
+    if any(isinstance(v, str) for v in values):
+        return np.array(values, dtype=str)
+    return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+
+def _flat(obj) -> np.ndarray:
+    """Every number in nested lists, tuples and arrays, in order, as float64 (None as NaN)."""
+    if obj is None:
+        return np.full(1, math.nan)
+    if isinstance(obj, (list, tuple)):
+        parts = [_flat(v) for v in obj]
+        return np.concatenate(parts) if parts else np.empty(0)
+    return np.asarray(obj, dtype=float).ravel()
+
+
+def _episodes(root: Path, workload: str, seeds: list[int]) -> dict:
+    """The compared fields of each seed's episode, from ``root``'s package."""
+    from dataclasses import fields
+
+    from stlfunnel import controller, scenario, sim
+
+    path = (scenario.bundled_scenario_path() if workload == "rendezvous3"
+            else root / "perfbench" / f"{workload}.yaml")
+    groups = {}
+    for seed in seeds:
+        spec = scenario.build_episode(scenario.load_scenario(path), seed=seed)
+        traj, metrics, events = sim.run_episode(spec)
+        out = {name: getattr(traj, name) for name in ("t", "X", "U", "rho_active", "gamma", "mode")}
+        for f in fields(controller.TriggerEvent):
+            out[f"event.{f.name}"] = _column([getattr(e, f.name) for e in events])
+        out["rho_theta"] = np.float64(metrics.rho_theta)
+        out["max_input_deviation"] = np.float64(metrics.max_input_deviation)
+        for key in metrics.funnels[0] if metrics.funnels else ():
+            out[f"funnel.{key}"] = _column([rec[key] for rec in metrics.funnels])
+        groups[f"{workload} seed {seed}"] = out
+    return groups
+
+
+def _formula_text(rng: np.random.Generator, n: int) -> str:
+    """A conjunction over an n-dimensional state with at least one ball or join leaf."""
+    leaves = []
+    for k in range(int(rng.integers(1, 7))):
+        kind = "ball" if k == 0 or n == 1 else rng.choice(["ball", "join", "aff", "not aff"])
+        width = int(rng.integers(1, min(n, 3) + 1))
+        sel = rng.choice(n, size=width, replace=False).tolist()
+        ints = ",".join(map(str, sel))
+        nums = ",".join(f"{v:.6g}" for v in rng.uniform(-4.0, 4.0, width))
+        radius = f"{rng.uniform(1.0, 12.0):.6g}"
+        if kind == "ball":
+            leaves.append(f"ball({ints};{nums};{radius})")
+        elif kind == "join":
+            partners = [(j + int(rng.integers(1, n))) % n for j in sel]
+            leaves.append(f"join({ints};{','.join(map(str, partners))};{radius})")
+        else:
+            coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, n + 1)))
+            coeffs[0] = coeffs[0] or 0.5
+            body = ",".join(f"{v:.6g}" for v in coeffs)
+            leaves.append(f"{kind}({body};{rng.uniform(-5.0, 15.0):.6g})")
+    return " and ".join(leaves)
+
+
+def _formulas(count: int) -> dict:
+    """Each kernel's results on ``count`` seeded formulas, from the imported package."""
+    from stlfunnel import controller, kernels
+    from stlfunnel.errors import TriggerFloorError
+    from stlfunnel.formulas import SmoothingConfig
+    from stlfunnel.funnel import FunnelParams, PerformanceFunction
+    from stlfunnel.parsing import parse_psi
+    from stlfunnel.plants import omni_robot_team, single_integrator
+
+    groups = {name: {} for name in KERNELS}
+    for i in range(count):
+        rng = np.random.default_rng(i)
+        if i % 4 == 3:
+            plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
+        else:
+            plant = single_integrator(int(rng.integers(1, 7)), gain=float(rng.uniform(0.5, 5.0)))
+        n = plant.n
+        psi = parse_psi(_formula_text(rng, n))
+        eta = float(rng.uniform(0.3, 3.0))
+        X = rng.uniform(-6.0, 6.0, n) + rng.uniform(-2.0, 2.0, (ROWS, n))
+        if plant.gbase is not None:
+            X[:, 2::3] = rng.uniform(0.0, 360.0, (ROWS, n // 3))
+        first = psi.leaves[0]
+        X[-1, list(first.sel)] = first.center  # a row on the first ball's kink
+        T = rng.uniform(0.0, 4.0, ROWS)
+        table = kernels.compile_leaf_table(psi)
+        states = X.tolist()
+        kink = float(rng.choice([0.0, 1e-3, 0.5]))
+        results = {
+            "leaf_pass": [kernels.leaf_pass(table, xs) for xs in states],
+            "smooth_rho_grad": [kernels.smooth_rho_grad(table, xs, eta) for xs in states],
+            "shortest_supergradient": [kernels.shortest_supergradient(table, xs, eta, kink)
+                                       for xs in states],
+            "exact_psi_batch": kernels.exact_psi_batch(psi, X),
+        }
+        # A funnel around the rows' values; a quarter of the funnels leave
+        # some rows outside, where the law is NaN.
+        rho = np.array([r for r, _ in results["smooth_rho_grad"]])
+        rho_max = max(float(rho.max()) + 0.3 * float(np.ptp(rho)) + 0.1, 1.0)
+        gamma_inf = (0.5 if i % 4 == 1 else 1.5) * (rho_max - float(rho.min())) + 0.1
+        fp = FunnelParams(t_star=1.0, r=0.25 * rho_max, rho_max=rho_max, perf=PerformanceFunction(
+            gamma0=float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf=gamma_inf,
+            l=float(rng.uniform(0.0, 1.0))))
+        results["u_xi_batch"] = kernels.u_xi_batch(X, T, psi, fp, plant, eta)
+        results["law_jacobian_batch"] = kernels.law_jacobian_batch(X, T, psi, fp, plant, eta)
+        tc = controller.TriggerConfig(delta_u=float(10.0 ** rng.uniform(-1.0, 2.0)))
+        gen = np.random.default_rng(i)
+        try:
+            radius = controller.compute_trigger_radius(
+                X[0], float(T[0]), psi, fp, plant, tc, SmoothingConfig(eta=eta), gen)
+        except TriggerFloorError as exc:
+            radius = f"TriggerFloorError: {exc}"
+        results["compute_trigger_radius"] = repr((radius, gen.bit_generator.state))
+        for name, value in results.items():
+            groups[name][f"formula {i}"] = (np.array(value) if isinstance(value, str)
+                                            else _flat(value))
+    return groups
+
+
+def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries; inf where only one side is NaN."""
+    if np.any(np.isnan(a) != np.isnan(b)):
+        return math.inf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.nanmax(rel, initial=0.0))
+
+
+def _first_difference(parent: dict, change: dict) -> str | None:
+    """The first field whose bits differ between the sides, with its max relative difference."""
+    for name in list(parent) + [k for k in change if k not in parent]:
+        if name not in parent or name not in change:
+            return f"{name}: only in the {'parent' if name in parent else 'change'}"
+        a, b = parent[name], change[name]
+        if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+            continue
+        if a.dtype.kind == b.dtype.kind == "f" and a.shape == b.shape:
+            return f"{name}: max relative difference {_max_rel(a, b):.3g}"
+        if a.shape != b.shape:
+            return f"{name}: shape {a.shape} against {b.shape}"
+        return f"{name}: {str(a.ravel()[:1])[:80]} against {str(b.ravel()[:1])[:80]}"
+    return None
+
+
+def _child(args) -> None:
+    """Compute one side's groups from ``args.child``'s package and pickle them to ``args.out``."""
+    sys.path.insert(0, str(args.child / "src"))
+    if args.formulas:
+        groups = _formulas(args.formulas)
+    else:
+        groups = _episodes(args.child, args.workload[0], _seeds(args.seeds))
+    with open(args.out, "wb") as fh:
+        pickle.dump(groups, fh)
+
+
+def _side(root: Path, out: Path, extra: list[str]) -> dict:
+    """Run one side in a fresh interpreter and load what it computed."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(root), "--out", str(out), *extra],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--seeds", default="0-9")
+    parser.add_argument("--workload", choices=WORKLOADS, action="append")
+    parser.add_argument("--formulas", type=int, default=0, metavar="N")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        _child(args)
+        return 0
+    parent = _git("rev-parse", args.parent)
+    runs = ([["--formulas", str(args.formulas)]] if args.formulas else
+            [["--workload", w, "--seeds", args.seeds] for w in args.workload or WORKLOADS])
+    print(f"parent {parent} against the working tree on {_git('rev-parse', 'HEAD')}", flush=True)
+    differ = 0
+    tmp = Path(tempfile.mkdtemp(prefix="same-episode-"))
+    try:
+        _export(parent, tmp)
+        for extra in runs:
+            sides = [_side(root, tmp / f"{name}.pkl", extra)
+                     for root, name in ((tmp / "tree", "parent"), (ROOT, "change"))]
+            for group in list(sides[0]) + [g for g in sides[1] if g not in sides[0]]:
+                found = (_first_difference(sides[0][group], sides[1][group])
+                         if group in sides[0] and group in sides[1] else "only on one side")
+                differ += found is not None
+                print(f"{group}: {found or 'bitwise'}", flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

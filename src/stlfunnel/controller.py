@@ -11,21 +11,22 @@ or when delta_i seconds elapse, with delta_i chosen so the frozen input
 stays within delta_u of the law over the whole inter-event box.  The
 law's Lipschitz constant over that box comes from its analytic
 Jacobian, evaluated in one vectorized pass over the probe points.
-The probes are the box corners plus a Latin hypercube (McKay, Beckman
-and Conover, Technometrics 1979) drawn from the round's seed: for any
-sample count, one point in each 1/count stratum of every coordinate.
-Where the corners outnumber the hypercube rows, a cheaper upper bound
-on the same sampled estimate comes first, and when it already leaves
-delta_u / L_z above the box the Jacobian pass is skipped; each event
-records which term set its radius (``TriggerEvent.delta_by``).
+The probes are a Latin hypercube (McKay, Beckman and Conover,
+Technometrics 1979) drawn from the round's seed, one point in each
+1/count stratum of every coordinate for any sample count, plus the box
+corners.  Where the corners outnumber the hypercube rows, a cheaper
+upper bound on the same sampled estimate comes first, and when it
+already leaves delta_u / L_z above the box the Jacobian pass is
+skipped; each event records which term set its radius
+(``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
 the box corners and probe points, the radius loop, ``should_trigger``
 and ``make_event``.  The funnel guard on the probe rows, the law
 Jacobian over them and its row bound are evaluated in ``kernels``
-(``guarded_readout``, ``joined_rows``, ``law_row_sums``,
-``law_row_bound``); the bound and the Jacobian share one joined read-out
-and one gradient step.
+(``guarded_rows``, ``law_row_sums``, ``law_row_bound``); a round reads
+its rows once, and the bound and the Jacobian share that read-out and
+its gradient step.
 ``continuous_law``, the law from the dense g(x), is the reference form
 the tests compare against; it is not on the episode path.
 """
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import guarded_readout, joined_rows, law_row_bound, law_row_sums, smooth_psi_value_and_grad
+from .kernels import guarded_rows, law_row_bound, law_row_sums, smooth_psi_value_and_grad
 from .plants import Plant, is_int
 
 __all__ = [
@@ -158,13 +159,14 @@ def _latin_hypercube(dims: int, count: int, seed: int) -> np.ndarray:
 
 
 def _probe_points(
-    x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, seed: int,
-    corners: np.ndarray,
+    x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Latin hypercube rows of the box drawn from ``seed``, then ``corners``."""
+    """One round's probes: Latin hypercube rows of the box from a seed drawn
+    from ``rng``, then the box corners (``_corners``, drawn after the seed)."""
     dims = x.shape[0] + 1
     count = tc.sample_count
-    unit = _latin_hypercube(dims, count, seed)
+    unit = _latin_hypercube(dims, count, int(rng.integers(2**32)))
+    corners = _corners(x, t, bx, bt, rng)
     pts = np.empty((count + corners.shape[0], dims))
     pts[:count, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:count, -1] = t + unit[:, -1] * bt
@@ -193,28 +195,18 @@ def compute_trigger_radius(
     TriggerFloorError.
 
     Each round draws the hypercube's seed and then the corners (a random
-    subsample above 2^10 of them) from ``rng``, and checks the corners
-    first.  The hypercube rows, drawn from that seed's own generator,
-    are built and checked only when every corner passes.  This is an
-    early exit from the same all-points test, not a different test: a
-    round is accepted exactly when every probe passes, the rng is drawn
-    in the same order whether or not the hypercube rows are built, and
-    the accepted round's guard read-outs feed the Jacobian pass
-    unchanged.  The probes, the radius and the rng stream therefore do
-    not depend on the order of the checks.  Every leaf is concave, so
-    the soft minimum is concave in x, and gamma decreases in t, so
-    the lowest xi over the box sits at a vertex: when the corners are
-    all 2^(n+1) vertices, a box that crosses the lower wall fails at a
-    corner and its hypercube rows are never built.
+    subsample above 2^10 of them) from ``rng`` and reads all its probes
+    once (``kernels.guarded_rows``); that read-out and its leaf gradients
+    feed the bound and the Jacobian pass of the accepted round.
 
     ``delta_by`` names the term that set the radius.  When the corners
     outnumber the hypercube rows (n >= 8 at the default 256 rows), the
     accepted round first takes ``kernels.law_row_bound``, an upper bound
     on the largest Jacobian row sum over the same probes, from the guard's
-    read-outs alone.  If even that bound leaves delta_u / L_z above the
+    read-out alone.  If even that bound leaves delta_u / L_z above the
     box (with a 1e-9 relative margin for rounding), the box term binds,
     the Jacobian pass is skipped and ``delta_by`` is "bound".  Otherwise
-    the pass runs over all probes as before, and ``delta_by`` is "box" or
+    the pass runs over all probes, and ``delta_by`` is "box" or
     "lipschitz".  The radius is the same either way.  The gate is there
     because the bound pays only where the pass is large: at 1280 probe
     rows (n = 9) it costs about a third of the pass and settles most
@@ -228,14 +220,10 @@ def compute_trigger_radius(
     eta = smoothing.eta
     bx, bt = tc.delta_x0, tc.delta_t0
     while True:
-        seed = int(rng.integers(2**32))
-        corners = _corners(x_i, t_i, bx, bt, rng)
-        at_corners = guarded_readout(corners, psi, fp, eta)
-        if at_corners is not None:
-            pts = _probe_points(x_i, t_i, bx, bt, tc, seed, corners)
-            at_rows = guarded_readout(pts[: tc.sample_count], psi, fp, eta)
-            if at_rows is not None:
-                break
+        pts = _probe_points(x_i, t_i, bx, bt, tc, rng)
+        rows = guarded_rows(pts, psi, fp, eta)
+        if rows is not None:
+            break
         bx *= tc.shrink
         bt *= tc.shrink
         if min(bx, bt) < tc.delta_floor:
@@ -244,9 +232,8 @@ def compute_trigger_radius(
             )
 
     box = min(bx, bt)
-    rows = joined_rows((at_rows, at_corners), psi, x_i.shape[0])
     # A NaN bound fails the comparison and falls through to the exact pass.
-    if (corners.shape[0] > tc.sample_count
+    if (pts.shape[0] > 2 * tc.sample_count
             and law_row_bound(pts, psi, fp, plant, eta, rows) * tc.lipschitz_safety
             * box * (1.0 + 1e-9) < tc.delta_u):
         delta, delta_by = box, "bound"

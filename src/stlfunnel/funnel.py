@@ -104,7 +104,6 @@ def synthesize_funnel(
     x0: np.ndarray,
     cfg: SynthesisConfig = SynthesisConfig(),
     smoothing: SmoothingConfig = SmoothingConfig(),
-    rho_opt: float | None = None,
 ) -> FunnelParams:
     """Select funnel parameters for one atomic task starting at x0.
 
@@ -112,9 +111,6 @@ def synthesize_funnel(
     sequencer passes windows already shifted into that clock).  The
     returned parameters are re-audited against every interval
     constraint; a failed audit raises SynthesisError.
-
-    ``rho_opt`` may be supplied by the caller to skip the optimization;
-    otherwise the achievable smooth optimum is computed and cached.
     """
     from .optimize import cached_optimum
 
@@ -126,8 +122,7 @@ def synthesize_funnel(
     rho0, _ = smooth_psi_value_and_grad(phi.psi, np.asarray(x0, dtype=float), smoothing)
     if not math.isfinite(rho0):
         raise SynthesisError(f"robustness at x0 is not finite ({rho0})")
-    if rho_opt is None:
-        rho_opt = cached_optimum(phi.psi, smoothing.eta)
+    rho_opt = cached_optimum(phi.psi, smoothing.eta)
     if rho_opt <= 0.0:
         raise SynthesisError(f"achievable optimum {rho_opt:.6g} is not positive")
 

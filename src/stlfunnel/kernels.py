@@ -20,7 +20,7 @@ entry points over that form:
 * The batch read-out: leaf values, gradients and Hessians at every row
   of a state array in a few numpy passes.  Leaf values are summed
   without BLAS, so they round as the pointwise loop does.  It serves the
-  trigger radius (``guarded_readout``, ``law_row_sums`` and its cheaper
+  trigger radius (``guarded_rows``, ``law_row_sums`` and its cheaper
   upper bound ``law_row_bound``), the episode's held-input audit after
   the loop (``u_xi_batch``, batched per phase), ``law_jacobian_batch``,
   ``exact_psi_batch`` and ``smooth_psi_hessian``.
@@ -28,10 +28,10 @@ entry points over that form:
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
 leaf values and softmin weights are (L, P), and ``_leaf_maps``'s fields
-broadcast against them.  Blocks join along that axis (``joined_rows``),
-and one gradient step (``_leaf_grads``) serves the batch law, its
-Jacobian, the row bound and the Hessian; a trigger radius that needs both
-the row bound and the Jacobian joins and differentiates its rows once.
+broadcast against them.  One gradient step (``_leaf_grads``) serves the
+batch law, its Jacobian, the row bound and the Hessian; a trigger radius
+round reads and differentiates all its probe rows once (``guarded_rows``),
+and the row bound and the Jacobian both take that read-out.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
 ``Plant.gbody``, the plant's one description of its actuation; the omni
@@ -60,10 +60,9 @@ __all__ = [
     "smooth_psi_value_and_grad",
     "u_xi_batch",
     "law_jacobian_batch",
-    "guarded_readout",
+    "guarded_rows",
     "law_row_sums",
     "law_row_bound",
-    "joined_rows",
     "exact_psi_batch",
     "smooth_psi_hessian",
 ]
@@ -395,9 +394,7 @@ def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Readout(NamedTuple):
-    """Leaf read-out and funnel error of rows (x, t); rows run along every
-    field's last axis, so blocks joined field by field (``joined_rows``) equal
-    one read-out of all their rows."""
+    """Leaf read-out and funnel error of rows (x, t), rows along every field's last axis."""
 
     r: np.ndarray  # (L, W, P) leaf read-outs
     nd: np.ndarray  # (L, P) their norms
@@ -443,15 +440,6 @@ class _Rows(NamedTuple):
     unit: np.ndarray
     curv: np.ndarray  # w_i / |r_i|
     q: np.ndarray
-
-
-def joined_rows(blocks: tuple[_Readout, ...], psi: NonTemporalFormula, n: int) -> _Rows:
-    """One read-out of the rows of consecutive ``guarded_readout`` blocks
-    of an n-dimensional state, joined field by field, and its leaf
-    gradients: what ``law_row_bound`` and ``law_row_sums`` read, so a
-    radius that needs both joins and differentiates its rows once."""
-    ro = _Readout(*(np.concatenate(f, axis=-1) for f in zip(*blocks)))
-    return _Rows(ro, *_leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, n)))
 
 
 def _hessian_form(
@@ -555,7 +543,7 @@ def law_jacobian_batch(
     appended.  The omni team applies g^T per agent as 3x3 blocks and adds
     the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
     (-1, 0) are not finite.  ``rows`` is the read-out of the rows and its
-    leaf gradients (``joined_rows``) when the caller already has them.  The
+    leaf gradients (``guarded_rows``) when the caller already has them.  The
     results are views of arrays stored rows-last.
     """
     n = X.shape[1]
@@ -581,13 +569,14 @@ def law_jacobian_batch(
     return du_dx.transpose(2, 0, 1), du_dt.T, xi
 
 
-def guarded_readout(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout | None:
-    """Read-out of the probe rows (x, t), or None if a row's xi leaves
-    (-1 + 1e-3, -1e-3), the band where the law Jacobian stays finite."""
+def guarded_rows(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Rows | None:
+    """Read-out of the probe rows (x, t) and its leaf gradients, or None if a
+    row's xi leaves (-1 + 1e-3, -1e-3), the band where the law Jacobian stays
+    finite: what ``law_row_bound`` and ``law_row_sums`` read."""
     ro = _readout(pts[:, :-1], pts[:, -1], psi, fp, eta)
-    if np.all((ro.xi > -1.0 + 1e-3) & (ro.xi < -1e-3)):
-        return ro
-    return None
+    if not np.all((ro.xi > -1.0 + 1e-3) & (ro.xi < -1e-3)):
+        return None
+    return _Rows(ro, *_leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, pts.shape[1] - 1)))
 
 
 def law_row_sums(
@@ -595,10 +584,9 @@ def law_row_sums(
 ) -> np.ndarray:
     """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t).
 
-    ``rows`` is the ``joined_rows`` of the ``guarded_readout`` results of
-    consecutive row blocks of ``pts``, in order, when the caller has them;
-    the Jacobian then reuses their read-out, weights, funnel error and
-    leaf gradients.
+    ``rows`` is ``guarded_rows(pts, ...)`` when the caller has it; the
+    Jacobian then reuses its read-out, weights, funnel error and leaf
+    gradients.
     """
     du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, rows)
     return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
@@ -609,8 +597,7 @@ def law_row_bound(
 ) -> float:
     """An upper bound on ``law_row_sums(pts, ...).max()`` from the read-outs alone.
 
-    ``rows`` is the ``joined_rows`` of the ``guarded_readout`` results of
-    consecutive row blocks of ``pts``, in order.  No Jacobian and no
+    ``rows`` is ``guarded_rows(pts, ...)``.  No Jacobian and no
     (n, n, P) or (L, n, P) array is formed; each term of
     ``law_jacobian_batch`` is bounded row by row:
 

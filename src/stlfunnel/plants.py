@@ -50,14 +50,13 @@ class Plant:
     """
 
     n: int
-    m: int
     w_max: float = 0.0
     gain: float = 1.0
     gbase: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (is_int(self.n) and is_int(self.m)) or self.n < 1 or self.m != self.n:
-            raise ValueError(f"need integers n = m >= 1, got n={self.n!r}, m={self.m!r}")
+        if not is_int(self.n) or self.n < 1:
+            raise ValueError(f"need an integer n >= 1, got n={self.n!r}")
         if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain}")
         if not self.w_max >= 0.0:
@@ -66,6 +65,11 @@ class Plant:
             raise ValueError(
                 f"an omni team needs a 3x3 gbase and n divisible by 3, got {np.shape(self.gbase)} and {self.n}"
             )
+
+    @property
+    def m(self) -> int:
+        """The input count: both plant kinds have as many inputs as states."""
+        return self.n
 
     @functools.cached_property
     def gbody(self) -> np.ndarray | None:
@@ -93,7 +97,7 @@ class Plant:
 
 def single_integrator(dim: int, gain: float = 1.0, w_max: float = 0.0) -> Plant:
     """Fully actuated integrator: g = gain * identity."""
-    return Plant(n=dim, m=dim, w_max=float(w_max), gain=float(gain))
+    return Plant(n=dim, w_max=float(w_max), gain=float(gain))
 
 
 def omni_robot_team(n_agents: int = 3, input_gain: float = 1.0, w_max: float = 0.0) -> Plant:
@@ -107,7 +111,6 @@ def omni_robot_team(n_agents: int = 3, input_gain: float = 1.0, w_max: float = 0
     """
     return Plant(
         n=3 * n_agents,
-        m=3 * n_agents,
         w_max=float(w_max),
         gain=float(input_gain),
         gbase=np.linalg.inv(OMNI_B.T) * OMNI_R,

@@ -199,15 +199,16 @@ def _keep_freed_heap() -> None:
     """Keep up to ``_HEAP_PAD`` bytes of freed heap instead of returning it.
 
     Every event's trigger radius allocates and frees MBs of numpy
-    temporaries at n = 9 with 1280 probe rows: about 1.8 MB for the row
-    bound and 3.4 MB when the Jacobian pass runs (``tracemalloc`` peaks).
-    glibc hands freed memory at the top of its heap back to the kernel
-    once it exceeds a trim threshold that tracks the largest block freed
-    so far, so without a pad every event faults those pages in again.
-    On rendezvous3 at seeds 0-9, with the pass running in about 30 of
-    519 events, that is a median 2.4e5 minor faults per episode against
-    2.6e3 with the pad, and 1.70 s against 1.45 s (median episode, slower
-    in 10 of 10 pairs; 2-core shared host).  patrol2d (n = 2) is flat.
+    temporaries at n = 9 with 1280 probe rows: a ``tracemalloc`` peak of
+    about 2.0 MB per radius when the row bound settles it and 3.6 MB when
+    the Jacobian pass runs.  glibc hands freed memory at the top of its
+    heap back to the kernel once it exceeds a trim threshold that tracks
+    the largest block freed so far, so without a pad every event faults
+    those pages in again.  On rendezvous3 at seeds 0-9, with the pass
+    running in about 30 of 519 events, that is a median 1.9e5 minor
+    faults per episode (``ru_minflt``) against 2.9e3 with the pad, and
+    2.57 s against 1.89 s (median episode, slower in 10 of 10 pairs;
+    2-core shared host).  patrol2d (n = 2) is flat.
     A no-op where the C library has no ``mallopt``.
     """
     if sys.platform.startswith("linux"):

@@ -8,7 +8,7 @@ import pytest
 
 from stlfunnel import controller, kernels
 from stlfunnel.kernels import (
-    _leaf_readout, _readout, guarded_readout, joined_rows, law_jacobian_batch, law_row_sums,
+    _leaf_readout, _readout, guarded_rows, law_jacobian_batch, law_row_sums,
 )
 from stlfunnel.controller import (
     TriggerConfig,
@@ -209,10 +209,7 @@ def test_law_row_sums_match_fd_integrator(rng):
     plant = single_integrator(3, gain=1.5)
     sm = SmoothingConfig(eta=1.2)
     x = np.array([0.5, 1.0, 0.3])
-    probes = _probe_points(
-        x, 0.2, 0.3, 0.3, TriggerConfig(sample_count=64),
-        int(rng.integers(2**32)), _corners(x, 0.2, 0.3, 0.3, rng),
-    )
+    probes = _probe_points(x, 0.2, 0.3, 0.3, TriggerConfig(sample_count=64), rng)
     pts = np.vstack([probes, [[0.5, 1.0, 0.0, 0.4]]])
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = law_row_sums(pts, psi, fp, plant, sm.eta)
@@ -240,8 +237,7 @@ def test_law_row_sums_match_fd_omni(rng):
         x = base + rng.uniform(-2.0, 2.0, 9)
         x[2::3] = rng.uniform(0.0, 360.0, 3)
         t = float(rng.uniform(0.0, 6.0))
-        seed = int(rng.integers(2**32))
-        boxes.append(_probe_points(x, t, 1.0, 1.0, tc, seed, _corners(x, t, 1.0, 1.0, rng)))
+        boxes.append(_probe_points(x, t, 1.0, 1.0, tc, rng))
     pts = np.vstack(boxes)
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = law_row_sums(pts, psi, fp, plant, sm.eta)
@@ -380,9 +376,9 @@ def _integrator_interior_case():
     ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4", "integrator-interior"],
 )
 def test_corner_first_guard_matches_full_round(case, rounds):
-    # Checking the corners before building the hypercube rows is only an
-    # early exit: the radius and the rng stream after the call are the
-    # same as when every round draws and checks all probes at once.
+    # The radius loop's one guarded read-out per round is the reference's
+    # check of all probes at once: the radius and the rng stream after
+    # the call are the same.
     x, t, psi, fp, plant, tc, sm = case()
     ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
     expected, ref_rounds = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
@@ -433,10 +429,7 @@ def test_interior_case_peaks_at_a_hypercube_row():
     # The interior case's accepted round is its first: there the largest
     # row sum is a hypercube row's, about five times the corners' largest.
     x, t, psi, fp, plant, tc, sm = _integrator_interior_case()
-    rng = np.random.default_rng(7)
-    seed = int(rng.integers(2**32))
-    corners = _corners(x, t, tc.delta_x0, tc.delta_t0, rng)
-    pts = _probe_points(x, t, tc.delta_x0, tc.delta_t0, tc, seed, corners)
+    pts = _probe_points(x, t, tc.delta_x0, tc.delta_t0, tc, np.random.default_rng(7))
     rows = law_row_sums(pts, psi, fp, plant, sm.eta).max(axis=1)
     assert rows[: tc.sample_count].max() > 4.0 * rows[tc.sample_count :].max()
 
@@ -445,6 +438,8 @@ def test_interior_case_peaks_at_a_hypercube_row():
 def test_latin_hypercube_probes_stratify_the_box(rng, count):
     # The probe rows are a Latin hypercube for any count: a power of two
     # or not, each coordinate has one point in each stratum of width 1/count.
+    # A round's probes are those rows inside the box, from the seed it
+    # draws first, and then the corners drawn after that seed.
     tc = TriggerConfig(sample_count=count)
     every = np.arange(count, dtype=float)[:, None]
     for dims in range(2, 14):
@@ -457,28 +452,29 @@ def test_latin_hypercube_probes_stratify_the_box(rng, count):
             x = rng.uniform(-5.0, 5.0, dims - 1)
             t = float(rng.uniform(0.0, 3.0))
             bx, bt = rng.uniform(0.01, 1.0, 2)
-            corners = _corners(x, t, bx, bt, rng)
-            pts = _probe_points(x, t, bx, bt, tc, seed, corners)
+            pts = _probe_points(x, t, bx, bt, tc, np.random.default_rng(seed))
             rows = pts[:count]
             assert np.all((rows[:, :-1] >= x - bx) & (rows[:, :-1] <= x + bx))
             assert np.all((rows[:, -1] >= t) & (rows[:, -1] <= t + bt))
-            np.testing.assert_array_equal(pts[count:], corners)
+            after_seed = np.random.default_rng(seed)
+            after_seed.integers(2**32)
+            np.testing.assert_array_equal(pts[count:], _corners(x, t, bx, bt, after_seed))
 
 
 def test_guard_blocks_feed_the_jacobian_unchanged():
-    # The radius loop hands law_row_sums the guard's read-outs of the
-    # hypercube block and of the corner block, joined by ``joined_rows``.
-    # Every read-out field is computed row by row, so the rows sums equal
-    # one pass over the stacked probe rows bit for bit.
+    # The guard reads a round's probe rows once and refuses the round when
+    # a row's xi leaves the band (the bundled phase-1 box at 0.5, which the
+    # radius halves twice).  The accepted round hands law_row_sums that
+    # read-out and its leaf gradients; the row sums equal a fresh pass over
+    # the same rows bit for bit.
     x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
     rng = np.random.default_rng(7)
-    seed = int(rng.integers(2**32))
-    corners = _corners(x, t, 0.125, 0.125, rng)
-    pts = _probe_points(x, t, 0.125, 0.125, tc, seed, corners)
-    blocks = tuple(guarded_readout(b, psi, fp, sm.eta) for b in (pts[: tc.sample_count], corners))
-    assert all(b is not None for b in blocks)
+    assert guarded_rows(_probe_points(x, t, 0.5, 0.5, tc, rng), psi, fp, sm.eta) is None
+    pts = _probe_points(x, t, 0.125, 0.125, tc, rng)
+    rows = guarded_rows(pts, psi, fp, sm.eta)
+    assert rows is not None
     np.testing.assert_array_equal(
-        law_row_sums(pts, psi, fp, plant, sm.eta, joined_rows(blocks, psi, x.shape[0])),
+        law_row_sums(pts, psi, fp, plant, sm.eta, rows),
         law_row_sums(pts, psi, fp, plant, sm.eta),
     )
 
@@ -598,7 +594,7 @@ def test_trigger_floor_near_funnel_boundary():
         _reference_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, ref_rng)
     with pytest.raises(TriggerFloorError):
         compute_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, rng)
-    # Rounds rejected at the corners draw from the rng as full rounds do.
+    # Rejected rounds draw from the rng as the reference's rounds do.
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -4,6 +4,7 @@ neither the package nor its command line loads any module of scipy or of
 jsonschema and its dependencies."""
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -82,10 +83,21 @@ def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
 
 
-@pytest.mark.parametrize("package", ["scipy", "jsonschema", "referencing", "rpds", "attrs"])
+PACKAGES = ("scipy", "jsonschema", "referencing", "rpds", "attrs")
+
+
+@functools.lru_cache(maxsize=None)
+def loaded_packages(module: str) -> list[str]:
+    """Modules of ``PACKAGES`` loaded by ``import module`` in one fresh interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {PACKAGES!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip())
+
+
+# One interpreter per module serves all five packages' cases.
+@pytest.mark.parametrize("package", PACKAGES)
 @pytest.mark.parametrize("module", ["stlfunnel", "stlfunnel.cli"])
 def test_import_loads_no_scipy(module, package):
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    found = loaded_packages(module)
+    assert [m for m in found if m.split(".")[0] == package] == [], f"import {module} loads {found}"

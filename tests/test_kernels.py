@@ -94,8 +94,8 @@ def test_law_row_bound_covers_row_sums(rng, kind):
     # The bound that lets the trigger radius skip the Jacobian pass holds
     # at every probe row the guard accepts.  Each draw places a box
     # of rows (x, t) and a funnel wide enough that every row's xi lies in
-    # the guard's band, and hands both functions the guard's read-outs
-    # of two row blocks, joined once, as the radius loop does.
+    # the guard's band, and hands both functions the guard's one read-out
+    # of all the rows, as the radius loop does.
     for _ in range(150):
         if kind == "omni":
             plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
@@ -118,10 +118,8 @@ def test_law_row_bound_covers_row_sums(rng, kind):
             x + rng.uniform(-width, width, (P, n)), rng.uniform(0.0, 4.0, P),
         ])
         fp = _band_funnel(rng, pts, psi, eta)
-        k = int(rng.integers(1, P))
-        blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (pts[:k], pts[k:]))
-        assert all(b is not None for b in blocks)
-        rows = kernels.joined_rows(blocks, psi, n)
+        rows = kernels.guarded_rows(pts, psi, fp, eta)
+        assert rows is not None
         exact = kernels.law_row_sums(pts, psi, fp, plant, eta, rows).max()
         assert np.isfinite(exact)
         # Where the bound is tight, as when one leaf's |q| q^T term dominates,
@@ -178,13 +176,13 @@ def test_batch_rows_are_independent(rng, kind):
             atol = 1e-14 * float(np.abs(full).max())
             np.testing.assert_allclose(full, stacked, rtol=1e-14, atol=atol)
 
-    def bound(rows, cut):
-        blocks = tuple(kernels.guarded_readout(b, psi, fp, eta) for b in (rows[:cut], rows[cut:]) if len(b))
-        assert all(b is not None for b in blocks)
-        return kernels.law_row_bound(rows, psi, fp, plant, eta, kernels.joined_rows(blocks, psi, n))
+    def bound(rows):
+        guarded = kernels.guarded_rows(rows, psi, fp, eta)
+        assert guarded is not None
+        return kernels.law_row_bound(rows, psi, fp, plant, eta, guarded)
 
-    single = max(bound(pts[p : p + 1], 1) for p in range(P))
-    assert bound(pts, 17) == pytest.approx(single, rel=1e-14, abs=0.0)
+    single = max(bound(pts[p : p + 1]) for p in range(P))
+    assert bound(pts) == pytest.approx(single, rel=1e-14, abs=0.0)
 
 
 def test_value_is_bitwise_the_gradient_paths_value(rng):

@@ -68,15 +68,12 @@ def test_omni_gain_scales_actuation():
 
 
 def test_plant_rejects_inconsistent_fields():
-    gbase = np.linalg.inv(OMNI_B.T) * OMNI_R
     bad = [
-        dict(n=3, m=3, gbase=np.eye(2)),
-        dict(n=3, m=6, gbase=gbase),
-        dict(n=2, m=3),
-        dict(n=0, m=0),
-        dict(n=2, m=2, gain=0.0),
-        dict(n=2, m=2, gain=math.nan),
-        dict(n=2, m=2, w_max=-0.1),
+        dict(n=3, gbase=np.eye(2)),
+        dict(n=0),
+        dict(n=2, gain=0.0),
+        dict(n=2, gain=math.nan),
+        dict(n=2, w_max=-0.1),
     ]
     for fields in bad:
         with pytest.raises(ValueError):
@@ -93,7 +90,7 @@ def test_plant_compares_by_identity():
 def test_omni_team_of_four_states_rejected():
     # Used to pass construction and fail with IndexError inside the law.
     with pytest.raises(ValueError, match="divisible by 3"):
-        Plant(n=4, m=4, gbase=np.linalg.inv(OMNI_B.T) * OMNI_R)
+        Plant(n=4, gbase=np.linalg.inv(OMNI_B.T) * OMNI_R)
 
 
 def _dense_rk4(plant, x, u, w, dt, steps):
