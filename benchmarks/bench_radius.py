@@ -11,16 +11,18 @@ checkout's working tree.  Pair i runs each workload's episode at
 with BLAS threads pinned to 1, the parent first in even pairs and the
 change first in odd ones.  In that interpreter
 ``controller.compute_trigger_radius`` (the whole radius, called by
-``make_event``) and ``kernels.guarded_rows``, ``kernels.law_row_bound``
-and ``kernels.law_row_sums`` are wrapped where ``controller`` looks them
-up, when it does, and every call's wall time is recorded; a name a side's
+``make_event``) and ``kernels.band_holds`` (the value-only read-out of a
+round's late vertices), ``kernels.guarded_rows`` and
+``kernels.law_row_sums`` are wrapped where ``controller`` looks them up,
+when it does, and every call's wall time is recorded; a name a side's
 ``controller`` lacks records no calls.
 
 Per workload, function and side, the row appended to
 ``BENCH_radius.json`` holds the calls per episode and, over the pairs,
 the median and quartiles of each run's median per-call time (us) and how
-many pairs the change won.  The calls must be the same on both sides; a
-difference is printed and recorded.  Nothing under ``perfbench/`` is
+many pairs the change won.  Calls that differ between the sides, as
+when a change moves the probe rows, are printed, and each side's are
+recorded.  Nothing under ``perfbench/`` is
 changed; the workloads' scenarios are read from each side's own tree.
 """
 
@@ -41,7 +43,7 @@ from bench_episode import ROOT, _export, _git, _summary
 
 RECORD = ROOT / "BENCH_radius.json"
 WORKLOADS = ("rendezvous3", "patrol2d")
-FUNCTIONS = ("compute_trigger_radius", "guarded_rows", "law_row_bound", "law_row_sums")
+FUNCTIONS = ("compute_trigger_radius", "band_holds", "guarded_rows", "law_row_sums")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -8,25 +8,22 @@ events a sample reads the value of rho and runs ``should_trigger``.
 Between events the input is frozen; a new event fires when the state
 leaves an infinity-norm ball of radius delta_i around the event state
 or when delta_i seconds elapse, with delta_i chosen so the frozen input
-stays within delta_u of the law over the whole inter-event box.  The
-law's Lipschitz constant over that box comes from its analytic
-Jacobian, evaluated in one vectorized pass over the probe points.
-The probes are a Latin hypercube (McKay, Beckman and Conover,
-Technometrics 1979) drawn from the round's seed, one point in each
-1/count stratum of every coordinate for any sample count, plus the box
-corners.  Where the corners outnumber the hypercube rows, a cheaper
-upper bound on the same sampled estimate comes first, and when it
-already leaves delta_u / L_z above the box the Jacobian pass is
-skipped; each event records which term set its radius
-(``TriggerEvent.delta_by``).
+stays within delta_u of the law over the whole inter-event box.  Each
+round of the radius loop first checks the funnel band at the box's late
+vertices, where every leaf's concavity and the never-increasing funnel
+width put the lowest xi over the box; only a box that passes draws its
+probes, a Latin hypercube (McKay, Beckman and Conover, Technometrics
+1979) with one point in each 1/count stratum of every coordinate, and
+the law's Lipschitz constant over the box comes from its analytic
+Jacobian, evaluated in one vectorized pass over those probes.  Each
+event records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
-the box corners and probe points, the radius loop, ``should_trigger``
-and ``make_event``.  The funnel guard on the probe rows, the law
-Jacobian over them and its row bound are evaluated in ``kernels``
-(``guarded_rows``, ``law_row_sums``, ``law_row_bound``); a round reads
-its rows once, and the bound and the Jacobian share that read-out and
-its gradient step.
+the late vertices and hypercube probes, the radius loop,
+``should_trigger`` and ``make_event``.  The vertex check, the read-out
+of the probe rows and the law Jacobian over them are evaluated in
+``kernels`` (``band_holds``, ``guarded_rows``, ``law_row_sums``); the
+Jacobian reuses the probe read-out and its gradient step.
 ``continuous_law``, the law from the dense g(x), is the reference form
 the tests compare against; it is not on the episode path.
 """
@@ -44,7 +41,7 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import guarded_rows, law_row_bound, law_row_sums, smooth_psi_value_and_grad
+from .kernels import band_holds, guarded_rows, law_row_sums, smooth_psi_value_and_grad
 from .plants import Plant, is_int
 
 __all__ = [
@@ -56,11 +53,11 @@ __all__ = [
 ]
 
 Cause = Literal["StateDeviation", "MaxInterval", "Initial", "ModeSwitch"]
-# What set the radius: the row bound without the Jacobian pass, or after
-# that pass the box term or delta_u / L_z.
-DeltaBy = Literal["bound", "box", "lipschitz"]
+# What set the radius: the box term or delta_u / L_z.
+DeltaBy = Literal["box", "lipschitz"]
 
-_CORNER_CAP = 1024
+# Late vertices a guard round reads at most: all of them up to n = 9.
+_VERTEX_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -126,52 +123,36 @@ def continuous_law(
 
 
 @functools.lru_cache(maxsize=None)
-def _corner_signs(dims: int) -> np.ndarray:
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=dims)))
+def _vertex_signs(n: int) -> np.ndarray:
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     signs.setflags(write=False)
     return signs
 
 
-def _corners(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Generator) -> np.ndarray:
-    """Corner points of the box, capped by random subsampling."""
-    dims = x.shape[0] + 1
-    if 2**dims <= _CORNER_CAP:
-        signs = _corner_signs(dims)
+def _probe_points(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Generator) -> np.ndarray:
+    """One round's guard rows: the late vertices (x +- bx, t + bt) of the box
+    B(x, bx) x [t, t + bt], all 2^n of them up to n = 9 and above that
+    ``_VERTEX_CAP`` sign patterns drawn from ``rng``."""
+    n = x.shape[0]
+    if 2**n <= _VERTEX_CAP:
+        signs = _vertex_signs(n)
     else:
-        signs = rng.choice((-1.0, 1.0), size=(_CORNER_CAP, dims))
-    pts = np.empty_like(signs)
-    pts[:, :-1] = x + signs[:, :-1] * bx
-    # Time extends forward only: [t, t + bt].
-    pts[:, -1] = t + (signs[:, -1] * 0.5 + 0.5) * bt
+        signs = rng.choice((-1.0, 1.0), size=(_VERTEX_CAP, n))
+    pts = np.empty((signs.shape[0], n + 1))
+    pts[:, :-1] = x + signs * bx
+    pts[:, -1] = t + bt
     return pts
 
 
-def _latin_hypercube(dims: int, count: int, seed: int) -> np.ndarray:
-    """``count`` points in [0, 1]^dims drawn from ``seed``, one per 1/count
+def _latin_hypercube(dims: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` points in [0, 1]^dims drawn from ``rng``, one per 1/count
     stratum of every coordinate: per coordinate, a random permutation of
     the strata plus a uniform offset inside each."""
-    rng = np.random.default_rng(seed)
     strata = np.broadcast_to(np.arange(count, dtype=float)[:, None], (count, dims))
     unit = rng.permuted(strata, axis=0)
     unit += rng.random((count, dims))
     unit /= count
     return unit
-
-
-def _probe_points(
-    x: np.ndarray, t: float, bx: float, bt: float, tc: TriggerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """One round's probes: Latin hypercube rows of the box from a seed drawn
-    from ``rng``, then the box corners (``_corners``, drawn after the seed)."""
-    dims = x.shape[0] + 1
-    count = tc.sample_count
-    unit = _latin_hypercube(dims, count, int(rng.integers(2**32)))
-    corners = _corners(x, t, bx, bt, rng)
-    pts = np.empty((count + corners.shape[0], dims))
-    pts[:count, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
-    pts[:count, -1] = t + unit[:, -1] * bt
-    pts[count:] = corners
-    return pts
 
 
 def compute_trigger_radius(
@@ -186,33 +167,23 @@ def compute_trigger_radius(
 ) -> tuple[float, DeltaBy]:
     """Trigger radius delta_i = min(delta_u / L_z, box_x, box_t), and what set it.
 
-    L_z estimates the Lipschitz constant of the law over the box
-    B(x_i, box_x) x [t_i, t_i + box_t]: the max infinity-norm of the
-    analytic Jacobian with respect to z = (x, t) at Latin hypercube
-    probes plus box corners, times a safety factor.  The box first
-    shrinks until all probes keep xi inside (-1 + 1e-3, -1e-3), so the
-    Jacobian is finite at every probe; radii below ``delta_floor`` raise
-    TriggerFloorError.
+    The box B(x_i, box_x) x [t_i, t_i + box_t] shrinks until xi stays
+    inside (-1 + 1e-3, -1e-3) over it, so the law Jacobian is finite
+    there; radii below ``delta_floor`` raise TriggerFloorError.  Each
+    round first reads xi at the box's late vertices (``_probe_points``,
+    ``kernels.band_holds``).  Every leaf is concave and gamma never
+    increases, so the lowest xi over the box sits at one of them: for
+    n <= 9, where all 2^n are read, a box that passes cannot leave the
+    band at its bottom.  Only then does the round draw ``sample_count``
+    Latin hypercube rows of the box from ``rng`` and read them once
+    (``kernels.guarded_rows``), which checks the band again: the
+    sampled check of the upper wall, and of the lower one above n = 9.
 
-    Each round draws the hypercube's seed and then the corners (a random
-    subsample above 2^10 of them) from ``rng`` and reads all its probes
-    once (``kernels.guarded_rows``); that read-out and its leaf gradients
-    feed the bound and the Jacobian pass of the accepted round.
-
-    ``delta_by`` names the term that set the radius.  When the corners
-    outnumber the hypercube rows (n >= 8 at the default 256 rows), the
-    accepted round first takes ``kernels.law_row_bound``, an upper bound
-    on the largest Jacobian row sum over the same probes, from the guard's
-    read-out alone.  If even that bound leaves delta_u / L_z above the
-    box (with a 1e-9 relative margin for rounding), the box term binds,
-    the Jacobian pass is skipped and ``delta_by`` is "bound".  Otherwise
-    the pass runs over all probes, and ``delta_by`` is "box" or
-    "lipschitz".  The radius is the same either way.  The gate is there
-    because the bound pays only where the pass is large: at 1280 probe
-    rows (n = 9) it costs about a third of the pass and settles most
-    radii of the bundled scenario, while at 264 rows (n = 2), where
-    numpy's fixed cost per call dominates, it costs nearly as much as
-    the pass and settles under half of the patrol benchmark's radii.
+    L_z estimates the Lipschitz constant of the law over the accepted
+    box: the largest infinity-norm row of the analytic Jacobian with
+    respect to z = (x, t) over its hypercube rows (``kernels.law_row_sums``),
+    times a safety factor.  ``delta_by`` names the term that set the
+    radius, "box" or "lipschitz".
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -220,10 +191,13 @@ def compute_trigger_radius(
     eta = smoothing.eta
     bx, bt = tc.delta_x0, tc.delta_t0
     while True:
-        pts = _probe_points(x_i, t_i, bx, bt, tc, rng)
-        rows = guarded_rows(pts, psi, fp, eta)
-        if rows is not None:
-            break
+        if band_holds(_probe_points(x_i, t_i, bx, bt, rng), psi, fp, eta):
+            pts = _latin_hypercube(x_i.shape[0] + 1, tc.sample_count, rng)
+            pts[:, :-1] = x_i + (2.0 * pts[:, :-1] - 1.0) * bx
+            pts[:, -1] = t_i + pts[:, -1] * bt
+            rows = guarded_rows(pts, psi, fp, eta)
+            if rows is not None:
+                break
         bx *= tc.shrink
         bt *= tc.shrink
         if min(bx, bt) < tc.delta_floor:
@@ -232,30 +206,28 @@ def compute_trigger_radius(
             )
 
     box = min(bx, bt)
-    # A NaN bound fails the comparison and falls through to the exact pass.
-    if (pts.shape[0] > 2 * tc.sample_count
-            and law_row_bound(pts, psi, fp, plant, eta, rows) * tc.lipschitz_safety
-            * box * (1.0 + 1e-9) < tc.delta_u):
-        delta, delta_by = box, "bound"
-    else:
-        l_z = float(law_row_sums(pts, psi, fp, plant, eta, rows).max()) * tc.lipschitz_safety
-        delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
-        delta_by = "lipschitz" if delta < box else "box"
+    l_z = float(law_row_sums(pts, psi, fp, plant, eta, rows).max()) * tc.lipschitz_safety
+    delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
     if delta < tc.delta_floor:
         raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {tc.delta_floor:g}")
-    return delta, delta_by
+    return delta, "lipschitz" if delta < box else "box"
 
 
-def should_trigger(x: np.ndarray | list[float], t: float, event: TriggerEvent) -> Cause | None:
-    """Strict-inequality trigger test against the active event.
+def should_trigger(
+    x: np.ndarray | list[float], steps: int, dt: float, event: TriggerEvent
+) -> Cause | None:
+    """Strict-inequality trigger test against the active event, ``steps``
+    samples of ``dt`` after it.
 
     StateDeviation takes precedence when both conditions exceed.  ``x``
     is an array or the list of its floats; the deviation is the same
-    max |x_j - x_event_j| either way, in plain floats.
+    max |x_j - x_event_j| either way, in plain floats.  MaxInterval
+    compares the whole steps since the event with delta / dt, so a hold
+    of exactly delta does not fire however the funnel clock rounds.
     """
     if max([abs(a - b) for a, b in zip(x, event.x.tolist())]) > event.delta:
         return "StateDeviation"
-    if t - event.t > event.delta:
+    if steps > event.delta / dt:
         return "MaxInterval"
     return None
 

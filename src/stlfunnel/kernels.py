@@ -20,18 +20,19 @@ entry points over that form:
 * The batch read-out: leaf values, gradients and Hessians at every row
   of a state array in a few numpy passes.  Leaf values are summed
   without BLAS, so they round as the pointwise loop does.  It serves the
-  trigger radius (``guarded_rows``, ``law_row_sums`` and its cheaper
-  upper bound ``law_row_bound``), the episode's held-input audit after
-  the loop (``u_xi_batch``, batched per phase), ``law_jacobian_batch``,
-  ``exact_psi_batch`` and ``smooth_psi_hessian``.
+  trigger radius (the value-only vertex check ``band_holds``, then
+  ``guarded_rows`` and ``law_row_sums`` over the probe rows), the
+  episode's held-input audit after the loop (``u_xi_batch``, batched per
+  phase), ``law_jacobian_batch``, ``exact_psi_batch`` and
+  ``smooth_psi_hessian``.
 
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
 leaf values and softmin weights are (L, P), and ``_leaf_maps``'s fields
 broadcast against them.  One gradient step (``_leaf_grads``) serves the
-batch law, its Jacobian, the row bound and the Hessian; a trigger radius
-round reads and differentiates all its probe rows once (``guarded_rows``),
-and the row bound and the Jacobian both take that read-out.
+batch law, its Jacobian and the Hessian; the trigger radius reads and
+differentiates its probe rows once (``guarded_rows``), and the Jacobian
+takes that read-out.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
 ``Plant.gbody``, the plant's one description of its actuation; the omni
@@ -60,9 +61,9 @@ __all__ = [
     "smooth_psi_value_and_grad",
     "u_xi_batch",
     "law_jacobian_batch",
+    "band_holds",
     "guarded_rows",
     "law_row_sums",
-    "law_row_bound",
     "exact_psi_batch",
     "smooth_psi_hessian",
 ]
@@ -312,10 +313,8 @@ class _LeafMaps(NamedTuple):
     b: np.ndarray  # (L, W, 1)
     c: np.ndarray  # (L, W, 1) ball centres
     lin: np.ndarray  # (L, W, 1) derivative of an affine read-out w.r.t. r_i
-    l1: np.ndarray  # (L, 1, W) |row j of A_i|_1
     grad: np.ndarray  # (n, L * W) -A_i^T side by side
     ata: np.ndarray  # (n * n, L) A_i^T A_i, one column per leaf
-    ata_rows: np.ndarray  # (n, L) |A_i^T A_i| 1
     norm: np.ndarray  # (L, 1) ball or join
     csts: np.ndarray  # (L, 1)
 
@@ -356,12 +355,10 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
         np.add.at(A[i], (rows, ia[i]), a[i])
         np.add.at(A[i], (rows, ib[i]), -b[i])
     A *= -1.0  # -A_i from here on
-    ata = A.transpose(0, 2, 1) @ A
     maps = _LeafMaps(
         ia=ia, ib=ib, a=a[:, :, None], b=b[:, :, None], c=c[:, :, None], lin=lin[:, :, None],
-        l1=np.abs(A).sum(axis=2)[:, None, :],
         grad=A.reshape(L * W, n).T.copy(),
-        ata=ata.reshape(L, n * n).T.copy(), ata_rows=np.abs(ata).sum(axis=2).T.copy(),
+        ata=(A.transpose(0, 2, 1) @ A).reshape(L, n * n).T.copy(),
         norm=np.array([[leaf[0] != 0] for leaf in table]),
         csts=np.array([[leaf[4]] for leaf in table]),
     )
@@ -569,12 +566,23 @@ def law_jacobian_batch(
     return du_dx.transpose(2, 0, 1), du_dt.T, xi
 
 
+def _in_band(xi: np.ndarray) -> bool:
+    """Whether every xi lies in (-1 + 1e-3, -1e-3), the band where the law Jacobian stays finite."""
+    # A NaN xi fails both comparisons.
+    return bool(-1.0 + 1e-3 < xi.min() and xi.max() < -1e-3)
+
+
+def band_holds(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> bool:
+    """Whether xi stays in the band of ``_in_band`` at every row (x, t) of pts,
+    from leaf values and the soft minimum alone (no gradients)."""
+    return _in_band(_readout(pts[:, :-1], pts[:, -1], psi, fp, eta).xi)
+
+
 def guarded_rows(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Rows | None:
     """Read-out of the probe rows (x, t) and its leaf gradients, or None if a
-    row's xi leaves (-1 + 1e-3, -1e-3), the band where the law Jacobian stays
-    finite: what ``law_row_bound`` and ``law_row_sums`` read."""
+    row's xi leaves the band of ``_in_band``: what ``law_row_sums`` reads."""
     ro = _readout(pts[:, :-1], pts[:, -1], psi, fp, eta)
-    if not np.all((ro.xi > -1.0 + 1e-3) & (ro.xi < -1e-3)):
+    if not _in_band(ro.xi):
         return None
     return _Rows(ro, *_leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, pts.shape[1] - 1)))
 
@@ -590,60 +598,6 @@ def law_row_sums(
     """
     du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, rows)
     return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
-
-
-def law_row_bound(
-    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float, rows: _Rows,
-) -> float:
-    """An upper bound on ``law_row_sums(pts, ...).max()`` from the read-outs alone.
-
-    ``rows`` is ``guarded_rows(pts, ...)``.  No Jacobian and no
-    (n, n, P) or (L, n, P) array is formed; each term of
-    ``law_jacobian_batch`` is bounded row by row:
-
-    * leaf gradients: b_i = |A_i|^T |unit_i| >= |q_i|, and q = sum_i w_i q_i;
-    * the weights' curvature sum_i w_i q_i q_i^T - q q^T is the covariance
-      sum_i w_i (q_i - q)(q_i - q)^T, and
-      |q_i - q| <= e_i = (1 - 2 w_i) b_i + s with s = sum_k w_k b_k
-      (zero for one leaf);
-    * |M_x| 1 <= |eps| sum_i |curv_i| (b_i |b_i|_1 + |A_i^T A_i| 1)
-      + |eps| eta sum_i w_i e_i |e_i|_1 + (slope / gamma) |q| |q|_1,
-      and |m_t| is exact;
-    * the input map: |gain| for the integrator; for the omni team the
-      entrywise |g^T| per agent, plus the heading column's exact
-      |eps| |dg^T/dtheta q|.
-
-    Every b_i and e_i is nonnegative, so |e_i|_1 = (1 - 2 w_i) |b_i|_1 + |s|_1
-    and |s|_1 = sum_k w_k |b_k|_1; the sums over leaves then collect into
-    one coefficient per leaf on b_i, which is linear in |unit_i|, so a
-    single matrix product over the read-out slots gives them.  The result
-    is the largest entry over rows and inputs; it is NaN or inf only
-    where a row's read-out is.
-    """
-    X = pts[:, :-1]
-    mp = _leaf_maps(psi, X.shape[1])
-    ro, unit, curv, q = rows
-    L, W, P = unit.shape
-    w = ro.w
-    abs_unit = np.abs(unit)
-    b_l1 = (mp.l1 @ abs_unit)[:, 0]
-    spread = 1.0 - 2.0 * w
-    e_w = w * (spread * b_l1 + (w * b_l1).sum(axis=0))
-    coef = curv * b_l1 + eta * (e_w * spread + e_w.sum(axis=0) * w)
-    v = np.abs(mp.grad) @ (abs_unit * coef[:, None, :]).reshape(L * W, P)
-    v += mp.ata_rows @ curv
-    xi = ro.xi
-    eps, slope = _eps_slope(xi)
-    v *= np.abs(eps)
-    abs_q = np.abs(q)
-    v += slope / ro.gamma * (abs_q.sum(axis=0) + np.abs(xi * fp.perf.l * ro.decay)) * abs_q
-    if plant.gbase is None:
-        return float(v.max()) * plant.gain
-    c0, c1, g2 = _omni_columns(X, plant.gbody)
-    heading = np.abs(_omni_heading((c0, c1, g2), q, eps))
-    rows = _omni_apply((np.abs(c0, out=c0), np.abs(c1, out=c1), np.abs(g2)), v)
-    rows += heading
-    return float(rows.max())
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:

@@ -159,10 +159,10 @@ def _funnel_record(z: HybridState) -> dict:
     }
 
 
-# Rows per ``u_xi_batch`` call of the input audit.  Blocks the size of a
-# trigger radius's probe batch reuse the freed heap the radius leaves
-# (``_keep_freed_heap``); one call per whole phase raised rendezvous3's
-# peak RSS by 1.1 MB (2 %), blocks of 1024 rows leave it flat.
+# Rows per ``u_xi_batch`` call of the input audit.  Blocks reuse the
+# freed heap the trigger radius leaves (``_keep_freed_heap``); one call
+# per whole phase raised rendezvous3's peak RSS by 1.1 MB (2 %), blocks
+# of 1024 rows leave it flat.
 _AUDIT_ROWS = 1024
 
 
@@ -198,16 +198,15 @@ _HEAP_PAD = 16 << 20
 def _keep_freed_heap() -> None:
     """Keep up to ``_HEAP_PAD`` bytes of freed heap instead of returning it.
 
-    Every event's trigger radius allocates and frees MBs of numpy
-    temporaries at n = 9 with 1280 probe rows: a ``tracemalloc`` peak of
-    about 2.0 MB per radius when the row bound settles it and 3.6 MB when
-    the Jacobian pass runs.  glibc hands freed memory at the top of its
-    heap back to the kernel once it exceeds a trim threshold that tracks
-    the largest block freed so far, so without a pad every event faults
-    those pages in again.  On rendezvous3 at seeds 0-9, with the pass
-    running in about 30 of 519 events, that is a median 1.9e5 minor
-    faults per episode (``ru_minflt``) against 2.9e3 with the pad, and
-    2.57 s against 1.89 s (median episode, slower in 10 of 10 pairs;
+    Every event's trigger radius allocates and frees about 0.8 MB of
+    numpy temporaries at n = 9 (``tracemalloc`` peak of one radius at the
+    bundled scenario's start: 512 late vertices, then 256 hypercube rows
+    and the Jacobian pass over them).  glibc hands freed memory at the
+    top of its heap back to the kernel once it exceeds a trim threshold
+    that tracks the largest block freed so far, so without a pad every
+    event faults those pages in again: on rendezvous3 at seeds 3-5,
+    6.2e4-6.4e4 minor faults per episode (``ru_minflt``) against 2.8e3
+    with the pad, and 1.23-1.37 s against 0.83-1.16 s (one run each,
     2-core shared host).  patrol2d (n = 2) is flat.
     A no-op where the C library has no ``mallopt``.
     """
@@ -329,13 +328,14 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         elif event is None:
             cause = "Initial"
         else:
-            cause = should_trigger(xs, t_fun, event)
+            held = k - event_steps[-1]  # whole steps since the event
+            cause = should_trigger(xs, held, dt, event)
         if cause is not None:
             overshoot = None
             if cause in ("StateDeviation", "MaxInterval"):
                 # The trigger tests grid samples only, so the state or clock
                 # has left the previous event's box by the time it fires.
-                reach = max(float(np.abs(x - event.x).max()), t_fun - event.t)
+                reach = max(float(np.abs(x - event.x).max()), held * dt)
                 overshoot = reach / event.delta
                 metrics.max_overshoot = max(metrics.max_overshoot, overshoot)
             u = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)[1]

@@ -8,12 +8,11 @@ import pytest
 
 from stlfunnel import controller, kernels
 from stlfunnel.kernels import (
-    _leaf_readout, _readout, guarded_rows, law_jacobian_batch, law_row_sums,
+    _leaf_readout, _readout, band_holds, guarded_rows, law_jacobian_batch, law_row_sums,
 )
 from stlfunnel.controller import (
     TriggerConfig,
     TriggerEvent,
-    _corners,
     _latin_hypercube,
     _probe_points,
     compute_trigger_radius,
@@ -22,13 +21,13 @@ from stlfunnel.controller import (
     should_trigger,
 )
 from stlfunnel.errors import FunnelViolation, TriggerFloorError
-from stlfunnel.formulas import SmoothingConfig
+from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
-from conftest import PSI1_TEXT
+from conftest import PSI1_TEXT, flipped, random_concave_psi
 
 
 def _flat_funnel(rho_max=0.5, width=1.0):
@@ -195,6 +194,19 @@ def _assert_in_funnel(pts, psi, fp, plant, sm):
     assert np.all((xi > -1.0) & (xi < 0.0))
 
 
+def _box_rows(x, t, bx, bt, count, rng):
+    """``count`` Latin hypercube rows (x', t') of the box B(x, bx) x [t, t + bt]."""
+    unit = _latin_hypercube(x.shape[0] + 1, count, rng)
+    return np.column_stack([x + (2.0 * unit[:, :-1] - 1.0) * bx, t + unit[:, -1] * bt])
+
+
+def _all_corners(x, t, bx, bt):
+    """All 2^(n+1) corners of the box B(x, bx) x [t, t + bt]."""
+    dims = x.shape[0] + 1
+    signs = np.array(np.meshgrid(*[(-1.0, 1.0)] * dims, indexing="ij")).reshape(dims, -1).T
+    return np.column_stack([x + signs[:, :-1] * bx, t + (0.5 * signs[:, -1] + 0.5) * bt])
+
+
 def test_law_row_sums_match_fd_integrator(rng):
     # ball, join and affine leaves; x2 also sits in a wide ball whose
     # softmin weight is about e^-45, so the law's kink at that ball's
@@ -209,7 +221,7 @@ def test_law_row_sums_match_fd_integrator(rng):
     plant = single_integrator(3, gain=1.5)
     sm = SmoothingConfig(eta=1.2)
     x = np.array([0.5, 1.0, 0.3])
-    probes = _probe_points(x, 0.2, 0.3, 0.3, TriggerConfig(sample_count=64), rng)
+    probes = np.vstack([_box_rows(x, 0.2, 0.3, 0.3, 64, rng), _all_corners(x, 0.2, 0.3, 0.3)])
     pts = np.vstack([probes, [[0.5, 1.0, 0.0, 0.4]]])
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = law_row_sums(pts, psi, fp, plant, sm.eta)
@@ -230,42 +242,54 @@ def test_law_row_sums_match_fd_omni(rng):
     )
     plant = omni_robot_team(n_agents=3, input_gain=100.0)
     sm = SmoothingConfig(eta=1.0)
-    tc = TriggerConfig(sample_count=32)
     base = np.array([10.0, 10.0, 0.0, 38.0, 57.0, 0.0, 80.0, 15.0, 0.0])
     boxes = []
     for _ in range(3):
         x = base + rng.uniform(-2.0, 2.0, 9)
         x[2::3] = rng.uniform(0.0, 360.0, 3)
         t = float(rng.uniform(0.0, 6.0))
-        boxes.append(_probe_points(x, t, 1.0, 1.0, tc, rng))
+        boxes += [_box_rows(x, t, 1.0, 1.0, 32, rng), _probe_points(x, t, 1.0, 1.0, rng)]
     pts = np.vstack(boxes)
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = law_row_sums(pts, psi, fp, plant, sm.eta)
     np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
 
 
-def test_trigger_radius_pinned_to_finite_difference_radius():
-    # Bundled scenario, x0, phase 1 at funnel time 0, default_rng(7).
-    # The expected radii were computed by the earlier central-difference
-    # Lipschitz estimate (step 1e-6, 2(n+1) batch-law calls) on the same
-    # probe points.  At the scenario's delta_u = 50 the box term binds
-    # (0.5 halved twice by the funnel guard); at delta_u = 5 the
-    # Lipschitz term delta_u / L_z binds.
+def _radius_rounds(monkeypatch, x, t, psi, fp, plant, tc, sm, rng):
+    """``compute_trigger_radius``'s result, its rounds (``_probe_points``
+    calls) and the rows its last ``guarded_rows`` call read."""
+    rounds, read = [], []
+    probe, guard = controller._probe_points, controller.guarded_rows
+    monkeypatch.setattr(controller, "_probe_points", lambda *a: rounds.append(a) or probe(*a))
+    monkeypatch.setattr(controller, "guarded_rows", lambda pts, *a: read.append(pts) or guard(pts, *a))
+    out = compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng)
+    monkeypatch.undo()
+    return out, len(rounds), read[-1]
+
+
+def test_trigger_radius_pinned_to_finite_difference_radius(monkeypatch):
+    # Bundled scenario, x0, phase 1 at funnel time 0, default_rng(7).  At
+    # the scenario's delta_u = 50 the box term binds (0.5 halved twice by
+    # the funnel guard).  At delta_u = 4 the Lipschitz term delta_u / L_z
+    # binds, with L_z twice the largest row sum of central differences
+    # (step 1e-6, 2(n+1) batch-law calls) at the accepted round's rows.
     spec = build_episode(load_scenario(bundled_scenario_path()))
     x0 = np.asarray(spec.x0, dtype=float)
     z = init_sequencer(spec.theta, x0, spec.seq_cfg)
     assert z.q == 1
-    for delta_u, fd_radius in ((50.0, 0.125), (5.0, 0.1131052226669569)):
-        tc = replace(spec.trigger, delta_u=delta_u)
-        delta, _ = compute_trigger_radius(
-            x0, z.t_local + z.offset, z.psi, z.fp, spec.plant, tc,
-            spec.seq_cfg.smoothing, np.random.default_rng(7),
-        )
-        assert delta == pytest.approx(fd_radius, rel=1e-6)
+    args = (x0, z.t_local + z.offset, z.psi, z.fp, spec.plant)
+    sm = spec.seq_cfg.smoothing
+    wide = replace(spec.trigger, delta_u=50.0)
+    assert compute_trigger_radius(*args, wide, sm, np.random.default_rng(7)) == (0.125, "box")
+    tc = replace(spec.trigger, delta_u=4.0)
+    (delta, delta_by), _, pts = _radius_rounds(monkeypatch, *args, tc, sm, np.random.default_rng(7))
+    fd_l_z = float(_fd_row_sums(pts, z.psi, z.fp, spec.plant, sm).max()) * tc.lipschitz_safety
+    assert delta_by == "lipschitz" and delta < 0.125
+    assert delta == pytest.approx(tc.delta_u / fd_l_z, rel=1e-6)
 
 
 def _reference_probe_points(x, t, bx, bt, tc, rng):
-    """Probe points as drawn by one full round: seed, hypercube rows, then corners.
+    """Probe points of one full round: hypercube rows from a seed, then every corner.
 
     The rows are a Latin hypercube from the seed's own generator: per
     coordinate, a permutation of the strata plus a uniform offset.
@@ -278,15 +302,15 @@ def _reference_probe_points(x, t, bx, bt, tc, rng):
     pts = np.empty((count, dims))
     pts[:, :-1] = x + (2.0 * unit[:, :-1] - 1.0) * bx
     pts[:, -1] = t + unit[:, -1] * bt
-    return np.vstack([pts, _corners(x, t, bx, bt, rng)])
+    return np.vstack([pts, _all_corners(x, t, bx, bt)])
 
 
 def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
-    """The radius loop that draws and checks every probe of a round at once.
+    """The box of a radius loop that draws and checks every probe of a round at once.
 
-    Each round builds all probe points, checks xi at every one of them
-    with the batch kernel and halves the box on any failure.  Returns
-    the radius and the number of rounds.
+    Each round builds hypercube rows and all 2^(n+1) corners, checks xi
+    at every one of them with the batch law and halves the box on any
+    failure.  Returns the accepted box (bx, bt) and the number of rounds.
     """
     bx, bt = tc.delta_x0, tc.delta_t0
     rounds = 1
@@ -294,29 +318,23 @@ def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
         pts = _reference_probe_points(x, t, bx, bt, tc, rng)
         _, xi = _batch_u_xi(pts, psi, fp, plant, sm)
         if np.all((xi > -1.0 + 1e-3) & (xi < -1e-3)):
-            break
+            return bx, bt, rounds
         bx *= tc.shrink
         bt *= tc.shrink
         rounds += 1
         if min(bx, bt) < tc.delta_floor:
             raise TriggerFloorError(t, "no admissible box")
-    l_z = float(law_row_sums(pts, psi, fp, plant, sm.eta).max()) * tc.lipschitz_safety
-    delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, bx, bt)
-    if delta < tc.delta_floor:
-        raise TriggerFloorError(t, "delta below floor")
-    return delta, rounds
 
 
 # Each case's delta_u makes delta_u / L_z the binding term, so the
-# radius is the largest Jacobian row sum over the accepted round's
-# probes.  In most cases that row is a corner; in the interior case it
-# is a hypercube row, so that case also pins the hypercube points.
+# radius is set by the largest Jacobian row sum over the accepted
+# round's hypercube rows.
 def _bundled_phase1_case():
     spec = build_episode(load_scenario(bundled_scenario_path()))
     x0 = np.asarray(spec.x0, dtype=float)
     z = init_sequencer(spec.theta, x0, spec.seq_cfg)
     return (x0, z.t_local + z.offset, z.psi, z.fp, spec.plant,
-            replace(spec.trigger, delta_u=5.0), spec.seq_cfg.smoothing)
+            replace(spec.trigger, delta_u=4.0), spec.seq_cfg.smoothing)
 
 
 def _integrator_wall_case():
@@ -332,7 +350,7 @@ def _integrator_wall_case():
 
 def _integrator_peak_case():
     # x sits 0.02 from the ball's centre, where rho peaks above the upper
-    # wall: every corner passes, and rounds fail at interior hypercube rows.
+    # wall: every vertex passes, and rounds fail at interior hypercube rows.
     psi = parse_psi("ball(0;0;1)")
     fp = _flat_funnel(rho_max=0.99, width=1.0)
     return (np.array([0.02]), 0.0, psi, fp, single_integrator(1),
@@ -340,8 +358,8 @@ def _integrator_peak_case():
 
 
 def _omni4_case():
-    # n = 12: 2^13 box vertices, so the corners are a random subsample
-    # of _CORNER_CAP rows drawn after the hypercube seed.
+    # n = 12: 2^12 late vertices, so a round reads a random sample of
+    # _VERTEX_CAP of them.
     psi = parse_psi(
         "ball(0,1;20,30;10) and ball(3,4;40,60;10) and ball(6,7;60,30;10) "
         "and ball(9,10;30,80;10) and join(0,1;6,7;30) and join(3,4;9,10;40) "
@@ -364,6 +382,29 @@ def _integrator_interior_case():
             TriggerConfig(delta_u=0.5), SmoothingConfig())
 
 
+def _assert_radius_of_reference_box(monkeypatch, case, tc, rounds=None):
+    """The radius loop shrinks the box as often as the reference, and its
+    radius is min(delta_u / (safety * largest row sum), box_x, box_t)
+    over its accepted round's hypercube rows, which lie in that box."""
+    x, t, psi, fp, plant, _, sm = case
+    bx, bt, ref_rounds = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, np.random.default_rng(7))
+    if rounds is not None:
+        assert ref_rounds == rounds
+    (delta, delta_by), got_rounds, pts = _radius_rounds(
+        monkeypatch, x, t, psi, fp, plant, tc, sm, np.random.default_rng(7)
+    )
+    assert got_rounds == ref_rounds
+    assert pts.shape[0] == tc.sample_count
+    assert np.all(np.abs(pts[:, :-1] - x) <= bx + 1e-12)
+    assert np.all((pts[:, -1] >= t) & (pts[:, -1] <= t + bt))
+    sums = law_row_sums(pts, psi, fp, plant, sm.eta)
+    assert np.all(np.isfinite(sums))
+    l_z = float(sums.max()) * tc.lipschitz_safety
+    box = min(bx, bt)
+    assert delta == min(tc.delta_u / l_z, box)
+    return delta, delta_by, box
+
+
 @pytest.mark.parametrize(
     "case, rounds",
     [
@@ -375,102 +416,129 @@ def _integrator_interior_case():
     ],
     ids=["bundled-phase1", "integrator-wall", "integrator-peak", "omni4", "integrator-interior"],
 )
-def test_corner_first_guard_matches_full_round(case, rounds):
-    # The radius loop's one guarded read-out per round is the reference's
-    # check of all probes at once: the radius and the rng stream after
-    # the call are the same.
-    x, t, psi, fp, plant, tc, sm = case()
-    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-    expected, ref_rounds = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
-    assert ref_rounds == rounds
-    assert expected < tc.delta_x0 * tc.shrink ** (rounds - 1)
-    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == (expected, "lipschitz")
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_corner_first_guard_matches_full_round(monkeypatch, case, rounds):
+    # The radius loop reads a round's late vertices first and draws and
+    # reads hypercube rows only where they pass.  It takes as many rounds
+    # as the reference's check of every corner and a hypercube at once
+    # (omni4, n = 12, reads a sample of its vertices and agrees too),
+    # and the accepted round's row sums are finite.
+    args = case()
+    delta, delta_by, box = _assert_radius_of_reference_box(monkeypatch, args, args[5], rounds)
+    assert delta_by == "lipschitz" and delta < box
 
 
-@pytest.mark.parametrize(
-    "delta_u, delta_by", [(50.0, "bound"), (7.0, "box"), (5.0, "lipschitz")]
-)
-def test_omni_radius_equals_exact_row_sums_radius(delta_u, delta_by):
-    # n = 9: the 2^10 corners outnumber the 256 hypercube rows, so the
-    # radius tries the row bound first.  At delta_u = 50 the bound settles
-    # the box term without the Jacobian pass; at 7 it does not, and the
-    # pass finds that the box term binds anyway; at 5 delta_u / L_z binds.
-    # Each way the radius and the rng stream equal the full round's
+@pytest.mark.parametrize("delta_u, delta_by", [(7.0, "box"), (5.0, "lipschitz")])
+def test_omni_radius_equals_exact_row_sums_radius(monkeypatch, delta_u, delta_by):
+    # n = 9 with a safety factor of 2.5, which puts the crossover of the
+    # two terms near delta_u = 5.8: at delta_u = 7 the box term binds, at
+    # 5 delta_u / L_z does.  Each way the radius is the reference box's
     # min(delta_u / (safety * max row sum), box_x, box_t).
-    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
-    tc = replace(tc, delta_u=delta_u)
-    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-    expected, _ = _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, ref_rng)
-    assert compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng) == (expected, delta_by)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    args = _bundled_phase1_case()
+    tc = replace(args[5], delta_u=delta_u, lipschitz_safety=2.5)
+    delta, got_by, box = _assert_radius_of_reference_box(monkeypatch, args, tc, 3)
+    assert got_by == delta_by and (delta == box) == (delta_by == "box")
 
 
-def test_row_bound_runs_only_where_corners_outnumber_rows(monkeypatch):
-    # Where the 2^(n+1) corners are no more than the hypercube rows the
-    # Jacobian pass is cheap, and the radius never computes the bound.
-    def refuse(*args):
-        raise AssertionError("law_row_bound called")
-
-    monkeypatch.setattr(controller, "law_row_bound", refuse)
-    for case in (_integrator_wall_case, _integrator_peak_case, _integrator_interior_case):
-        x, t, psi, fp, plant, tc, sm = case()
-        compute_trigger_radius(x, t, psi, fp, plant, tc, sm, np.random.default_rng(7))
-    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
-    at_par = replace(tc, delta_u=50.0, sample_count=1024)
-    assert compute_trigger_radius(x, t, psi, fp, plant, at_par, sm, np.random.default_rng(7))[1] == "box"
-    with pytest.raises(AssertionError, match="law_row_bound called"):
-        compute_trigger_radius(
-            x, t, psi, fp, plant, replace(at_par, sample_count=1023), sm, np.random.default_rng(7)
-        )
-
-
-def test_interior_case_peaks_at_a_hypercube_row():
+def test_interior_case_peaks_at_a_hypercube_row(monkeypatch):
     # The interior case's accepted round is its first: there the largest
-    # row sum is a hypercube row's, about five times the corners' largest.
+    # row sum over its hypercube rows is about five times the largest over
+    # all the box's corners, so the corners alone would overstate the radius.
     x, t, psi, fp, plant, tc, sm = _integrator_interior_case()
-    pts = _probe_points(x, t, tc.delta_x0, tc.delta_t0, tc, np.random.default_rng(7))
-    rows = law_row_sums(pts, psi, fp, plant, sm.eta).max(axis=1)
-    assert rows[: tc.sample_count].max() > 4.0 * rows[tc.sample_count :].max()
+    _, rounds, pts = _radius_rounds(monkeypatch, x, t, psi, fp, plant, tc, sm, np.random.default_rng(7))
+    assert rounds == 1
+    corners = _all_corners(x, t, tc.delta_x0, tc.delta_t0)
+    rows = law_row_sums(pts, psi, fp, plant, sm.eta).max()
+    assert rows > 4.0 * law_row_sums(corners, psi, fp, plant, sm.eta).max()
 
 
 @pytest.mark.parametrize("count", [64, 100, 256])
-def test_latin_hypercube_probes_stratify_the_box(rng, count):
-    # The probe rows are a Latin hypercube for any count: a power of two
-    # or not, each coordinate has one point in each stratum of width 1/count.
-    # A round's probes are those rows inside the box, from the seed it
-    # draws first, and then the corners drawn after that seed.
-    tc = TriggerConfig(sample_count=count)
+def test_latin_hypercube_probes_stratify_the_box(count):
+    # The hypercube rows are a Latin hypercube for any count: a power of
+    # two or not, each coordinate has one point in each stratum of width
+    # 1/count.  (That the radius maps them into its box is checked with
+    # the reference box above.)
     every = np.arange(count, dtype=float)[:, None]
     for dims in range(2, 14):
         for seed in (0, 1, 12345, 2**32 - 1):
-            unit = _latin_hypercube(dims, count, seed)
+            unit = _latin_hypercube(dims, count, np.random.default_rng(seed))
             assert unit.shape == (count, dims)
             assert np.all((unit >= 0.0) & (unit <= 1.0))
             strata = np.sort(np.floor(unit * count), axis=0)
             np.testing.assert_array_equal(strata, np.broadcast_to(every, unit.shape))
-            x = rng.uniform(-5.0, 5.0, dims - 1)
-            t = float(rng.uniform(0.0, 3.0))
-            bx, bt = rng.uniform(0.01, 1.0, 2)
-            pts = _probe_points(x, t, bx, bt, tc, np.random.default_rng(seed))
-            rows = pts[:count]
-            assert np.all((rows[:, :-1] >= x - bx) & (rows[:, :-1] <= x + bx))
-            assert np.all((rows[:, -1] >= t) & (rows[:, -1] <= t + bt))
-            after_seed = np.random.default_rng(seed)
-            after_seed.integers(2**32)
-            np.testing.assert_array_equal(pts[count:], _corners(x, t, bx, bt, after_seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 12])
+def test_probe_points_are_the_late_vertices(rng, n):
+    # A round's guard rows sit at t + bt with every state coordinate at
+    # x_j +- bx: all 2^n sign patterns, drawing nothing from the rng, up to
+    # n = 9, and above that 512 patterns drawn from it.
+    x = rng.uniform(-5.0, 5.0, n)
+    t = float(rng.uniform(0.0, 3.0))
+    bx, bt = rng.uniform(0.01, 1.0, 2)
+    draw, fresh = np.random.default_rng(3), np.random.default_rng(3)
+    pts = _probe_points(x, t, bx, bt, draw)
+    assert np.all(pts[:, -1] == t + bt)
+    signs = np.sign(pts[:, :-1] - x)
+    np.testing.assert_allclose(pts[:, :-1], x + signs * bx, rtol=0.0, atol=1e-12)
+    if n <= 9:
+        assert pts.shape[0] == 2**n == len({tuple(row) for row in signs})
+        assert draw.bit_generator.state == fresh.bit_generator.state
+    else:
+        np.testing.assert_array_equal(signs, fresh.choice((-1.0, 1.0), size=(512, n)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vertex_check_is_sound(rng, n):
+    # Every leaf is concave and gamma never increases, so where xi stays
+    # in the band at the box's late vertices it stays above the lower
+    # wall over the whole box B(x, bx) x [t, t + bt]: at all 2^(n+1)
+    # corners and at uniform points inside.  Random conjunctions of ball,
+    # join, aff and ``not aff`` leaves, random funnels with l >= 0 (a
+    # quarter of them flat) and boxes from 1e-3 to 20 wide; the check
+    # accepts and refuses some of each.
+    sm = SmoothingConfig(eta=1.0)
+    accepted = refused = 0
+    for _ in range(100):
+        leaves = [flipped(leaf) if leaf.kind == "affine" and rng.random() < 0.5 else leaf
+                  for leaf in random_concave_psi(rng, n).leaves]
+        psi = NonTemporalFormula(leaves=tuple(leaves))
+        x = rng.uniform(-6.0, 6.0, n)
+        t = float(rng.uniform(0.0, 3.0))
+        rho = kernels.smooth_rho(kernels.compile_leaf_table(psi), x.tolist(), sm.eta)
+        # xi(x, t) = xi0 inside a funnel of width gamma_t at t.
+        xi0 = float(rng.uniform(-0.95, -0.05))
+        rho_max = max(rho, 0.0) + float(rng.uniform(0.1, 3.0))
+        gamma_t = (rho_max - rho) / -xi0
+        l = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.5))
+        gamma_inf = gamma_t * float(rng.uniform(0.3, 1.0))
+        gamma0 = gamma_inf + (gamma_t - gamma_inf) * math.exp(l * t)
+        fp = FunnelParams(t_star=1.0, r=0.5 * rho_max, rho_max=rho_max,
+                          perf=PerformanceFunction(gamma0=gamma0, gamma_inf=gamma_inf, l=l))
+        bx, bt = 10.0 ** rng.uniform(-3.0, 1.3, 2)
+        vertices = _probe_points(x, t, bx, bt, rng)
+        holds = band_holds(vertices, psi, fp, sm.eta)
+        assert holds == (guarded_rows(vertices, psi, fp, sm.eta) is not None)
+        if not holds:
+            refused += 1
+            continue
+        accepted += 1
+        inside = np.column_stack([x + rng.uniform(-bx, bx, (1000, n)), t + rng.uniform(0.0, bt, 1000)])
+        pts = np.vstack([_all_corners(x, t, bx, bt), inside])
+        assert np.all(_readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi > -1.0 + 1e-3)
+    assert accepted >= 10 and refused >= 10
 
 
 def test_guard_blocks_feed_the_jacobian_unchanged():
-    # The guard reads a round's probe rows once and refuses the round when
-    # a row's xi leaves the band (the bundled phase-1 box at 0.5, which the
-    # radius halves twice).  The accepted round hands law_row_sums that
-    # read-out and its leaf gradients; the row sums equal a fresh pass over
-    # the same rows bit for bit.
+    # The guard refuses the bundled phase-1 box at 0.5 at its late
+    # vertices (the radius halves it twice) and passes them at 0.125.
+    # The accepted round reads its hypercube rows once and hands
+    # law_row_sums that read-out and its leaf gradients; the row sums
+    # equal a fresh pass over the same rows bit for bit.
     x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
     rng = np.random.default_rng(7)
-    assert guarded_rows(_probe_points(x, t, 0.5, 0.5, tc, rng), psi, fp, sm.eta) is None
-    pts = _probe_points(x, t, 0.125, 0.125, tc, rng)
+    assert not band_holds(_probe_points(x, t, 0.5, 0.5, rng), psi, fp, sm.eta)
+    assert band_holds(_probe_points(x, t, 0.125, 0.125, rng), psi, fp, sm.eta)
+    pts = _box_rows(x, t, 0.125, 0.125, tc.sample_count, rng)
     rows = guarded_rows(pts, psi, fp, sm.eta)
     assert rows is not None
     np.testing.assert_array_equal(
@@ -534,13 +602,20 @@ def test_trigger_strict_inequalities():
     ev = TriggerEvent(
         index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial", delta_by="box"
     )
-    # Exactly at the radius or the interval: hold.
-    assert should_trigger(np.array([0.5, 0.0]), 1.0, ev) is None
-    assert should_trigger(np.zeros(2), 1.5, ev) is None
+    # Exactly at the radius or the interval (50 steps of 0.01): hold.
+    assert should_trigger(np.array([0.5, 0.0]), 0, 0.01, ev) is None
+    assert should_trigger(np.zeros(2), 50, 0.01, ev) is None
     # Strictly beyond: fire, state deviation first.
-    assert should_trigger(np.array([0.5001, 0.0]), 1.0, ev) == "StateDeviation"
-    assert should_trigger(np.zeros(2), 1.5001, ev) == "MaxInterval"
-    assert should_trigger(np.array([0.6, 0.0]), 2.0, ev) == "StateDeviation"
+    assert should_trigger(np.array([0.5001, 0.0]), 0, 0.01, ev) == "StateDeviation"
+    assert should_trigger(np.zeros(2), 51, 0.01, ev) == "MaxInterval"
+    assert should_trigger(np.array([0.6, 0.0]), 100, 0.01, ev) == "StateDeviation"
+    # A hold of delta = 0.25 = 25 steps from funnel clock 29 dt: the clock
+    # 25 steps later, 54 dt, minus 29 dt rounds up past 0.25, so a test on
+    # the clocks' difference fired at exactly delta.  The step count holds.
+    ev = replace(ev, delta=0.25)
+    assert 54 * 0.01 - 29 * 0.01 > ev.delta
+    assert should_trigger(np.zeros(2), 25, 0.01, ev) is None
+    assert should_trigger(np.zeros(2), 26, 0.01, ev) == "MaxInterval"
 
 
 def test_trigger_radius_bounds_input_deviation(rng):
@@ -589,13 +664,14 @@ def test_trigger_floor_near_funnel_boundary():
     plant = single_integrator(1)
     x = np.array([1.0999999])  # rho just above rho_max - gamma = -0.1
     tc, sm = TriggerConfig(), SmoothingConfig()
-    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     with pytest.raises(TriggerFloorError):
-        _reference_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, ref_rng)
+        _reference_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, np.random.default_rng(0))
     with pytest.raises(TriggerFloorError):
         compute_trigger_radius(x, 0.0, psi, fp, plant, tc, sm, rng)
-    # Rejected rounds draw from the rng as the reference's rounds do.
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Every round is refused at its late vertices, before it draws any
+    # hypercube row, so the rng is left as it was.
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_make_event_snapshots_state_and_input():

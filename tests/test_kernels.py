@@ -90,49 +90,9 @@ def _band_funnel(rng, pts, psi, eta):
 
 
 @pytest.mark.parametrize("kind", ["integrator", "omni"])
-def test_law_row_bound_covers_row_sums(rng, kind):
-    # The bound that lets the trigger radius skip the Jacobian pass holds
-    # at every probe row the guard accepts.  Each draw places a box
-    # of rows (x, t) and a funnel wide enough that every row's xi lies in
-    # the guard's band, and hands both functions the guard's one read-out
-    # of all the rows, as the radius loop does.
-    for _ in range(150):
-        if kind == "omni":
-            plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
-        else:
-            plant = single_integrator(int(rng.integers(1, 7)), gain=float(rng.uniform(0.5, 5.0)))
-        n = plant.n
-        psi = _random_psi(rng, n)
-        eta = float(rng.uniform(0.3, 3.0))
-        x = rng.uniform(-8.0, 8.0, n)
-        width = float(rng.uniform(0.01, 3.0))
-        first = psi.leaves[0]
-        if first.kind == "ball" and rng.random() < 0.5:
-            # Rows close to a ball's centre, where its curvature dominates.
-            x[list(first.sel)] = first.center
-            width = 10.0 ** rng.uniform(-3.0, -1.0)
-        if kind == "omni":
-            x[2::3] = rng.uniform(0.0, 360.0, n // 3)
-        P = 48
-        pts = np.column_stack([
-            x + rng.uniform(-width, width, (P, n)), rng.uniform(0.0, 4.0, P),
-        ])
-        fp = _band_funnel(rng, pts, psi, eta)
-        rows = kernels.guarded_rows(pts, psi, fp, eta)
-        assert rows is not None
-        exact = kernels.law_row_sums(pts, psi, fp, plant, eta, rows).max()
-        assert np.isfinite(exact)
-        # Where the bound is tight, as when one leaf's |q| q^T term dominates,
-        # the two sides round apart by a few ulps; the radius compares the
-        # bound with a 1e-9 relative margin.
-        assert kernels.law_row_bound(pts, psi, fp, plant, eta, rows) >= exact * (1.0 - 1e-12)
-
-
-@pytest.mark.parametrize("kind", ["integrator", "omni"])
 def test_batch_rows_are_independent(rng, kind):
     # Every batch function computes each row on its own: P rows at once
-    # equal P one-row calls, and the bound over all rows is the largest
-    # one-row bound.  A misplaced axis or transpose in the rows-last layout
+    # equal P one-row calls.  A misplaced axis or transpose in the rows-last layout
     # mixes rows and fails this.  The conjunction has twelve leaves of every
     # kind, two of them ``not aff`` and one ball reading a state twice.  The
     # tolerance is relative to each array's largest entry, since BLAS may
@@ -175,14 +135,6 @@ def test_batch_rows_are_independent(rng, kind):
             stacked = np.concatenate([row[k] for row in rows])
             atol = 1e-14 * float(np.abs(full).max())
             np.testing.assert_allclose(full, stacked, rtol=1e-14, atol=atol)
-
-    def bound(rows):
-        guarded = kernels.guarded_rows(rows, psi, fp, eta)
-        assert guarded is not None
-        return kernels.law_row_bound(rows, psi, fp, plant, eta, guarded)
-
-    single = max(bound(pts[p : p + 1]) for p in range(P))
-    assert bound(pts) == pytest.approx(single, rel=1e-14, abs=0.0)
 
 
 def test_value_is_bitwise_the_gradient_paths_value(rng):

@@ -130,9 +130,11 @@ def _assert_events_hold_phase_law(spec, traj, metrics, events):
 
 
 def _two_phase_tail_spec():
+    # The tail outlasts the 0.5 s hold that starts it, so a MaxInterval
+    # event fires inside it, one step past that hold.
     return _toy_spec(
         theta=parse_formula("F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"),
-        seq_cfg=SequencerConfig(terminal_tail=0.5),
+        seq_cfg=SequencerConfig(terminal_tail=0.6),
     )
 
 
@@ -162,7 +164,7 @@ def test_trigger_test_same_for_list_and_array(rng):
         n = int(rng.integers(1, 10))
         ex = rng.uniform(-50.0, 50.0, n)
         delta = float(rng.uniform(0.01, 1.0))
-        t = 1.0 + float(rng.uniform(0.0, 1.5)) * delta
+        steps = int(rng.integers(0, 150))
         x = ex + rng.uniform(-1.5, 1.5, n) * delta
         exact = i % 3 == 0
         if exact:
@@ -172,13 +174,27 @@ def test_trigger_test_same_for_list_and_array(rng):
             j = int(rng.integers(n))
             x[j] = ex[j] + delta
             delta = abs(x[j] - ex[j])
-            t = 1.0 + 0.5 * delta
+            steps = int(0.5 * delta / 0.01)
         event = TriggerEvent(index=0, t=1.0, x=ex, u=np.zeros(n), delta=delta,
                              cause="Initial", delta_by="box")
-        cause = should_trigger(x.tolist(), t, event)
-        assert cause == should_trigger(x, t, event)
+        cause = should_trigger(x.tolist(), steps, 0.01, event)
+        assert cause == should_trigger(x, steps, 0.01, event)
         if exact:
             assert cause is None
+
+
+def test_max_interval_fires_one_step_past_delta():
+    # The terminal tail runs on an offset funnel clock.  There an event
+    # held for exactly delta = 0.5 (50 steps) used to fire MaxInterval at
+    # its 50th step, where the clocks' difference rounded up past 0.5.
+    # Every MaxInterval event now fires at the first step past delta.
+    traj, metrics, events = run_episode(_two_phase_tail_spec())
+    steps = [int(round(e.t / traj.dt)) for e in events]
+    held = [(k - k0, prev.delta) for k0, k, prev, e in zip(steps, steps[1:], events, events[1:])
+            if e.cause == "MaxInterval"]
+    assert len(held) >= 5 and any(delta == 0.5 for _, delta in held)
+    for gap, delta in held:
+        assert gap - 1 <= delta / traj.dt < gap
 
 
 def _reference_deviation(spec, traj, metrics):
