@@ -11,11 +11,14 @@ checkout's working tree.  Pair i runs each workload's episode at
 with BLAS threads pinned to 1, the parent first in even pairs and the
 change first in odd ones.  In that interpreter
 ``controller.compute_trigger_radius`` (the whole radius, called by
-``make_event``) and ``kernels.band_holds`` (the value-only read-out of a
-round's late vertices), ``kernels.guarded_rows`` and
-``kernels.law_row_sums`` are wrapped where ``controller`` looks them up,
-when it does, and every call's wall time is recorded; a name a side's
-``controller`` lacks records no calls.
+``make_event``), ``kernels.band_holds`` (the value-only read-out of a
+round's late vertices) and ``kernels.law_row_sums`` (the law Jacobian
+over an accepted box's hypercube rows) are wrapped where ``controller``
+looks them up, and every call's wall time is recorded.
+``kernels.guarded_rows``, the hypercube read-out that earlier versions
+ran before ``law_row_sums``, is wrapped too where a side's
+``controller`` has it; a name a side's ``controller`` lacks records no
+calls.
 
 Per workload, function and side, the row appended to
 ``BENCH_radius.json`` holds the calls per episode and, over the pairs,

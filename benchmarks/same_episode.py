@@ -16,8 +16,9 @@ and compares ``t``, ``X``, ``U``, ``rho_active``, ``gamma``, ``mode``,
 every ``TriggerEvent`` field, ``rho_theta``, ``max_input_deviation`` and
 the funnel records.  ``--formulas N`` instead draws N seeded conjunctions
 of ball, join, affine and ``not aff`` leaves on integrators and omni
-teams, with 16 states, a funnel and a trigger configuration each, and
-compares ``leaf_pass``, ``smooth_rho_grad``, ``shortest_supergradient``,
+teams of one to four robots (n = 12 samples the radius's late vertices),
+with 16 states, a funnel and a trigger configuration each, and compares
+``leaf_pass``, ``smooth_rho_grad``, ``shortest_supergradient``,
 ``exact_psi_batch``, ``u_xi_batch``, ``law_jacobian_batch`` and
 ``compute_trigger_radius`` (the radius, ``delta_by`` and the generator's
 state after the call).
@@ -126,7 +127,10 @@ def _formulas(count: int) -> dict:
     for i in range(count):
         rng = np.random.default_rng(i)
         if i % 4 == 3:
-            plant = omni_robot_team(int(rng.integers(1, 4)), input_gain=float(rng.uniform(1.0, 100.0)))
+            # Every other omni team has four robots (n = 12), where the
+            # radius samples 512 of its 2^n late vertices.
+            agents = 4 if i % 8 == 7 else int(rng.integers(1, 4))
+            plant = omni_robot_team(agents, input_gain=float(rng.uniform(1.0, 100.0)))
         else:
             plant = single_integrator(int(rng.integers(1, 7)), gain=float(rng.uniform(0.5, 5.0)))
         n = plant.n
@@ -148,11 +152,13 @@ def _formulas(count: int) -> dict:
                                        for xs in states],
             "exact_psi_batch": kernels.exact_psi_batch(psi, X),
         }
-        # A funnel around the rows' values; a quarter of the funnels leave
-        # some rows outside, where the law is NaN.
+        # A funnel around the rows' values; a quarter of the funnels, and
+        # those of the four-robot teams, leave some rows outside, where the
+        # law is NaN and the radius refuses boxes at its sampled vertices.
         rho = np.array([r for r, _ in results["smooth_rho_grad"]])
         rho_max = max(float(rho.max()) + 0.3 * float(np.ptp(rho)) + 0.1, 1.0)
-        gamma_inf = (0.5 if i % 4 == 1 else 1.5) * (rho_max - float(rho.min())) + 0.1
+        narrow = i % 4 == 1 or n == 12
+        gamma_inf = (0.5 if narrow else 1.5) * (rho_max - float(rho.min())) + 0.1
         fp = FunnelParams(t_star=1.0, r=0.25 * rho_max, rho_max=rho_max, perf=PerformanceFunction(
             gamma0=float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf=gamma_inf,
             l=float(rng.uniform(0.0, 1.0))))

@@ -30,7 +30,6 @@ from .parsing import parse_formula, parse_psi
 from .predicates import PredicateSpec, affine, ball, join
 from .kernels import (
     exact_psi_batch,
-    smooth_psi_hessian,
     smooth_psi_value_and_grad,
 )
 from .monitor import monitor_robustness
@@ -114,7 +113,6 @@ __all__ = [
     "run_episode",
     "should_trigger",
     "single_integrator",
-    "smooth_psi_hessian",
     "smooth_psi_value_and_grad",
     "synthesize_funnel",
     "write_all",

@@ -20,12 +20,13 @@ event records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
 the late vertices and hypercube probes, the radius loop,
-``should_trigger`` and ``make_event``.  The vertex check, the read-out
-of the probe rows and the law Jacobian over them are evaluated in
-``kernels`` (``band_holds``, ``guarded_rows``, ``law_row_sums``); the
-Jacobian reuses the probe read-out and its gradient step.
-``continuous_law``, the law from the dense g(x), is the reference form
-the tests compare against; it is not on the episode path.
+``should_trigger`` and ``make_event``.  The vertex check and the law
+Jacobian over the probe rows, which checks the band there again, are
+evaluated in ``kernels`` (``band_holds``, ``law_row_sums``).
+``TriggerConfig`` holds delta_u and the caps on the state bound and the
+maximum triggering interval; the radius loop's own settings are module
+constants.  ``continuous_law``, the law from the dense g(x), is the
+reference form the tests compare against; it is not on the episode path.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import band_holds, guarded_rows, law_row_sums, smooth_psi_value_and_grad
-from .plants import Plant, is_int
+from .kernels import band_holds, law_row_sums, smooth_psi_value_and_grad
+from .plants import Plant
 
 __all__ = [
     "TriggerConfig",
@@ -58,29 +59,27 @@ DeltaBy = Literal["box", "lipschitz"]
 
 # Late vertices a guard round reads at most: all of them up to n = 9.
 _VERTEX_CAP = 512
+# The radius loop: the factor on the largest Jacobian row, the box's
+# shrink per refused round, the Latin hypercube rows of an accepted box
+# and the smallest box or radius before TriggerFloorError.
+_LIPSCHITZ_SAFETY = 2.0
+_SHRINK = 0.5
+_SAMPLE_COUNT = 256
+_DELTA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    """Parameters of the trigger-radius construction."""
+    """The held input's tolerance delta_u and the caps delta_x0 on the state
+    bound and delta_t0 on the maximum triggering interval."""
 
     delta_u: float = 50.0
-    lipschitz_safety: float = 2.0
     delta_x0: float = 0.5
     delta_t0: float = 0.5
-    shrink: float = 0.5
-    sample_count: int = 256
-    delta_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not all(v > 0.0 for v in (self.delta_u, self.delta_x0, self.delta_t0, self.delta_floor)):
+        if not all(v > 0.0 for v in (self.delta_u, self.delta_x0, self.delta_t0)):
             raise ValueError("trigger lengths must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must sit in (0, 1)")
-        if not self.lipschitz_safety >= 1.0:
-            raise ValueError("lipschitz_safety must be at least 1")
-        if not is_int(self.sample_count) or self.sample_count < 1:
-            raise ValueError(f"sample_count must be an integer of at least 1, got {self.sample_count!r}")
 
 
 @dataclass(frozen=True)
@@ -161,55 +160,53 @@ def compute_trigger_radius(
     psi: NonTemporalFormula,
     fp: FunnelParams,
     plant: Plant,
-    tc: TriggerConfig = TriggerConfig(),
-    smoothing: SmoothingConfig = SmoothingConfig(),
-    rng: np.random.Generator | None = None,
+    tc: TriggerConfig,
+    smoothing: SmoothingConfig,
+    rng: np.random.Generator,
 ) -> tuple[float, DeltaBy]:
     """Trigger radius delta_i = min(delta_u / L_z, box_x, box_t), and what set it.
 
     The box B(x_i, box_x) x [t_i, t_i + box_t] shrinks until xi stays
     inside (-1 + 1e-3, -1e-3) over it, so the law Jacobian is finite
-    there; radii below ``delta_floor`` raise TriggerFloorError.  Each
-    round first reads xi at the box's late vertices (``_probe_points``,
-    ``kernels.band_holds``).  Every leaf is concave and gamma never
-    increases, so the lowest xi over the box sits at one of them: for
-    n <= 9, where all 2^n are read, a box that passes cannot leave the
-    band at its bottom.  Only then does the round draw ``sample_count``
-    Latin hypercube rows of the box from ``rng`` and read them once
-    (``kernels.guarded_rows``), which checks the band again: the
-    sampled check of the upper wall, and of the lower one above n = 9.
+    there; boxes and radii below ``_DELTA_FLOOR`` raise
+    TriggerFloorError.  Each round first reads xi at the box's late
+    vertices (``_probe_points``, ``kernels.band_holds``).  Every leaf is
+    concave and gamma never increases, so the lowest xi over the box sits
+    at one of them: for n <= 9, where all 2^n are read, a box that passes
+    cannot leave the band at its bottom.  Only then does the round draw
+    ``_SAMPLE_COUNT`` Latin hypercube rows of the box from ``rng`` and
+    take the law Jacobian over them (``kernels.law_row_sums``), which
+    checks the band again: the sampled check of the upper wall, and of
+    the lower one above n = 9.
 
     L_z estimates the Lipschitz constant of the law over the accepted
-    box: the largest infinity-norm row of the analytic Jacobian with
-    respect to z = (x, t) over its hypercube rows (``kernels.law_row_sums``),
-    times a safety factor.  ``delta_by`` names the term that set the
-    radius, "box" or "lipschitz".
+    box: the largest infinity-norm row of that Jacobian with respect to
+    z = (x, t) over its hypercube rows, times ``_LIPSCHITZ_SAFETY``.
+    ``delta_by`` names the term that set the radius, "box" or "lipschitz".
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x_i = np.asarray(x_i, dtype=float)
     eta = smoothing.eta
     bx, bt = tc.delta_x0, tc.delta_t0
     while True:
         if band_holds(_probe_points(x_i, t_i, bx, bt, rng), psi, fp, eta):
-            pts = _latin_hypercube(x_i.shape[0] + 1, tc.sample_count, rng)
+            pts = _latin_hypercube(x_i.shape[0] + 1, _SAMPLE_COUNT, rng)
             pts[:, :-1] = x_i + (2.0 * pts[:, :-1] - 1.0) * bx
             pts[:, -1] = t_i + pts[:, -1] * bt
-            rows = guarded_rows(pts, psi, fp, eta)
-            if rows is not None:
+            sums = law_row_sums(pts, psi, fp, plant, eta)
+            if sums is not None:
                 break
-        bx *= tc.shrink
-        bt *= tc.shrink
-        if min(bx, bt) < tc.delta_floor:
+        bx *= _SHRINK
+        bt *= _SHRINK
+        if min(bx, bt) < _DELTA_FLOOR:
             raise TriggerFloorError(
-                t_i, f"no admissible box above {tc.delta_floor:g} (state near funnel boundary)"
+                t_i, f"no admissible box above {_DELTA_FLOOR:g} (state near funnel boundary)"
             )
 
     box = min(bx, bt)
-    l_z = float(law_row_sums(pts, psi, fp, plant, eta, rows).max()) * tc.lipschitz_safety
+    l_z = float(sums.max()) * _LIPSCHITZ_SAFETY
     delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
-    if delta < tc.delta_floor:
-        raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {tc.delta_floor:g}")
+    if delta < _DELTA_FLOOR:
+        raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {_DELTA_FLOOR:g}")
     return delta, "lipschitz" if delta < box else "box"
 
 
@@ -242,8 +239,8 @@ def make_event(
     cause: Cause,
     plant: Plant,
     tc: TriggerConfig,
-    smoothing: SmoothingConfig = SmoothingConfig(),
-    rng: np.random.Generator | None = None,
+    smoothing: SmoothingConfig,
+    rng: np.random.Generator,
 ) -> TriggerEvent:
     """Hold ``u``, the law the caller evaluated at (x, t), and size its radius.
 

@@ -21,18 +21,15 @@ entry points over that form:
   of a state array in a few numpy passes.  Leaf values are summed
   without BLAS, so they round as the pointwise loop does.  It serves the
   trigger radius (the value-only vertex check ``band_holds``, then
-  ``guarded_rows`` and ``law_row_sums`` over the probe rows), the
-  episode's held-input audit after the loop (``u_xi_batch``, batched per
-  phase), ``law_jacobian_batch``, ``exact_psi_batch`` and
-  ``smooth_psi_hessian``.
+  ``law_row_sums`` over the probe rows), the episode's held-input audit
+  after the loop (``u_xi_batch``, batched per phase),
+  ``law_jacobian_batch`` and ``exact_psi_batch``.
 
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
 leaf values and softmin weights are (L, P), and ``_leaf_maps``'s fields
 broadcast against them.  One gradient step (``_leaf_grads``) serves the
-batch law, its Jacobian and the Hessian; the trigger radius reads and
-differentiates its probe rows once (``guarded_rows``), and the Jacobian
-takes that read-out.
+batch law and its Jacobian.
 
 The law u = -eps * g(x)^T grad rho reads g from ``Plant.gain`` and
 ``Plant.gbody``, the plant's one description of its actuation; the omni
@@ -62,10 +59,8 @@ __all__ = [
     "u_xi_batch",
     "law_jacobian_batch",
     "band_holds",
-    "guarded_rows",
     "law_row_sums",
     "exact_psi_batch",
-    "smooth_psi_hessian",
 ]
 
 # There is no compiled path; perfbench/episode.py and perfbench/baseline.py
@@ -430,15 +425,6 @@ def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> 
     return unit, w * inv_nd, q
 
 
-class _Rows(NamedTuple):
-    """A read-out of probe rows and its leaf gradients (``_leaf_grads``)."""
-
-    ro: _Readout
-    unit: np.ndarray
-    curv: np.ndarray  # w_i / |r_i|
-    q: np.ndarray
-
-
 def _hessian_form(
     unit: np.ndarray, q: np.ndarray, leaf_coef: np.ndarray, grad_coef: np.ndarray,
     ata_coef: np.ndarray, mp: _LeafMaps,
@@ -519,8 +505,7 @@ def u_xi_batch(
 
 
 def law_jacobian_batch(
-    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float,
-    rows: _Rows | None = None,
+    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
 
@@ -539,17 +524,13 @@ def law_jacobian_batch(
     collect into one contraction over the leaf gradients with q
     appended.  The omni team applies g^T per agent as 3x3 blocks and adds
     the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
-    (-1, 0) are not finite.  ``rows`` is the read-out of the rows and its
-    leaf gradients (``guarded_rows``) when the caller already has them.  The
-    results are views of arrays stored rows-last.
+    (-1, 0) are not finite.  The results are views of arrays stored
+    rows-last.
     """
     n = X.shape[1]
     mp = _leaf_maps(psi, n)
-    if rows is None:
-        ro = _readout(X, T, psi, fp, eta)
-        unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
-    else:
-        ro, unit, curv, q = rows
+    ro = _readout(X, T, psi, fp, eta)
+    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
     xi = ro.xi
     eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
@@ -578,51 +559,17 @@ def band_holds(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> bool
     return _in_band(_readout(pts[:, :-1], pts[:, -1], psi, fp, eta).xi)
 
 
-def guarded_rows(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Rows | None:
-    """Read-out of the probe rows (x, t) and its leaf gradients, or None if a
-    row's xi leaves the band of ``_in_band``: what ``law_row_sums`` reads."""
-    ro = _readout(pts[:, :-1], pts[:, -1], psi, fp, eta)
-    if not _in_band(ro.xi):
+def law_row_sums(pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float) -> np.ndarray | None:
+    """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t), from
+    ``law_jacobian_batch``; None if a row's xi leaves the band of ``_in_band``."""
+    # A refused row may sit exactly on a funnel wall, where d eps / d xi is infinite.
+    with np.errstate(invalid="ignore"):
+        du_dx, du_dt, xi = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta)
+    if not _in_band(xi):
         return None
-    return _Rows(ro, *_leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, pts.shape[1] - 1)))
-
-
-def law_row_sums(
-    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float, rows: _Rows | None = None,
-) -> np.ndarray:
-    """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t).
-
-    ``rows`` is ``guarded_rows(pts, ...)`` when the caller has it; the
-    Jacobian then reuses its read-out, weights, funnel error and leaf
-    gradients.
-    """
-    du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta, rows)
     return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:
     """Exact robustness, the minimum leaf value, at every row of X."""
     return _leaf_readout(np.asarray(X, dtype=float), psi)[2].min(axis=0)
-
-
-def smooth_psi_hessian(
-    psi: NonTemporalFormula, x: np.ndarray, cfg: SmoothingConfig = SmoothingConfig()
-) -> np.ndarray:
-    """Hessian of the soft minimum at x.
-
-    Combines weighted leaf Hessians with the curvature of the weights:
-
-        H = sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T)
-
-    where q is the softmin gradient, through the same leaf Hessian as
-    the law Jacobian.  Every leaf is concave, so the first term is negative
-    semidefinite, and the weight term always is, so the soft minimum is
-    concave.
-    """
-    X = np.asarray(x, dtype=float)[None, :]
-    eta = cfg.eta
-    mp = _leaf_maps(psi, X.shape[1])
-    r, nd, h = _leaf_readout(X, psi)
-    w = _softmin(h, eta)[1]
-    unit, curv, q = _leaf_grads(r, nd, w, mp)
-    return _hessian_form(unit, q, curv - eta * w, np.full(1, eta), -curv, mp)[:, :, 0]

@@ -95,15 +95,16 @@ def test_spec_size_mismatch_is_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--dt", "0"]) == 2
 
 
-def test_scenario_sample_count_matches_trigger_config(tmp_path):
-    # A scenario file accepts every probe count TriggerConfig accepts.
-    for count, code in ((3, 0), (1, 0), (0, 2)):
-        scn = _write(tmp_path, TOY_SCENARIO + f"trigger:\n  sample_count: {count}\n")
-        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == code, count
+def test_radius_loop_settings_are_unknown_trigger_keys(tmp_path, capsys):
+    # The radius loop's own settings are module constants, not scenario keys.
+    for key in ("sample_count", "lipschitz_safety", "shrink", "delta_floor"):
+        scn = _write(tmp_path, TOY_SCENARIO + f"trigger:\n  {key}: 128\n")
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2, key
+        assert f"at trigger: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_nan_trigger_setting_is_config_error(tmp_path, capsys):
-    for field in ("delta_u", "delta_x0", "delta_t0", "delta_floor", "lipschitz_safety"):
+    for field in ("delta_u", "delta_x0", "delta_t0"):
         scn = _write(tmp_path, TOY_SCENARIO + f"trigger:\n  {field}: .nan\n")
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2, field
         assert "error:" in capsys.readouterr().err

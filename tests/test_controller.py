@@ -8,7 +8,7 @@ import pytest
 
 from stlfunnel import controller, kernels
 from stlfunnel.kernels import (
-    _leaf_readout, _readout, band_holds, guarded_rows, law_jacobian_batch, law_row_sums,
+    _leaf_readout, _readout, band_holds, law_jacobian_batch, law_row_sums,
 )
 from stlfunnel.controller import (
     TriggerConfig,
@@ -105,34 +105,38 @@ def _law_jacobian(x, t, psi, fp, plant, sm):
 
 
 def test_law_jacobian_matches_fd_integrator(rng):
-    psi = parse_psi("ball(0,1;1,2;4) and aff(0.5,-0.25;3) and join(0;1;6)")
+    # The second formula repeats a selector within a leaf, which adds up in
+    # A_i and so in the A_i^T A_i term of the leaf Hessians.
     fp = _narrowing_funnel()
     plant = single_integrator(2, gain=1.5)
     sm = SmoothingConfig(eta=1.2)
-    checked = 0
-    for _ in range(40):
-        x = rng.uniform(-2, 4, 2)
-        t = float(rng.uniform(0.0, 4.0))
-        jac = _law_jacobian(x, t, psi, fp, plant, sm)
-        if jac is None:
-            continue
-        du_dx, du_dt = jac
-        checked += 1
-        h = 1e-6
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (
-                continuous_law(x + e, t, psi, fp, plant, sm)
-                - continuous_law(x - e, t, psi, fp, plant, sm)
+    for text in ("ball(0,1;1,2;4) and aff(0.5,-0.25;3) and join(0;1;6)",
+                 "ball(0,0;1,1;3) and join(0,0;1,1;3) and ball(0,1;1,2;4)"):
+        psi = parse_psi(text)
+        checked = 0
+        for _ in range(40):
+            x = rng.uniform(-2, 4, 2)
+            t = float(rng.uniform(0.0, 4.0))
+            jac = _law_jacobian(x, t, psi, fp, plant, sm)
+            if jac is None:
+                continue
+            du_dx, du_dt = jac
+            checked += 1
+            h = 1e-6
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = h
+                fd = (
+                    continuous_law(x + e, t, psi, fp, plant, sm)
+                    - continuous_law(x - e, t, psi, fp, plant, sm)
+                ) / (2 * h)
+                assert du_dx[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            fd_t = (
+                continuous_law(x, t + h, psi, fp, plant, sm)
+                - continuous_law(x, t - h, psi, fp, plant, sm)
             ) / (2 * h)
-            assert du_dx[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-        fd_t = (
-            continuous_law(x, t + h, psi, fp, plant, sm)
-            - continuous_law(x, t - h, psi, fp, plant, sm)
-        ) / (2 * h)
-        assert du_dt == pytest.approx(fd_t, rel=1e-5, abs=1e-7)
-    assert checked >= 10
+            assert du_dt == pytest.approx(fd_t, rel=1e-5, abs=1e-7)
+        assert checked >= 10
 
 
 def test_law_jacobian_matches_fd_omni(rng):
@@ -257,11 +261,11 @@ def test_law_row_sums_match_fd_omni(rng):
 
 def _radius_rounds(monkeypatch, x, t, psi, fp, plant, tc, sm, rng):
     """``compute_trigger_radius``'s result, its rounds (``_probe_points``
-    calls) and the rows its last ``guarded_rows`` call read."""
+    calls) and the rows its last ``law_row_sums`` call read."""
     rounds, read = [], []
-    probe, guard = controller._probe_points, controller.guarded_rows
+    probe, sums = controller._probe_points, controller.law_row_sums
     monkeypatch.setattr(controller, "_probe_points", lambda *a: rounds.append(a) or probe(*a))
-    monkeypatch.setattr(controller, "guarded_rows", lambda pts, *a: read.append(pts) or guard(pts, *a))
+    monkeypatch.setattr(controller, "law_row_sums", lambda pts, *a: read.append(pts) or sums(pts, *a))
     out = compute_trigger_radius(x, t, psi, fp, plant, tc, sm, rng)
     monkeypatch.undo()
     return out, len(rounds), read[-1]
@@ -283,19 +287,19 @@ def test_trigger_radius_pinned_to_finite_difference_radius(monkeypatch):
     assert compute_trigger_radius(*args, wide, sm, np.random.default_rng(7)) == (0.125, "box")
     tc = replace(spec.trigger, delta_u=4.0)
     (delta, delta_by), _, pts = _radius_rounds(monkeypatch, *args, tc, sm, np.random.default_rng(7))
-    fd_l_z = float(_fd_row_sums(pts, z.psi, z.fp, spec.plant, sm).max()) * tc.lipschitz_safety
+    fd_l_z = float(_fd_row_sums(pts, z.psi, z.fp, spec.plant, sm).max()) * controller._LIPSCHITZ_SAFETY
     assert delta_by == "lipschitz" and delta < 0.125
     assert delta == pytest.approx(tc.delta_u / fd_l_z, rel=1e-6)
 
 
-def _reference_probe_points(x, t, bx, bt, tc, rng):
+def _reference_probe_points(x, t, bx, bt, rng):
     """Probe points of one full round: hypercube rows from a seed, then every corner.
 
     The rows are a Latin hypercube from the seed's own generator: per
     coordinate, a permutation of the strata plus a uniform offset.
     """
     dims = x.shape[0] + 1
-    count = tc.sample_count
+    count = controller._SAMPLE_COUNT
     gen = np.random.default_rng(int(rng.integers(2**32)))
     perm = gen.permuted(np.tile(np.arange(count), (dims, 1)), axis=1).T
     unit = (perm + gen.random((count, dims))) / count
@@ -315,14 +319,14 @@ def _reference_trigger_radius(x, t, psi, fp, plant, tc, sm, rng):
     bx, bt = tc.delta_x0, tc.delta_t0
     rounds = 1
     while True:
-        pts = _reference_probe_points(x, t, bx, bt, tc, rng)
+        pts = _reference_probe_points(x, t, bx, bt, rng)
         _, xi = _batch_u_xi(pts, psi, fp, plant, sm)
         if np.all((xi > -1.0 + 1e-3) & (xi < -1e-3)):
             return bx, bt, rounds
-        bx *= tc.shrink
-        bt *= tc.shrink
+        bx *= controller._SHRINK
+        bt *= controller._SHRINK
         rounds += 1
-        if min(bx, bt) < tc.delta_floor:
+        if min(bx, bt) < controller._DELTA_FLOOR:
             raise TriggerFloorError(t, "no admissible box")
 
 
@@ -394,12 +398,12 @@ def _assert_radius_of_reference_box(monkeypatch, case, tc, rounds=None):
         monkeypatch, x, t, psi, fp, plant, tc, sm, np.random.default_rng(7)
     )
     assert got_rounds == ref_rounds
-    assert pts.shape[0] == tc.sample_count
+    assert pts.shape[0] == controller._SAMPLE_COUNT
     assert np.all(np.abs(pts[:, :-1] - x) <= bx + 1e-12)
     assert np.all((pts[:, -1] >= t) & (pts[:, -1] <= t + bt))
     sums = law_row_sums(pts, psi, fp, plant, sm.eta)
     assert np.all(np.isfinite(sums))
-    l_z = float(sums.max()) * tc.lipschitz_safety
+    l_z = float(sums.max()) * controller._LIPSCHITZ_SAFETY
     box = min(bx, bt)
     assert delta == min(tc.delta_u / l_z, box)
     return delta, delta_by, box
@@ -427,14 +431,14 @@ def test_corner_first_guard_matches_full_round(monkeypatch, case, rounds):
     assert delta_by == "lipschitz" and delta < box
 
 
-@pytest.mark.parametrize("delta_u, delta_by", [(7.0, "box"), (5.0, "lipschitz")])
+@pytest.mark.parametrize("delta_u, delta_by", [(5.6, "box"), (4.0, "lipschitz")])
 def test_omni_radius_equals_exact_row_sums_radius(monkeypatch, delta_u, delta_by):
-    # n = 9 with a safety factor of 2.5, which puts the crossover of the
-    # two terms near delta_u = 5.8: at delta_u = 7 the box term binds, at
-    # 5 delta_u / L_z does.  Each way the radius is the reference box's
+    # n = 9, where the crossover of the two terms sits near delta_u = 4.6:
+    # at delta_u = 5.6 the box term binds, at 4 delta_u / L_z does.  Each
+    # way the radius is the reference box's
     # min(delta_u / (safety * max row sum), box_x, box_t).
     args = _bundled_phase1_case()
-    tc = replace(args[5], delta_u=delta_u, lipschitz_safety=2.5)
+    tc = replace(args[5], delta_u=delta_u)
     delta, got_by, box = _assert_radius_of_reference_box(monkeypatch, args, tc, 3)
     assert got_by == delta_by and (delta == box) == (delta_by == "box")
 
@@ -495,8 +499,10 @@ def test_vertex_check_is_sound(rng, n):
     # corners and at uniform points inside.  Random conjunctions of ball,
     # join, aff and ``not aff`` leaves, random funnels with l >= 0 (a
     # quarter of them flat) and boxes from 1e-3 to 20 wide; the check
-    # accepts and refuses some of each.
+    # accepts and refuses some of each, and law_row_sums gives the same
+    # verdict on the vertices.
     sm = SmoothingConfig(eta=1.0)
+    plant = single_integrator(n)
     accepted = refused = 0
     for _ in range(100):
         leaves = [flipped(leaf) if leaf.kind == "affine" and rng.random() < 0.5 else leaf
@@ -517,7 +523,7 @@ def test_vertex_check_is_sound(rng, n):
         bx, bt = 10.0 ** rng.uniform(-3.0, 1.3, 2)
         vertices = _probe_points(x, t, bx, bt, rng)
         holds = band_holds(vertices, psi, fp, sm.eta)
-        assert holds == (guarded_rows(vertices, psi, fp, sm.eta) is not None)
+        assert holds == (law_row_sums(vertices, psi, fp, plant, sm.eta) is not None)
         if not holds:
             refused += 1
             continue
@@ -528,23 +534,31 @@ def test_vertex_check_is_sound(rng, n):
     assert accepted >= 10 and refused >= 10
 
 
-def test_guard_blocks_feed_the_jacobian_unchanged():
-    # The guard refuses the bundled phase-1 box at 0.5 at its late
-    # vertices (the radius halves it twice) and passes them at 0.125.
-    # The accepted round reads its hypercube rows once and hands
-    # law_row_sums that read-out and its leaf gradients; the row sums
-    # equal a fresh pass over the same rows bit for bit.
-    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
-    rng = np.random.default_rng(7)
-    assert not band_holds(_probe_points(x, t, 0.5, 0.5, rng), psi, fp, sm.eta)
-    assert band_holds(_probe_points(x, t, 0.125, 0.125, rng), psi, fp, sm.eta)
-    pts = _box_rows(x, t, 0.125, 0.125, tc.sample_count, rng)
-    rows = guarded_rows(pts, psi, fp, sm.eta)
-    assert rows is not None
-    np.testing.assert_array_equal(
-        law_row_sums(pts, psi, fp, plant, sm.eta, rows),
-        law_row_sums(pts, psi, fp, plant, sm.eta),
-    )
+def test_law_row_sums_refuse_rows_outside_the_band():
+    # law_row_sums returns None exactly when some row's xi leaves
+    # (-1 + 1e-3, -1e-3), and the Jacobian's row sums otherwise.  Boxes of
+    # 256 hypercube rows halving from 0.5: the bundled phase-1 and
+    # integrator-wall rows leave at the lower wall down to 0.25 and
+    # 0.0625, the integrator-peak rows at the upper wall down to 0.015625.
+    for case in (_bundled_phase1_case, _integrator_wall_case, _integrator_peak_case):
+        x, t, psi, fp, plant, _, sm = case()
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for b in 0.5 ** np.arange(1, 8):
+            pts = _box_rows(x, t, b, b, controller._SAMPLE_COUNT, rng)
+            xi = _readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi
+            sums = law_row_sums(pts, psi, fp, plant, sm.eta)
+            verdicts.append(sums is not None)
+            assert verdicts[-1] == bool(np.all((xi > -1.0 + 1e-3) & (xi < -1e-3)))
+            if sums is not None:
+                du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, sm.eta)
+                np.testing.assert_array_equal(sums, np.abs(du_dx).sum(axis=2) + np.abs(du_dt))
+        assert not verdicts[0] and verdicts[-1]
+    # A row exactly on the upper wall (xi = 0, where d eps / d xi is
+    # infinite) is refused without a floating-point warning.
+    pts = np.array([[0.01, 0.0], [0.5, 0.0]])
+    assert _readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi[0] == 0.0
+    assert law_row_sums(pts, psi, fp, plant, sm.eta) is None
 
 
 @pytest.mark.parametrize(
@@ -583,18 +597,10 @@ def test_guard_readout_xi_matches_batch_kernel(rng, text, norm_only):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_trigger_config_rejects_empty_probe_set():
-    for count in (0, -8):
-        with pytest.raises(ValueError, match="sample_count"):
-            TriggerConfig(sample_count=count)
-    for count in (1, 3, 100):
-        assert TriggerConfig(sample_count=count).sample_count == count
-
-
-@pytest.mark.parametrize("field", ["delta_u", "delta_x0", "delta_t0", "delta_floor", "lipschitz_safety"])
+@pytest.mark.parametrize("field", ["delta_u", "delta_x0", "delta_t0"])
 def test_trigger_config_rejects_nan(field):
     # A NaN radius would stop both trigger tests from ever firing again.
-    with pytest.raises(ValueError, match="trigger lengths|lipschitz_safety"):
+    with pytest.raises(ValueError, match="trigger lengths"):
         TriggerConfig(**{field: math.nan})
 
 
@@ -618,18 +624,20 @@ def test_trigger_strict_inequalities():
     assert should_trigger(np.zeros(2), 26, 0.01, ev) == "MaxInterval"
 
 
-def test_trigger_radius_bounds_input_deviation(rng):
+def test_trigger_radius_bounds_input_deviation(rng, monkeypatch):
     # Design bound, checked empirically: everywhere inside the trigger
-    # box the continuous law stays within delta_u of the event input.
+    # box the continuous law stays within delta_u of the event input,
+    # here with half the default hypercube rows.
+    monkeypatch.setattr(controller, "_SAMPLE_COUNT", 128)
     psi = parse_psi("ball(0,1;4,4;6)")
     fp = _narrowing_funnel()
     plant = single_integrator(2)
-    tc = TriggerConfig(delta_u=0.5, sample_count=128)
+    tc = TriggerConfig(delta_u=0.5)
     sm = SmoothingConfig()
     x_i = np.array([1.0, 1.0])
     t_i = 0.5
     delta, _ = compute_trigger_radius(x_i, t_i, psi, fp, plant, tc, sm, rng)
-    assert delta >= tc.delta_floor
+    assert delta >= controller._DELTA_FLOOR
     u_i = continuous_law(x_i, t_i, psi, fp, plant, sm)
     worst = 0.0
     for _ in range(500):
@@ -646,10 +654,10 @@ def test_trigger_radius_deterministic_given_rng():
     plant = single_integrator(2)
     tc = TriggerConfig(delta_u=1.0)
     a = compute_trigger_radius(
-        np.array([1.0, 1.0]), 0.0, psi, fp, plant, tc, rng=np.random.default_rng(5)
+        np.array([1.0, 1.0]), 0.0, psi, fp, plant, tc, SmoothingConfig(), np.random.default_rng(5)
     )
     b = compute_trigger_radius(
-        np.array([1.0, 1.0]), 0.0, psi, fp, plant, tc, rng=np.random.default_rng(5)
+        np.array([1.0, 1.0]), 0.0, psi, fp, plant, tc, SmoothingConfig(), np.random.default_rng(5)
     )
     assert a == b
 
@@ -682,12 +690,13 @@ def test_make_event_snapshots_state_and_input():
     tc = TriggerConfig()
     x = np.array([1.0, 2.0])
     u = continuous_law(x, 0.25, psi, fp, plant)
-    ev = make_event(psi, fp, x, 0.25, u, 3, "Initial", plant, tc, rng=np.random.default_rng(4))
+    sm = SmoothingConfig()
+    ev = make_event(psi, fp, x, 0.25, u, 3, "Initial", plant, tc, sm, np.random.default_rng(4))
     x[0] = 9.0  # the event keeps its own copy of the state
     assert ev.index == 3 and ev.cause == "Initial" and ev.t == 0.25
     np.testing.assert_array_equal(ev.x, [1.0, 2.0])
     assert ev.u is u
     want = compute_trigger_radius(
-        np.array([1.0, 2.0]), 0.25, psi, fp, plant, tc, rng=np.random.default_rng(4)
+        np.array([1.0, 2.0]), 0.25, psi, fp, plant, tc, sm, np.random.default_rng(4)
     )
     assert (ev.delta, ev.delta_by) == want and ev.delta > 0.0

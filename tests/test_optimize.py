@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stlfunnel import kernels
 from stlfunnel.errors import FormulaError
 from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig, normalize_sequential
 from stlfunnel.funnel import synthesize_funnel
@@ -143,3 +144,35 @@ def test_fixture_runtimes_under_five_seconds():
         start = time.perf_counter()
         optimize_robustness(parse_psi(text))
         assert time.perf_counter() - start < 5.0
+
+
+def test_overlapping_join_supergradient_is_admissible():
+    # join(0,1;1,2;2) reads x0 - x1 and x1 - x2, so its selectors overlap
+    # and A A^T = [[2, -1], [-1, 2]] is no multiple of the identity; the
+    # block solve of ``shortest_supergradient`` is then not exact.  At the
+    # kink optimum x = 0 the two balls' gradient w_b (1, 0, -1) lies in
+    # the join's superdifferential, so the shortest element is zero.
+    # Measured: the result has length 0.1499 (w_b / sqrt(2) with
+    # w_b = 0.212), against 3.7e-4 for the shortest element on a 721 x 401
+    # polar grid of the unit disc, whose exact minimum is 0.
+    # ``optimize_robustness`` reaches x = 0 but takes 457 iterations and
+    # reports that length as its grad_norm.
+    psi = parse_psi("join(0,1;1,2;2) and ball(0;2;5) and ball(2;-2;5)")
+    table = kernels.compile_leaf_table(psi)
+    xs, eta, kink = [0.0, 0.0, 0.0], 1.0, 1e-3
+    _, g = kernels.shortest_supergradient(table, xs, eta, kink)
+    _, b, kinks = kernels._softmin_terms(table, xs, eta, kink)
+    (_, sel, sel_b, w), = kinks
+    A = np.zeros((2, 3))
+    A[[0, 1], list(sel)] += 1.0
+    A[[0, 1], list(sel_b)] -= 1.0
+    # g = b - w A^T s for some s in the unit disc.
+    s = np.linalg.lstsq(w * A.T, np.subtract(b, g), rcond=None)[0]
+    assert np.linalg.norm(s) <= 1.0 + 1e-12
+    np.testing.assert_allclose(w * A.T @ s, np.subtract(b, g), rtol=0.0, atol=1e-15)
+    angle = np.linspace(0.0, 2.0 * np.pi, 721)[:, None]
+    radius = np.sqrt(np.linspace(0.0, 1.0, 401))[None, :]
+    disc = np.stack([np.cos(angle) * radius, np.sin(angle) * radius], axis=-1).reshape(-1, 2)
+    shortest = np.linalg.norm(np.asarray(b) - w * disc @ A, axis=1).min()
+    length = math.hypot(*g)
+    assert shortest < 1e-3 and shortest <= length

@@ -12,7 +12,6 @@ from stlfunnel.kernels import (
     compile_leaf_table,
     exact_psi_batch,
     leaf_pass,
-    smooth_psi_hessian,
     smooth_psi_value_and_grad,
 )
 from stlfunnel.parsing import parse_psi
@@ -81,8 +80,7 @@ def test_underapproximation_bound(seed, x, eta):
 
 
 # A selector repeated within a leaf: h = 3 - sqrt(2) |x0 - 1| and
-# 3 - sqrt(2) |x0 - x1|, whose gradients add the repeated terms and
-# whose Hessians are zero away from the kink.
+# 3 - sqrt(2) |x0 - x1|, whose gradients add the repeated terms.
 REPEATED_SELECTORS = ("ball(0,0;1,1;3)", "join(0,0;1,1;3)")
 
 
@@ -94,23 +92,6 @@ def test_smooth_grad_matches_finite_differences(rng):
         _, grad = smooth_psi_value_and_grad(psi, x, cfg)
         fd = central_diff(lambda y: smooth_psi_value_and_grad(psi, y, cfg)[0], x)
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_smooth_hessian_matches_finite_differences(rng):
-    cfg = SmoothingConfig(eta=1.3)
-    cases = [(random_concave_psi(rng, 4), rng.uniform(-6, 6, 4)) for _ in range(10)]
-    cases += [(parse_psi(text), rng.uniform(-6, 6, 4)) for text in REPEATED_SELECTORS]
-    for psi, x in cases:
-        hess = smooth_psi_hessian(psi, x, cfg)
-        assert hess == pytest.approx(hess.T, abs=1e-10)
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = 1e-5
-            row = (
-                smooth_psi_value_and_grad(psi, x + e, cfg)[1]
-                - smooth_psi_value_and_grad(psi, x - e, cfg)[1]
-            ) / 2e-5
-            assert hess[i] == pytest.approx(row, rel=2e-4, abs=1e-5)
 
 
 def test_batch_matches_pointwise(rng):

@@ -61,7 +61,7 @@ def _build(tmp_path, cfg):
     return build_episode(load_scenario(path))
 
 
-TRIGGER_NUMBERS = ("delta_u", "lipschitz_safety", "delta_x0", "delta_t0", "shrink", "delta_floor")
+TRIGGER_NUMBERS = ("delta_u", "delta_x0", "delta_t0")
 SYNTHESIS_NUMBERS = ("chi", "r_frac", "t_star", "rho_max", "r", "gamma0", "gamma_inf", "l")
 
 # (id, base, path, value): one broken rule each.
@@ -87,7 +87,6 @@ RULES = [
     ("type-plant-input_gain", OMNI, ("plant", "input_gain"), "1"),
     ("type-plant-gain", INTEGRATOR, ("plant", "gain"), "1"),
     ("type-plant-w_max", INTEGRATOR, ("plant", "w_max"), "0"),
-    ("type-trigger-sample_count", INTEGRATOR, ("trigger", "sample_count"), 1.5),
     *[(f"type-trigger-{k}", INTEGRATOR, ("trigger", k), "x") for k in TRIGGER_NUMBERS],
     *[(f"type-synthesis-{k}", INTEGRATOR, ("synthesis", k), "x") for k in SYNTHESIS_NUMBERS],
     ("type-synthesis-item-chi", INTEGRATOR, ("synthesis",), [{"chi": "x"}]),
@@ -100,7 +99,6 @@ RULES = [
     ("bool-plant-gain", INTEGRATOR, ("plant", "gain"), True),
     ("bool-plant-w_max", INTEGRATOR, ("plant", "w_max"), False),
     ("bool-trigger-delta_u", INTEGRATOR, ("trigger", "delta_u"), True),
-    ("bool-trigger-sample_count", INTEGRATOR, ("trigger", "sample_count"), True),
     ("bool-synthesis-chi", INTEGRATOR, ("synthesis", "chi"), True),
     ("bool-synthesis-item-chi", INTEGRATOR, ("synthesis",), [{"chi": True}]),
     # Each missing required key.
@@ -131,13 +129,8 @@ RULES = [
     ("min-seed", INTEGRATOR, ("seed",), -1),
     ("min-terminal_tail", INTEGRATOR, ("terminal_tail",), -0.1),
     ("min-trigger-delta_u", INTEGRATOR, ("trigger", "delta_u"), 0.0),
-    ("min-trigger-lipschitz_safety", INTEGRATOR, ("trigger", "lipschitz_safety"), 0.99),
     ("min-trigger-delta_x0", INTEGRATOR, ("trigger", "delta_x0"), 0.0),
     ("min-trigger-delta_t0", INTEGRATOR, ("trigger", "delta_t0"), 0.0),
-    ("min-trigger-shrink", INTEGRATOR, ("trigger", "shrink"), 0.0),
-    ("max-trigger-shrink", INTEGRATOR, ("trigger", "shrink"), 1.0),
-    ("min-trigger-sample_count", INTEGRATOR, ("trigger", "sample_count"), 0),
-    ("min-trigger-delta_floor", INTEGRATOR, ("trigger", "delta_floor"), 0.0),
     *[(f"min-synthesis-{k}", INTEGRATOR, ("synthesis", k), 0.0)
       for k in ("chi", "r_frac", "rho_max", "r", "gamma0", "gamma_inf")],
     ("max-synthesis-r_frac", INTEGRATOR, ("synthesis", "r_frac"), 1.0),
@@ -160,7 +153,6 @@ NONCONCAVE = [
 ]
 REFUSED = [
     # An integral float in an integer field.
-    ("float-sample_count", INTEGRATOR, ("trigger", "sample_count"), 256.0),
     ("float-seed", INTEGRATOR, ("seed",), 7.0),
     ("float-n_agents", OMNI, ("plant", "n_agents"), 1.0),
     ("float-dim", INTEGRATOR, ("plant", "dim"), 1.0),
@@ -171,7 +163,7 @@ REFUSED = [
     ("omni-dim", OMNI, ("plant", "dim"), 3),
     # NaN in a field with a range.
     *[(f"nan-trigger-{k}", INTEGRATOR, ("trigger", k), math.nan)
-      for k in ("delta_u", "lipschitz_safety", "delta_x0", "delta_t0", "delta_floor")],
+      for k in TRIGGER_NUMBERS],
     *[(f"nan-{k}", INTEGRATOR, (k,), math.nan) for k in ("horizon", "terminal_tail")],
     *[(f"nan-synthesis-{k}", INTEGRATOR, ("synthesis", k), math.nan)
       for k in ("chi", "t_star", "rho_max", "r", "gamma0", "gamma_inf", "l")],
@@ -201,8 +193,6 @@ ACCEPTED = [
     ("zero-seed", INTEGRATOR, ("seed",), 0),
     ("zero-w_max", OMNI, ("plant", "w_max"), 0),
     ("zero-terminal_tail", INTEGRATOR, ("terminal_tail",), 0.0),
-    ("unit-lipschitz_safety", INTEGRATOR, ("trigger", "lipschitz_safety"), 1),
-    ("unit-sample_count", INTEGRATOR, ("trigger", "sample_count"), 1),
     ("zero-synthesis-bounds", INTEGRATOR, ("synthesis",), {"t_star": 0.0, "l": 0}),
     ("synthesis-list", INTEGRATOR, ("synthesis",), [{"chi": 0.5}]),
     ("not-aff", INTEGRATOR, ("formula",), "F[0,3](ball(0;2;1.5) and not aff(1;-3))"),
@@ -238,8 +228,10 @@ def test_synthesis_count_checked_before_any_run(tmp_path, monkeypatch):
 
 
 def test_shape_errors_name_the_key(tmp_path):
-    with pytest.raises(ConfigError, match=r"trigger/sample_count: expected an integer, got 256\.0"):
-        _build(tmp_path, _with(INTEGRATOR, ("trigger", "sample_count"), 256.0))
+    with pytest.raises(ConfigError, match=r"at seed: expected an integer, got 7\.0"):
+        _build(tmp_path, _with(INTEGRATOR, ("seed",), 7.0))
+    with pytest.raises(ConfigError, match=r"at trigger: unknown key 'sample_count'"):
+        _build(tmp_path, _with(INTEGRATOR, ("trigger", "sample_count"), 128))
     with pytest.raises(ConfigError, match=r"at plant: unknown key 'input_gain'"):
         _build(tmp_path, _with(INTEGRATOR, ("plant", "input_gain"), 5.0))
     with pytest.raises(ConfigError, match="trigger lengths must be positive"):

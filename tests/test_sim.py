@@ -31,15 +31,13 @@ def _toy_spec(**kw):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: TriggerConfig(sample_count=256.0),
-        lambda: TriggerConfig(sample_count=True),
         lambda: _toy_spec(seed=7.0),
         lambda: _toy_spec(seed=True),
         lambda: single_integrator(1.0),
         lambda: single_integrator(True),
         lambda: omni_robot_team(1.0),
     ],
-    ids=["sample_count-float", "sample_count-bool", "seed-float", "seed-bool",
+    ids=["seed-float", "seed-bool",
          "dim-float", "dim-bool", "n_agents-float"],
 )
 def test_integer_fields_refuse_floats_and_bools(build):
