@@ -21,7 +21,13 @@ with 16 states, a funnel and a trigger configuration each, and compares
 ``leaf_pass``, ``smooth_rho_grad``, ``shortest_supergradient``,
 ``exact_psi_batch``, ``u_xi_batch``, ``law_jacobian_batch`` and
 ``compute_trigger_radius`` (the radius, ``delta_by`` and the generator's
-state after the call).
+state after the call).  Each formula also gives a peak case
+(``compute_trigger_radius_peak``): its first ball alone, at a state 0.02
+from the ball's centre inside a flat funnel whose rho_max sits between
+the state's value and the peak, so the late vertices pass and interior
+hypercube rows rise above the upper wall.  The hypercube refusals
+(``law_row_sums`` returning None inside the radius loop) are counted
+over all radii, printed per side and compared too.
 
 Per workload and seed, or per kernel, it prints "bitwise" or the first
 field that differs and its max relative difference, and it exits 1 when
@@ -47,7 +53,8 @@ from bench_episode import ROOT, _export, _git, _seeds
 
 WORKLOADS = ("rendezvous3", "patrol2d")
 KERNELS = ("leaf_pass", "smooth_rho_grad", "shortest_supergradient", "exact_psi_batch",
-           "u_xi_batch", "law_jacobian_batch", "compute_trigger_radius")
+           "u_xi_batch", "law_jacobian_batch", "compute_trigger_radius", "compute_trigger_radius_peak")
+REFUSALS = "hypercube refusals"
 ROWS = 16
 
 
@@ -118,12 +125,31 @@ def _formulas(count: int) -> dict:
     """Each kernel's results on ``count`` seeded formulas, from the imported package."""
     from stlfunnel import controller, kernels
     from stlfunnel.errors import TriggerFloorError
-    from stlfunnel.formulas import SmoothingConfig
+    from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
     from stlfunnel.funnel import FunnelParams, PerformanceFunction
     from stlfunnel.parsing import parse_psi
     from stlfunnel.plants import omni_robot_team, single_integrator
 
     groups = {name: {} for name in KERNELS}
+    refusals = 0
+    row_sums = controller.law_row_sums
+
+    def counted(*args):
+        nonlocal refusals
+        sums = row_sums(*args)
+        refusals += sums is None
+        return sums
+
+    controller.law_row_sums = counted
+
+    def radius(x, t, psi, fp, plant, tc, eta, seed):
+        gen = np.random.default_rng(seed)
+        try:
+            found = controller.compute_trigger_radius(x, t, psi, fp, plant, tc, SmoothingConfig(eta=eta), gen)
+        except TriggerFloorError as exc:
+            found = f"TriggerFloorError: {exc}"
+        return repr((found, gen.bit_generator.state))
+
     for i in range(count):
         rng = np.random.default_rng(i)
         if i % 4 == 3:
@@ -165,16 +191,19 @@ def _formulas(count: int) -> dict:
         results["u_xi_batch"] = kernels.u_xi_batch(X, T, psi, fp, plant, eta)
         results["law_jacobian_batch"] = kernels.law_jacobian_batch(X, T, psi, fp, plant, eta)
         tc = controller.TriggerConfig(delta_u=float(10.0 ** rng.uniform(-1.0, 2.0)))
-        gen = np.random.default_rng(i)
-        try:
-            radius = controller.compute_trigger_radius(
-                X[0], float(T[0]), psi, fp, plant, tc, SmoothingConfig(eta=eta), gen)
-        except TriggerFloorError as exc:
-            radius = f"TriggerFloorError: {exc}"
-        results["compute_trigger_radius"] = repr((radius, gen.bit_generator.state))
+        results["compute_trigger_radius"] = radius(X[0], float(T[0]), psi, fp, plant, tc, eta, i)
+        x_peak = X[0].copy()
+        x_peak[list(first.sel)] = first.center
+        x_peak[first.sel[0]] += 0.02
+        flat = PerformanceFunction(gamma0=1.0, gamma_inf=1.0, l=0.0)
+        fp_peak = FunnelParams(t_star=1.0, r=0.25 * first.radius, rho_max=first.radius - 0.01, perf=flat)
+        results["compute_trigger_radius_peak"] = radius(
+            x_peak, 0.0, NonTemporalFormula(leaves=(first,)), fp_peak, plant, tc, eta, i)
         for name, value in results.items():
             groups[name][f"formula {i}"] = (np.array(value) if isinstance(value, str)
                                             else _flat(value))
+    controller.law_row_sums = row_sums
+    groups[REFUSALS] = {"count": np.array([refusals])}
     return groups
 
 
@@ -251,6 +280,9 @@ def main(argv=None) -> int:
         for extra in runs:
             sides = [_side(root, tmp / f"{name}.pkl", extra)
                      for root, name in ((tmp / "tree", "parent"), (ROOT, "change"))]
+            if REFUSALS in sides[0] and REFUSALS in sides[1]:
+                counts = [int(side[REFUSALS]["count"][0]) for side in sides]
+                print(f"{REFUSALS}: parent {counts[0]}, change {counts[1]}", flush=True)
             for group in list(sides[0]) + [g for g in sides[1] if g not in sides[0]]:
                 found = (_first_difference(sides[0][group], sides[1][group])
                          if group in sides[0] and group in sides[1] else "only on one side")

@@ -3,8 +3,9 @@
 The law is u(x, t) = -eps(x, t) * g(x)^T * grad rho(x) with eps the
 transformed funnel error.  The episode loop evaluates it only where
 the trigger fires (``kernels.u_xi_eval``) and hands that input to
-``make_event``, so an event adds only the trigger radius; between
-events a sample reads the value of rho and runs ``should_trigger``.
+``make_event``, so an event adds only the trigger radius; the held rows
+between events are tested as one block (``trigger_rows``), and the row
+where the block is cut once more through ``should_trigger``.
 Between events the input is frozen; a new event fires when the state
 leaves an infinity-norm ball of radius delta_i around the event state
 or when delta_i seconds elapse, with delta_i chosen so the frozen input
@@ -19,10 +20,11 @@ Jacobian, evaluated in one vectorized pass over those probes.  Each
 event records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
-the late vertices and hypercube probes, the radius loop,
-``should_trigger`` and ``make_event``.  The vertex check and the law
-Jacobian over the probe rows, which checks the band there again, are
-evaluated in ``kernels`` (``band_holds``, ``law_row_sums``).
+the late vertices and hypercube probes, the radius loop, the trigger
+test (``trigger_rows``, ``should_trigger``) and ``make_event``.  The
+vertex check and the law Jacobian over the probe rows, which checks the
+band there again, are evaluated in ``kernels`` (``band_holds``,
+``law_row_sums``).
 ``TriggerConfig`` holds delta_u and the caps on the state bound and the
 maximum triggering interval; the radius loop's own settings are module
 constants.  ``continuous_law``, the law from the dense g(x), is the
@@ -50,6 +52,7 @@ __all__ = [
     "TriggerEvent",
     "continuous_law",
     "compute_trigger_radius",
+    "trigger_rows",
     "should_trigger",
 ]
 
@@ -210,21 +213,28 @@ def compute_trigger_radius(
     return delta, "lipschitz" if delta < box else "box"
 
 
-def should_trigger(
-    x: np.ndarray | list[float], steps: int, dt: float, event: TriggerEvent
-) -> Cause | None:
-    """Strict-inequality trigger test against the active event, ``steps``
-    samples of ``dt`` after it.
+def trigger_rows(
+    X: np.ndarray, steps: np.ndarray | int, dt: float, event: TriggerEvent
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trigger's two strict tests at every row of X (K, n), ``steps``
+    (K,) samples of ``dt`` after the event: whether max_j |x_j - x_event_j|
+    exceeds delta (StateDeviation) and whether the whole steps exceed
+    delta / dt (MaxInterval).
 
-    StateDeviation takes precedence when both conditions exceed.  ``x``
-    is an array or the list of its floats; the deviation is the same
-    max |x_j - x_event_j| either way, in plain floats.  MaxInterval
-    compares the whole steps since the event with delta / dt, so a hold
-    of exactly delta does not fire however the funnel clock rounds.
+    Comparing step counts keeps a hold of exactly delta from firing
+    however the funnel clock rounds.  One state (n,) with an integer
+    ``steps`` gives the two tests as scalars.
     """
-    if max([abs(a - b) for a, b in zip(x, event.x.tolist())]) > event.delta:
+    return np.abs(X - event.x).max(axis=-1) > event.delta, steps > event.delta / dt
+
+
+def should_trigger(x: np.ndarray, steps: int, dt: float, event: TriggerEvent) -> Cause | None:
+    """``trigger_rows`` at one state: the cause that fires, StateDeviation
+    taking precedence when both do, or None."""
+    deviates, late = trigger_rows(x, steps, dt, event)
+    if deviates:
         return "StateDeviation"
-    if steps > event.delta / dt:
+    if late:
         return "MaxInterval"
     return None
 

@@ -9,21 +9,25 @@ into linear read-outs r_i = A_i x - c_i (``_leaf_maps``).  There are two
 entry points over that form:
 
 * The pointwise loop over plain Python floats (``leaf_pass``,
-  ``smooth_rho``, ``smooth_rho_grad``, ``shortest_supergradient``,
-  ``u_xi_eval`` and ``smooth_psi_value_and_grad``): the episode loop's
-  per-sample value (``smooth_rho``, bitwise the value of
-  ``smooth_rho_grad``) and its law at events (``u_xi_eval``), the value
-  and gradient used by the funnel and the sequencer, and the optimizer's
-  ascent direction.  On one state it is
+  ``smooth_rho_grad``, ``shortest_supergradient``, ``u_xi_eval`` and
+  ``smooth_psi_value_and_grad``): the episode's law at events
+  (``u_xi_eval``), the value and gradient used by the funnel and the
+  sequencer, and the optimizer's ascent direction.  On one state it is
   several times faster than a one-row numpy pass, whose fixed per-call
   overhead dominates at that size (README, "Leaf evaluation").
 * The batch read-out: leaf values, gradients and Hessians at every row
-  of a state array in a few numpy passes.  Leaf values are summed
-  without BLAS, so they round as the pointwise loop does.  It serves the
-  trigger radius (the value-only vertex check ``band_holds``, then
-  ``law_row_sums`` over the probe rows), the episode's held-input audit
-  after the loop (``u_xi_batch``, batched per phase),
-  ``law_jacobian_batch`` and ``exact_psi_batch``.
+  of a state array in a few numpy passes.  It serves the episode's
+  segment of held rows (the value-only ``rho_rows``, bitwise the value
+  of ``smooth_rho_grad`` at each row), the trigger radius (the
+  value-only vertex check ``band_holds``, then ``law_row_sums`` over the
+  probe rows), the held-input audit after the loop (``u_xi_batch``,
+  batched per phase), ``law_jacobian_batch`` and ``exact_psi_batch``.
+
+Both paths add in one order.  Leaf slots and softmin weights are summed
+one term after another, without BLAS: the pointwise loop in plain
+floats, the read-out one slice after another (``_add_up``): numpy's
+reduce does so over several rows, and a single row, which numpy would
+sum pairwise from eight terms on, is added slice by slice.
 
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
@@ -51,13 +55,13 @@ __all__ = [
     "USING_NUMBA",
     "compile_leaf_table",
     "leaf_pass",
-    "smooth_rho",
     "smooth_rho_grad",
     "shortest_supergradient",
     "u_xi_eval",
     "smooth_psi_value_and_grad",
     "u_xi_batch",
     "law_jacobian_batch",
+    "rho_rows",
     "band_holds",
     "law_row_sums",
     "exact_psi_batch",
@@ -130,14 +134,10 @@ def _softmin_point(h: list, eta: float) -> tuple[float, np.ndarray | None, float
     if not math.isfinite(m):
         return m, None, 0.0
     w = np.exp(-eta * (np.array(h) - m))
-    z = float(w.sum())
+    z = 0.0
+    for wi in w.tolist():
+        z += wi
     return m - math.log(z) / eta, w, z
-
-
-def smooth_rho(table: tuple[tuple, ...], xs: list[float], eta: float) -> float:
-    """Soft minimum of the leaf values at ``xs``: bitwise the value of
-    ``smooth_rho_grad``, without the gradient."""
-    return _softmin_point(leaf_pass(table, xs)[0], eta)[0]
 
 
 def _softmin_terms(
@@ -362,6 +362,22 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
     return maps
 
 
+def _add_up(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis``, one slice after another, as the pointwise loop adds.
+
+    numpy's reduce over an axis before the last adds slice after slice
+    when the last axis (the rows) is longer than one; a single row it sums
+    pairwise from eight terms on, so there the slices are added here.
+    """
+    if a.shape[-1] > 1:
+        return a.sum(axis=axis)
+    parts = np.moveaxis(a, axis, 0)
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, ...]:
     """Leaf read-outs at every row of X (P, n): r (L, W, P), |r| (L, P) and h (L, P).
 
@@ -373,16 +389,37 @@ def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, .
     r = XT[mp.ia] * mp.a
     r -= XT[mp.ib] * mp.b
     r -= mp.c
-    nd = np.sqrt((r * r).sum(axis=1))
-    return r, nd, mp.csts - np.where(mp.norm, nd, r.sum(axis=1))
+    nd = np.sqrt(_add_up(r * r, 1))
+    return r, nd, mp.csts - np.where(mp.norm, nd, _add_up(r, 1))
+
+
+def _weights(h: np.ndarray, eta: float) -> tuple[np.ndarray, ...]:
+    """Smallest leaf value of every row, the unnormalized softmin weights
+    exp(-eta * (h - min h)) (L, P) and their sum."""
+    h_min = h.min(axis=0)
+    w = np.exp(-eta * (h - h_min))
+    return h_min, w, _add_up(w, 0)
 
 
 def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Soft minimum of the leaf values h (L, P) of every row and its normalized weights."""
-    h_min = h.min(axis=0)
-    w = np.exp(-eta * (h - h_min))
-    z = w.sum(axis=0)
+    h_min, w, z = _weights(h, eta)
     return h_min - np.log(z) / eta, w / z
+
+
+def rho_rows(X: np.ndarray, psi: NonTemporalFormula, eta: float) -> np.ndarray:
+    """Soft minimum of the leaf values at every row of X (K, n), bitwise the
+    value ``smooth_rho_grad`` gives at each row.
+
+    The leaf read-out and the weights are numpy passes; the logarithm is
+    ``math.log`` per row, as on the pointwise path, because ``np.log``
+    rounds differently on some inputs.  A non-finite smallest leaf value
+    (an overflowing norm) is the row's value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_min, _, z = _weights(_leaf_readout(X, psi)[2], eta)
+    return np.array([m - math.log(s) / eta if math.isfinite(m) else m
+                     for m, s in zip(h_min.tolist(), z.tolist())])
 
 
 class _Readout(NamedTuple):

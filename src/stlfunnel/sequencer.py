@@ -7,8 +7,9 @@ task resolves the mode once: windows of ordered-conjunction tasks live
 on the global clock and are shifted by Delta, chain-step windows are
 already relative to the previous satisfaction time and are used as-is,
 and the funnel is synthesized.  The resulting ``HybridState`` holds the
-mode's conjunction, funnel, task kind and jump window, so the
-per-sample jump check only compares numbers.  After the final task the
+mode's conjunction, funnel, task kind and jump window, so the jump
+check (``jump_rows``) only compares numbers, at one sample or at a
+block of rows.  After the final task the
 system enters a terminal mode that keeps the last conjunction and
 funnel active.
 """
@@ -24,7 +25,7 @@ from .formulas import AtomicTask, NonTemporalFormula, SequentialFormula, Smoothi
 from .funnel import FunnelParams, SynthesisConfig, synthesize_funnel
 from .kernels import smooth_psi_value_and_grad
 
-__all__ = ["SequencerConfig", "HybridState", "init_sequencer", "jump_if_due"]
+__all__ = ["SequencerConfig", "HybridState", "init_sequencer", "jump_rows", "jump_if_due"]
 
 _TIME_TOL = 1e-9
 
@@ -129,35 +130,45 @@ def init_sequencer(
     return _enter(normalize_sequential(theta), 1, 0.0, x0, cfg, [])
 
 
+def jump_rows(z: HybridState, rho: float | np.ndarray, t: float | np.ndarray) -> tuple:
+    """Whether the jump is due, and whether its deadline passed without it,
+    at robustness ``rho`` and mode clock ``t``: floats, or arrays of rows.
+
+    Eventually tasks are due where rho sits in (r, rho_max) and t inside
+    the jump window, and overdue once t is past the window without that;
+    Always tasks are due once t reaches the window deadline, and overdue
+    there unless rho > r.  The terminal mode is neither.
+    """
+    if z.terminal:
+        return False, False
+    lo, hi = z.jump_window
+    if z.always:
+        due = t >= hi - _TIME_TOL
+        return due, due & np.logical_not(rho > z.fp.r)
+    due = (z.fp.r < rho) & (rho < z.fp.rho_max) & (lo - _TIME_TOL <= t) & (t <= hi + _TIME_TOL)
+    return due, np.logical_not(due) & (t > hi + _TIME_TOL)
+
+
 def jump_if_due(
     z: HybridState,
     x: np.ndarray,
     cfg: SequencerConfig = SequencerConfig(),
     rho: float | None = None,
 ) -> HybridState | None:
-    """Evaluate the jump condition at a sample; return the post-jump state.
+    """Evaluate the jump condition (``jump_rows``) at a sample, on the mode
+    clock ``z.t_local``; return the post-jump state.
 
-    Eventually tasks jump at the first sample where the smoothed
-    robustness sits in (r, rho_max) and the local clock is inside the
-    jump window; Always tasks jump when the local clock reaches the
-    window deadline.  A clock past its deadline without a jump raises
-    DeadlineError, as does entering a task whose window already closed.
-    Returns None when no jump is due.
+    An overdue clock raises DeadlineError, as does entering a task whose
+    window already closed.  Returns None when no jump is due.
     """
     if z.terminal:
         return None
     if rho is None:
         rho, _ = smooth_psi_value_and_grad(z.psi, np.asarray(x, dtype=float), cfg.smoothing)
-    lo, hi = z.jump_window
     t = z.t_local
-    if z.always:
-        due = t >= hi - _TIME_TOL
-        if due and not rho > z.fp.r:
-            raise DeadlineError(z.q, z.Delta + t, rho)
-    else:
-        due = (z.fp.r < rho < z.fp.rho_max) and (lo - _TIME_TOL <= t <= hi + _TIME_TOL)
-        if not due and t > hi + _TIME_TOL:
-            raise DeadlineError(z.q, z.Delta + t, rho)
+    due, overdue = jump_rows(z, rho, t)
+    if overdue:
+        raise DeadlineError(z.q, z.Delta + t, rho)
     if not due:
         return None
 

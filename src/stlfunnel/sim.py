@@ -1,18 +1,37 @@
 """Fixed-step closed-loop simulation with event-triggered input holds.
 
-Each sample evaluates only the smoothed robustness and the funnel state
-(``kernels.smooth_rho``), at one site in ``run_episode``: if a mode jump
-is due, the sample is evaluated again in the new phase and that
-evaluation replaces the first.  The law runs only where the trigger
-fires: ``kernels.u_xi_eval`` right before ``make_event``, which holds
-that input and adds the trigger radius.  The sample is then logged and
-``step_rk4`` moves the state by the exact zero-order-hold flow of
-dx/dt = g(x) u_held + w, with a fresh uniform noise draw held constant
-across the step.  A failure at any of these stages logs the sample with
-a NaN input and ends the episode, again at one site.  All clocks advance
-on an integer step counter so jump bookkeeping is exact.  The held-input
-audit (``RunMetrics.max_input_deviation``) runs after the loop, batched
-per phase over that phase's logged rows (``u_xi_batch``).
+The loop's unit is the segment between events.  Its first row, the cut
+row, goes through the event, jump, failure and finish code one sample at
+a time: the funnel check, ``jump_if_due`` (after a jump the row is read
+again in the new phase), ``should_trigger`` and, where the trigger fires,
+the law (``kernels.u_xi_eval``) and ``make_event``, which holds that
+input and adds the trigger radius.  The rows after it hold that input
+and form one block of K = floor(delta / dt) + 1 - (steps already held)
+rows, so MaxInterval fires at its last row at the latest:
+
+* its noise is drawn in one ``rng.uniform(-w, w, (K, n))`` call, and
+  ``step_rk4`` gives its K states under the exact zero-order-hold flow of
+  dx/dt = g(x) u_held + w, each step holding its noise row;
+* the trigger and horizon tests run on every row (``trigger_rows``);
+* up to the first row where one of them fires, rho is read
+  (``kernels.rho_rows``) and the funnel test, the jump or deadline test
+  (``jump_rows``) and the terminal test run as row comparisons.
+
+The block is cut at its first row where any test fires.  The rows before
+the cut are logged as one block and folded into the margin minima, and
+the cut row starts the next segment.  gamma (``gamma_at``, ``math.exp``)
+and the logarithm in rho's soft minimum (``math.log``) are taken per row
+in plain floats, because numpy's exp and log round differently on some
+inputs; so the segments reproduce a per-sample loop bitwise.  The
+generator is rewound to the cut: its state before the block's draw is
+restored and only the rows consumed are drawn again, so the next trigger
+radius draws what it would draw after a per-sample loop.
+
+A failure at a cut row logs it with a NaN input and ends the episode,
+at one site.  All clocks advance on an integer step counter so jump
+bookkeeping is exact.  The log's blocks are joined once, at the end.
+The held-input audit (``RunMetrics.max_input_deviation``) runs after the
+loop, batched per phase over that phase's logged rows (``u_xi_batch``).
 """
 
 from __future__ import annotations
@@ -28,13 +47,13 @@ import numpy as np
 
 from . import kernels
 from .kernels import u_xi_batch
-from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger
+from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger, trigger_rows
 from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
 from .funnel import gamma_at
 from .monitor import monitor_robustness
 from .plants import _DEG, Plant, is_int
-from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due
+from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due, jump_rows
 
 __all__ = ["EpisodeSpec", "Trajectory", "RunMetrics", "step_rk4", "run_episode"]
 
@@ -123,26 +142,40 @@ class RunMetrics:
 def step_rk4(plant: Plant, x: np.ndarray, u_held: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """Exact flow of dx/dt = g(x) u + w over ``dt`` with u and w held.
 
+    ``w`` is one noise row (n,), giving the state one step on, or K rows
+    (K, n), giving the K states after one to K steps, step j holding row j.
     No Runge-Kutta is left; the name is kept only for the benchmark tracer.
-    The integrator moves by dt (gain u + w).  An omni agent's body velocity
-    v = gbody u_a is fixed, so its heading turns by phi = dt (v_th + w_th)
-    and, with phi in radians, its position by dt sinc(phi/2) rot(th0 +
-    phi/2) (v_x, v_y) + dt (w_x, w_y); sinc(0) = 1 is the straight line.
+    The integrator moves by dt (gain u + w), one cumulative sum over the
+    steps.  An omni agent's body velocity v = gbody u_a is fixed, so its
+    heading turns by phi = dt (v_th + w_th) and, with phi in radians, its
+    position by dt sinc(phi/2) rot(th0 + phi/2) (v_x, v_y) + dt (w_x, w_y);
+    sinc(0) = 1 is the straight line.  The omni steps run in plain floats.
     """
+    W = np.reshape(w, (-1, plant.n))
     if plant.gbase is None:
-        return x + dt * (plant.gain * u_held + w)
-    xs, us, ws = x.tolist(), u_held.tolist(), w.tolist()
-    out = []
-    for a in range(0, len(xs), 3):
-        vx, vy, vth = (r[0] * us[a] + r[1] * us[a + 1] + r[2] * us[a + 2] for r in plant.gbody_rows)
-        turn = dt * (vth + ws[a + 2])  # degrees
-        half = 0.5 * turn * _DEG
-        arc = dt if half == 0.0 else dt * math.sin(half) / half
-        mid = xs[a + 2] * _DEG + half
-        c, s = math.cos(mid), math.sin(mid)
-        out += (xs[a] + arc * (c * vx - s * vy) + dt * ws[a],
-                xs[a + 1] + arc * (s * vx + c * vy) + dt * ws[a + 1], xs[a + 2] + turn)
-    return np.array(out)
+        moves = np.empty((W.shape[0] + 1, plant.n))
+        moves[0] = x
+        np.multiply(dt, plant.gain * u_held + W, out=moves[1:])
+        out = np.cumsum(moves, axis=0)[1:]
+    else:
+        xs, us = x.tolist(), u_held.tolist()
+        vel = [[r[0] * us[a] + r[1] * us[a + 1] + r[2] * us[a + 2] for r in plant.gbody_rows]
+               for a in range(0, len(xs), 3)]
+        rows = []
+        for ws in W.tolist():
+            nxt = []
+            for a, (vx, vy, vth) in zip(range(0, len(xs), 3), vel):
+                turn = dt * (vth + ws[a + 2])  # degrees
+                half = 0.5 * turn * _DEG
+                arc = dt if half == 0.0 else dt * math.sin(half) / half
+                mid = xs[a + 2] * _DEG + half
+                c, s = math.cos(mid), math.sin(mid)
+                nxt += (xs[a] + arc * (c * vx - s * vy) + dt * ws[a],
+                        xs[a + 1] + arc * (s * vx + c * vy) + dt * ws[a + 1], xs[a + 2] + turn)
+            rows.append(nxt)
+            xs = nxt
+        out = np.array(rows)
+    return out if np.ndim(w) == 2 else out[0]
 
 
 def _funnel_record(z: HybridState) -> dict:
@@ -227,18 +260,17 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     t_start = time.perf_counter()
     rng = np.random.default_rng(spec.seed)
     plant = spec.plant
+    n, w_max = plant.n, plant.w_max
     smoothing = spec.seq_cfg.smoothing
     eta = smoothing.eta
     dt = spec.dt
     horizon = spec.resolved_horizon()
+    tail = spec.seq_cfg.terminal_tail
     x = np.array(spec.x0, dtype=float)
 
-    rows_t: list[float] = []
-    rows_x: list[np.ndarray] = []
-    rows_u: list[np.ndarray] = []
-    rows_rho: list[float] = []
-    rows_gamma: list[float] = []
-    rows_mode: list[int] = []
+    # The log as blocks of rows (t, X, U, rho, gamma, mode), joined in finish.
+    blocks = [(np.empty(0), np.empty((0, n)), np.empty((0, plant.m)), np.empty(0), np.empty(0),
+               np.empty(0, dtype=int))]
     events: list[TriggerEvent] = []
     metrics = RunMetrics(
         samples=0, triggers=0, reduction=0.0, satisfied=False,
@@ -246,17 +278,9 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     )
 
     def finish(failure: str | None, failure_time: float | None) -> tuple[Trajectory, RunMetrics, list[TriggerEvent]]:
-        traj = Trajectory(
-            dt=dt,
-            t=np.asarray(rows_t),
-            # Shaped (samples, n) and (samples, m) even with no sample.
-            X=np.asarray(rows_x).reshape(-1, plant.n),
-            U=np.asarray(rows_u).reshape(-1, plant.m),
-            rho_active=np.asarray(rows_rho),
-            gamma=np.asarray(rows_gamma),
-            mode=np.asarray(rows_mode, dtype=int),
-        )
-        metrics.samples = max(len(rows_t) - 1, 0)
+        t, X, U, rho, gamma, mode = (np.concatenate(column) for column in zip(*blocks))
+        traj = Trajectory(dt=dt, t=t, X=X, U=U, rho_active=rho, gamma=gamma, mode=mode)
+        metrics.samples = max(len(t) - 1, 0)
         metrics.triggers = len(events)
         metrics.reduction = 1.0 - metrics.triggers / metrics.samples if metrics.samples else 0.0
         metrics.failure = failure
@@ -274,13 +298,17 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         metrics.wall_time = time.perf_counter() - t_start
         return traj, metrics, events
 
-    def log_sample(u: np.ndarray) -> None:
-        rows_t.append(t); rows_x.append(x.copy()); rows_u.append(u)
-        rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
+    def log_rows(T: np.ndarray, X: np.ndarray, u: np.ndarray, rho: np.ndarray, gam: np.ndarray, xi: np.ndarray) -> None:
+        """Log rows holding ``u`` and fold them into the margins."""
+        blocks.append((T, X, np.repeat(u[None], len(T), axis=0), rho, gam, np.full(len(T), z.q)))
+        metrics.min_margin = min(metrics.min_margin, float((rho - (z.fp.rho_max - gam)).min()),
+                                 float((z.fp.rho_max - rho).min()))
+        metrics.min_xi_gap = min(metrics.min_xi_gap, float((1.0 + xi).min()), float((-xi).min()))
 
     def fail(kind: str) -> tuple[Trajectory, RunMetrics, list[TriggerEvent]]:
         """Log the current sample with a NaN input and end the episode."""
-        log_sample(np.full(plant.m, np.nan))
+        blocks.append((np.array([t]), x[None], np.full((1, plant.m), np.nan), np.array([rho]),
+                       np.array([gam]), np.array([z.q])))
         return finish(kind, t)
 
     event_steps: list[int] = []
@@ -298,14 +326,17 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     jumped = False
     k = 0
     k_entry = 0
+    # rho as read at row k, before the funnel's round trip through xi.
+    rho_k = float(kernels.rho_rows(x[None], z.psi, eta)[0])
 
     while True:
+        # Row k, the first of a segment, takes the event, jump, failure and
+        # finish code one sample at a time.
         t = k * dt
         z.t_local = (k - k_entry) * dt
         t_fun = z.t_local + z.offset
-        xs = x.tolist()
         gam = gamma_at(z.fp.perf, t_fun)
-        xi = (kernels.smooth_rho(table, xs, eta) - z.fp.rho_max) / gam
+        xi = (rho_k - z.fp.rho_max) / gam
         rho = z.fp.rho_max + xi * gam
 
         if not (-1.0 < xi < 0.0):
@@ -321,6 +352,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 if not z.terminal:
                     metrics.funnels.append(_funnel_record(z))
                 table = kernels.compile_leaf_table(z.psi)
+                rho_k = float(kernels.rho_rows(x[None], z.psi, eta)[0])
                 continue  # evaluate this sample again in the new phase
 
         if jumped:
@@ -329,7 +361,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             cause = "Initial"
         else:
             held = k - event_steps[-1]  # whole steps since the event
-            cause = should_trigger(xs, held, dt, event)
+            cause = should_trigger(x, held, dt, event)
         if cause is not None:
             overshoot = None
             if cause in ("StateDeviation", "MaxInterval"):
@@ -352,18 +384,50 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             metrics.min_delta = min(metrics.min_delta, event.delta)
             metrics.delta_by[event.delta_by] += 1
 
-        u_held = event.u
-        metrics.min_margin = min(metrics.min_margin, rho - (z.fp.rho_max - gam), z.fp.rho_max - rho)
-        metrics.min_xi_gap = min(metrics.min_xi_gap, 1.0 + xi, -xi)
+        done = z.terminal and z.t_local >= tail - 1e-12
+        if done or t >= horizon - 1e-12:
+            log_rows(np.array([t]), x[None], event.u, np.array([rho]), np.array([gam]), np.array([xi]))
+            return finish(None, None) if done else finish(f"horizon: mode {z.q} unfinished", t)
 
-        log_sample(u_held.copy())
-
-        if z.terminal and z.t_local >= spec.seq_cfg.terminal_tail - 1e-12:
-            return finish(None, None)
-        if t >= horizon - 1e-12:
-            return finish(f"horizon: mode {z.q} unfinished", t)
-
-        w = rng.uniform(-plant.w_max, plant.w_max, plant.n) if plant.w_max > 0 else np.zeros(plant.n)
-        x = step_rk4(plant, x, u_held, w, dt)
+        # The segment: rows k + 1 ... k + K hold the event's input, up to the
+        # row where MaxInterval must fire.  Row 0 of the block is row k
+        # again.  The block is cut at its first row where the trigger test,
+        # the horizon test, the funnel test, the jump or deadline test or
+        # the terminal test fires; the rows before the cut are logged, and
+        # the cut row starts the next segment.  The tests that need rho run
+        # only up to the first row the trigger or the horizon cuts at.
+        held = k - event_steps[-1]
+        K = int(event.delta / dt) + 1 - held
+        rewind = rng.bit_generator.state
+        W = rng.uniform(-w_max, w_max, (K, n)) if w_max > 0 else np.zeros((K, n))
+        X = np.empty((K + 1, n))
+        X[0] = x
+        X[1:] = step_rk4(plant, x, event.u, W, dt)
+        ks = np.arange(k, k + K + 1)
+        T = ks * dt
+        deviates, late = trigger_rows(X, ks - event_steps[-1], dt, event)
+        fires = deviates | late | (T >= horizon - 1e-12)
+        fires[0] = False
+        end = int(fires.argmax()) + 1  # MaxInterval fires at row K at the latest
+        X, T = X[:end], T[:end]
+        T_local = (ks[:end] - k_entry) * dt
+        # gamma (math.exp) and rho's logarithm (math.log, in rho_rows) stay
+        # per row in plain floats: numpy's exp and log round differently on
+        # some inputs.
+        gams = np.array([gamma_at(z.fp.perf, s) for s in (T_local + z.offset).tolist()])
+        raw = kernels.rho_rows(X, z.psi, eta)
+        xis = (raw - z.fp.rho_max) / gams
+        rhos = z.fp.rho_max + xis * gams
+        due, overdue = jump_rows(z, rhos, T_local)
+        fires = due | overdue | ~((-1.0 < xis) & (xis < 0.0))
+        if z.terminal:
+            fires |= T_local >= tail - 1e-12
+        fires[0] = False
+        cut = int(fires.argmax()) or end - 1
+        log_rows(T[:cut], X[:cut], event.u, rhos[:cut], gams[:cut], xis[:cut])
+        if cut < K and w_max > 0:
+            # Give back the noise rows past the cut.
+            rng.bit_generator.state = rewind
+            rng.uniform(-w_max, w_max, (cut, n))
+        x, rho_k, k = X[cut], float(raw[cut]), k + cut
         jumped = False
-        k += 1

@@ -1,0 +1,160 @@
+"""A per-sample episode loop, kept only as the tests' reference.
+
+``run_episode_per_sample`` takes one Python iteration per sample: it
+reads rho at the state (``smooth_rho_grad``'s value), checks the funnel,
+the jump and the trigger, logs the row and steps the state with a fresh
+noise draw.  ``sim.run_episode``, which handles the held rows between
+events as blocks, must reproduce it bitwise: logs, events, metrics and
+the generator state at the end.  It returns the generator it drew from
+as a fourth item.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import replace
+
+import numpy as np
+
+from stlfunnel import kernels
+from stlfunnel.controller import make_event, should_trigger
+from stlfunnel.errors import DeadlineError, SynthesisError, TriggerFloorError
+from stlfunnel.funnel import gamma_at
+from stlfunnel.monitor import monitor_robustness
+from stlfunnel.sequencer import init_sequencer, jump_if_due
+from stlfunnel.sim import RunMetrics, Trajectory, _funnel_record, _input_deviation, step_rk4
+
+
+def run_episode_per_sample(spec):
+    """(Trajectory, RunMetrics, events, generator) of ``spec``, one sample per iteration."""
+    t_start = time.perf_counter()
+    rng = np.random.default_rng(spec.seed)
+    plant = spec.plant
+    smoothing = spec.seq_cfg.smoothing
+    eta = smoothing.eta
+    dt = spec.dt
+    horizon = spec.resolved_horizon()
+    x = np.array(spec.x0, dtype=float)
+
+    rows_t, rows_x, rows_u, rows_rho, rows_gamma, rows_mode = [], [], [], [], [], []
+    events = []
+    metrics = RunMetrics(
+        samples=0, triggers=0, reduction=0.0, satisfied=False,
+        rho_theta=math.nan, min_margin=math.inf, wall_time=0.0,
+    )
+
+    def finish(failure, failure_time):
+        traj = Trajectory(
+            dt=dt,
+            t=np.asarray(rows_t),
+            X=np.asarray(rows_x).reshape(-1, plant.n),
+            U=np.asarray(rows_u).reshape(-1, plant.m),
+            rho_active=np.asarray(rows_rho),
+            gamma=np.asarray(rows_gamma),
+            mode=np.asarray(rows_mode, dtype=int),
+        )
+        metrics.samples = max(len(rows_t) - 1, 0)
+        metrics.triggers = len(events)
+        metrics.reduction = 1.0 - metrics.triggers / metrics.samples if metrics.samples else 0.0
+        metrics.failure = failure
+        metrics.failure_time = failure_time
+        metrics.satisfied = failure is None
+        metrics.max_input_deviation = _input_deviation(traj, phases, plant, eta)
+        if len(event_steps) >= 2:
+            metrics.min_inter_event = float(np.min(np.diff(event_steps))) * dt
+        if metrics.satisfied:
+            try:
+                metrics.rho_theta = monitor_robustness(spec.theta, traj, 0.0)
+            except Exception as exc:
+                metrics.monitor_error = f"{type(exc).__name__}: {exc}"
+        metrics.wall_time = time.perf_counter() - t_start
+        return traj, metrics, events, rng
+
+    def log_sample(u):
+        rows_t.append(t); rows_x.append(x.copy()); rows_u.append(u)
+        rows_rho.append(rho); rows_gamma.append(gam); rows_mode.append(z.q)
+
+    def fail(kind):
+        log_sample(np.full(plant.m, np.nan))
+        return finish(kind, t)
+
+    event_steps = []
+    phases = []
+    try:
+        z = init_sequencer(spec.theta, x, spec.seq_cfg)
+    except (SynthesisError, DeadlineError) as exc:
+        return finish(f"synthesis: {exc}", 0.0)
+    phases.append((z, 0))
+
+    metrics.funnels.append(_funnel_record(z))
+    table = kernels.compile_leaf_table(z.psi)
+    event = None
+    jumped = False
+    k = 0
+    k_entry = 0
+
+    while True:
+        t = k * dt
+        z.t_local = (k - k_entry) * dt
+        t_fun = z.t_local + z.offset
+        gam = gamma_at(z.fp.perf, t_fun)
+        xi = (kernels.smooth_rho_grad(table, x.tolist(), eta)[0] - z.fp.rho_max) / gam
+        rho = z.fp.rho_max + xi * gam
+
+        if not (-1.0 < xi < 0.0):
+            return fail("funnel")
+        if not jumped:
+            try:
+                z_next = jump_if_due(z, x, spec.seq_cfg, rho=rho)
+            except (DeadlineError, SynthesisError) as exc:
+                return fail(f"deadline: {exc}")
+            if z_next is not None:
+                z, jumped, k_entry = z_next, True, k
+                phases.append((z, k))
+                if not z.terminal:
+                    metrics.funnels.append(_funnel_record(z))
+                table = kernels.compile_leaf_table(z.psi)
+                continue
+
+        if jumped:
+            cause = "ModeSwitch"
+        elif event is None:
+            cause = "Initial"
+        else:
+            held = k - event_steps[-1]
+            cause = should_trigger(x, held, dt, event)
+        if cause is not None:
+            overshoot = None
+            if cause in ("StateDeviation", "MaxInterval"):
+                reach = max(float(np.abs(x - event.x).max()), held * dt)
+                overshoot = reach / event.delta
+                metrics.max_overshoot = max(metrics.max_overshoot, overshoot)
+            u = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)[1]
+            try:
+                event = make_event(
+                    z.psi, z.fp, x, t_fun, u, len(events), cause,
+                    plant, spec.trigger, smoothing, rng,
+                )
+            except TriggerFloorError:
+                return fail("trigger_floor")
+            events.append(replace(event, t=t, overshoot=overshoot))
+            event_steps.append(k)
+            metrics.min_delta = min(metrics.min_delta, event.delta)
+            metrics.delta_by[event.delta_by] += 1
+
+        u_held = event.u
+        metrics.min_margin = min(metrics.min_margin, rho - (z.fp.rho_max - gam), z.fp.rho_max - rho)
+        metrics.min_xi_gap = min(metrics.min_xi_gap, 1.0 + xi, -xi)
+
+        log_sample(u_held.copy())
+
+        if z.terminal and z.t_local >= spec.seq_cfg.terminal_tail - 1e-12:
+            return finish(None, None)
+        if t >= horizon - 1e-12:
+            return finish(f"horizon: mode {z.q} unfinished", t)
+
+        w = rng.uniform(-plant.w_max, plant.w_max, plant.n) if plant.w_max > 0 else np.zeros(plant.n)
+        x = step_rk4(plant, x, u_held, w, dt)
+        jumped = False
+        k += 1

@@ -510,7 +510,7 @@ def test_vertex_check_is_sound(rng, n):
         psi = NonTemporalFormula(leaves=tuple(leaves))
         x = rng.uniform(-6.0, 6.0, n)
         t = float(rng.uniform(0.0, 3.0))
-        rho = kernels.smooth_rho(kernels.compile_leaf_table(psi), x.tolist(), sm.eta)
+        rho = float(kernels.rho_rows(x[None], psi, sm.eta)[0])
         # xi(x, t) = xi0 inside a funnel of width gamma_t at t.
         xi0 = float(rng.uniform(-0.95, -0.05))
         rho_max = max(rho, 0.0) + float(rng.uniform(0.1, 3.0))

@@ -138,20 +138,31 @@ def test_batch_rows_are_independent(rng, kind):
 
 
 def test_value_is_bitwise_the_gradient_paths_value(rng):
-    # The episode loop reads rho from smooth_rho at every sample and the
-    # law from smooth_rho_grad only at events; both must see one value.
-    seen = set()
-    for _ in range(200):
-        dim = int(rng.integers(1, 8))
-        psi = _random_psi(rng, dim)
+    # The episode reads rho at a segment's rows with rho_rows and the law
+    # from smooth_rho_grad only at events; both must see one value.  One to
+    # twelve leaves of up to twelve slots, on integrators and on omni teams
+    # (headings in degrees), in blocks of one row too: numpy sums a single
+    # row pairwise from eight terms on, so both paths add one by one.
+    seen, counts = set(), set()
+    for i in range(400):
+        omni = i % 2 == 1
+        dim = 3 * int(rng.integers(1, 5)) if omni else int(rng.integers(1, 13))
+        n_leaves = int(rng.integers(1, 13))
+        psi = NonTemporalFormula(leaves=tuple(
+            flipped(leaf) if leaf.kind == "affine" and rng.random() < 0.3 else leaf
+            for leaf in random_concave_psi(rng, dim, n_leaves).leaves))
         seen.update(leaf.kind for leaf in psi.leaves)
+        counts.add(n_leaves)
         table = kernels.compile_leaf_table(psi)
         eta = float(rng.uniform(0.1, 5.0))
-        xs = rng.uniform(-12.0, 12.0, dim).tolist()
-        assert kernels.smooth_rho(table, xs, eta) == kernels.smooth_rho_grad(table, xs, eta)[0]
-    assert seen == {"affine", "ball", "join"}
+        X = rng.uniform(-12.0, 12.0, (1 if i % 3 == 0 else int(rng.integers(2, 40)), dim))
+        if omni:
+            X[:, 2::3] = rng.uniform(0.0, 360.0, (X.shape[0], dim // 3))
+        want = np.array([kernels.smooth_rho_grad(table, xs, eta)[0] for xs in X.tolist()])
+        assert kernels.rho_rows(X, psi, eta).tobytes() == want.tobytes()
+    assert seen == {"affine", "ball", "join"} and counts == set(range(1, 13))
     # An overflowing norm is the value itself on both paths.
-    table = kernels.compile_leaf_table(parse_psi("ball(0,1;0,0;1) and ball(0;2;3)"))
+    psi = parse_psi("ball(0,1;0,0;1) and ball(0;2;3)")
     xs = [1e300, 1e300]
-    rho = kernels.smooth_rho(table, xs, 1.0)
-    assert rho == -np.inf and rho == kernels.smooth_rho_grad(table, xs, 1.0)[0]
+    rho = kernels.rho_rows(np.array([xs]), psi, 1.0)[0]
+    assert rho == -np.inf and rho == kernels.smooth_rho_grad(kernels.compile_leaf_table(psi), xs, 1.0)[0]

@@ -7,7 +7,7 @@ from stlfunnel.errors import DeadlineError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import SynthesisConfig
 from stlfunnel.parsing import parse_formula
-from stlfunnel.sequencer import SequencerConfig, init_sequencer, jump_if_due
+from stlfunnel.sequencer import SequencerConfig, init_sequencer, jump_if_due, jump_rows
 
 
 def test_chain_normalization_matches_cumulative_oracle():
@@ -194,3 +194,31 @@ def test_randomized_sequences_jump_inside_windows(rng):
             assert a - dt - 1e-9 <= jt <= b + 1e-9, (text, q, jt)
         # Bookkeeping identity: Delta equals the last jump's global time.
         assert z.Delta == pytest.approx(z.jump_times[-1])
+
+
+@pytest.mark.parametrize("text", ["F[1,3](ball(0;0;4))", "G[1,3](ball(0;0;4))"])
+def test_jump_rows_match_jump_if_due(rng, text):
+    # The episode tests a block of rows with jump_rows and the row where it
+    # cuts with jump_if_due; both are one condition.  Rows straddle the
+    # band's edges r and rho_max and the window's ends, including the
+    # tolerance at each.
+    z = init_sequencer(parse_formula(text), np.array([2.0]), _cfg(chi=0.5))
+    lo, hi = z.jump_window
+    edges = np.array([z.fp.r, z.fp.rho_max])
+    rho = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                          rng.uniform(0.0, 5.0, 20)])
+    t = np.concatenate([[lo, hi, lo - 1e-9, hi + 1e-9, lo - 2e-9, hi + 2e-9], rng.uniform(0.0, 4.0, 20)])
+    R, T = (a.ravel() for a in np.meshgrid(rho, t))
+    due, overdue = jump_rows(z, R, T)
+    assert due.any() and overdue.any() and (~due & ~overdue).any()
+    for r, s, d, o in zip(R.tolist(), T.tolist(), due.tolist(), overdue.tolist()):
+        z.t_local = s
+        if o:
+            with pytest.raises(DeadlineError):
+                jump_if_due(z, np.array([2.0]), _cfg(chi=0.5), rho=r)
+        else:
+            assert (jump_if_due(z, np.array([2.0]), _cfg(chi=0.5), rho=r) is not None) == d
+    # The terminal mode never jumps.
+    z.t_local = hi
+    end = jump_if_due(z, np.array([2.0]), _cfg(chi=0.5), rho=float(edges.mean()))
+    assert end.terminal and jump_rows(end, R, T) == (False, False)

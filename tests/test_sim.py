@@ -1,12 +1,13 @@
 """Closed-loop episode runner: logging, accounting, and failure honesty."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from stlfunnel import kernels, sim
-from stlfunnel.controller import TriggerConfig, TriggerEvent, should_trigger
+from stlfunnel import controller, kernels, sim
+from stlfunnel.controller import TriggerConfig, TriggerEvent, should_trigger, trigger_rows
 from stlfunnel.errors import WindowError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
@@ -14,6 +15,8 @@ from stlfunnel.parsing import parse_formula
 from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.sequencer import SequencerConfig
 from stlfunnel.sim import EpisodeSpec, run_episode, step_rk4
+
+from reference import run_episode_per_sample
 
 
 def _toy_spec(**kw):
@@ -157,28 +160,32 @@ def test_law_runs_only_at_events(monkeypatch):
     _assert_events_hold_phase_law(spec, traj, metrics, events)
 
 
-def test_trigger_test_same_for_list_and_array(rng):
+def test_trigger_rows_match_the_single_row_test(rng):
+    # The segment loop tests a block of rows at once with trigger_rows and
+    # the row where it cuts with should_trigger; both are one comparison.
     for i in range(300):
         n = int(rng.integers(1, 10))
+        K = int(rng.integers(1, 60))
         ex = rng.uniform(-50.0, 50.0, n)
         delta = float(rng.uniform(0.01, 1.0))
-        steps = int(rng.integers(0, 150))
-        x = ex + rng.uniform(-1.5, 1.5, n) * delta
-        exact = i % 3 == 0
-        if exact:
-            # One coordinate exactly delta away, the rest well inside,
-            # the clock too: the strict test must not fire.
-            x = ex + rng.uniform(-0.5, 0.5, n) * delta
+        X = ex + rng.uniform(-1.5, 1.5, (K, n)) * delta
+        steps = int(rng.integers(0, 150)) + np.arange(K)
+        if i % 3 == 0:
+            # One coordinate exactly delta away, the rest well inside, and
+            # a hold of exactly delta: the strict tests must not fire.
+            X = ex + rng.uniform(-0.5, 0.5, (K, n)) * delta
             j = int(rng.integers(n))
-            x[j] = ex[j] + delta
-            delta = abs(x[j] - ex[j])
-            steps = int(0.5 * delta / 0.01)
+            X[:, j] = ex[j] + delta
+            delta = float(abs(X[0, j] - ex[j]))
+            steps = np.minimum(steps, int(delta / 0.01))
         event = TriggerEvent(index=0, t=1.0, x=ex, u=np.zeros(n), delta=delta,
                              cause="Initial", delta_by="box")
-        cause = should_trigger(x.tolist(), steps, 0.01, event)
-        assert cause == should_trigger(x, steps, 0.01, event)
-        if exact:
-            assert cause is None
+        deviates, late = trigger_rows(X, steps, 0.01, event)
+        for row, s, d, l in zip(X, steps.tolist(), deviates.tolist(), late.tolist()):
+            cause = should_trigger(row, s, 0.01, event)
+            assert cause == ("StateDeviation" if d else "MaxInterval" if l else None)
+            if i % 3 == 0:
+                assert cause is None
 
 
 def test_max_interval_fires_one_step_past_delta():
@@ -384,3 +391,69 @@ def test_spec_compares_by_identity():
     a, b = _planar_spec(x0=np.zeros(2)), _planar_spec(x0=np.zeros(2))
     assert a == a and a != b
     assert len({a, b}) == 2 and hash(a) == hash(a)
+
+
+def _cut_specs():
+    """Toy episodes named after the cut they reach, each with the failure it ends on
+    (None for success) and an event cause it must log (None for any)."""
+    noisy = dict(theta=parse_formula("F[2,3](ball(0;2;1.5))"), seed=5)
+    nine = " and ".join(f"ball({i % 3};{2 + 0.1 * i:g};{3 + 0.2 * i:g})" for i in range(9))
+    return {
+        "state_deviation": (_toy_spec(plant=single_integrator(1, w_max=3.0), seed=2), None, "StateDeviation"),
+        # The terminal tail outlasts a hold of exactly delta.
+        "max_interval_and_tail": (_two_phase_tail_spec(), None, "MaxInterval"),
+        "eventually_jump_no_noise": (_toy_spec(), None, "ModeSwitch"),
+        "always_jump": (_toy_spec(theta=parse_formula("G[0,1](ball(0;0;4)) and F[1,2](ball(0;6;4))"),
+                                  x0=np.array([2.0])), None, "ModeSwitch"),
+        # The jump out of task 1 enters a task that cannot be synthesized.
+        "deadline": (_toy_spec(theta=parse_formula("F[0,1](ball(0;0;2)) and F[2,3](ball(0;0;5))"),
+                               x0=np.array([-1.9]),
+                               seq_cfg=SequencerConfig(synthesis=(SynthesisConfig(), SynthesisConfig(rho_max=0.5)))),
+                     "deadline", "Initial"),
+        "funnel": (_toy_spec(plant=single_integrator(1, w_max=30.0), **noisy), "funnel", "StateDeviation"),
+        # Every radius is 2 (test_segment_loop_matches_per_sample_reference
+        # fixes it), too wide for its box: the funnel is left inside a segment.
+        "funnel_inside_segment": (_toy_spec(plant=single_integrator(1, w_max=3.0), **noisy), "funnel", "Initial"),
+        "trigger_floor": (_toy_spec(plant=single_integrator(1, w_max=20.0), trigger=TriggerConfig(delta_u=1e-4),
+                                    **dict(noisy, seed=0)), "trigger_floor", "StateDeviation"),
+        "horizon": (_toy_spec(theta=parse_formula("F[2,3](ball(0;2;1.5))"), horizon=1.0), "horizon", "MaxInterval"),
+        "terminal_tail": (_toy_spec(seq_cfg=SequencerConfig(terminal_tail=0.2)), None, "ModeSwitch"),
+        "omni": (_toy_spec(plant=omni_robot_team(1, input_gain=50.0, w_max=0.1), x0=np.array([0.0, 0.0, 30.0]),
+                           theta=parse_formula("F[0,3](ball(0,1;1,1;0.5))")), None, "MaxInterval"),
+        "nine_leaves": (_toy_spec(plant=single_integrator(3, w_max=0.2), x0=np.zeros(3),
+                                  theta=parse_formula(f"F[0,3]({nine})")), None, "ModeSwitch"),
+    }
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(_cut_specs()))
+def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
+    # The segment loop handles the held rows between events as blocks and
+    # cuts each where a test fires; it must reproduce the per-sample loop
+    # bitwise, up to the generator's state at the end.
+    spec, failure, cause = _cut_specs()[case]
+    if case == "funnel_inside_segment":
+        monkeypatch.setattr(controller, "compute_trigger_radius", lambda *args: (2.0, "box"))
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    traj, metrics, events = run_episode(spec)
+    ref_traj, ref_metrics, ref_events, ref_rng = run_episode_per_sample(spec)
+
+    assert (metrics.failure or "").startswith(failure or "") and (metrics.failure is None) == (failure is None)
+    assert any(e.cause == cause for e in events) and metrics.samples > 10
+    for f in dataclasses.fields(traj):
+        assert _same_bits(getattr(traj, f.name), getattr(ref_traj, f.name)), f.name
+    assert len(events) == len(ref_events)
+    for e, r in zip(events, ref_events):
+        for f in dataclasses.fields(e):
+            a, b = getattr(e, f.name), getattr(r, f.name)
+            assert _same_bits(a, b) if isinstance(a, np.ndarray) else repr(a) == repr(b), f.name
+    for f in dataclasses.fields(metrics):
+        if f.name != "wall_time":
+            assert repr(getattr(metrics, f.name)) == repr(getattr(ref_metrics, f.name)), f.name
+    assert len(made) == 2 and made[0].bit_generator.state == ref_rng.bit_generator.state
