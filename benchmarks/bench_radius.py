@@ -11,10 +11,13 @@ checkout's working tree.  Pair i runs each workload's episode at
 with BLAS threads pinned to 1, the parent first in even pairs and the
 change first in odd ones.  In that interpreter
 ``controller.compute_trigger_radius`` (the whole radius, called by
-``make_event``), ``kernels.band_holds`` (the value-only read-out of a
-round's late vertices) and ``kernels.law_row_sums`` (the law Jacobian
-over an accepted box's hypercube rows) are wrapped where ``controller``
-looks them up, and every call's wall time is recorded.
+``make_event``), ``kernels.band_holds`` (the value-only check of a
+round's late vertices, which since the leaf-local guard reads each leaf
+at its own support's corners and gathers the values to every vertex)
+and ``kernels.law_row_sums`` (the law Jacobian over an accepted box's
+hypercube rows) are wrapped where ``controller`` looks them up, and
+every call's wall time is recorded.  The wrappers pass their arguments
+through, so they time either side's signature of ``band_holds``.
 ``kernels.guarded_rows``, the hypercube read-out that earlier versions
 ran before ``law_row_sums``, is wrapped too where a side's
 ``controller`` has it; a name a side's ``controller`` lacks records no

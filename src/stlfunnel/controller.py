@@ -20,11 +20,12 @@ Jacobian, evaluated in one vectorized pass over those probes.  Each
 event records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
-the late vertices and hypercube probes, the radius loop, the trigger
-test (``trigger_rows``, ``should_trigger``) and ``make_event``.  The
-vertex check and the law Jacobian over the probe rows, which checks the
-band there again, are evaluated in ``kernels`` (``band_holds``,
-``law_row_sums``).
+the late vertices (as sign patterns) and hypercube probes, the radius
+loop, the trigger test (``trigger_rows``, ``should_trigger``) and
+``make_event``.  The vertex check, which reads each leaf only at the
+corners of the coordinates it selects, and the law Jacobian over the
+probe rows, which checks the band there again, are evaluated in
+``kernels`` (``band_holds``, ``law_row_sums``).
 ``TriggerConfig`` holds delta_u and the caps on the state bound and the
 maximum triggering interval; the radius loop's own settings are module
 constants.  ``continuous_law``, the law from the dense g(x), is the
@@ -33,8 +34,6 @@ reference form the tests compare against; it is not on the episode path.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import FunnelViolation, TriggerFloorError
 from .formulas import NonTemporalFormula, SmoothingConfig
 from .funnel import FunnelParams, gamma_at
-from .kernels import band_holds, law_row_sums, smooth_psi_value_and_grad
+from .kernels import band_holds, law_row_sums, smooth_psi_value_and_grad, vertex_signs
 from .plants import Plant
 
 __all__ = [
@@ -124,34 +123,25 @@ def continuous_law(
     return -eps * (plant.g(x).T @ grad)
 
 
-@functools.lru_cache(maxsize=None)
-def _vertex_signs(n: int) -> np.ndarray:
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    signs.setflags(write=False)
-    return signs
-
-
-def _probe_points(x: np.ndarray, t: float, bx: float, bt: float, rng: np.random.Generator) -> np.ndarray:
-    """One round's guard rows: the late vertices (x +- bx, t + bt) of the box
-    B(x, bx) x [t, t + bt], all 2^n of them up to n = 9 and above that
-    ``_VERTEX_CAP`` sign patterns drawn from ``rng``."""
-    n = x.shape[0]
+def _probe_points(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One round's guard rows as sign patterns (V, n): the late vertices
+    (x +- bx, t + bt) of the box B(x, bx) x [t, t + bt] are x + s * bx at
+    t + bt for the rows s.  All 2^n of them up to n = 9 (the cached
+    ``kernels.vertex_signs``, nothing drawn), above that ``_VERTEX_CAP``
+    patterns drawn from ``rng``."""
     if 2**n <= _VERTEX_CAP:
-        signs = _vertex_signs(n)
-    else:
-        signs = rng.choice((-1.0, 1.0), size=(_VERTEX_CAP, n))
-    pts = np.empty((signs.shape[0], n + 1))
-    pts[:, :-1] = x + signs * bx
-    pts[:, -1] = t + bt
-    return pts
+        return vertex_signs(n)
+    return rng.choice((-1.0, 1.0), size=(_VERTEX_CAP, n))
 
 
 def _latin_hypercube(dims: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` points in [0, 1]^dims drawn from ``rng``, one per 1/count
     stratum of every coordinate: per coordinate, a random permutation of
     the strata plus a uniform offset inside each."""
-    strata = np.broadcast_to(np.arange(count, dtype=float)[:, None], (count, dims))
-    unit = rng.permuted(strata, axis=0)
+    # Permuting the contiguous rows of (dims, count) strata draws what
+    # permuting the columns of (count, dims) would, and is faster.
+    strata = np.broadcast_to(np.arange(count, dtype=float), (dims, count))
+    unit = rng.permuted(strata, axis=1).T
     unit += rng.random((count, dims))
     unit /= count
     return unit
@@ -173,7 +163,8 @@ def compute_trigger_radius(
     inside (-1 + 1e-3, -1e-3) over it, so the law Jacobian is finite
     there; boxes and radii below ``_DELTA_FLOOR`` raise
     TriggerFloorError.  Each round first reads xi at the box's late
-    vertices (``_probe_points``, ``kernels.band_holds``).  Every leaf is
+    vertices (``_probe_points``, ``kernels.band_holds``, which reads each
+    leaf at its own support's corners).  Every leaf is
     concave and gamma never increases, so the lowest xi over the box sits
     at one of them: for n <= 9, where all 2^n are read, a box that passes
     cannot leave the band at its bottom.  Only then does the round draw
@@ -191,7 +182,7 @@ def compute_trigger_radius(
     eta = smoothing.eta
     bx, bt = tc.delta_x0, tc.delta_t0
     while True:
-        if band_holds(_probe_points(x_i, t_i, bx, bt, rng), psi, fp, eta):
+        if band_holds(x_i, bx, t_i + bt, _probe_points(x_i.shape[0], rng), psi, fp, eta):
             pts = _latin_hypercube(x_i.shape[0] + 1, _SAMPLE_COUNT, rng)
             pts[:, :-1] = x_i + (2.0 * pts[:, :-1] - 1.0) * bx
             pts[:, -1] = t_i + pts[:, -1] * bt

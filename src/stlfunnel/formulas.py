@@ -40,13 +40,31 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class NonTemporalFormula:
-    """Conjunction of predicate leaves."""
+    """Conjunction of predicate leaves.
+
+    Equal leaves compare equal, as for any dataclass.  The hash, which
+    the kernels' per-formula caches look up on every call, is computed
+    once from the leaves and kept on the instance; it stays out of
+    pickles, since string hashes differ between interpreters.
+    """
 
     leaves: tuple[PredicateSpec, ...]
 
     def __post_init__(self) -> None:
         if not self.leaves:
             raise FormulaError("empty conjunction")
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(self.leaves)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def min_dim(self) -> int:

@@ -23,6 +23,14 @@ entry points over that form:
   probe rows), the held-input audit after the loop (``u_xi_batch``,
   batched per phase), ``law_jacobian_batch`` and ``exact_psi_batch``.
 
+The trigger radius's two passes work leaf by leaf, since a leaf reads
+only its support S_i, the few coordinates it selects.  ``band_holds``
+reads each leaf at the 2^|S_i| corners of its own support and gathers
+those values to every late vertex of the box (``_vertex_plan``), and
+the law Jacobian builds the leaf curvature in slot space, one W x W
+block per leaf, mapped to (n, n) by the cached nonzero terms of one
+linear map (``_slot_map``).
+
 Both paths add in one order.  Leaf slots and softmin weights are summed
 one term after another, without BLAS: the pointwise loop in plain
 floats, the read-out one slice after another (``_add_up``): numpy's
@@ -43,6 +51,7 @@ team's g^T is written once, as per-agent columns (``_omni_columns``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -62,6 +71,7 @@ __all__ = [
     "u_xi_batch",
     "law_jacobian_batch",
     "rho_rows",
+    "vertex_signs",
     "band_holds",
     "law_row_sums",
     "exact_psi_batch",
@@ -309,7 +319,6 @@ class _LeafMaps(NamedTuple):
     c: np.ndarray  # (L, W, 1) ball centres
     lin: np.ndarray  # (L, W, 1) derivative of an affine read-out w.r.t. r_i
     grad: np.ndarray  # (n, L * W) -A_i^T side by side
-    ata: np.ndarray  # (n * n, L) A_i^T A_i, one column per leaf
     norm: np.ndarray  # (L, 1) ball or join
     csts: np.ndarray  # (L, 1)
 
@@ -353,7 +362,6 @@ def _leaf_maps(psi: NonTemporalFormula, n: int) -> _LeafMaps:
     maps = _LeafMaps(
         ia=ia, ib=ib, a=a[:, :, None], b=b[:, :, None], c=c[:, :, None], lin=lin[:, :, None],
         grad=A.reshape(L * W, n).T.copy(),
-        ata=(A.transpose(0, 2, 1) @ A).reshape(L, n * n).T.copy(),
         norm=np.array([[leaf[0] != 0] for leaf in table]),
         csts=np.array([[leaf[4]] for leaf in table]),
     )
@@ -433,13 +441,18 @@ class _Readout(NamedTuple):
     decay: np.ndarray  # (P,) its decaying part (gamma0 - gamma_inf) * exp(-l * T)
 
 
+def _funnel_width(T, fp) -> tuple:
+    """gamma(T) and its decaying part (gamma0 - gamma_inf) * exp(-l * T) at times T."""
+    pf = fp.perf
+    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
+    return decay + pf.gamma_inf, decay
+
+
 def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout:
     """Leaf read-out, softmin weights and funnel error at every row of X at times T."""
     r, nd, h = _leaf_readout(X, psi)
     rho, w = _softmin(h, eta)
-    pf = fp.perf
-    decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
-    gamma = decay + pf.gamma_inf
+    gamma, decay = _funnel_width(T, fp)
     return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
 
 
@@ -462,24 +475,65 @@ def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> 
     return unit, w * inv_nd, q
 
 
+class _SlotMap(NamedTuple):
+    """The map from per-leaf slot blocks to the (n, n) curvature, kept as its nonzero terms."""
+
+    cols: np.ndarray  # (D, R) flat (i, k, l) block entry of each entry's d-th term
+    coef: np.ndarray  # (D, R, 1) its weight A_i[k, a] * A_i[l, b]; 0 past an entry's last term
+    rows: np.ndarray  # (R,) flat (a, b) entries that receive terms
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_map(psi: NonTemporalFormula, n: int) -> _SlotMap:
+    """The map that takes per-leaf slot blocks B_i (W, W) to
+    sum_i A_i^T B_i A_i (n, n): entry (a, b) adds A_i[k, a] * A_i[l, b]
+    * B_i[k, l] over i, k and l.
+
+    Row k of A_i reads one state, or two for a join, so almost every
+    weight is zero (31 of 2268 on the bundled phase 1, at most two per
+    entry).  Only the R entries with a nonzero weight are kept, each with
+    its terms stacked in D layers.  Cached per formula and state size,
+    apart from ``_leaf_maps`` because only the Jacobian needs it.
+    """
+    mp = _leaf_maps(psi, n)
+    G = mp.grad.reshape(n, *mp.ia.shape)  # G[:, i, k] = -(row k of A_i)
+    dense = np.einsum("aik,bil->abikl", G, G).reshape(n * n, -1)
+    entry, block = np.nonzero(dense)
+    rows, first, count = np.unique(entry, return_index=True, return_counts=True)
+    layer = np.arange(len(entry)) - np.repeat(first, count)
+    at = (layer, np.repeat(np.arange(len(rows)), count))
+    cols = np.zeros((count.max(initial=0), len(rows)), dtype=np.intp)
+    coef = np.zeros(cols.shape + (1,))
+    cols[at] = block
+    coef[at + (0,)] = dense[entry, block]
+    sm = _SlotMap(cols, coef, rows)
+    for arr in sm:
+        arr.setflags(write=False)
+    return sm
+
+
 def _hessian_form(
     unit: np.ndarray, q: np.ndarray, leaf_coef: np.ndarray, grad_coef: np.ndarray,
-    ata_coef: np.ndarray, mp: _LeafMaps,
+    ata_coef: np.ndarray, sm: _SlotMap,
 ) -> np.ndarray:
     """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (n, n, P).
 
-    The leaf gradients q_i = -A_i^T unit_i and the softmin
-    gradient q stack into one (L + 1, n, P) array, so all outer products
-    form in one contraction; the A_i^T A_i term is one matrix product.
+    With q_i = -A_i^T unit_i, the leaf terms are sum_i A_i^T B_i A_i for
+    the slot-space blocks B_i = leaf_coef_i unit_i unit_i^T + ata_coef_i I
+    (W, W per row), which ``_slot_map``'s terms add into the dense q q^T
+    term.  The map is applied by gathering its nonzero terms, not as one
+    dense matrix product: at its 1-2 % fill a BLAS product of the whole
+    map measured slower inside an episode and slowed the held-row code
+    run after it.
     """
     L, W, P = unit.shape
     n = q.shape[0]
-    grads = np.empty((L + 1, n, P))
-    np.matmul(mp.grad.reshape(n, L, W).transpose(1, 0, 2), unit, out=grads[:L])
-    grads[L] = q
-    coef = np.concatenate([leaf_coef, grad_coef[None]])
-    out = np.einsum("kap,kbp->abp", grads * coef[:, None, :], grads)
-    out += (mp.ata @ ata_coef).reshape(n, n, P)
+    blocks = unit[:, :, None, :] * (unit * leaf_coef[:, None, :])[:, None, :, :]
+    blocks.reshape(L, W * W, P)[:, :: W + 1] += ata_coef[:, None, :]  # the diagonals
+    terms = blocks.reshape(L * W * W, P)[sm.cols]
+    terms *= sm.coef
+    out = (grad_coef * q)[:, None, :] * q
+    out.reshape(n * n, P)[sm.rows] += terms.sum(axis=0)
     return out
 
 
@@ -557,9 +611,9 @@ def law_jacobian_batch(
 
         sum_i w_i H_i - eta * (sum_i w_i q_i q_i^T - q q^T).
 
-    With w_i H_i = curv_i (q_i q_i^T - A_i^T A_i), all outer products
-    collect into one contraction over the leaf gradients with q
-    appended.  The omni team applies g^T per agent as 3x3 blocks and adds
+    With w_i H_i = curv_i (q_i q_i^T - A_i^T A_i), the leaf terms are
+    built in slot space (``_hessian_form``) and the q q^T terms added
+    densely.  The omni team applies g^T per agent as 3x3 blocks and adds
     the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
     (-1, 0) are not finite.  The results are views of arrays stored
     rows-last.
@@ -571,7 +625,8 @@ def law_jacobian_batch(
     xi = ro.xi
     eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
-        unit, q, -eps * (curv - eta * ro.w), -(eps * eta + slope / ro.gamma), eps * curv, mp
+        unit, q, -eps * (curv - eta * ro.w), -(eps * eta + slope / ro.gamma), eps * curv,
+        _slot_map(psi, n),
     )
     m_t = -(slope * xi * fp.perf.l * ro.decay / ro.gamma) * q
     if plant.gbase is None:
@@ -590,10 +645,77 @@ def _in_band(xi: np.ndarray) -> bool:
     return bool(-1.0 + 1e-3 < xi.min() and xi.max() < -1e-3)
 
 
-def band_holds(pts: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> bool:
-    """Whether xi stays in the band of ``_in_band`` at every row (x, t) of pts,
-    from leaf values and the soft minimum alone (no gradients)."""
-    return _in_band(_readout(pts[:, :-1], pts[:, -1], psi, fp, eta).xi)
+@functools.lru_cache(maxsize=None)
+def vertex_signs(n: int) -> np.ndarray:
+    """All 2^n sign patterns of an n-dimensional box's vertices, in
+    ``itertools.product`` order: coordinate j is +1 in row v when bit
+    n - 1 - j of v is set."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    signs.setflags(write=False)
+    return signs
+
+
+class _VertexPlan(NamedTuple):
+    """Which sign rows the vertex guard reads, and where each leaf's value
+    at every vertex comes from."""
+
+    pick: np.ndarray  # (R,) sign rows read: each leaf's corners, leaf after leaf
+    gather: np.ndarray  # (L, V) flat index of leaf i's value at vertex v in the (L, R) leaf values
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_plan(psi: NonTemporalFormula, n: int, count: int) -> _VertexPlan:
+    """The guard's plan for ``count`` sign rows of an n-dimensional box.
+
+    Leaf i reads only its support S_i, the coordinates it selects (join
+    partners included), so its value at a vertex depends only on the
+    vertex's signs there: it takes 2^|S_i| values, one per corner of its
+    own support.  With all 2^n patterns in ``vertex_signs`` order, leaf
+    i's corner c is the vertex with signs c on S_i and -1 elsewhere, and
+    vertex v takes leaf i's value at the corner that matches v's signs
+    on S_i.  Where those corners would number ``count`` or more, or the
+    rows are a sample (``count`` < 2^n), every row is read and each leaf
+    gathers its own values unchanged.  Cached per formula, n and count.
+    """
+    table = compile_leaf_table(psi)
+    supports = [sorted(set(sel + sel_b)) for _, sel, sel_b, _, _ in table]
+    reads = sum(2 ** len(s) for s in supports)
+    if count < 2**n or reads >= count:
+        pick = np.arange(count)
+        gather = np.arange(len(table) * count).reshape(len(table), count)
+    else:
+        positive = vertex_signs(n) > 0.0
+        picks, gather = [], []
+        for i, support in enumerate(supports):
+            code = positive[:, support] @ (1 << np.arange(len(support)))
+            base = ~np.delete(positive, support, axis=1).any(axis=1)
+            corner = np.empty(2 ** len(support), dtype=np.intp)
+            corner[code[base]] = np.flatnonzero(base)
+            gather.append(i * reads + len(picks) + code)
+            picks.extend(corner)
+        pick, gather = np.array(picks, dtype=np.intp), np.array(gather)
+    pick.setflags(write=False)
+    gather.setflags(write=False)
+    return _VertexPlan(pick, gather)
+
+
+def band_holds(
+    x: np.ndarray, bx: float, t: float, signs: np.ndarray, psi: NonTemporalFormula, fp, eta: float
+) -> bool:
+    """Whether xi stays in the band of ``_in_band`` at every late vertex
+    (x + s * bx, t) for the rows s of ``signs`` (V, n), from leaf values
+    and the soft minimum alone (no gradients).
+
+    ``signs`` holds all 2^n patterns in ``vertex_signs`` order or a
+    sample of them.  Each leaf is read at the corners of its own support
+    (``_vertex_plan``) and its values gathered to every vertex; those are
+    the same x +- bx floats and read-out arithmetic as a read-out of every
+    vertex, so the leaf values and the verdict are bitwise that read-out's.
+    """
+    plan = _vertex_plan(psi, x.shape[0], signs.shape[0])
+    h = np.take(_leaf_readout(x + signs[plan.pick] * bx, psi)[2], plan.gather)
+    h_min, _, z = _weights(h, eta)
+    return _in_band((h_min - np.log(z) / eta - fp.rho_max) / _funnel_width(t, fp)[0])
 
 
 def law_row_sums(pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float) -> np.ndarray | None:

@@ -233,14 +233,14 @@ def _keep_freed_heap() -> None:
 
     Every event's trigger radius allocates and frees about 0.8 MB of
     numpy temporaries at n = 9 (``tracemalloc`` peak of one radius at the
-    bundled scenario's start: 512 late vertices, then 256 hypercube rows
-    and the Jacobian pass over them).  glibc hands freed memory at the
-    top of its heap back to the kernel once it exceeds a trim threshold
-    that tracks the largest block freed so far, so without a pad every
-    event faults those pages in again: on rendezvous3 at seeds 3-5,
-    6.2e4-6.4e4 minor faults per episode (``ru_minflt``) against 2.8e3
-    with the pad, and 1.23-1.37 s against 0.83-1.16 s (one run each,
-    2-core shared host).  patrol2d (n = 2) is flat.
+    bundled scenario's start, set by the Jacobian pass over 256 hypercube
+    rows; the vertex guard reads 34 corner rows).  glibc hands freed
+    memory at the top of its heap back to the kernel once it exceeds a
+    trim threshold that tracks the largest block freed so far, so without
+    a pad every event faults those pages in again: on rendezvous3 at
+    seeds 3-5, 7.2e4-7.3e4 minor faults per episode (``ru_minflt``)
+    against 2.1e3 with the pad, and 0.76-1.14 s against 0.65-0.75 s (one
+    run each, 2-core shared host).  patrol2d (n = 2) is flat.
     A no-op where the C library has no ``mallopt``.
     """
     if sys.platform.startswith("linux"):

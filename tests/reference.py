@@ -1,4 +1,4 @@
-"""A per-sample episode loop, kept only as the tests' reference.
+"""Earlier forms of the package's code, kept only as the tests' references.
 
 ``run_episode_per_sample`` takes one Python iteration per sample: it
 reads rho at the state (``smooth_rho_grad``'s value), checks the funnel,
@@ -7,6 +7,12 @@ noise draw.  ``sim.run_episode``, which handles the held rows between
 events as blocks, must reproduce it bitwise: logs, events, metrics and
 the generator state at the end.  It returns the generator it drew from
 as a fourth item.
+
+``hessian_form_stacked`` is the law Jacobian's curvature form over the
+stacked leaf gradients, which ``kernels._hessian_form`` builds in slot
+space; ``latin_hypercube_columns`` draws the radius's hypercube by
+permuting the columns of a (count, dims) array, which
+``controller._latin_hypercube`` draws from contiguous rows.
 """
 
 from __future__ import annotations
@@ -158,3 +164,34 @@ def run_episode_per_sample(spec):
         x = step_rk4(plant, x, u_held, w, dt)
         jumped = False
         k += 1
+
+
+def hessian_form_stacked(unit, q, leaf_coef, grad_coef, ata_coef, grad):
+    """sum_i leaf_coef_i q_i q_i^T + grad_coef q q^T + sum_i ata_coef_i A_i^T A_i: (n, n, P).
+
+    ``grad`` is ``_leaf_maps``'s (n, L * W) map of the -A_i^T side by side.
+    The leaf gradients q_i = -A_i^T unit_i and q stack into one
+    (L + 1, n, P) array whose outer products form in one contraction;
+    the A_i^T A_i term is one matrix product.
+    """
+    L, W, P = unit.shape
+    n = q.shape[0]
+    G = grad.reshape(n, L, W).transpose(1, 0, 2)
+    grads = np.empty((L + 1, n, P))
+    np.matmul(G, unit, out=grads[:L])
+    grads[L] = q
+    coef = np.concatenate([leaf_coef, grad_coef[None]])
+    out = np.einsum("kap,kbp->abp", grads * coef[:, None, :], grads)
+    ata = (G @ G.transpose(0, 2, 1)).reshape(L, n * n).T
+    out += (ata @ ata_coef).reshape(n, n, P)
+    return out
+
+
+def latin_hypercube_columns(dims, count, rng):
+    """``count`` Latin hypercube points in [0, 1]^dims: the strata permuted
+    per column of a (count, dims) array, plus a uniform offset in each."""
+    strata = np.broadcast_to(np.arange(count, dtype=float)[:, None], (count, dims))
+    unit = rng.permuted(strata, axis=0)
+    unit += rng.random((count, dims))
+    unit /= count
+    return unit

@@ -1,5 +1,6 @@
 """Feedback law, analytic Jacobians, trigger radii, and hold rules."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
+from stlfunnel.predicates import ball
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
 from conftest import PSI1_TEXT, flipped, random_concave_psi
@@ -204,6 +206,12 @@ def _box_rows(x, t, bx, bt, count, rng):
     return np.column_stack([x + (2.0 * unit[:, :-1] - 1.0) * bx, t + unit[:, -1] * bt])
 
 
+def _late_vertices(x, t, bx, bt, rng):
+    """A round's late vertices as rows (x + s * bx, t + bt) over the sign rows s of ``_probe_points``."""
+    signs = _probe_points(x.shape[0], rng)
+    return np.column_stack([x + signs * bx, np.full(signs.shape[0], t + bt)])
+
+
 def _all_corners(x, t, bx, bt):
     """All 2^(n+1) corners of the box B(x, bx) x [t, t + bt]."""
     dims = x.shape[0] + 1
@@ -252,7 +260,7 @@ def test_law_row_sums_match_fd_omni(rng):
         x = base + rng.uniform(-2.0, 2.0, 9)
         x[2::3] = rng.uniform(0.0, 360.0, 3)
         t = float(rng.uniform(0.0, 6.0))
-        boxes += [_box_rows(x, t, 1.0, 1.0, 32, rng), _probe_points(x, t, 1.0, 1.0, rng)]
+        boxes += [_box_rows(x, t, 1.0, 1.0, 32, rng), _late_vertices(x, t, 1.0, 1.0, rng)]
     pts = np.vstack(boxes)
     _assert_in_funnel(pts, psi, fp, plant, sm)
     rows = law_row_sums(pts, psi, fp, plant, sm.eta)
@@ -472,20 +480,16 @@ def test_latin_hypercube_probes_stratify_the_box(count):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 12])
-def test_probe_points_are_the_late_vertices(rng, n):
-    # A round's guard rows sit at t + bt with every state coordinate at
-    # x_j +- bx: all 2^n sign patterns, drawing nothing from the rng, up to
-    # n = 9, and above that 512 patterns drawn from it.
-    x = rng.uniform(-5.0, 5.0, n)
-    t = float(rng.uniform(0.0, 3.0))
-    bx, bt = rng.uniform(0.01, 1.0, 2)
+def test_probe_points_are_the_late_vertices(n):
+    # A round's guard rows are the sign patterns of the late vertices
+    # (x +- bx, t + bt): all 2^n of them in product order, drawing nothing
+    # from the rng, up to n = 9, and above that 512 patterns drawn from it.
     draw, fresh = np.random.default_rng(3), np.random.default_rng(3)
-    pts = _probe_points(x, t, bx, bt, draw)
-    assert np.all(pts[:, -1] == t + bt)
-    signs = np.sign(pts[:, :-1] - x)
-    np.testing.assert_allclose(pts[:, :-1], x + signs * bx, rtol=0.0, atol=1e-12)
+    signs = _probe_points(n, draw)
+    assert signs.shape[1] == n and set(np.unique(signs)) == {-1.0, 1.0}
     if n <= 9:
-        assert pts.shape[0] == 2**n == len({tuple(row) for row in signs})
+        assert signs.shape[0] == 2**n == len({tuple(row) for row in signs})
+        assert signs.tolist() == [list(s) for s in itertools.product((-1.0, 1.0), repeat=n)]
         assert draw.bit_generator.state == fresh.bit_generator.state
     else:
         np.testing.assert_array_equal(signs, fresh.choice((-1.0, 1.0), size=(512, n)))
@@ -521,8 +525,9 @@ def test_vertex_check_is_sound(rng, n):
         fp = FunnelParams(t_star=1.0, r=0.5 * rho_max, rho_max=rho_max,
                           perf=PerformanceFunction(gamma0=gamma0, gamma_inf=gamma_inf, l=l))
         bx, bt = 10.0 ** rng.uniform(-3.0, 1.3, 2)
-        vertices = _probe_points(x, t, bx, bt, rng)
-        holds = band_holds(vertices, psi, fp, sm.eta)
+        signs = _probe_points(n, rng)
+        vertices = np.column_stack([x + signs * bx, np.full(2**n, t + bt)])
+        holds = band_holds(x, bx, t + bt, signs, psi, fp, sm.eta)
         assert holds == (law_row_sums(vertices, psi, fp, plant, sm.eta) is not None)
         if not holds:
             refused += 1
@@ -532,6 +537,75 @@ def test_vertex_check_is_sound(rng, n):
         pts = np.vstack([_all_corners(x, t, bx, bt), inside])
         assert np.all(_readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi > -1.0 + 1e-3)
     assert accepted >= 10 and refused >= 10
+
+
+def _full_vertex_verdict(x, bx, t, signs, psi, fp, eta):
+    """The guard's leaf values (L, V) and verdict from a read-out of every late vertex."""
+    X = x + signs * bx
+    xi = _readout(X, np.full(signs.shape[0], t), psi, fp, eta).xi
+    return _leaf_readout(X, psi)[2], bool(-1.0 + 1e-3 < xi.min() and xi.max() < -1e-3)
+
+
+def _corner_values(x, bx, signs, psi):
+    """The guard's leaf values (L, V): each leaf read at its own support's corners, then gathered."""
+    plan = kernels._vertex_plan(psi, x.shape[0], signs.shape[0])
+    return np.take(_leaf_readout(x + signs[plan.pick] * bx, psi)[2], plan.gather), plan
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_corner_plan_is_bitwise_the_full_vertex_readout(rng, n):
+    # band_holds reads each leaf at the 2^|S_i| corners of its own support
+    # and gathers its values to all 2^n late vertices: the leaf values are
+    # bitwise those of a read-out of every vertex, and so is the verdict.
+    # Random conjunctions of ball, join, aff and ``not aff`` leaves, every
+    # other one with a leaf that reads all n coordinates (the plan then
+    # reads every vertex), in funnels that accept and refuse boxes.
+    sm = SmoothingConfig(eta=1.0)
+    verdicts, sparse = [], 0
+    for k in range(40):
+        leaves = [flipped(leaf) if leaf.kind == "affine" and rng.random() < 0.5 else leaf
+                  for leaf in random_concave_psi(rng, n).leaves]
+        if k % 2:
+            leaves.append(ball(tuple(range(n)), tuple(rng.uniform(-5.0, 5.0, n)), 30.0))
+        psi = NonTemporalFormula(leaves=tuple(leaves))
+        x = rng.uniform(-6.0, 6.0, n)
+        bx = float(10.0 ** rng.uniform(-3.0, 0.5))
+        signs = _probe_points(n, rng)
+        got, plan = _corner_values(x, bx, signs, psi)
+        want = _leaf_readout(x + signs * bx, psi)[2]
+        assert got.tobytes() == want.tobytes()
+        sparse += plan.pick.shape[0] < 2**n
+        if k % 2:
+            assert plan.pick.shape[0] == 2**n
+        # A funnel whose lower wall sits inside the vertices' rho range.
+        rho = kernels._softmin(want, sm.eta)[0]
+        rho_max = max(float(rho.max()), 0.0) + 0.1
+        fp = _flat_funnel(rho_max, float(rng.uniform(0.6, 1.6)) * (rho_max - float(rho.min())))
+        _, holds = _full_vertex_verdict(x, bx, 1.0, signs, psi, fp, sm.eta)
+        assert band_holds(x, bx, 1.0, signs, psi, fp, sm.eta) == holds
+        verdicts.append(holds)
+    assert True in verdicts and False in verdicts
+    assert sparse > 0 or n <= 2
+
+
+def test_corner_plan_reads_fewer_rows_and_samples_read_all():
+    # The bundled phase 1 (n = 9, seven leaves of at most four coordinates)
+    # reads 34 corner rows in place of 512 vertices; omni4's n = 12 round
+    # reads its 512 sampled patterns as they are, with the same verdicts.
+    x, t, psi, *_ = _bundled_phase1_case()
+    assert kernels._vertex_plan(psi, 9, 512).pick.shape == (34,)
+    x, t, psi, fp, _, _, sm = _omni4_case()
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for bx in 0.5 ** np.arange(0, 8):
+        signs = _probe_points(12, rng)
+        got, plan = _corner_values(x, bx, signs, psi)
+        want, holds = _full_vertex_verdict(x, bx, t + bx, signs, psi, fp, sm.eta)
+        assert plan.pick.tolist() == list(range(512))
+        assert got.tobytes() == want.tobytes()
+        assert band_holds(x, bx, t + bx, signs, psi, fp, sm.eta) == holds
+        verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_law_row_sums_refuse_rows_outside_the_band():

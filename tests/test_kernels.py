@@ -1,10 +1,12 @@
 """The batch read-out, the plain-float pointwise loop and the reference law agree."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from stlfunnel import kernels
-from stlfunnel.controller import continuous_law
+from stlfunnel.controller import _latin_hypercube, continuous_law
 from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
@@ -12,6 +14,7 @@ from stlfunnel.plants import omni_robot_team, single_integrator
 from stlfunnel.predicates import affine, ball, join
 
 from conftest import PSI1_TEXT, flipped, random_concave_psi
+from reference import hessian_form_stacked, latin_hypercube_columns
 
 
 def _funnel(rho_max, gamma0, gamma_inf, l):
@@ -166,3 +169,65 @@ def test_value_is_bitwise_the_gradient_paths_value(rng):
     xs = [1e300, 1e300]
     rho = kernels.rho_rows(np.array([xs]), psi, 1.0)[0]
     assert rho == -np.inf and rho == kernels.smooth_rho_grad(kernels.compile_leaf_table(psi), xs, 1.0)[0]
+
+
+@pytest.mark.parametrize("kind", ["integrator", "omni"])
+def test_slot_space_curvature_matches_stacked_form(rng, monkeypatch, kind):
+    # _hessian_form builds the leaf curvature as sum_i A_i^T B_i A_i with
+    # W x W slot blocks B_i, through one cached map; the earlier form
+    # contracted the stacked leaf gradients.  Both agree to rounding, on
+    # random blocks and through the law Jacobian, with selectors that
+    # repeat within a ball and a join.
+    if kind == "omni":
+        plant = omni_robot_team(3, input_gain=40.0)
+        psi = parse_psi(PSI1_TEXT + " and join(0,0;3,3;60) and ball(4,4;50,50;90)")
+    else:
+        plant = single_integrator(4, gain=1.7)
+        psi = parse_psi("ball(0,0;1,1;3) and join(0,0;1,1;3) and ball(0,1;1,2;4) "
+                        "and aff(0.5,-0.25,0,1;3) and not aff(0,0,2,0.5;-9) and join(2,3;0,1;8)")
+    n = plant.n
+    mp = kernels._leaf_maps(psi, n)
+    L, W = mp.ia.shape
+    P = 33
+    args = (rng.normal(size=(L, W, P)), rng.normal(size=(n, P)), rng.normal(size=(L, P)),
+            rng.normal(size=P), rng.normal(size=(L, P)))
+    got = kernels._hessian_form(*args, kernels._slot_map(psi, n))
+    want = hessian_form_stacked(*args, mp.grad)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * float(np.abs(want).max()))
+
+    x = rng.uniform(0.0, 90.0, n) if kind == "omni" else rng.uniform(-2.0, 2.0, n)
+    pts = np.column_stack([x + rng.uniform(-1.0, 1.0, (P, n)), rng.uniform(0.0, 3.0, P)])
+    fp = _band_funnel(rng, pts, psi, 1.0)
+    new = kernels.law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, 1.0)
+    monkeypatch.setattr(kernels, "_hessian_form",
+                        lambda *a: hessian_form_stacked(*a[:-1], mp.grad))
+    old = kernels.law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, 1.0)
+    for got, want in zip(new, old):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * float(np.abs(want).max()))
+
+
+def test_latin_hypercube_draws_what_the_column_form_drew():
+    # Permuting the rows of (dims, count) strata gives bitwise the points
+    # and the generator state of permuting the columns of (count, dims).
+    for dims in range(1, 14):
+        for count in (1, 2, 64, 100, 256):
+            for seed in (0, 7, 2**32 - 1):
+                new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _latin_hypercube(dims, count, new)
+                want = latin_hypercube_columns(dims, count, old)
+                assert got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+                assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_formula_hash_is_kept_and_equality_unchanged():
+    # The per-formula caches hash a conjunction on every lookup; it hashes
+    # its leaves once.  Equal leaves still compare and hash equal, an equal
+    # formula finds the same cache entry, and a pickle carries no hash.
+    psi, same = parse_psi(PSI1_TEXT), parse_psi(PSI1_TEXT)
+    assert psi is not same and psi == same and hash(psi) == hash(same) == hash(psi.leaves)
+    assert psi != parse_psi("ball(0;0;1)")
+    assert kernels._leaf_maps(same, 9) is kernels._leaf_maps(psi, 9)
+    assert "_hash" in vars(psi)
+    copy = pickle.loads(pickle.dumps(psi))
+    assert "_hash" not in vars(copy) and copy == psi and hash(copy) == hash(psi)
