@@ -29,10 +29,13 @@ hypercube rows rise above the upper wall.  The hypercube refusals
 (``law_row_sums`` returning None inside the radius loop) are counted
 over all radii, printed per side and compared too.
 
-Per workload and seed, or per kernel, it prints "bitwise" or the first
-field that differs and its max relative difference, and it exits 1 when
-anything differs.  It checks changes meant to keep behaviour; it is not
-a test.
+Per workload and seed, or per kernel, it prints "bitwise" or how many
+fields differ, then one line for each differing field: its max relative
+difference, or its shapes, or, for text and integers, the count of
+differing entries and the first of them.  It exits 1 when anything
+differs.  The noise is a function of (seed, step), so a change to what
+the trigger radius draws moves no noise row.  It checks changes meant
+to keep behaviour; it is not a test.
 """
 
 from __future__ import annotations
@@ -216,20 +219,29 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(rel, initial=0.0))
 
 
-def _first_difference(parent: dict, change: dict) -> str | None:
-    """The first field whose bits differ between the sides, with its max relative difference."""
+def _differences(parent: dict, change: dict) -> list[str]:
+    """Every field whose bits differ between the sides, each with what differs."""
+    found = []
     for name in list(parent) + [k for k in change if k not in parent]:
         if name not in parent or name not in change:
-            return f"{name}: only in the {'parent' if name in parent else 'change'}"
+            found.append(f"{name}: only in the {'parent' if name in parent else 'change'}")
+            continue
         a, b = parent[name], change[name]
         if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
             continue
-        if a.dtype.kind == b.dtype.kind == "f" and a.shape == b.shape:
-            return f"{name}: max relative difference {_max_rel(a, b):.3g}"
         if a.shape != b.shape:
-            return f"{name}: shape {a.shape} against {b.shape}"
-        return f"{name}: {str(a.ravel()[:1])[:80]} against {str(b.ravel()[:1])[:80]}"
-    return None
+            found.append(f"{name}: shape {a.shape} against {b.shape}")
+        elif a.dtype.kind == b.dtype.kind == "f":
+            found.append(f"{name}: max relative difference {_max_rel(a, b):.3g}")
+        else:
+            bad = np.flatnonzero(a.ravel() != b.ravel())
+            if bad.size:
+                i = int(bad[0])
+                found.append(f"{name}: {bad.size} of {a.size} differ, the first at {i}: "
+                             f"{str(a.ravel()[i])[:80]} against {str(b.ravel()[i])[:80]}")
+            else:
+                found.append(f"{name}: dtype {a.dtype} against {b.dtype}")
+    return found
 
 
 def _child(args) -> None:
@@ -284,10 +296,12 @@ def main(argv=None) -> int:
                 counts = [int(side[REFUSALS]["count"][0]) for side in sides]
                 print(f"{REFUSALS}: parent {counts[0]}, change {counts[1]}", flush=True)
             for group in list(sides[0]) + [g for g in sides[1] if g not in sides[0]]:
-                found = (_first_difference(sides[0][group], sides[1][group])
-                         if group in sides[0] and group in sides[1] else "only on one side")
-                differ += found is not None
-                print(f"{group}: {found or 'bitwise'}", flush=True)
+                found = (_differences(sides[0][group], sides[1][group])
+                         if group in sides[0] and group in sides[1] else ["only on one side"])
+                differ += bool(found)
+                print(f"{group}: {'bitwise' if not found else f'{len(found)} differ'}", flush=True)
+                for line in found:
+                    print(f"  {line}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 1 if differ else 0

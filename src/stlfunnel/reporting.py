@@ -1,4 +1,4 @@
-"""Episode output files: trajectory, event log, metrics, funnel plot data."""
+"""Episode output files: trajectory, event log and metrics."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "write_trajectory",
     "write_events",
     "write_metrics",
-    "write_funnel_data",
     "write_all",
     "read_trajectory",
 ]
@@ -97,28 +96,13 @@ def write_metrics(path: str | Path, metrics: RunMetrics) -> None:
             fh.write(line + "\n")
 
 
-def write_funnel_data(path: str | Path, traj: Trajectory, funnels: list[dict]) -> None:
-    """Plot-ready rows: robustness against its moving funnel walls per mode."""
-    bounds = {rec["mode"]: rec["rho_max"] for rec in funnels}
-    last_rho_max = funnels[-1]["rho_max"] if funnels else np.nan
-    m = traj.U.shape[1]
-    header = ["t", "mode", "rho_active", "lower", "upper"] + [f"u{j}" for j in range(m)]
-    # The terminal mode keeps the last funnel.
-    hi = np.array([bounds.get(int(q), last_rho_max) for q in traj.mode], dtype=float)
-    data = np.column_stack([traj.t, traj.mode, traj.rho_active, hi - traj.gamma, hi, traj.U])
-    np.savetxt(
-        path, data, fmt=[_FMT, "%d"] + [_FMT] * (len(header) - 2), delimiter=",",
-        header=",".join(header), comments="",
-    )
-
-
 def write_all(
     out_dir: str | Path,
     traj: Trajectory,
     events: list[TriggerEvent],
     metrics: RunMetrics,
 ) -> dict[str, Path]:
-    """Write the four episode artifacts into out_dir and return their paths."""
+    """Write the three episode artifacts into out_dir and return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = traj.X.shape[1]
@@ -127,12 +111,10 @@ def write_all(
         "trajectory": out / "trajectory.csv",
         "events": out / "events.csv",
         "metrics": out / "metrics.txt",
-        "funnel": out / "funnel.csv",
     }
     write_trajectory(paths["trajectory"], traj)
     write_events(paths["events"], events, n, m)
     write_metrics(paths["metrics"], metrics)
-    write_funnel_data(paths["funnel"], traj, metrics.funnels)
     return paths
 
 

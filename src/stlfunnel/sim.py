@@ -7,9 +7,10 @@ again in the new phase), ``should_trigger`` and, where the trigger fires,
 the law (``kernels.u_xi_eval``) and ``make_event``, which holds that
 input and adds the trigger radius.  The rows after it hold that input
 and form one block of K = floor(delta / dt) + 1 - (steps already held)
-rows, so MaxInterval fires at its last row at the latest:
+rows, so MaxInterval fires at its last row at the latest (fewer where the
+noise table ends, at or past the horizon row, which then fires):
 
-* its noise is drawn in one ``rng.uniform(-w, w, (K, n))`` call, and
+* its noise is rows k ... k + K - 1 of the episode's noise table, and
   ``step_rk4`` gives its K states under the exact zero-order-hold flow of
   dx/dt = g(x) u_held + w, each step holding its noise row;
 * the trigger and horizon tests run on every row (``trigger_rows``);
@@ -22,10 +23,13 @@ the cut are logged as one block and folded into the margin minima, and
 the cut row starts the next segment.  gamma (``gamma_at``, ``math.exp``)
 and the logarithm in rho's soft minimum (``math.log``) are taken per row
 in plain floats, because numpy's exp and log round differently on some
-inputs; so the segments reproduce a per-sample loop bitwise.  The
-generator is rewound to the cut: its state before the block's draw is
-restored and only the rows consumed are drawn again, so the next trigger
-radius draws what it would draw after a per-sample loop.
+inputs; so the segments reproduce a per-sample loop bitwise.
+
+The seed is split once into two independent streams.  The first draws
+the episode's noise table up front, int(horizon / dt) + 1 rows, row k the
+disturbance held from sample k to k + 1: the noise is a function of
+(seed, step) alone.  The second is the trigger radius's generator, so
+what the radius draws moves no noise row.
 
 A failure at a cut row logs it with a NaN input and ends the episode,
 at one site.  All clocks advance on an integer step counter so jump
@@ -258,13 +262,15 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     """
     _keep_freed_heap()
     t_start = time.perf_counter()
-    rng = np.random.default_rng(spec.seed)
     plant = spec.plant
-    n, w_max = plant.n, plant.w_max
+    n = plant.n
     smoothing = spec.seq_cfg.smoothing
     eta = smoothing.eta
     dt = spec.dt
     horizon = spec.resolved_horizon()
+    noise_seq, radius_seq = np.random.SeedSequence(spec.seed).spawn(2)
+    noise = np.random.default_rng(noise_seq).uniform(-plant.w_max, plant.w_max, (int(horizon / dt) + 1, n))
+    rng = np.random.default_rng(radius_seq)
     tail = spec.seq_cfg.terminal_tail
     x = np.array(spec.x0, dtype=float)
 
@@ -390,25 +396,23 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             return finish(None, None) if done else finish(f"horizon: mode {z.q} unfinished", t)
 
         # The segment: rows k + 1 ... k + K hold the event's input, up to the
-        # row where MaxInterval must fire.  Row 0 of the block is row k
-        # again.  The block is cut at its first row where the trigger test,
-        # the horizon test, the funnel test, the jump or deadline test or
-        # the terminal test fires; the rows before the cut are logged, and
-        # the cut row starts the next segment.  The tests that need rho run
-        # only up to the first row the trigger or the horizon cuts at.
-        held = k - event_steps[-1]
-        K = int(event.delta / dt) + 1 - held
-        rewind = rng.bit_generator.state
-        W = rng.uniform(-w_max, w_max, (K, n)) if w_max > 0 else np.zeros((K, n))
-        X = np.empty((K + 1, n))
+        # row where MaxInterval must fire, or to row len(noise), at or past
+        # the horizon row.  Row 0 of the block is row k again.  The block is
+        # cut at its first row where the trigger test, the horizon test, the
+        # funnel test, the jump or deadline test or the terminal test fires;
+        # the rows before the cut are logged, and the cut row starts the next
+        # segment.  The tests that need rho run only up to the first row the
+        # trigger or the horizon cuts at.
+        W = noise[k:event_steps[-1] + int(event.delta / dt) + 1]
+        X = np.empty((len(W) + 1, n))
         X[0] = x
         X[1:] = step_rk4(plant, x, event.u, W, dt)
-        ks = np.arange(k, k + K + 1)
+        ks = np.arange(k, k + len(W) + 1)
         T = ks * dt
         deviates, late = trigger_rows(X, ks - event_steps[-1], dt, event)
         fires = deviates | late | (T >= horizon - 1e-12)
         fires[0] = False
-        end = int(fires.argmax()) + 1  # MaxInterval fires at row K at the latest
+        end = int(fires.argmax()) + 1  # MaxInterval or the horizon fires at row K at the latest
         X, T = X[:end], T[:end]
         T_local = (ks[:end] - k_entry) * dt
         # gamma (math.exp) and rho's logarithm (math.log, in rho_rows) stay
@@ -425,9 +429,5 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         fires[0] = False
         cut = int(fires.argmax()) or end - 1
         log_rows(T[:cut], X[:cut], event.u, rhos[:cut], gams[:cut], xis[:cut])
-        if cut < K and w_max > 0:
-            # Give back the noise rows past the cut.
-            rng.bit_generator.state = rewind
-            rng.uniform(-w_max, w_max, (cut, n))
         x, rho_k, k = X[cut], float(raw[cut]), k + cut
         jumped = False

@@ -2,11 +2,11 @@
 
 ``run_episode_per_sample`` takes one Python iteration per sample: it
 reads rho at the state (``smooth_rho_grad``'s value), checks the funnel,
-the jump and the trigger, logs the row and steps the state with a fresh
-noise draw.  ``sim.run_episode``, which handles the held rows between
-events as blocks, must reproduce it bitwise: logs, events, metrics and
-the generator state at the end.  It returns the generator it drew from
-as a fourth item.
+the jump and the trigger, logs the row and steps the state with row k of
+the noise table that the seed's first stream draws.  ``sim.run_episode``,
+which handles the held rows between events as blocks, must reproduce it
+bitwise: logs, events, metrics and the radius stream's state at the end.
+It returns the radius's generator as a fourth item.
 
 ``hessian_form_stacked`` is the law Jacobian's curvature form over the
 stacked leaf gradients, which ``kernels._hessian_form`` builds in slot
@@ -35,12 +35,14 @@ from stlfunnel.sim import RunMetrics, Trajectory, _funnel_record, _input_deviati
 def run_episode_per_sample(spec):
     """(Trajectory, RunMetrics, events, generator) of ``spec``, one sample per iteration."""
     t_start = time.perf_counter()
-    rng = np.random.default_rng(spec.seed)
     plant = spec.plant
     smoothing = spec.seq_cfg.smoothing
     eta = smoothing.eta
     dt = spec.dt
     horizon = spec.resolved_horizon()
+    noise_seq, radius_seq = np.random.SeedSequence(spec.seed).spawn(2)
+    noise = np.random.default_rng(noise_seq).uniform(-plant.w_max, plant.w_max, (int(horizon / dt) + 1, plant.n))
+    rng = np.random.default_rng(radius_seq)
     x = np.array(spec.x0, dtype=float)
 
     rows_t, rows_x, rows_u, rows_rho, rows_gamma, rows_mode = [], [], [], [], [], []
@@ -160,8 +162,7 @@ def run_episode_per_sample(spec):
         if t >= horizon - 1e-12:
             return finish(f"horizon: mode {z.q} unfinished", t)
 
-        w = rng.uniform(-plant.w_max, plant.w_max, plant.n) if plant.w_max > 0 else np.zeros(plant.n)
-        x = step_rk4(plant, x, u_held, w, dt)
+        x = step_rk4(plant, x, u_held, noise[k], dt)
         jumped = False
         k += 1
 

@@ -30,8 +30,7 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(scn), "--out", str(out)])
     assert code == 0
-    for fname in ("trajectory.csv", "events.csv", "metrics.txt", "funnel.csv"):
-        assert (out / fname).is_file(), fname
+    assert sorted(f.name for f in out.iterdir()) == ["events.csv", "metrics.txt", "trajectory.csv"]
     text = capsys.readouterr().out
     assert "satisfied=true" in text
     # Each event names the term that set its radius, and metrics.txt
@@ -53,6 +52,22 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert fired and min(fired) > 1.0
     assert all(c[5] == "" for c in cells if c[2] in ("Initial", "ModeSwitch"))
     assert float(metrics["max_overshoot"]) == max(fired)
+
+
+def test_funnel_walls_rebuild_from_trajectory_and_metrics(tmp_path):
+    # The README's reconstruction: the upper wall is the mode's rho_max,
+    # the terminal mode keeping the last funnel's, the lower one that
+    # minus gamma, and a satisfied run's rho lies strictly between them.
+    two_phase = TOY_SCENARIO.replace('"F[0,3](ball(0;2;1.5))"', '"F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"')
+    scn = _write(tmp_path, two_phase + "terminal_tail: 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    tr = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+    rho_max = np.array([float(v) for k, v in (line.split("=", 1) for line in open(out / "metrics.txt"))
+                        if k.endswith(".rho_max")])
+    upper = rho_max[np.minimum(tr["mode"].astype(int), len(rho_max)) - 1]
+    assert len(rho_max) == 2 and set(tr["mode"].astype(int).tolist()) == {1, 2, 3}
+    assert np.all(upper - tr["gamma"] < tr["rho_active"]) and np.all(tr["rho_active"] < upper)
 
 
 def test_run_seed_and_dt_overrides(tmp_path):
@@ -138,7 +153,7 @@ def test_failure_before_first_sample_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "failure=synthesis: robustness at x0 is not finite (-inf)" in err
-    for fname in ("trajectory.csv", "events.csv", "metrics.txt", "funnel.csv"):
+    for fname in ("trajectory.csv", "events.csv", "metrics.txt"):
         assert (out / fname).is_file(), fname
     assert (out / "trajectory.csv").read_text().splitlines() == [
         "t,x0,u0,rho_active,gamma,mode"
@@ -146,7 +161,6 @@ def test_failure_before_first_sample_exits_three(tmp_path, capsys):
     assert (out / "events.csv").read_text().splitlines() == [
         "i,t_i,cause,delta_i,delta_by,overshoot,x0,u0"
     ]
-    assert (out / "funnel.csv").read_text().splitlines() == ["t,mode,rho_active,lower,upper,u0"]
     assert "satisfied=false" in (out / "metrics.txt").read_text()
 
 

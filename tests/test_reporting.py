@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from stlfunnel.reporting import read_trajectory, write_funnel_data, write_trajectory
+from stlfunnel.reporting import read_trajectory, write_trajectory
 from stlfunnel.sim import Trajectory
 
 
@@ -32,16 +32,3 @@ def test_trajectory_csv_golden_format(tmp_path):
     times, X = read_trajectory(path)
     assert times.tolist() == [0.0, 0.1, 0.2]
     assert X[0, 0] == float("%.12g" % (1.0 / 3.0))
-
-
-def test_funnel_csv_golden_format(tmp_path):
-    path = tmp_path / "funnel.csv"
-    funnels = [{"mode": 1, "rho_max": 2.5}]
-    write_funnel_data(path, _tiny_trajectory(), funnels)
-    # Mode 2 is terminal and keeps the last funnel's upper wall.
-    assert path.read_text() == (
-        "t,mode,rho_active,lower,upper,u0,u1\n"
-        "0,1,0.5,1.25,2.5,2,-1e+20\n"
-        "0.1,1,0.75,1.5,2.5,0.25,3\n"
-        "0.2,2,1,2,2.5,nan,nan\n"
-    )

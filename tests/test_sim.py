@@ -283,6 +283,31 @@ def test_different_seed_diverges():
     assert not np.array_equal(a[0].X, b[0].X)
 
 
+def test_radius_draws_move_no_noise_row(monkeypatch):
+    # The noise is a function of (seed, step) alone: a radius that draws a
+    # different number of values from its generator on each call leaves
+    # the run bitwise that of a fixed radius that draws none, and the same
+    # seed run twice gives the same bits.
+    spec = _toy_spec(plant=single_integrator(1, w_max=3.0), seed=0)
+
+    def run(draws):
+        calls = []
+
+        def radius(*args):
+            calls.append(args[-1].random(draws(len(calls))))
+            return 0.1, "box"
+
+        monkeypatch.setattr(controller, "compute_trigger_radius", radius)
+        return run_episode(spec), len(calls)
+
+    (fixed, _), (drawing, calls), (again, _) = run(lambda i: 0), run(lambda i: i % 5 + 1), run(lambda i: i % 5 + 1)
+    assert calls > 5
+    for traj, metrics, events in (drawing, again):
+        for f in dataclasses.fields(traj):
+            assert _same_bits(getattr(traj, f.name), getattr(fixed[0], f.name)), f.name
+        assert [(e.t, e.cause) for e in events] == [(e.t, e.cause) for e in fixed[2]]
+
+
 def test_resolved_horizon():
     assert _toy_spec(horizon=7.5).resolved_horizon() == 7.5
     spec = _toy_spec(seq_cfg=SequencerConfig(terminal_tail=0.5))
@@ -396,10 +421,10 @@ def test_spec_compares_by_identity():
 def _cut_specs():
     """Toy episodes named after the cut they reach, each with the failure it ends on
     (None for success) and an event cause it must log (None for any)."""
-    noisy = dict(theta=parse_formula("F[2,3](ball(0;2;1.5))"), seed=5)
+    noisy = dict(theta=parse_formula("F[2,3](ball(0;2;1.5))"), seed=0)
     nine = " and ".join(f"ball({i % 3};{2 + 0.1 * i:g};{3 + 0.2 * i:g})" for i in range(9))
     return {
-        "state_deviation": (_toy_spec(plant=single_integrator(1, w_max=3.0), seed=2), None, "StateDeviation"),
+        "state_deviation": (_toy_spec(plant=single_integrator(1, w_max=3.0), seed=0), None, "StateDeviation"),
         # The terminal tail outlasts a hold of exactly delta.
         "max_interval_and_tail": (_two_phase_tail_spec(), None, "MaxInterval"),
         "eventually_jump_no_noise": (_toy_spec(), None, "ModeSwitch"),
@@ -415,8 +440,11 @@ def _cut_specs():
         # fixes it), too wide for its box: the funnel is left inside a segment.
         "funnel_inside_segment": (_toy_spec(plant=single_integrator(1, w_max=3.0), **noisy), "funnel", "Initial"),
         "trigger_floor": (_toy_spec(plant=single_integrator(1, w_max=20.0), trigger=TriggerConfig(delta_u=1e-4),
-                                    **dict(noisy, seed=0)), "trigger_floor", "StateDeviation"),
+                                    **noisy), "trigger_floor", "StateDeviation"),
         "horizon": (_toy_spec(theta=parse_formula("F[2,3](ball(0;2;1.5))"), horizon=1.0), "horizon", "MaxInterval"),
+        # Off the sample grid: the last block ends where the noise table does.
+        "horizon_off_grid": (_toy_spec(plant=single_integrator(1, w_max=0.5), horizon=1.003, **noisy),
+                             "horizon", "MaxInterval"),
         "terminal_tail": (_toy_spec(seq_cfg=SequencerConfig(terminal_tail=0.2)), None, "ModeSwitch"),
         "omni": (_toy_spec(plant=omni_robot_team(1, input_gain=50.0, w_max=0.1), x0=np.array([0.0, 0.0, 30.0]),
                            theta=parse_formula("F[0,3](ball(0,1;1,1;0.5))")), None, "MaxInterval"),
@@ -434,7 +462,7 @@ def _same_bits(a, b) -> bool:
 def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
     # The segment loop handles the held rows between events as blocks and
     # cuts each where a test fires; it must reproduce the per-sample loop
-    # bitwise, up to the generator's state at the end.
+    # bitwise, up to the radius generator's state at the end.
     spec, failure, cause = _cut_specs()[case]
     if case == "funnel_inside_segment":
         monkeypatch.setattr(controller, "compute_trigger_radius", lambda *args: (2.0, "box"))
@@ -456,4 +484,5 @@ def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
     for f in dataclasses.fields(metrics):
         if f.name != "wall_time":
             assert repr(getattr(metrics, f.name)) == repr(getattr(ref_metrics, f.name)), f.name
-    assert len(made) == 2 and made[0].bit_generator.state == ref_rng.bit_generator.state
+    # Each loop makes the noise generator, then the radius generator.
+    assert len(made) == 4 and made[1].bit_generator.state == ref_rng.bit_generator.state
