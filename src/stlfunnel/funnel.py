@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SynthesisError
 from .formulas import AtomicTask, SmoothingConfig
-from .kernels import smooth_psi_value_and_grad
+from .kernels import funnel_width, smooth_psi_value_and_grad
 
 __all__ = [
     "PerformanceFunction",
@@ -54,7 +54,7 @@ class PerformanceFunction:
 
 def gamma_at(pf: PerformanceFunction, t: float) -> float:
     """Value of the performance bound at time t >= 0."""
-    return (pf.gamma0 - pf.gamma_inf) * math.exp(-pf.l * t) + pf.gamma_inf
+    return float(funnel_width(pf, t)[0])
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,14 @@ the law Jacobian builds the leaf curvature in slot space, one W x W
 block per leaf, mapped to (n, n) by the cached nonzero terms of one
 linear map (``_slot_map``).
 
-Both paths add in one order.  Leaf slots and softmin weights are summed
-one term after another, without BLAS: the pointwise loop in plain
-floats, the read-out one slice after another (``_add_up``): numpy's
-reduce does so over several rows, and a single row, which numpy would
-sum pairwise from eight terms on, is added slice by slice.
+Both paths add in one order and round alike.  Leaf slots and softmin
+weights are summed one term after another, without BLAS: the pointwise
+loop in plain floats, the read-out one slice after another (``_add_up``):
+numpy's reduce does so over several rows, and a single row, which numpy
+would sum pairwise from eight terms on, is added slice by slice.  The
+exponentials and logarithms of the soft minimum, the funnel width and the
+law's transform are numpy's on both paths, which round a Python float as
+they round the same element of any array.
 
 The batch read-out has one layout: rows run along the last axis of every
 array.  The read-out r is (L, W, P) for L leaves of W slots at P rows,
@@ -68,6 +71,7 @@ __all__ = [
     "shortest_supergradient",
     "u_xi_eval",
     "smooth_psi_value_and_grad",
+    "funnel_width",
     "u_xi_batch",
     "law_jacobian_batch",
     "rho_rows",
@@ -147,7 +151,7 @@ def _softmin_point(h: list, eta: float) -> tuple[float, np.ndarray | None, float
     z = 0.0
     for wi in w.tolist():
         z += wi
-    return m - math.log(z) / eta, w, z
+    return m - float(np.log(z)) / eta, w, z
 
 
 def _softmin_terms(
@@ -268,12 +272,10 @@ def u_xi_eval(table: tuple[tuple, ...], x: np.ndarray, t: float, eta: float, fp,
     """
     xs = x.tolist()
     rho, grad = smooth_rho_grad(table, xs, eta)
-    pf = fp.perf
-    gamma = (pf.gamma0 - pf.gamma_inf) * math.exp(-pf.l * t) + pf.gamma_inf
-    xi = (rho - fp.rho_max) / gamma
+    xi = (rho - fp.rho_max) / float(funnel_width(fp.perf, t)[0])
     if xi <= -1.0 or xi >= 0.0:
         return xi, np.full(plant.m, np.nan)
-    scale = -math.log(-(xi + 1.0) / xi)
+    scale = -float(np.log(-(xi + 1.0) / xi))
     if plant.gbase is None:
         return xi, np.array([plant.gain * g * scale for g in grad])
     gb = plant.gbody_rows
@@ -401,33 +403,26 @@ def _leaf_readout(X: np.ndarray, psi: NonTemporalFormula) -> tuple[np.ndarray, .
     return r, nd, mp.csts - np.where(mp.norm, nd, _add_up(r, 1))
 
 
-def _weights(h: np.ndarray, eta: float) -> tuple[np.ndarray, ...]:
-    """Smallest leaf value of every row, the unnormalized softmin weights
-    exp(-eta * (h - min h)) (L, P) and their sum."""
+def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, ...]:
+    """Soft minimum of the leaf values h (L, P) of every row, the
+    unnormalized weights exp(-eta * (h - min h)) (L, P) and their sum.
+
+    A non-finite smallest leaf value (an overflowing norm) is the row's
+    soft minimum, as on the pointwise path.
+    """
     h_min = h.min(axis=0)
     w = np.exp(-eta * (h - h_min))
-    return h_min, w, _add_up(w, 0)
-
-
-def _softmin(h: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Soft minimum of the leaf values h (L, P) of every row and its normalized weights."""
-    h_min, w, z = _weights(h, eta)
-    return h_min - np.log(z) / eta, w / z
+    z = _add_up(w, 0)
+    # z >= 1, so the soft minimum is at most h_min; where h_min is -inf,
+    # z is NaN and fmin keeps h_min.
+    return np.fmin(h_min - np.log(z) / eta, h_min), w, z
 
 
 def rho_rows(X: np.ndarray, psi: NonTemporalFormula, eta: float) -> np.ndarray:
     """Soft minimum of the leaf values at every row of X (K, n), bitwise the
-    value ``smooth_rho_grad`` gives at each row.
-
-    The leaf read-out and the weights are numpy passes; the logarithm is
-    ``math.log`` per row, as on the pointwise path, because ``np.log``
-    rounds differently on some inputs.  A non-finite smallest leaf value
-    (an overflowing norm) is the row's value.
-    """
+    value ``smooth_rho_grad`` gives at each row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h_min, _, z = _weights(_leaf_readout(X, psi)[2], eta)
-    return np.array([m - math.log(s) / eta if math.isfinite(m) else m
-                     for m, s in zip(h_min.tolist(), z.tolist())])
+        return _softmin(_leaf_readout(X, psi)[2], eta)[0]
 
 
 class _Readout(NamedTuple):
@@ -441,9 +436,10 @@ class _Readout(NamedTuple):
     decay: np.ndarray  # (P,) its decaying part (gamma0 - gamma_inf) * exp(-l * T)
 
 
-def _funnel_width(T, fp) -> tuple:
-    """gamma(T) and its decaying part (gamma0 - gamma_inf) * exp(-l * T) at times T."""
-    pf = fp.perf
+def funnel_width(pf, T) -> tuple:
+    """gamma(T) = (gamma0 - gamma_inf) * exp(-l * T) + gamma_inf of the
+    performance function ``pf`` and its decaying part, at times T.  The one
+    form of the width, which ``funnel.gamma_at`` and ``sim`` read too."""
     decay = (pf.gamma0 - pf.gamma_inf) * np.exp(-pf.l * T)
     return decay + pf.gamma_inf, decay
 
@@ -451,9 +447,9 @@ def _funnel_width(T, fp) -> tuple:
 def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: float) -> _Readout:
     """Leaf read-out, softmin weights and funnel error at every row of X at times T."""
     r, nd, h = _leaf_readout(X, psi)
-    rho, w = _softmin(h, eta)
-    gamma, decay = _funnel_width(T, fp)
-    return _Readout(r, nd, (rho - fp.rho_max) / gamma, w, gamma, decay)
+    rho, w, z = _softmin(h, eta)
+    gamma, decay = funnel_width(fp.perf, T)
+    return _Readout(r, nd, (rho - fp.rho_max) / gamma, w / z, gamma, decay)
 
 
 def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, ...]:
@@ -714,8 +710,7 @@ def band_holds(
     """
     plan = _vertex_plan(psi, x.shape[0], signs.shape[0])
     h = np.take(_leaf_readout(x + signs[plan.pick] * bx, psi)[2], plan.gather)
-    h_min, _, z = _weights(h, eta)
-    return _in_band((h_min - np.log(z) / eta - fp.rho_max) / _funnel_width(t, fp)[0])
+    return _in_band((_softmin(h, eta)[0] - fp.rho_max) / funnel_width(fp.perf, t)[0])
 
 
 def law_row_sums(pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float) -> np.ndarray | None:

@@ -20,10 +20,9 @@ noise table ends, at or past the horizon row, which then fires):
 
 The block is cut at its first row where any test fires.  The rows before
 the cut are logged as one block and folded into the margin minima, and
-the cut row starts the next segment.  gamma (``gamma_at``, ``math.exp``)
-and the logarithm in rho's soft minimum (``math.log``) are taken per row
-in plain floats, because numpy's exp and log round differently on some
-inputs; so the segments reproduce a per-sample loop bitwise.
+the cut row starts the next segment.  The segments reproduce a
+per-sample loop bitwise, since one row and a block take gamma and rho
+with the same exp and log (``kernels``).
 
 The seed is split once into two independent streams.  The first draws
 the episode's noise table up front, int(horizon / dt) + 1 rows, row k the
@@ -332,8 +331,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     jumped = False
     k = 0
     k_entry = 0
-    # rho as read at row k, before the funnel's round trip through xi.
-    rho_k = float(kernels.rho_rows(x[None], z.psi, eta)[0])
+    rho = float(kernels.rho_rows(x[None], z.psi, eta)[0])
 
     while True:
         # Row k, the first of a segment, takes the event, jump, failure and
@@ -342,8 +340,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         z.t_local = (k - k_entry) * dt
         t_fun = z.t_local + z.offset
         gam = gamma_at(z.fp.perf, t_fun)
-        xi = (rho_k - z.fp.rho_max) / gam
-        rho = z.fp.rho_max + xi * gam
+        xi = (rho - z.fp.rho_max) / gam
 
         if not (-1.0 < xi < 0.0):
             return fail("funnel")
@@ -358,7 +355,7 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 if not z.terminal:
                     metrics.funnels.append(_funnel_record(z))
                 table = kernels.compile_leaf_table(z.psi)
-                rho_k = float(kernels.rho_rows(x[None], z.psi, eta)[0])
+                rho = float(kernels.rho_rows(x[None], z.psi, eta)[0])
                 continue  # evaluate this sample again in the new phase
 
         if jumped:
@@ -415,13 +412,9 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         end = int(fires.argmax()) + 1  # MaxInterval or the horizon fires at row K at the latest
         X, T = X[:end], T[:end]
         T_local = (ks[:end] - k_entry) * dt
-        # gamma (math.exp) and rho's logarithm (math.log, in rho_rows) stay
-        # per row in plain floats: numpy's exp and log round differently on
-        # some inputs.
-        gams = np.array([gamma_at(z.fp.perf, s) for s in (T_local + z.offset).tolist()])
-        raw = kernels.rho_rows(X, z.psi, eta)
-        xis = (raw - z.fp.rho_max) / gams
-        rhos = z.fp.rho_max + xis * gams
+        gams = kernels.funnel_width(z.fp.perf, T_local + z.offset)[0]
+        rhos = kernels.rho_rows(X, z.psi, eta)
+        xis = (rhos - z.fp.rho_max) / gams
         due, overdue = jump_rows(z, rhos, T_local)
         fires = due | overdue | ~((-1.0 < xis) & (xis < 0.0))
         if z.terminal:
@@ -429,5 +422,5 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         fires[0] = False
         cut = int(fires.argmax()) or end - 1
         log_rows(T[:cut], X[:cut], event.u, rhos[:cut], gams[:cut], xis[:cut])
-        x, rho_k, k = X[cut], float(raw[cut]), k + cut
+        x, rho, k = X[cut], float(rhos[cut]), k + cut
         jumped = False

@@ -1,11 +1,12 @@
 """Earlier forms of the package's code, kept only as the tests' references.
 
 ``run_episode_per_sample`` takes one Python iteration per sample: it
-reads rho at the state (``smooth_rho_grad``'s value), checks the funnel,
-the jump and the trigger, logs the row and steps the state with row k of
-the noise table that the seed's first stream draws.  ``sim.run_episode``,
-which handles the held rows between events as blocks, must reproduce it
-bitwise: logs, events, metrics and the radius stream's state at the end.
+reads rho at the state (``smooth_rho_grad``'s value, which it logs and
+tests as read), checks the funnel, the jump and the trigger, logs the
+row and steps the state with row k of the noise table that the seed's
+first stream draws.  ``sim.run_episode``, which handles the held rows
+between events as blocks, must reproduce it bitwise: logs, events,
+metrics and the radius stream's state at the end.
 It returns the radius's generator as a fourth item.
 
 ``hessian_form_stacked`` is the law Jacobian's curvature form over the
@@ -107,8 +108,8 @@ def run_episode_per_sample(spec):
         z.t_local = (k - k_entry) * dt
         t_fun = z.t_local + z.offset
         gam = gamma_at(z.fp.perf, t_fun)
-        xi = (kernels.smooth_rho_grad(table, x.tolist(), eta)[0] - z.fp.rho_max) / gam
-        rho = z.fp.rho_max + xi * gam
+        rho = kernels.smooth_rho_grad(table, x.tolist(), eta)[0]
+        xi = (rho - z.fp.rho_max) / gam
 
         if not (-1.0 < xi < 0.0):
             return fail("funnel")
