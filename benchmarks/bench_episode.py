@@ -7,7 +7,12 @@ Run from the repository root:
 
 The parent commit (``--parent``, default HEAD) is exported with
 ``git archive`` into a temporary directory, so it runs from its
-committed files alone; the change is this checkout's working tree.
+committed files alone.  The change is this checkout's working tree,
+copied into a sibling directory: the files ``git ls-files -co
+--exclude-standard`` lists, as they are on disk.  So neither side holds
+``__pycache__``.  With ``PYTHONDONTWRITEBYTECODE`` set, a side that
+holds it imports the package from bytecode while the other recompiles
+every module in every run, and ``setup_s`` favours the first.
 Pair i runs ``perfbench/run.py --workload W --seed seeds[i]`` once on
 each side with the same ``--seconds``, the parent first in even pairs
 and the change first in odd ones.  The runner only starts those runs
@@ -50,6 +55,15 @@ def _export(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest / "tree", filter="data")
     archive.unlink()
+
+
+def _copy_worktree(dest: Path) -> None:
+    """This checkout's tracked and untracked, not ignored, files under ``dest``."""
+    for name in _git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,7 +112,8 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench-episode-"))
     try:
         _export(parent, tmp)
-        roots = {"parent": tmp / "tree", "change": ROOT}
+        _copy_worktree(tmp / "change")
+        roots = {"parent": tmp / "tree", "change": tmp / "change"}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:

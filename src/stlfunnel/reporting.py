@@ -1,8 +1,10 @@
-"""Episode output files: trajectory, event log and metrics."""
+"""Episode output files: trajectory.csv per sample, events.csv per event, metrics.json per run."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +28,11 @@ def _row(values) -> str:
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
+    """One row per sample.  The held input is not a column: at time t it is
+    the ``u`` of the last ``events.csv`` row with ``t_i <= t``."""
     n = traj.X.shape[1]
-    m = traj.U.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(n)]
-        + [f"u{j}" for j in range(m)]
-        + ["rho_active", "gamma", "mode"]
-    )
-    data = np.column_stack([traj.t, traj.X, traj.U, traj.rho_active, traj.gamma, traj.mode])
+    header = ["t"] + [f"x{i}" for i in range(n)] + ["rho_active", "gamma", "mode"]
+    data = np.column_stack([traj.t, traj.X, traj.rho_active, traj.gamma, traj.mode])
     np.savetxt(
         path, data, fmt=[_FMT] * (len(header) - 1) + ["%d"], delimiter=",",
         header=",".join(header), comments="",
@@ -63,37 +61,19 @@ def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -
             fh.write(",".join(cells) + "\n")
 
 
-def _metric_lines(metrics: RunMetrics) -> list[str]:
-    lines = []
-    for f in dataclasses.fields(RunMetrics):
-        val = getattr(metrics, f.name)
-        if f.name == "funnels":
-            continue
-        if isinstance(val, dict):
-            lines += [f"{f.name}.{key}={count}" for key, count in val.items()]
-            continue
-        if val is None:
-            out = ""
-        elif isinstance(val, bool):
-            out = str(val).lower()
-        elif isinstance(val, float):
-            out = _FMT % val
-        else:
-            out = str(val)
-        lines.append(f"{f.name}={out}")
-    for rec in metrics.funnels:
-        prefix = f"funnel.{rec['mode']}"
-        for key, val in rec.items():
-            if key == "mode":
-                continue
-            lines.append(f"{prefix}.{key}={_FMT % val}")
-    return lines
+def _null_if_not_finite(val):
+    if isinstance(val, dict):
+        return {key: _null_if_not_finite(v) for key, v in val.items()}
+    if isinstance(val, list):
+        return [_null_if_not_finite(v) for v in val]
+    return None if isinstance(val, float) and not math.isfinite(val) else val
 
 
 def write_metrics(path: str | Path, metrics: RunMetrics) -> None:
-    with open(path, "w") as fh:
-        for line in _metric_lines(metrics):
-            fh.write(line + "\n")
+    """Every ``RunMetrics`` field as strict JSON, floats by repr.  A non-finite
+    float, a field with no value (``min_delta`` with no event), is null."""
+    record = _null_if_not_finite(dataclasses.asdict(metrics))
+    Path(path).write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")
 
 
 def write_all(
@@ -105,15 +85,13 @@ def write_all(
     """Write the three episode artifacts into out_dir and return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n = traj.X.shape[1]
-    m = traj.U.shape[1]
     paths = {
         "trajectory": out / "trajectory.csv",
         "events": out / "events.csv",
-        "metrics": out / "metrics.txt",
+        "metrics": out / "metrics.json",
     }
     write_trajectory(paths["trajectory"], traj)
-    write_events(paths["events"], events, n, m)
+    write_events(paths["events"], events, traj.X.shape[1], traj.U.shape[1])
     write_metrics(paths["metrics"], metrics)
     return paths
 

@@ -1,11 +1,18 @@
 """Command line interface: exit codes, artifacts, and output text."""
 
+import dataclasses
+import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stlfunnel.cli import main
+from stlfunnel.reporting import write_all
+from stlfunnel.scenario import build_episode, load_scenario
+from stlfunnel.sim import RunMetrics, run_episode
 
 TOY_SCENARIO = """\
 name: toy
@@ -17,6 +24,11 @@ x0: [0.0]
 dt: 0.01
 seed: 3
 """
+# Two phases and a terminal tail: the held input changes at two ModeSwitch
+# events too, and the run visits modes 1, 2 and 3.
+TWO_PHASE_SCENARIO = TOY_SCENARIO.replace(
+    '"F[0,3](ball(0;2;1.5))"', '"F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"'
+) + "terminal_tail: 0.3\n"
 
 
 def _write(tmp_path, text, name="scenario.yaml"):
@@ -25,20 +37,42 @@ def _write(tmp_path, text, name="scenario.yaml"):
     return p
 
 
+def _reject(token):
+    raise ValueError(f"metrics.json holds {token}")
+
+
+def _metrics(out) -> dict:
+    """metrics.json of run directory ``out`` as strict JSON: no NaN or Infinity."""
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_reject)
+    assert list(metrics) == [f.name for f in dataclasses.fields(RunMetrics)]
+    return metrics
+
+
+def _readme_snippet(marker: str, out) -> dict:
+    """Run the README's python block containing ``marker`` on run directory
+    ``out`` (its ``D``) and return the names it defines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [code] = [block for block in re.findall(r"```python\n(.*?)```", text, re.S) if marker in block]
+    names = {}
+    exec(code.replace('"D/', f'"{out}/'), names)
+    return names
+
+
 def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     scn = _write(tmp_path, TOY_SCENARIO)
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(scn), "--out", str(out)])
     assert code == 0
-    assert sorted(f.name for f in out.iterdir()) == ["events.csv", "metrics.txt", "trajectory.csv"]
+    assert sorted(f.name for f in out.iterdir()) == ["events.csv", "metrics.json", "trajectory.csv"]
     text = capsys.readouterr().out
     assert "satisfied=true" in text
-    # Each event names the term that set its radius, and metrics.txt
+    # Each event names the term that set its radius, and metrics.json
     # counts them.
-    metrics = dict(line.split("=", 1) for line in (out / "metrics.txt").read_text().splitlines())
-    assert not any(k.startswith("delta_by.") and k[9:] not in ("box", "lipschitz") for k in metrics)
-    counts = {k: int(metrics[f"delta_by.{k}"]) for k in ("box", "lipschitz")}
-    assert sum(counts.values()) == int(metrics["triggers"]) > 0
+    metrics = _metrics(out)
+    assert metrics["satisfied"] is True
+    assert set(metrics["delta_by"]) == {"box", "lipschitz"}
+    counts = metrics["delta_by"]
+    assert sum(counts.values()) == metrics["triggers"] > 0
     rows = (out / "events.csv").read_text().splitlines()
     by = [row.split(",")[4] for row in rows[1:]]
     assert {k: by.count(k) for k in counts} == counts
@@ -51,23 +85,41 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, capsys):
     fired = [float(c[5]) for c in cells if c[2] in ("StateDeviation", "MaxInterval")]
     assert fired and min(fired) > 1.0
     assert all(c[5] == "" for c in cells if c[2] in ("Initial", "ModeSwitch"))
-    assert float(metrics["max_overshoot"]) == max(fired)
+    # metrics.json keeps every digit; events.csv writes %.12g.
+    assert float("%.12g" % metrics["max_overshoot"]) == max(fired)
 
 
 def test_funnel_walls_rebuild_from_trajectory_and_metrics(tmp_path):
     # The README's reconstruction: the upper wall is the mode's rho_max,
     # the terminal mode keeping the last funnel's, the lower one that
     # minus gamma, and a satisfied run's rho lies strictly between them.
-    two_phase = TOY_SCENARIO.replace('"F[0,3](ball(0;2;1.5))"', '"F[0,3](ball(0;2;1.5)) and F[3,6](ball(0;-1;1.5))"')
-    scn = _write(tmp_path, two_phase + "terminal_tail: 0.3\n")
+    scn = _write(tmp_path, TWO_PHASE_SCENARIO)
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
-    tr = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
-    rho_max = np.array([float(v) for k, v in (line.split("=", 1) for line in open(out / "metrics.txt"))
-                        if k.endswith(".rho_max")])
-    upper = rho_max[np.minimum(tr["mode"].astype(int), len(rho_max)) - 1]
+    assert [rec["mode"] for rec in _metrics(out)["funnels"]] == [1, 2]
+    walls = _readme_snippet("rho_max", out)
+    tr, rho_max, upper = walls["tr"], walls["rho_max"], walls["upper"]
     assert len(rho_max) == 2 and set(tr["mode"].astype(int).tolist()) == {1, 2, 3}
     assert np.all(upper - tr["gamma"] < tr["rho_active"]) and np.all(tr["rho_active"] < upper)
+
+
+def test_held_input_rebuilds_from_events(tmp_path):
+    # trajectory.csv has no input columns.  The README rebuilds the input
+    # held at each row from events.csv; on every row with a finite input
+    # it is the in-memory input as the CSVs write it, across both
+    # ModeSwitch events.
+    scn = _write(tmp_path, TWO_PHASE_SCENARIO)
+    traj, metrics, events = run_episode(build_episode(load_scenario(scn)))
+    assert metrics.satisfied and [ev.cause for ev in events].count("ModeSwitch") == 2
+    out = tmp_path / "out"
+    write_all(out, traj, events, metrics)
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header == "t,x0,rho_active,gamma,mode"
+    U = _readme_snippet("searchsorted", out)["U"]
+    finite = np.isfinite(traj.U).all(axis=1)
+    assert U.shape == traj.U.shape and finite.sum() >= len(traj.t) - 1
+    written = np.array([float("%.12g" % v) for v in traj.U[finite].ravel()])
+    assert U[finite].ravel().tobytes() == written.tobytes()
 
 
 def test_run_seed_and_dt_overrides(tmp_path):
@@ -146,22 +198,25 @@ def test_unfinished_task_exits_three(tmp_path, capsys):
 def test_failure_before_first_sample_exits_three(tmp_path, capsys):
     # The leaf norm overflows this far out, so synthesis fails at t = 0,
     # naming the robustness, and the run has no sample: the writers still
-    # produce every artifact, the CSVs with their headers only.
+    # produce every artifact, the CSVs with their headers only, and
+    # metrics.json with null for the fields that have no value.
     scn = _write(tmp_path, TOY_SCENARIO.replace("x0: [0.0]", "x0: [1.0e+300]"))
     out = tmp_path / "o"
     code = main(["run", "--scenario", str(scn), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert "failure=synthesis: robustness at x0 is not finite (-inf)" in err
-    for fname in ("trajectory.csv", "events.csv", "metrics.txt"):
+    for fname in ("trajectory.csv", "events.csv", "metrics.json"):
         assert (out / fname).is_file(), fname
     assert (out / "trajectory.csv").read_text().splitlines() == [
-        "t,x0,u0,rho_active,gamma,mode"
+        "t,x0,rho_active,gamma,mode"
     ]
     assert (out / "events.csv").read_text().splitlines() == [
         "i,t_i,cause,delta_i,delta_by,overshoot,x0,u0"
     ]
-    assert "satisfied=false" in (out / "metrics.txt").read_text()
+    metrics = _metrics(out)
+    assert metrics["satisfied"] is False and metrics["failure_time"] == 0.0
+    assert metrics["rho_theta"] is None and metrics["min_delta"] is None
 
 
 def test_lost_guarantee_exits_four(tmp_path, capsys):

@@ -174,6 +174,19 @@ def test_value_is_bitwise_the_gradient_paths_value(rng):
     assert rho == -np.inf and rho == kernels.smooth_rho_grad(kernels.compile_leaf_table(psi), xs, 1.0)[0]
 
 
+def test_soft_minimum_rounds_alike_on_both_paths(rng):
+    # One state's soft minimum (_softmin_point, a list) and many rows'
+    # (_softmin, an array) must agree bitwise.  math.log and np.log differ
+    # on few sums z, so the values are drawn directly, 2000 rows per leaf
+    # count 2-12, in [-3, 3], at eta 1 and 0.2.
+    for eta in (1.0, 0.2):
+        for n_leaves in range(2, 13):
+            H = rng.uniform(-3.0, 3.0, (n_leaves, 2000))
+            want = kernels._softmin(H, eta)[0]
+            got = np.array([kernels._softmin_point(h, eta)[0] for h in H.T.tolist()])
+            assert got.tobytes() == want.tobytes(), (eta, n_leaves)
+
+
 @pytest.mark.parametrize("f, lo, hi", [(np.exp, -50.0, 0.0), (np.log, 1.0, 12.0)])
 def test_numpy_rounds_a_float_as_an_array_element(rng, f, lo, hi):
     # One state takes exp and log of Python floats and many rows take them
