@@ -22,8 +22,19 @@ and reads the JSON object each prints last; it changes nothing under
 The row appended to ``BENCH_episode.json`` holds the parent's SHA, the
 change (a SHA, or the working tree on top of the parent), the seeds,
 and per end-to-end metric the median and quartiles of each side's runs,
-how many pairs the change won (ties count for neither) and each side's
-failed operations.
+how many pairs the change won (ties count for neither), a verdict, and
+each side's failed operations.  The verdict, printed per metric too,
+follows the gain and no-regression rules the benchmark is judged by, with
+the metric's ``bound`` from ``BENCHMARK.json`` read as a share of the
+parent's median (as ``perfbench/baseline.py`` reads it):
+
+* ``gain``: the change wins at least nine in ten pairs, and its median
+  beats the parent's by more than the parent's quartile spread q3 - q1;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: the parent's spread, (q3 - q1) / median, is wider than
+  the bound, unless every change run beats every parent run;
+* ``flat`` otherwise.
 """
 
 from __future__ import annotations
@@ -91,6 +102,21 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``flat`` (see the module docstring);
+    ``sign`` is 1.0 where lower is better and -1.0 where higher is."""
+    p, c = _summary(parent), _summary(change)
+    spread = p["q3"] - p["q1"]
+    wins = sum(sign * (a - b) > 0.0 for a, b in zip(parent, change))
+    if wins >= 0.9 * len(parent) and sign * (p["median"] - c["median"]) > spread:
+        return "gain"
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "worse"
+    if spread > bound * abs(p["median"]) and not max(sign * v for v in change) < min(sign * v for v in parent):
+        return "unresolved"
+    return "flat"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -102,7 +128,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seeds = _seeds(args.seeds)
     parent = _git("rev-parse", args.parent)
     dirty = _git("status", "--porcelain")
@@ -125,7 +151,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     metrics = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in better.items():
         side_values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (p - c) > 0.0 for p, c in zip(side_values["parent"], side_values["change"]))
@@ -135,6 +161,7 @@ def main(argv=None) -> int:
             "parent": _summary(side_values["parent"]),
             "change": _summary(side_values["change"]),
             "change_wins": wins,
+            "verdict": _verdict(side_values["parent"], side_values["change"], sign, bound),
         }
     row = {
         "label": args.label,
@@ -152,6 +179,9 @@ def main(argv=None) -> int:
     rows.append(row)
     RECORD.write_text(json.dumps(rows, indent=1) + "\n")
     print(json.dumps(row, indent=1))
+    for name, m in metrics.items():
+        print(f"{name}: {m['verdict']} (median {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
+              f"{m['unit']}, change wins {m['change_wins']}/{len(seeds)})")
     return 0
 
 

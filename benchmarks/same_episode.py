@@ -12,9 +12,13 @@ and pickles what it computed; this process compares the two.
 
 Episode mode runs each workload (rendezvous3, the bundled scenario, and
 patrol2d, ``perfbench/patrol2d.yaml`` of each side's tree) at every seed
-and compares ``t``, ``X``, ``U``, ``rho_active``, ``gamma``, ``mode``,
-every ``TriggerEvent`` field, ``rho_theta``, ``max_input_deviation`` and
-the funnel records.  ``--formulas N`` instead draws N seeded conjunctions
+and compares ``t``, ``X``, ``rho_active``, ``gamma``, ``mode``, every
+``TriggerEvent`` field, every ``RunMetrics`` field but ``wall_time``
+(``delta_by`` per key, ``funnels`` per record key) and the input held at
+each row: ``Trajectory.U`` where a side's tree still has it, else the
+``u`` of the last event at or before the row, rebuilt from the events.
+On a failed run the row at ``failure_time`` is left out on both sides,
+since a tree with ``U`` logged a NaN input there.  ``--formulas N`` instead draws N seeded conjunctions
 of ball, join, affine and ``not aff`` leaves on integrators and omni
 teams of one to four robots (n = 12 samples the radius's late vertices),
 with 16 states, a funnel and a trigger configuration each, and compares
@@ -62,7 +66,7 @@ ROWS = 16
 
 
 def _column(values: list) -> np.ndarray:
-    """Per-event values as one array: text as strings, numbers as float64 with None as NaN."""
+    """Values as one array: text as strings, numbers as float64 with None as NaN."""
     if any(isinstance(v, str) for v in values):
         return np.array(values, dtype=str)
     return np.array([math.nan if v is None else v for v in values], dtype=float)
@@ -90,13 +94,24 @@ def _episodes(root: Path, workload: str, seeds: list[int]) -> dict:
     for seed in seeds:
         spec = scenario.build_episode(scenario.load_scenario(path), seed=seed)
         traj, metrics, events = sim.run_episode(spec)
-        out = {name: getattr(traj, name) for name in ("t", "X", "U", "rho_active", "gamma", "mode")}
+        out = {name: getattr(traj, name) for name in ("t", "X", "rho_active", "gamma", "mode")}
+        held = getattr(traj, "U", None)
+        if held is None:
+            us = np.array([e.u for e in events]).reshape(-1, traj.X.shape[1])
+            held = us[np.searchsorted([e.t for e in events], traj.t, side="right") - 1]
+        out["held input"] = held[:max(len(traj.t) - (metrics.failure is not None), 0)]
         for f in fields(controller.TriggerEvent):
             out[f"event.{f.name}"] = _column([getattr(e, f.name) for e in events])
-        out["rho_theta"] = np.float64(metrics.rho_theta)
-        out["max_input_deviation"] = np.float64(metrics.max_input_deviation)
-        for key in metrics.funnels[0] if metrics.funnels else ():
-            out[f"funnel.{key}"] = _column([rec[key] for rec in metrics.funnels])
+        for f in fields(sim.RunMetrics):
+            value = getattr(metrics, f.name)
+            if f.name == "delta_by":
+                for key, count in value.items():
+                    out[f"delta_by.{key}"] = _column([count])
+            elif f.name == "funnels":
+                for key in value[0] if value else ():
+                    out[f"funnel.{key}"] = _column([rec[key] for rec in value])
+            elif f.name != "wall_time":
+                out[f.name] = _column([value])
         groups[f"{workload} seed {seed}"] = out
     return groups
 

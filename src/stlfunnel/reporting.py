@@ -39,11 +39,12 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
     )
 
 
-def write_events(path: str | Path, events: list[TriggerEvent], n: int, m: int) -> None:
+def write_events(path: str | Path, events: list[TriggerEvent], n: int) -> None:
+    # Both plant kinds have as many inputs as states (``Plant.m == n``).
     header = (
         ["i", "t_i", "cause", "delta_i", "delta_by", "overshoot"]
         + [f"x{i}" for i in range(n)]
-        + [f"u{j}" for j in range(m)]
+        + [f"u{j}" for j in range(n)]
     )
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -91,7 +92,7 @@ def write_all(
         "metrics": out / "metrics.json",
     }
     write_trajectory(paths["trajectory"], traj)
-    write_events(paths["events"], events, traj.X.shape[1], traj.U.shape[1])
+    write_events(paths["events"], events, traj.X.shape[1])
     write_metrics(paths["metrics"], metrics)
     return paths
 

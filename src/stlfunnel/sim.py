@@ -1,14 +1,17 @@
 """Fixed-step closed-loop simulation with event-triggered input holds.
 
-The loop's unit is the segment between events.  Its first row, the cut
-row, goes through the event, jump, failure and finish code one sample at
-a time: the funnel check, ``jump_if_due`` (after a jump the row is read
-again in the new phase), ``should_trigger`` and, where the trigger fires,
-the law (``kernels.u_xi_eval``) and ``make_event``, which holds that
-input and adds the trigger radius.  The rows after it hold that input
-and form one block of K = floor(delta / dt) + 1 - (steps already held)
-rows, so MaxInterval fires at its last row at the latest (fewer where the
-noise table ends, at or past the horizon row, which then fires):
+An episode is a control loop, then one scoring pass.  The loop holds
+inputs, appends events and phases, and logs the rows it computed (state,
+rho, gamma).  Its unit is the segment between events.  Its first row,
+the cut row, goes through the event, jump, failure and finish code one
+sample at a time: the funnel check, ``jump_if_due`` (after a jump the
+row is read again in the new phase), ``should_trigger`` and, where the
+trigger fires, the law (``kernels.u_xi_eval``) and ``make_event``, which
+holds that input and adds the trigger radius.  The rows after it hold
+that input and form one block of K = floor(delta / dt) + 1 - (steps
+already held) rows, so MaxInterval fires at its last row at the latest
+(fewer where the noise table ends, at or past the horizon row, which
+then fires):
 
 * its noise is rows k ... k + K - 1 of the episode's noise table, and
   ``step_rk4`` gives its K states under the exact zero-order-hold flow of
@@ -18,23 +21,23 @@ noise table ends, at or past the horizon row, which then fires):
   (``kernels.rho_rows``) and the funnel test, the jump or deadline test
   (``jump_rows``) and the terminal test run as row comparisons.
 
-The block is cut at its first row where any test fires.  The rows before
-the cut are logged as one block and folded into the margin minima, and
-the cut row starts the next segment.  The segments reproduce a
-per-sample loop bitwise, since one row and a block take gamma and rho
-with the same exp and log (``kernels``).
+The block is cut at its first row where any test fires: the rows before
+the cut are logged as one block, and the cut row starts the next
+segment.  The segments reproduce a per-sample loop bitwise, since one
+row and a block take gamma and rho with the same exp and log
+(``kernels``).
 
 The seed is split once into two independent streams.  The first draws
-the episode's noise table up front, int(horizon / dt) + 1 rows, row k the
-disturbance held from sample k to k + 1: the noise is a function of
+the episode's noise table up front, int(horizon / dt) + 1 rows, row k
+the disturbance held from sample k to k + 1: the noise is a function of
 (seed, step) alone.  The second is the trigger radius's generator, so
 what the radius draws moves no noise row.
 
-A failure at a cut row logs it with a NaN input and ends the episode,
-at one site.  All clocks advance on an integer step counter so jump
-bookkeeping is exact.  The log's blocks are joined once, at the end.
-The held-input audit (``RunMetrics.max_input_deviation``) runs after the
-loop, batched per phase over that phase's logged rows (``u_xi_batch``).
+A failure at a cut row logs that row and ends the episode, at one site.
+All clocks advance on an integer step counter so jump bookkeeping is
+exact.  The scoring pass (``_score``) computes every ``RunMetrics``
+figure from the joined log, the events and the phases, all rows but a
+failure row.
 """
 
 from __future__ import annotations
@@ -102,12 +105,12 @@ class EpisodeSpec:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled run log."""
+    """Uniformly sampled run log.  Row k holds the ``u`` of the last event at or before it,
+    ``np.searchsorted([e.t for e in events], traj.t, side="right") - 1``: both times are k * dt."""
 
     dt: float
     t: np.ndarray
     X: np.ndarray
-    U: np.ndarray
     rho_active: np.ndarray
     gamma: np.ndarray
     mode: np.ndarray
@@ -127,8 +130,8 @@ class RunMetrics:
     # Why the offline monitor could not score a satisfied run
     # ("ExceptionType: message"); rho_theta then stays NaN.
     monitor_error: str | None = None
-    # max |u(x_k, t_k) - U_k|_inf over the logged rows with a finite input,
-    # computed after the loop at grid samples only.  The trigger radius
+    # max |u(x_k, t_k) - U_k|_inf over the scored rows, U_k the input held
+    # at row k, computed after the loop at grid samples only.  The trigger radius
     # that should keep it below delta_u rests on a Lipschitz constant
     # estimated at sampled probes, so this is an estimate, not a bound.
     max_input_deviation: float = 0.0
@@ -202,28 +205,46 @@ def _funnel_record(z: HybridState) -> dict:
 _AUDIT_ROWS = 1024
 
 
-def _input_deviation(
-    traj: Trajectory, phases: list[tuple[HybridState, int]], plant: Plant, eta: float
-) -> float:
-    """max |u(x_k, t_k) - U_k|_inf over the logged rows with a finite input.
+def _score(
+    traj: Trajectory, scored: int, failure: str | None, failure_time: float | None,
+    phases: list[tuple[HybridState, int]], events: list[TriggerEvent], event_steps: list[int], plant: Plant, eta: float,
+) -> RunMetrics:
+    """The run's figures from its log, events and phases; rows from ``scored``
+    on (a failure row) stay out of the margins and the input audit.
 
-    ``u_xi_batch`` reads the law at each phase's rows, in blocks of
-    ``_AUDIT_ROWS``, at their funnel clock (k - k_entry) dt + offset,
-    which rounds as the loop's clock does.  Only a failure row, always
-    the last, is logged with a NaN input; it stays out.
+    The audit reads the law with ``u_xi_batch`` at each phase's rows, in
+    blocks of ``_AUDIT_ROWS``, at their funnel clock (k - k_entry) dt +
+    offset, which rounds as the loop's clock does, against the input of
+    the last event at or before row k, found on the integer steps.
     """
-    rows = len(traj.t)
-    stop = rows - int(rows > 0 and np.isnan(traj.U[-1]).any())
-    ends = [min(k, stop) for _, k in phases[1:]] + [stop]
-    dev = 0.0
+    samples = max(len(traj.t) - 1, 0)
+    metrics = RunMetrics(
+        samples=samples, triggers=len(events), reduction=1.0 - len(events) / samples if samples else 0.0,
+        satisfied=failure is None, rho_theta=math.nan, min_margin=math.inf, wall_time=0.0,
+        failure=failure, failure_time=failure_time,
+        max_overshoot=max([0.0] + [e.overshoot for e in events if e.overshoot is not None]),
+        min_delta=min([math.inf] + [e.delta for e in events]),
+        # Step counts keep the grid spacing exact in floats.
+        min_inter_event=float(np.min(np.diff(event_steps))) * traj.dt if len(event_steps) >= 2 else math.inf,
+        delta_by={key: sum(e.delta_by == key for e in events) for key in get_args(DeltaBy)},
+        funnels=[_funnel_record(z) for z, _ in phases if not z.terminal],
+    )
+    held = np.array([e.u for e in events])
+    ends = [min(k, scored) for _, k in phases[1:]] + [scored]
     for (z, k_entry), end in zip(phases, ends):
+        rho, gam = traj.rho_active[k_entry:end], traj.gamma[k_entry:end]
+        xi = (rho - z.fp.rho_max) / gam
+        metrics.min_margin = min(metrics.min_margin, float((rho - (z.fp.rho_max - gam)).min(initial=math.inf)),
+                                 float((z.fp.rho_max - rho).min(initial=math.inf)))
+        metrics.min_xi_gap = min(metrics.min_xi_gap, float((1.0 + xi).min(initial=math.inf)),
+                                 float((-xi).min(initial=math.inf)))
         for lo in range(k_entry, end, _AUDIT_ROWS):
             hi = min(lo + _AUDIT_ROWS, end)
-            T = (np.arange(lo, hi) - k_entry) * traj.dt + z.offset
-            gap = u_xi_batch(traj.X[lo:hi], T, z.psi, z.fp, plant, eta)[0]
-            gap -= traj.U[lo:hi]
-            dev = max(dev, float(np.abs(gap, out=gap).max()))
-    return dev
+            ks = np.arange(lo, hi)
+            gap = u_xi_batch(traj.X[lo:hi], (ks - k_entry) * traj.dt + z.offset, z.psi, z.fp, plant, eta)[0]
+            gap -= held[np.searchsorted(event_steps, ks, side="right") - 1]
+            metrics.max_input_deviation = max(metrics.max_input_deviation, float(np.abs(gap, out=gap).max()))
+    return metrics
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the freed heap an episode keeps.
@@ -273,28 +294,19 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
     tail = spec.seq_cfg.terminal_tail
     x = np.array(spec.x0, dtype=float)
 
-    # The log as blocks of rows (t, X, U, rho, gamma, mode), joined in finish.
-    blocks = [(np.empty(0), np.empty((0, n)), np.empty((0, plant.m)), np.empty(0), np.empty(0),
-               np.empty(0, dtype=int))]
+    # The log as blocks of rows (X, rho, gamma), joined in finish.
+    blocks = [(np.empty((0, n)), np.empty(0), np.empty(0))]
     events: list[TriggerEvent] = []
-    metrics = RunMetrics(
-        samples=0, triggers=0, reduction=0.0, satisfied=False,
-        rho_theta=math.nan, min_margin=math.inf, wall_time=0.0,
-    )
 
-    def finish(failure: str | None, failure_time: float | None) -> tuple[Trajectory, RunMetrics, list[TriggerEvent]]:
-        t, X, U, rho, gamma, mode = (np.concatenate(column) for column in zip(*blocks))
-        traj = Trajectory(dt=dt, t=t, X=X, U=U, rho_active=rho, gamma=gamma, mode=mode)
-        metrics.samples = max(len(t) - 1, 0)
-        metrics.triggers = len(events)
-        metrics.reduction = 1.0 - metrics.triggers / metrics.samples if metrics.samples else 0.0
-        metrics.failure = failure
-        metrics.failure_time = failure_time
-        metrics.satisfied = failure is None
-        metrics.max_input_deviation = _input_deviation(traj, phases, plant, eta)
-        if len(event_steps) >= 2:
-            # Step counts keep the grid spacing exact in floats.
-            metrics.min_inter_event = float(np.min(np.diff(event_steps))) * dt
+    def finish(failure: str | None, failure_time: float | None, scored: int | None = None):
+        """Join the log and score its first ``scored`` rows (default: all)."""
+        X, rho, gamma = (np.concatenate(column) for column in zip(*blocks))
+        rows = len(rho)
+        # Row k is sample k, and its mode is that of the phase it lies in.
+        mode = np.repeat(np.array([z.q for z, _ in phases], dtype=int), np.diff([k for _, k in phases] + [rows]))
+        traj = Trajectory(dt=dt, t=np.arange(rows) * dt, X=X, rho_active=rho, gamma=gamma, mode=mode)
+        metrics = _score(traj, rows if scored is None else scored, failure, failure_time,
+                         phases, events, event_steps, plant, eta)
         if metrics.satisfied:
             try:
                 metrics.rho_theta = monitor_robustness(spec.theta, traj, 0.0)
@@ -303,18 +315,10 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         metrics.wall_time = time.perf_counter() - t_start
         return traj, metrics, events
 
-    def log_rows(T: np.ndarray, X: np.ndarray, u: np.ndarray, rho: np.ndarray, gam: np.ndarray, xi: np.ndarray) -> None:
-        """Log rows holding ``u`` and fold them into the margins."""
-        blocks.append((T, X, np.repeat(u[None], len(T), axis=0), rho, gam, np.full(len(T), z.q)))
-        metrics.min_margin = min(metrics.min_margin, float((rho - (z.fp.rho_max - gam)).min()),
-                                 float((z.fp.rho_max - rho).min()))
-        metrics.min_xi_gap = min(metrics.min_xi_gap, float((1.0 + xi).min()), float((-xi).min()))
-
     def fail(kind: str) -> tuple[Trajectory, RunMetrics, list[TriggerEvent]]:
-        """Log the current sample with a NaN input and end the episode."""
-        blocks.append((np.array([t]), x[None], np.full((1, plant.m), np.nan), np.array([rho]),
-                       np.array([gam]), np.array([z.q])))
-        return finish(kind, t)
+        """Log the current sample, row k, and end the episode scoring the rows before it."""
+        blocks.append((x[None], np.array([rho]), np.array([gam])))
+        return finish(kind, t, scored=k)
 
     event_steps: list[int] = []
     # Each phase's state and entry step; row k of the log is sample k.
@@ -325,7 +329,6 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
         return finish(f"synthesis: {exc}", 0.0)
     phases.append((z, 0))
 
-    metrics.funnels.append(_funnel_record(z))
     table = kernels.compile_leaf_table(z.psi)
     event: TriggerEvent | None = None
     jumped = False
@@ -352,8 +355,6 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             if z_next is not None:
                 z, jumped, k_entry = z_next, True, k
                 phases.append((z, k))
-                if not z.terminal:
-                    metrics.funnels.append(_funnel_record(z))
                 table = kernels.compile_leaf_table(z.psi)
                 rho = float(kernels.rho_rows(x[None], z.psi, eta)[0])
                 continue  # evaluate this sample again in the new phase
@@ -372,7 +373,6 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
                 # has left the previous event's box by the time it fires.
                 reach = max(float(np.abs(x - event.x).max()), held * dt)
                 overshoot = reach / event.delta
-                metrics.max_overshoot = max(metrics.max_overshoot, overshoot)
             u = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)[1]
             try:
                 event = make_event(
@@ -384,12 +384,10 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             # The controller tracks the funnel clock; log wall-clock time.
             events.append(replace(event, t=t, overshoot=overshoot))
             event_steps.append(k)
-            metrics.min_delta = min(metrics.min_delta, event.delta)
-            metrics.delta_by[event.delta_by] += 1
 
         done = z.terminal and z.t_local >= tail - 1e-12
         if done or t >= horizon - 1e-12:
-            log_rows(np.array([t]), x[None], event.u, np.array([rho]), np.array([gam]), np.array([xi]))
+            blocks.append((x[None], np.array([rho]), np.array([gam])))
             return finish(None, None) if done else finish(f"horizon: mode {z.q} unfinished", t)
 
         # The segment: rows k + 1 ... k + K hold the event's input, up to the
@@ -421,6 +419,6 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             fires |= T_local >= tail - 1e-12
         fires[0] = False
         cut = int(fires.argmax()) or end - 1
-        log_rows(T[:cut], X[:cut], event.u, rhos[:cut], gams[:cut], xis[:cut])
+        blocks.append((X[:cut], rhos[:cut], gams[:cut]))
         x, rho, k = X[cut], float(rhos[cut]), k + cut
         jumped = False

@@ -7,7 +7,12 @@ row and steps the state with row k of the noise table that the seed's
 first stream draws.  ``sim.run_episode``, which handles the held rows
 between events as blocks, must reproduce it bitwise: logs, events,
 metrics and the radius stream's state at the end.
-It returns the radius's generator as a fourth item.
+It returns the radius's generator as a fourth item and, as a fifth, the
+input it held at each row, with a NaN row at a failure row.  Its metrics
+fold row by row inside the loop, and its input audit
+(``input_deviation``) reads that per-row input and leaves out the NaN
+row, where ``sim`` scores its log after the loop and rebuilds the input
+from the events.
 
 ``hessian_form_stacked`` is the law Jacobian's curvature form over the
 stacked leaf gradients, which ``kernels._hessian_form`` builds in slot
@@ -24,17 +29,40 @@ from dataclasses import replace
 
 import numpy as np
 
-from stlfunnel import kernels
+from stlfunnel import kernels, sim
 from stlfunnel.controller import make_event, should_trigger
 from stlfunnel.errors import DeadlineError, SynthesisError, TriggerFloorError
 from stlfunnel.funnel import gamma_at
+from stlfunnel.kernels import u_xi_batch
 from stlfunnel.monitor import monitor_robustness
 from stlfunnel.sequencer import init_sequencer, jump_if_due
-from stlfunnel.sim import RunMetrics, Trajectory, _funnel_record, _input_deviation, step_rk4
+from stlfunnel.sim import RunMetrics, Trajectory, _funnel_record, step_rk4
+
+
+def input_deviation(traj, U, phases, plant, eta):
+    """max |u(x_k, t_k) - U_k|_inf over the logged rows with a finite input.
+
+    ``u_xi_batch`` reads the law at each phase's rows, in blocks of
+    ``sim._AUDIT_ROWS``, at their funnel clock (k - k_entry) dt + offset,
+    which rounds as the loop's clock does.  Only a failure row, always
+    the last, is logged with a NaN input; it stays out.
+    """
+    rows = len(traj.t)
+    stop = rows - int(rows > 0 and np.isnan(U[-1]).any())
+    ends = [min(k, stop) for _, k in phases[1:]] + [stop]
+    dev = 0.0
+    for (z, k_entry), end in zip(phases, ends):
+        for lo in range(k_entry, end, sim._AUDIT_ROWS):
+            hi = min(lo + sim._AUDIT_ROWS, end)
+            T = (np.arange(lo, hi) - k_entry) * traj.dt + z.offset
+            gap = u_xi_batch(traj.X[lo:hi], T, z.psi, z.fp, plant, eta)[0]
+            gap -= U[lo:hi]
+            dev = max(dev, float(np.abs(gap, out=gap).max()))
+    return dev
 
 
 def run_episode_per_sample(spec):
-    """(Trajectory, RunMetrics, events, generator) of ``spec``, one sample per iteration."""
+    """(Trajectory, RunMetrics, events, generator, U) of ``spec``, one sample per iteration."""
     t_start = time.perf_counter()
     plant = spec.plant
     smoothing = spec.seq_cfg.smoothing
@@ -58,18 +86,18 @@ def run_episode_per_sample(spec):
             dt=dt,
             t=np.asarray(rows_t),
             X=np.asarray(rows_x).reshape(-1, plant.n),
-            U=np.asarray(rows_u).reshape(-1, plant.m),
             rho_active=np.asarray(rows_rho),
             gamma=np.asarray(rows_gamma),
             mode=np.asarray(rows_mode, dtype=int),
         )
+        U = np.asarray(rows_u).reshape(-1, plant.m)
         metrics.samples = max(len(rows_t) - 1, 0)
         metrics.triggers = len(events)
         metrics.reduction = 1.0 - metrics.triggers / metrics.samples if metrics.samples else 0.0
         metrics.failure = failure
         metrics.failure_time = failure_time
         metrics.satisfied = failure is None
-        metrics.max_input_deviation = _input_deviation(traj, phases, plant, eta)
+        metrics.max_input_deviation = input_deviation(traj, U, phases, plant, eta)
         if len(event_steps) >= 2:
             metrics.min_inter_event = float(np.min(np.diff(event_steps))) * dt
         if metrics.satisfied:
@@ -78,7 +106,7 @@ def run_episode_per_sample(spec):
             except Exception as exc:
                 metrics.monitor_error = f"{type(exc).__name__}: {exc}"
         metrics.wall_time = time.perf_counter() - t_start
-        return traj, metrics, events, rng
+        return traj, metrics, events, rng, U
 
     def log_sample(u):
         rows_t.append(t); rows_x.append(x.copy()); rows_u.append(u)

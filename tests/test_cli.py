@@ -104,10 +104,10 @@ def test_funnel_walls_rebuild_from_trajectory_and_metrics(tmp_path):
 
 
 def test_held_input_rebuilds_from_events(tmp_path):
-    # trajectory.csv has no input columns.  The README rebuilds the input
-    # held at each row from events.csv; on every row with a finite input
-    # it is the in-memory input as the CSVs write it, across both
-    # ModeSwitch events.
+    # trajectory.csv has no input columns and Trajectory no input field.
+    # The README rebuilds the input held at each row from events.csv; on
+    # every row it is the in-memory rebuild from the events as the CSVs
+    # write it, across both ModeSwitch events.
     scn = _write(tmp_path, TWO_PHASE_SCENARIO)
     traj, metrics, events = run_episode(build_episode(load_scenario(scn)))
     assert metrics.satisfied and [ev.cause for ev in events].count("ModeSwitch") == 2
@@ -116,10 +116,10 @@ def test_held_input_rebuilds_from_events(tmp_path):
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,x0,rho_active,gamma,mode"
     U = _readme_snippet("searchsorted", out)["U"]
-    finite = np.isfinite(traj.U).all(axis=1)
-    assert U.shape == traj.U.shape and finite.sum() >= len(traj.t) - 1
-    written = np.array([float("%.12g" % v) for v in traj.U[finite].ravel()])
-    assert U[finite].ravel().tobytes() == written.tobytes()
+    held = np.array([e.u for e in events])[np.searchsorted([e.t for e in events], traj.t, side="right") - 1]
+    assert U.shape == held.shape == (len(traj.t), 1) and np.isfinite(held).all()
+    written = np.array([float("%.12g" % v) for v in held.ravel()])
+    assert U.ravel().tobytes() == written.tobytes()
 
 
 def test_run_seed_and_dt_overrides(tmp_path):

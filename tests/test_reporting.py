@@ -15,13 +15,11 @@ TRAJECTORY_CSV = (
 
 
 def _tiny_trajectory() -> Trajectory:
-    # Three samples of a 2-state run whose last sample is a failure row
-    # (NaN input), ending in the terminal mode 2.
+    # Three samples of a 2-state run ending in the terminal mode 2.
     return Trajectory(
         dt=0.1,
         t=np.array([0.0, 0.1, 0.2]),
         X=np.array([[1.0 / 3.0, -2.5], [0.5, 1e-7], [-0.0, 12345678.9]]),
-        U=np.array([[2.0, -1e20], [0.25, 3.0], [np.nan, np.nan]]),
         rho_active=np.array([0.5, 0.75, 1.0]),
         gamma=np.array([1.25, 1.0, 0.5]),
         mode=np.array([1, 1, 2]),
@@ -51,7 +49,7 @@ def test_events_csv_golden_format(tmp_path):
                      delta=0.5, cause="MaxInterval", delta_by="box", overshoot=2.4600000000000004),
     ]
     path = tmp_path / "events.csv"
-    write_events(path, events, 2, 2)
+    write_events(path, events, 2)
     assert path.read_text() == (
         "i,t_i,cause,delta_i,delta_by,overshoot,x0,x1,u0,u1\n"
         "0,0,Initial,0.25,box,,0.333333333333,-2.5,2,-1e+20\n"

@@ -58,14 +58,37 @@ def test_integrator_run_satisfies_task():
     assert metrics.min_xi_gap > 0.0
 
 
+def _held_input(traj, events):
+    """The input held at each row: the ``u`` of the last event at or before
+    its time (the rule ``sim.Trajectory`` gives)."""
+    return np.array([e.u for e in events])[np.searchsorted([e.t for e in events], traj.t, side="right") - 1]
+
+
+def _scored_rows(traj, metrics):
+    """The rows the scoring pass reads: all but the failure row that a
+    failure at a cut row logs last.  A horizon failure's last row is an
+    ordinary row."""
+    return len(traj.t) - int(metrics.failure is not None and not metrics.failure.startswith(("horizon", "synthesis")))
+
+
+def _assert_failure_row_unscored(traj, metrics):
+    """The last row is the failure row, and the margins stop before it."""
+    assert metrics.failure_time == traj.t[-1] and _scored_rows(traj, metrics) == len(traj.t) - 1
+    upper = np.array([rec["rho_max"] for rec in metrics.funnels])[np.minimum(traj.mode, len(metrics.funnels)) - 1]
+    rho, lower = traj.rho_active[:-1], upper[:-1] - traj.gamma[:-1]
+    margins = np.concatenate([rho - lower, upper[:-1] - rho])
+    assert metrics.min_margin == float(margins.min(initial=math.inf))
+
+
 def test_trajectory_log_shapes_and_grid():
     traj, metrics, events = run_episode(_toy_spec())
     n = len(traj.t)
     assert n == metrics.samples + 1
-    assert traj.X.shape == (n, 1) and traj.U.shape == (n, 1)
+    U = _held_input(traj, events)
+    assert traj.X.shape == (n, 1) and U.shape == (n, 1)
     assert traj.rho_active.shape == (n,) and traj.gamma.shape == (n,)
     np.testing.assert_allclose(traj.t, np.arange(n) * traj.dt, rtol=0, atol=1e-12)
-    assert np.all(np.isfinite(traj.U))
+    assert np.all(np.isfinite(U))
     assert np.all(traj.gamma > 0.0)
     assert traj.mode[0] == 1 and traj.mode[-1] == 2
 
@@ -81,7 +104,7 @@ def test_event_log_and_held_input():
     assert metrics.max_input_deviation <= TriggerConfig().delta_u
     # The input is held between events: U may change only on event samples.
     event_ks = {int(round(e.t / traj.dt)) for e in events}
-    changed = np.nonzero(np.any(np.diff(traj.U, axis=0) != 0.0, axis=1))[0] + 1
+    changed = np.nonzero(np.any(np.diff(_held_input(traj, events), axis=0) != 0.0, axis=1))[0] + 1
     assert set(changed.tolist()) <= event_ks
     # Each event holds the law of the phase active after any jump.  The
     # second spec switches into a phase with a new funnel, where the
@@ -202,13 +225,13 @@ def test_max_interval_fires_one_step_past_delta():
         assert gap - 1 <= delta / traj.dt < gap
 
 
-def _reference_deviation(spec, traj, metrics):
-    """max |u - U|_inf over the logged rows with a finite input, row by row."""
+def _reference_deviation(spec, traj, metrics, events):
+    """max |u - U|_inf over the scored rows, row by row."""
     law = _phase_law(spec, traj, metrics)
+    U = _held_input(traj, events)
     dev = 0.0
-    for k in range(len(traj.t)):
-        if np.all(np.isfinite(traj.U[k])):
-            dev = max(dev, float(np.abs(law(k, traj.X[k]) - traj.U[k]).max()))
+    for k in range(_scored_rows(traj, metrics)):
+        dev = max(dev, float(np.abs(law(k, traj.X[k]) - U[k]).max()))
     return dev
 
 
@@ -231,9 +254,11 @@ def test_input_audit_matches_per_sample_law(case, monkeypatch):
         )
     traj, metrics, events = run_episode(spec)
     assert (metrics.failure is None) == (case in ("two_phase", "blocks"))
-    # The noise run logs its failing sample with a NaN input; it stays out.
-    assert np.isnan(traj.U[-1]).all() == (case == "noise")
-    ref = _reference_deviation(spec, traj, metrics)
+    # The noise run logs its failing sample last; the audit stops before it.
+    assert (_scored_rows(traj, metrics) < len(traj.t)) == (case == "noise")
+    if case == "noise":
+        _assert_failure_row_unscored(traj, metrics)
+    ref = _reference_deviation(spec, traj, metrics, events)
     assert 0.0 < ref and math.isfinite(metrics.max_input_deviation)
     assert metrics.max_input_deviation == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -273,7 +298,7 @@ def test_same_seed_reproduces_bitwise():
     spec = _toy_spec(plant=single_integrator(1, w_max=0.02), seed=11)
     a = run_episode(spec)
     b = run_episode(spec)
-    assert np.array_equal(a[0].X, b[0].X) and np.array_equal(a[0].U, b[0].U)
+    assert np.array_equal(a[0].X, b[0].X) and np.array_equal(_held_input(a[0], a[2]), _held_input(b[0], b[2]))
     assert a[1].triggers == b[1].triggers
 
 
@@ -305,7 +330,7 @@ def test_radius_draws_move_no_noise_row(monkeypatch):
     for traj, metrics, events in (drawing, again):
         for f in dataclasses.fields(traj):
             assert _same_bits(getattr(traj, f.name), getattr(fixed[0], f.name)), f.name
-        assert [(e.t, e.cause) for e in events] == [(e.t, e.cause) for e in fixed[2]]
+        assert [(e.t, e.cause, e.u.tobytes()) for e in events] == [(e.t, e.cause, e.u.tobytes()) for e in fixed[2]]
 
 
 def test_resolved_horizon():
@@ -344,7 +369,7 @@ def test_infeasible_resynthesis_recorded_as_deadline_failure():
     traj, metrics, events = run_episode(spec)
     assert not metrics.satisfied
     assert metrics.failure is not None and metrics.failure.startswith("deadline")
-    assert np.all(np.isnan(traj.U[-1]))
+    _assert_failure_row_unscored(traj, metrics)
 
 
 def test_overwhelming_noise_recorded_not_raised():
@@ -359,7 +384,7 @@ def test_overwhelming_noise_recorded_not_raised():
     assert not metrics.satisfied
     assert metrics.failure in ("funnel", "trigger_floor")
     assert metrics.failure_time is not None
-    assert np.all(np.isnan(traj.U[-1]))
+    _assert_failure_row_unscored(traj, metrics)
 
 
 def test_funnel_records_cover_all_modes():
@@ -470,7 +495,7 @@ def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
     traj, metrics, events = run_episode(spec)
-    ref_traj, ref_metrics, ref_events, ref_rng = run_episode_per_sample(spec)
+    ref_traj, ref_metrics, ref_events, ref_rng, ref_U = run_episode_per_sample(spec)
 
     assert (metrics.failure or "").startswith(failure or "") and (metrics.failure is None) == (failure is None)
     assert any(e.cause == cause for e in events) and metrics.samples > 10
@@ -484,5 +509,13 @@ def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
     for f in dataclasses.fields(metrics):
         if f.name != "wall_time":
             assert repr(getattr(metrics, f.name)) == repr(getattr(ref_metrics, f.name)), f.name
+    # The input the reference held at each row rebuilds from the events on
+    # every scored row; only a failure row, which it logs with a NaN input,
+    # is past them.
+    stop = _scored_rows(traj, metrics)
+    assert np.isnan(ref_U[stop:]).all() and not np.isnan(ref_U[:stop]).any()
+    assert _same_bits(_held_input(traj, events)[:stop], ref_U[:stop])
+    assert sum(metrics.delta_by.values()) == metrics.triggers
+    assert metrics.reduction == 1.0 - metrics.triggers / metrics.samples
     # Each loop makes the noise generator, then the radius generator.
     assert len(made) == 4 and made[1].bit_generator.state == ref_rng.bit_generator.state
