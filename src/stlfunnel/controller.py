@@ -4,8 +4,8 @@ The law is u(x, t) = -eps(x, t) * g(x)^T * grad rho(x) with eps the
 transformed funnel error.  The episode loop evaluates it only where
 the trigger fires (``kernels.u_xi_eval``) and hands that input to
 ``make_event``, so an event adds only the trigger radius; the held rows
-between events are tested as one block (``trigger_rows``), and the row
-where the block is cut once more through ``should_trigger``.
+between events are tested as one block (``should_trigger``), and the row
+where the block is cut acts on that block's verdicts.
 Between events the input is frozen; a new event fires when the state
 leaves an infinity-norm ball of radius delta_i around the event state
 or when delta_i seconds elapse, with delta_i chosen so the frozen input
@@ -21,7 +21,7 @@ event records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
 the late vertices (as sign patterns) and hypercube probes, the radius
-loop, the trigger test (``trigger_rows``, ``should_trigger``) and
+loop, the trigger test (``should_trigger``, over rows) and
 ``make_event``.  The vertex check, which reads each leaf only at the
 corners of the coordinates it selects, and the law Jacobian over the
 probe rows, which checks the band there again, are evaluated in
@@ -51,7 +51,6 @@ __all__ = [
     "TriggerEvent",
     "continuous_law",
     "compute_trigger_radius",
-    "trigger_rows",
     "should_trigger",
 ]
 
@@ -204,30 +203,19 @@ def compute_trigger_radius(
     return delta, "lipschitz" if delta < box else "box"
 
 
-def trigger_rows(
+def should_trigger(
     X: np.ndarray, steps: np.ndarray | int, dt: float, event: TriggerEvent
 ) -> tuple[np.ndarray, np.ndarray]:
     """The trigger's two strict tests at every row of X (K, n), ``steps``
     (K,) samples of ``dt`` after the event: whether max_j |x_j - x_event_j|
-    exceeds delta (StateDeviation) and whether the whole steps exceed
-    delta / dt (MaxInterval).
+    exceeds delta (StateDeviation, which takes precedence where both fire)
+    and whether the whole steps exceed delta / dt (MaxInterval).
 
     Comparing step counts keeps a hold of exactly delta from firing
     however the funnel clock rounds.  One state (n,) with an integer
     ``steps`` gives the two tests as scalars.
     """
     return np.abs(X - event.x).max(axis=-1) > event.delta, steps > event.delta / dt
-
-
-def should_trigger(x: np.ndarray, steps: int, dt: float, event: TriggerEvent) -> Cause | None:
-    """``trigger_rows`` at one state: the cause that fires, StateDeviation
-    taking precedence when both do, or None."""
-    deviates, late = trigger_rows(x, steps, dt, event)
-    if deviates:
-        return "StateDeviation"
-    if late:
-        return "MaxInterval"
-    return None
 
 
 def make_event(

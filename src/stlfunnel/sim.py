@@ -2,28 +2,32 @@
 
 An episode is a control loop, then one scoring pass.  The loop holds
 inputs, appends events and phases, and logs the rows it computed (state,
-rho, gamma).  Its unit is the segment between events.  Its first row,
-the cut row, goes through the event, jump, failure and finish code one
-sample at a time: the funnel check, ``jump_if_due`` (after a jump the
-row is read again in the new phase), ``should_trigger`` and, where the
-trigger fires, the law (``kernels.u_xi_eval``) and ``make_event``, which
-holds that input and adds the trigger radius.  The rows after it hold
-that input and form one block of K = floor(delta / dt) + 1 - (steps
-already held) rows, so MaxInterval fires at its last row at the latest
-(fewer where the noise table ends, at or past the horizon row, which
-then fires):
+rho, gamma).  Its unit is the segment between events.  Every row is
+tested once, by one read of the active phase's rows (``read``): rho
+(``kernels.rho_rows``), gamma (``kernels.funnel_width``), the funnel
+band test, the jump or deadline test (``jump_rows``, due or overdue),
+the terminal test and the horizon test, as row comparisons.  The read
+that cuts at a row hands that row's verdicts, and the trigger's cause
+there, to the loop head, which only acts on them: it fails the run,
+jumps (``jump_if_due``, where the read found the jump due or overdue;
+the row is then read again, alone, in the new phase), evaluates the law
+(``kernels.u_xi_eval``) and calls ``make_event``, which holds that input
+and adds the trigger radius, or finishes.  Row 0 is read alone too.  The
+rows after the head hold its input and form one block of K = floor(delta
+/ dt) + 1 - (steps already held) rows, so MaxInterval fires at its last
+row at the latest (fewer where the noise table ends, at or past the
+horizon row, which then fires):
 
 * its noise is rows k ... k + K - 1 of the episode's noise table, and
-  ``step_rk4`` gives its K states under the exact zero-order-hold flow of
-  dx/dt = g(x) u_held + w, each step holding its noise row;
-* the trigger and horizon tests run on every row (``trigger_rows``);
-* up to the first row where one of them fires, rho is read
-  (``kernels.rho_rows``) and the funnel test, the jump or deadline test
-  (``jump_rows``) and the terminal test run as row comparisons.
+  ``step_rk4`` gives its K states, rows k + 1 ... k + K, under the exact
+  zero-order-hold flow of dx/dt = g(x) u_held + w, each step holding its
+  noise row;
+* the trigger test runs on every row (``should_trigger``), and ``read``
+  up to the first row where it fires.
 
-The block is cut at its first row where any test fires: the rows before
-the cut are logged as one block, and the cut row starts the next
-segment.  The segments reproduce a per-sample loop bitwise, since one
+The block is cut at its first row where any test fires: the head row and
+the rows before the cut are logged as one block, and the cut row is the
+next head.  The segments reproduce a per-sample loop bitwise, since one
 row and a block take gamma and rho with the same exp and log
 (``kernels``).
 
@@ -53,10 +57,9 @@ import numpy as np
 
 from . import kernels
 from .kernels import u_xi_batch
-from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger, trigger_rows
+from .controller import DeltaBy, TriggerConfig, TriggerEvent, make_event, should_trigger
 from .errors import DeadlineError, SynthesisError, TriggerFloorError
 from .formulas import SequentialFormula, normalize_sequential
-from .funnel import gamma_at
 from .monitor import monitor_robustness
 from .plants import _DEG, Plant, is_int
 from .sequencer import HybridState, SequencerConfig, init_sequencer, jump_if_due, jump_rows
@@ -331,48 +334,58 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
 
     table = kernels.compile_leaf_table(z.psi)
     event: TriggerEvent | None = None
-    jumped = False
     k = 0
     k_entry = 0
-    rho = float(kernels.rho_rows(x[None], z.psi, eta)[0])
+
+    def read(X: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rho and gamma of the active phase at states X, steps ks, and its
+        row tests there: whether the funnel band is left, the jump is due or
+        overdue, the terminal tail is over, the horizon is reached."""
+        T_local = (ks - k_entry) * dt
+        rhos = kernels.rho_rows(X, z.psi, eta)
+        gams = kernels.funnel_width(z.fp.perf, T_local + z.offset)[0]
+        xis = (rhos - z.fp.rho_max) / gams
+        tests = np.empty((4, len(ks)), dtype=bool)
+        tests[0] = ~((-1.0 < xis) & (xis < 0.0))
+        tests[1] = np.logical_or(*jump_rows(z, rhos, T_local))
+        tests[2] = z.terminal & (T_local >= tail - 1e-12)
+        tests[3] = ks * dt >= horizon - 1e-12
+        return rhos, gams, tests
+
+    rhos, gams, tests = read(x[None], np.array([k]))
+    row, cause = 0, "Initial"
 
     while True:
-        # Row k, the first of a segment, takes the event, jump, failure and
-        # finish code one sample at a time.
+        # Row k, where the last read cut, acts on that read's verdicts and
+        # the trigger's cause there: it fails, jumps, holds a new input or
+        # finishes.
         t = k * dt
         z.t_local = (k - k_entry) * dt
-        t_fun = z.t_local + z.offset
-        gam = gamma_at(z.fp.perf, t_fun)
-        xi = (rho - z.fp.rho_max) / gam
-
-        if not (-1.0 < xi < 0.0):
-            return fail("funnel")
-        if not jumped:
+        rho, gam = float(rhos[row]), float(gams[row])
+        if tests[1, row] and not tests[0, row]:  # a row outside the band fails first
             try:
-                z_next = jump_if_due(z, x, spec.seq_cfg, rho=rho)
+                z = jump_if_due(z, x, spec.seq_cfg, rho=rho)
             except (DeadlineError, SynthesisError) as exc:
                 return fail(f"deadline: {exc}")
-            if z_next is not None:
-                z, jumped, k_entry = z_next, True, k
-                phases.append((z, k))
-                table = kernels.compile_leaf_table(z.psi)
-                rho = float(kernels.rho_rows(x[None], z.psi, eta)[0])
-                continue  # evaluate this sample again in the new phase
+            k_entry = k
+            phases.append((z, k))
+            table = kernels.compile_leaf_table(z.psi)
+            # Row k is read again in the new phase, which does not jump there.
+            rhos, gams, tests = read(x[None], np.array([k]))
+            rho, gam, row, cause = float(rhos[0]), float(gams[0]), 0, "ModeSwitch"
+        band, _, done, past = tests[:, row]
+        if band:
+            return fail("funnel")
 
-        if jumped:
-            cause = "ModeSwitch"
-        elif event is None:
-            cause = "Initial"
-        else:
-            held = k - event_steps[-1]  # whole steps since the event
-            cause = should_trigger(x, held, dt, event)
         if cause is not None:
             overshoot = None
             if cause in ("StateDeviation", "MaxInterval"):
                 # The trigger tests grid samples only, so the state or clock
                 # has left the previous event's box by the time it fires.
+                held = k - event_steps[-1]  # whole steps since the event
                 reach = max(float(np.abs(x - event.x).max()), held * dt)
                 overshoot = reach / event.delta
+            t_fun = z.t_local + z.offset
             u = kernels.u_xi_eval(table, x, t_fun, eta, z.fp, plant)[1]
             try:
                 event = make_event(
@@ -385,40 +398,25 @@ def run_episode(spec: EpisodeSpec) -> tuple[Trajectory, RunMetrics, list[Trigger
             events.append(replace(event, t=t, overshoot=overshoot))
             event_steps.append(k)
 
-        done = z.terminal and z.t_local >= tail - 1e-12
-        if done or t >= horizon - 1e-12:
+        if done or past:
             blocks.append((x[None], np.array([rho]), np.array([gam])))
             return finish(None, None) if done else finish(f"horizon: mode {z.q} unfinished", t)
 
         # The segment: rows k + 1 ... k + K hold the event's input, up to the
         # row where MaxInterval must fire, or to row len(noise), at or past
-        # the horizon row.  Row 0 of the block is row k again.  The block is
-        # cut at its first row where the trigger test, the horizon test, the
-        # funnel test, the jump or deadline test or the terminal test fires;
-        # the rows before the cut are logged, and the cut row starts the next
-        # segment.  The tests that need rho run only up to the first row the
-        # trigger or the horizon cuts at.
+        # the horizon row.  The trigger test runs on every row and ``read`` up
+        # to the first row where it fires; the block is cut at the first row
+        # where any test fires, and that row is the next head.
         W = noise[k:event_steps[-1] + int(event.delta / dt) + 1]
-        X = np.empty((len(W) + 1, n))
-        X[0] = x
-        X[1:] = step_rk4(plant, x, event.u, W, dt)
-        ks = np.arange(k, k + len(W) + 1)
-        T = ks * dt
-        deviates, late = trigger_rows(X, ks - event_steps[-1], dt, event)
-        fires = deviates | late | (T >= horizon - 1e-12)
-        fires[0] = False
-        end = int(fires.argmax()) + 1  # MaxInterval or the horizon fires at row K at the latest
-        X, T = X[:end], T[:end]
-        T_local = (ks[:end] - k_entry) * dt
-        gams = kernels.funnel_width(z.fp.perf, T_local + z.offset)[0]
-        rhos = kernels.rho_rows(X, z.psi, eta)
-        xis = (rhos - z.fp.rho_max) / gams
-        due, overdue = jump_rows(z, rhos, T_local)
-        fires = due | overdue | ~((-1.0 < xis) & (xis < 0.0))
-        if z.terminal:
-            fires |= T_local >= tail - 1e-12
-        fires[0] = False
-        cut = int(fires.argmax()) or end - 1
-        blocks.append((X[:cut], rhos[:cut], gams[:cut]))
-        x, rho, k = X[cut], float(rhos[cut]), k + cut
-        jumped = False
+        X = step_rk4(plant, x, event.u, W, dt)
+        ks = np.arange(k + 1, k + 1 + len(W))
+        deviates, late = should_trigger(X, ks - event_steps[-1], dt, event)
+        fires = deviates | late
+        end = int(fires.argmax()) + 1 if fires.any() else len(ks)  # else the horizon fires at the last row
+        rhos, gams, tests = read(X[:end], ks[:end])
+        row = int((fires[:end] | tests.any(axis=0)).argmax())
+        # Copies: a view would keep the whole block alive until finish.
+        blocks.append((np.concatenate((x[None], X[:row])), np.concatenate(([rho], rhos[:row])),
+                       np.concatenate(([gam], gams[:row]))))
+        x, k = X[row], k + 1 + row
+        cause = "StateDeviation" if deviates[row] else "MaxInterval" if late[row] else None

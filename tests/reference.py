@@ -160,7 +160,7 @@ def run_episode_per_sample(spec):
             cause = "Initial"
         else:
             held = k - event_steps[-1]
-            cause = should_trigger(x, held, dt, event)
+            cause = next((c for c, hit in zip(("StateDeviation", "MaxInterval"), should_trigger(x, held, dt, event)) if hit), None)
         if cause is not None:
             overshoot = None
             if cause in ("StateDeviation", "MaxInterval"):

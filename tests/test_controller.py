@@ -683,19 +683,20 @@ def test_trigger_strict_inequalities():
         index=0, t=1.0, x=np.zeros(2), u=np.zeros(2), delta=0.5, cause="Initial", delta_by="box"
     )
     # Exactly at the radius or the interval (50 steps of 0.01): hold.
-    assert should_trigger(np.array([0.5, 0.0]), 0, 0.01, ev) is None
-    assert should_trigger(np.zeros(2), 50, 0.01, ev) is None
-    # Strictly beyond: fire, state deviation first.
-    assert should_trigger(np.array([0.5001, 0.0]), 0, 0.01, ev) == "StateDeviation"
-    assert should_trigger(np.zeros(2), 51, 0.01, ev) == "MaxInterval"
-    assert should_trigger(np.array([0.6, 0.0]), 100, 0.01, ev) == "StateDeviation"
+    assert should_trigger(np.array([0.5, 0.0]), 0, 0.01, ev) == (False, False)
+    assert should_trigger(np.zeros(2), 50, 0.01, ev) == (False, False)
+    # Strictly beyond: fire.  Each pair is (StateDeviation, MaxInterval);
+    # the loop takes StateDeviation where both fire.
+    assert should_trigger(np.array([0.5001, 0.0]), 0, 0.01, ev) == (True, False)
+    assert should_trigger(np.zeros(2), 51, 0.01, ev) == (False, True)
+    assert should_trigger(np.array([0.6, 0.0]), 100, 0.01, ev) == (True, True)
     # A hold of delta = 0.25 = 25 steps from funnel clock 29 dt: the clock
     # 25 steps later, 54 dt, minus 29 dt rounds up past 0.25, so a test on
     # the clocks' difference fired at exactly delta.  The step count holds.
     ev = replace(ev, delta=0.25)
     assert 54 * 0.01 - 29 * 0.01 > ev.delta
-    assert should_trigger(np.zeros(2), 25, 0.01, ev) is None
-    assert should_trigger(np.zeros(2), 26, 0.01, ev) == "MaxInterval"
+    assert should_trigger(np.zeros(2), 25, 0.01, ev) == (False, False)
+    assert should_trigger(np.zeros(2), 26, 0.01, ev) == (False, True)
 
 
 def test_trigger_radius_bounds_input_deviation(rng, monkeypatch):

@@ -198,8 +198,9 @@ def test_randomized_sequences_jump_inside_windows(rng):
 
 @pytest.mark.parametrize("text", ["F[1,3](ball(0;0;4))", "G[1,3](ball(0;0;4))"])
 def test_jump_rows_match_jump_if_due(rng, text):
-    # The episode tests a block of rows with jump_rows and the row where it
-    # cuts with jump_if_due; both are one condition.  Rows straddle the
+    # The episode tests a block of rows with jump_rows and calls
+    # jump_if_due only at a row it found due or overdue, where that call
+    # must jump or raise; both are one condition.  Rows straddle the
     # band's edges r and rho_max and the window's ends, including the
     # tolerance at each.
     z = init_sequencer(parse_formula(text), np.array([2.0]), _cfg(chi=0.5))

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stlfunnel import controller, kernels, sim
-from stlfunnel.controller import TriggerConfig, TriggerEvent, should_trigger, trigger_rows
+from stlfunnel import controller, kernels, sequencer, sim
+from stlfunnel.controller import TriggerConfig, TriggerEvent, should_trigger
 from stlfunnel.errors import WindowError
 from stlfunnel.formulas import normalize_sequential
 from stlfunnel.funnel import FunnelParams, PerformanceFunction, SynthesisConfig
@@ -184,8 +185,9 @@ def test_law_runs_only_at_events(monkeypatch):
 
 
 def test_trigger_rows_match_the_single_row_test(rng):
-    # The segment loop tests a block of rows at once with trigger_rows and
-    # the row where it cuts with should_trigger; both are one comparison.
+    # The segment loop tests a block of rows at once with should_trigger;
+    # each row's pair is the literal per-row test, and one state with an
+    # integer step count gives the same pair as scalars.
     for i in range(300):
         n = int(rng.integers(1, 10))
         K = int(rng.integers(1, 60))
@@ -203,12 +205,40 @@ def test_trigger_rows_match_the_single_row_test(rng):
             steps = np.minimum(steps, int(delta / 0.01))
         event = TriggerEvent(index=0, t=1.0, x=ex, u=np.zeros(n), delta=delta,
                              cause="Initial", delta_by="box")
-        deviates, late = trigger_rows(X, steps, 0.01, event)
+        deviates, late = should_trigger(X, steps, 0.01, event)
+        assert deviates.shape == late.shape == (K,)
         for row, s, d, l in zip(X, steps.tolist(), deviates.tolist(), late.tolist()):
-            cause = should_trigger(row, s, 0.01, event)
-            assert cause == ("StateDeviation" if d else "MaxInterval" if l else None)
+            expected = (max(abs(a - b) for a, b in zip(row.tolist(), ex.tolist())) > delta, s > delta / 0.01)
+            assert (d, l) == expected == tuple(bool(v) for v in should_trigger(row, s, 0.01, event))
             if i % 3 == 0:
-                assert cause is None
+                assert expected == (False, False)
+
+
+def test_each_cut_row_is_read_once_and_jumps_only_where_due(monkeypatch):
+    # The read that cuts at a row hands its verdicts to the loop head: the
+    # head calls jump_if_due only where that read found the jump due or
+    # overdue, once per phase change or deadline failure, and rho is not
+    # read again at a row the trigger cut at.
+    cases = [(_two_phase_tail_spec(), None), _cut_specs()["deadline"][:2]]
+    checked = 0
+    for spec, failure in cases:
+        jumps, reads = [], []
+        jump_if_due, rho_rows = sim.jump_if_due, kernels.rho_rows
+        monkeypatch.setattr(sim, "jump_if_due", lambda *args, **kw: jumps.append(args[0].q) or jump_if_due(*args, **kw))
+        monkeypatch.setattr(kernels, "rho_rows", lambda X, *args: reads.extend(r.tobytes() for r in X) or rho_rows(X, *args))
+        traj, metrics, events = run_episode(spec)
+        monkeypatch.undo()
+        assert (metrics.failure or "").startswith(failure or "") and (metrics.failure is None) == (failure is None)
+        assert len(jumps) == sum(e.cause == "ModeSwitch" for e in events) + (failure is not None)
+        # Rows (k_a, k_b] of a segment that a trigger cuts, after an event
+        # that did not switch phase, are read once each.
+        counts = Counter(reads)
+        steps = [int(round(e.t / traj.dt)) for e in events]
+        for a, b, ka, kb in zip(events, events[1:], steps, steps[1:]):
+            if b.cause in ("StateDeviation", "MaxInterval") and a.cause != "ModeSwitch":
+                assert [counts.get(traj.X[j].tobytes()) for j in range(ka + 1, kb + 1)] == [1] * (kb - ka)
+                checked += 1
+    assert checked >= 5
 
 
 def test_max_interval_fires_one_step_past_delta():
@@ -461,6 +491,10 @@ def _cut_specs():
                                seq_cfg=SequencerConfig(synthesis=(SynthesisConfig(), SynthesisConfig(rho_max=0.5)))),
                      "deadline", "Initial"),
         "funnel": (_toy_spec(plant=single_integrator(1, w_max=30.0), **noisy), "funnel", "StateDeviation"),
+        # The jump is made overdue wherever the funnel band is left
+        # (test_segment_loop_matches_per_sample_reference patches it): the
+        # failing row is both, and the funnel failure comes first.
+        "funnel_at_deadline": (_toy_spec(plant=single_integrator(1, w_max=30.0), **noisy), "funnel", "StateDeviation"),
         # Every radius is 2 (test_segment_loop_matches_per_sample_reference
         # fixes it), too wide for its box: the funnel is left inside a segment.
         "funnel_inside_segment": (_toy_spec(plant=single_integrator(1, w_max=3.0), **noisy), "funnel", "Initial"),
@@ -491,6 +525,16 @@ def test_segment_loop_matches_per_sample_reference(case, monkeypatch):
     spec, failure, cause = _cut_specs()[case]
     if case == "funnel_inside_segment":
         monkeypatch.setattr(controller, "compute_trigger_radius", lambda *args: (2.0, "box"))
+    if case == "funnel_at_deadline":
+        jump_rows = sequencer.jump_rows
+
+        def overdue_outside_band(z, rho, t):
+            due, overdue = jump_rows(z, rho, t)
+            xi = (rho - z.fp.rho_max) / kernels.funnel_width(z.fp.perf, t + z.offset)[0]
+            return due, overdue | ~((-1.0 < xi) & (xi < 0.0))
+
+        monkeypatch.setattr(sequencer, "jump_rows", overdue_outside_band)
+        monkeypatch.setattr(sim, "jump_rows", overdue_outside_band)
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
