@@ -16,8 +16,11 @@ width put the lowest xi over the box; only a box that passes draws its
 probes, a Latin hypercube (McKay, Beckman and Conover, Technometrics
 1979) with one point in each 1/count stratum of every coordinate, and
 the law's Lipschitz constant over the box comes from its analytic
-Jacobian, evaluated in one vectorized pass over those probes.  Each
-event records which term set its radius (``TriggerEvent.delta_by``).
+Jacobian, evaluated in one vectorized pass over those probes.  For an
+omni team that pass first bounds every Jacobian row without the wheel
+map g^T; where even that bound leaves the box term binding, the radius
+is the box and the rotated Jacobian is never formed.  Each event
+records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
 the late vertices (as sign patterns) and hypercube probes, the radius
@@ -34,6 +37,7 @@ reference form the tests compare against; it is not on the episode path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -133,17 +137,30 @@ def _probe_points(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice((-1.0, 1.0), size=(_VERTEX_CAP, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _strata(dims: int, count: int) -> np.ndarray:
+    """The strata 0 .. count - 1 of every coordinate as a read-only (dims, count) array."""
+    return np.broadcast_to(np.arange(count, dtype=float), (dims, count))
+
+
 def _latin_hypercube(dims: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` points in [0, 1]^dims drawn from ``rng``, one per 1/count
     stratum of every coordinate: per coordinate, a random permutation of
     the strata plus a uniform offset inside each."""
     # Permuting the contiguous rows of (dims, count) strata draws what
-    # permuting the columns of (count, dims) would, and is faster.
-    strata = np.broadcast_to(np.arange(count, dtype=float), (dims, count))
-    unit = rng.permuted(strata, axis=1).T
+    # permuting the columns of (count, dims) would, and is faster; the
+    # permutation copies the cached strata.
+    unit = rng.permuted(_strata(dims, count), axis=1).T
     unit += rng.random((count, dims))
     unit /= count
     return unit
+
+
+def _radius(delta_u: float, top: float, box: float) -> float:
+    """min(delta_u / L_z, box) with L_z = ``_LIPSCHITZ_SAFETY`` * ``top``, the
+    largest Jacobian row sum (infinite where L_z is 0)."""
+    l_z = top * _LIPSCHITZ_SAFETY
+    return min(delta_u / l_z if l_z > 0.0 else math.inf, box)
 
 
 def compute_trigger_radius(
@@ -176,6 +193,13 @@ def compute_trigger_radius(
     box: the largest infinity-norm row of that Jacobian with respect to
     z = (x, t) over its hypercube rows, times ``_LIPSCHITZ_SAFETY``.
     ``delta_by`` names the term that set the radius, "box" or "lipschitz".
+    The pass is handed the radius's own test, ``_radius(...) == box``: for
+    an omni team it asks that test about an upper bound on every row
+    (``kernels._omni_row_bound``, from the body-frame Jacobian without
+    the wheel map), and where it holds returns the bound rows, so the
+    radius is the box and "box" bitwise as the exact rows would give, and
+    the rotated Jacobian is not formed.  Otherwise it returns the exact
+    rows.
     """
     x_i = np.asarray(x_i, dtype=float)
     eta = smoothing.eta
@@ -185,7 +209,8 @@ def compute_trigger_radius(
             pts = _latin_hypercube(x_i.shape[0] + 1, _SAMPLE_COUNT, rng)
             pts[:, :-1] = x_i + (2.0 * pts[:, :-1] - 1.0) * bx
             pts[:, -1] = t_i + pts[:, -1] * bt
-            sums = law_row_sums(pts, psi, fp, plant, eta)
+            box = min(bx, bt)
+            sums = law_row_sums(pts, psi, fp, plant, eta, lambda top: _radius(tc.delta_u, top, box) == box)
             if sums is not None:
                 break
         bx *= _SHRINK
@@ -195,9 +220,7 @@ def compute_trigger_radius(
                 t_i, f"no admissible box above {_DELTA_FLOOR:g} (state near funnel boundary)"
             )
 
-    box = min(bx, bt)
-    l_z = float(sums.max()) * _LIPSCHITZ_SAFETY
-    delta = min(tc.delta_u / l_z if l_z > 0.0 else math.inf, box)
+    delta = _radius(tc.delta_u, float(sums.max()), box)
     if delta < _DELTA_FLOOR:
         raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {_DELTA_FLOOR:g}")
     return delta, "lipschitz" if delta < box else "box"

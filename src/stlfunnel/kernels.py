@@ -29,7 +29,13 @@ reads each leaf at the 2^|S_i| corners of its own support and gathers
 those values to every late vertex of the box (``_vertex_plan``), and
 the law Jacobian builds the leaf curvature in slot space, one W x W
 block per leaf, mapped to (n, n) by the cached nonzero terms of one
-linear map (``_slot_map``).
+linear map (``_slot_map``).  ``law_row_sums`` checks the band on the
+read-out before it builds any Jacobian term, and both it and
+``law_jacobian_batch`` build the body-frame terms in one place
+(``_body_frame``).  For an omni team the pass then bounds every row
+sum without the wheel map (``_omni_row_bound``) and applies g^T
+(``_actuate``) only where the caller's test says that bound could
+still set the radius.
 
 Both paths add in one order and round alike.  Leaf slots and softmin
 weights are summed one term after another, without BLAS: the pointwise
@@ -88,6 +94,9 @@ USING_NUMBA = False
 _KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
 # Cap on the block-coordinate sweeps of ``shortest_supergradient``.
 _SWEEPS = 100
+# Relative margin on ``_omni_row_bound``, far above the rounding of the
+# exact row sums it must dominate.
+_BOUND_MARGIN = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,10 +600,9 @@ def u_xi_batch(
     return (-_eps_slope(ro.xi)[0] * U).T, ro.xi
 
 
-def law_jacobian_batch(
-    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
+def _body_frame(ro: _Readout, psi: NonTemporalFormula, n: int, fp, eta: float) -> tuple[np.ndarray, ...]:
+    """The law Jacobian before g^T from the read-out ``ro`` of n-dimensional
+    rows: M_x (n, n, P), m_t (n, P), the softmin gradient q (n, P) and eps (P,).
 
     With q = grad rho, u = -eps * g(x)^T q differentiates into g^T M_x
     and g^T m_t, where
@@ -609,15 +617,9 @@ def law_jacobian_batch(
 
     With w_i H_i = curv_i (q_i q_i^T - A_i^T A_i), the leaf terms are
     built in slot space (``_hessian_form``) and the q q^T terms added
-    densely.  The omni team applies g^T per agent as 3x3 blocks and adds
-    the heading column d g^T/d theta q (degrees).  Rows whose xi leaves
-    (-1, 0) are not finite.  The results are views of arrays stored
-    rows-last.
+    densely.
     """
-    n = X.shape[1]
-    mp = _leaf_maps(psi, n)
-    ro = _readout(X, T, psi, fp, eta)
-    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, mp)
+    unit, curv, q = _leaf_grads(ro.r, ro.nd, ro.w, _leaf_maps(psi, n))
     xi = ro.xi
     eps, slope = _eps_slope(xi)
     M_x = _hessian_form(
@@ -625,14 +627,35 @@ def law_jacobian_batch(
         _slot_map(psi, n),
     )
     m_t = -(slope * xi * fp.perf.l * ro.decay / ro.gamma) * q
+    return M_x, m_t, q, eps
+
+
+def _actuate(X: np.ndarray, plant, M_x: np.ndarray, m_t: np.ndarray, q: np.ndarray,
+             eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^T applied to ``_body_frame``'s terms at the rows of X (P, n): du/dx
+    (m, n, P) and du/dt (m, P).  The omni team applies g^T per agent as 3x3
+    blocks and adds the heading column d g^T/d theta q (degrees)."""
     if plant.gbase is None:
-        du_dx, du_dt = plant.gain * M_x, plant.gain * m_t
-    else:
-        cols = _omni_columns(X, plant.gbody)
-        du_dx, du_dt = _omni_apply(cols, M_x), _omni_apply(cols, m_t)
-        rows = np.arange(n)
-        du_dx[rows, 3 * (rows // 3) + 2] -= _omni_heading(cols, q, eps)
-    return du_dx.transpose(2, 0, 1), du_dt.T, xi
+        return plant.gain * M_x, plant.gain * m_t
+    cols = _omni_columns(X, plant.gbody)
+    du_dx, du_dt = _omni_apply(cols, M_x), _omni_apply(cols, m_t)
+    rows = np.arange(X.shape[1])
+    du_dx[rows, 3 * (rows // 3) + 2] -= _omni_heading(cols, q, eps)
+    return du_dx, du_dt
+
+
+def law_jacobian_batch(
+    X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic law Jacobian at every row: (du/dx (P, m, n), du/dt (P, m), xi (P,)).
+
+    g^T (``_actuate``) applied to the body-frame terms of ``_body_frame``.
+    Rows whose xi leaves (-1, 0) are not finite.  The results are views of
+    arrays stored rows-last.
+    """
+    ro = _readout(X, T, psi, fp, eta)
+    du_dx, du_dt = _actuate(X, plant, *_body_frame(ro, psi, X.shape[1], fp, eta))
+    return du_dx.transpose(2, 0, 1), du_dt.T, ro.xi
 
 
 def _in_band(xi: np.ndarray) -> bool:
@@ -713,15 +736,59 @@ def band_holds(
     return _in_band((_softmin(h, eta)[0] - fp.rho_max) / funnel_width(fp.perf, t)[0])
 
 
-def law_row_sums(pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float) -> np.ndarray | None:
-    """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t), from
-    ``law_jacobian_batch``; None if a row's xi leaves the band of ``_in_band``."""
-    # A refused row may sit exactly on a funnel wall, where d eps / d xi is infinite.
+def _omni_row_bound(gbody: np.ndarray, M_x: np.ndarray, m_t: np.ndarray, q: np.ndarray,
+                    eps: np.ndarray) -> np.ndarray:
+    """An upper bound on every row sum sum_k |du_j/dz_k| of an omni team, from
+    ``_body_frame``'s terms without the rotation: (n, P), rows-last.
+
+    Per agent and input j, with rho_j = |(gbody[0, j], gbody[1, j])| and
+    g_j = |gbody[2, j]|, the bound is rho_j (sum_k |M_x[x, k]| +
+    sum_k |M_x[y, k]| + |(m_t,x, m_t,y)| + |eps| (pi / 180) |(q_x, q_y)|)
+    + g_j (sum_k |M_x[theta, k]| + |m_t,theta|).  rot(theta) keeps the
+    2-norm, so the columns c0_j, c1_j of ``_omni_columns`` give
+    |c0_j a + c1_j b| <= rho_j |(a, b)|.  The factor 1 + ``_BOUND_MARGIN``
+    makes it dominate the exact sums as rounded too.
+    """
+    P = M_x.shape[-1]
+    S = np.abs(M_x).sum(axis=1).reshape(-1, 3, P)
+    mt = m_t.reshape(-1, 3, P)
+    qa = q.reshape(-1, 3, P)
+    planar = S[:, 0] + S[:, 1] + np.hypot(mt[:, 0], mt[:, 1])
+    planar += (np.abs(eps) * _DEG) * np.hypot(qa[:, 0], qa[:, 1])
+    turn = S[:, 2] + np.abs(mt[:, 2])
+    bound = np.hypot(gbody[0], gbody[1])[:, None] * planar[:, None, :]
+    bound += np.abs(gbody[2])[:, None] * turn[:, None, :]
+    bound *= 1.0 + _BOUND_MARGIN
+    return bound.reshape(-1, P)
+
+
+def law_row_sums(
+    pts: np.ndarray, psi: NonTemporalFormula, fp, plant, eta: float, settles=None
+) -> np.ndarray | None:
+    """Per probe row (x, t) and input j, sum_k |du_j/dz_k| over z = (x, t), (P, m),
+    from the law Jacobian; None if a row's xi leaves the band of ``_in_band``.
+
+    The band is checked on the read-out, before any Jacobian term.  For an
+    omni team, ``settles`` (a predicate on a float) is asked first about
+    the largest row of ``_omni_row_bound``, which needs no rotation; where
+    it holds, those bound rows are returned in place of the exact sums, and
+    ``_omni_columns`` and the g^T transform are not formed.
+    """
+    X = pts[:, :-1]
+    # The read-out of a row with an infinite coordinate meets inf * 0 and
+    # inf - inf; the band check refuses that row.  A refused row reaches
+    # nothing after it.
     with np.errstate(invalid="ignore"):
-        du_dx, du_dt, xi = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, eta)
-    if not _in_band(xi):
+        ro = _readout(X, pts[:, -1], psi, fp, eta)
+    if not _in_band(ro.xi):
         return None
-    return np.abs(du_dx, out=du_dx).sum(axis=2) + np.abs(du_dt)
+    terms = _body_frame(ro, psi, X.shape[1], fp, eta)
+    if settles is not None and plant.gbase is not None:
+        bound = _omni_row_bound(plant.gbody, *terms)
+        if settles(float(bound.max())):
+            return bound.T
+    du_dx, du_dt = _actuate(X, plant, *terms)
+    return np.abs(du_dx, out=du_dx).sum(axis=1).T + np.abs(du_dt.T)
 
 
 def exact_psi_batch(psi: NonTemporalFormula, X: np.ndarray) -> np.ndarray:

@@ -267,6 +267,33 @@ def test_law_row_sums_match_fd_omni(rng):
     np.testing.assert_allclose(rows, _fd_row_sums(pts, psi, fp, plant, sm), rtol=1e-6, atol=0.0)
 
 
+@pytest.mark.parametrize("agents", [1, 2, 3, 4])
+def test_omni_row_bound_dominates_exact_row_sums(agents):
+    # The rotation-free bound that lets the radius skip the wheel map is
+    # at least every exact row sum, with no tolerance: random conjunctions
+    # on teams of 1-4 robots (n = 12 included), headings anywhere in
+    # [0, 360), and a funnel around the rows' values that keeps every row
+    # inside the band, on both sides of xi = -0.5 where eps changes sign.
+    rng = np.random.default_rng(agents)
+    plant = omni_robot_team(n_agents=agents, input_gain=float(rng.uniform(1.0, 100.0)))
+    n = plant.n
+    for _ in range(12):
+        psi = random_concave_psi(rng, n)
+        eta = float(rng.uniform(0.3, 3.0))
+        pts = _box_rows(rng.uniform(-6.0, 6.0, n), float(rng.uniform(0.0, 4.0)), 2.0, 1.0, 64, rng)
+        pts[:, 2:n:3] = rng.uniform(0.0, 360.0, (64, agents))
+        rho = kernels.rho_rows(pts[:, :-1], psi, eta)
+        rho_max = max(float(rho.max() + 0.3 * np.ptp(rho) + 0.1), 1.0)
+        gamma_inf = 1.5 * (rho_max - float(rho.min())) + 0.1
+        fp = FunnelParams(t_star=1.0, r=0.25 * rho_max, rho_max=rho_max, perf=PerformanceFunction(
+            gamma0=float(rng.uniform(1.0, 3.0)) * gamma_inf, gamma_inf=gamma_inf,
+            l=float(rng.uniform(0.0, 1.0))))
+        exact = law_row_sums(pts, psi, fp, plant, eta)
+        bound = law_row_sums(pts, psi, fp, plant, eta, lambda top: True)
+        assert exact is not None and bound.shape == exact.shape == (64, n)
+        assert np.all(bound >= exact)
+
+
 def _radius_rounds(monkeypatch, x, t, psi, fp, plant, tc, sm, rng):
     """``compute_trigger_radius``'s result, its rounds (``_probe_points``
     calls) and the rows its last ``law_row_sums`` call read."""
@@ -444,11 +471,18 @@ def test_omni_radius_equals_exact_row_sums_radius(monkeypatch, delta_u, delta_by
     # n = 9, where the crossover of the two terms sits near delta_u = 4.6:
     # at delta_u = 5.6 the box term binds, at 4 delta_u / L_z does.  Each
     # way the radius is the reference box's
-    # min(delta_u / (safety * max row sum), box_x, box_t).
+    # min(delta_u / (safety * max row sum), box_x, box_t).  Where the box
+    # binds, the row bound settles the radius and the wheel map is never
+    # applied; where delta_u / L_z binds, the exact transform runs.
     args = _bundled_phase1_case()
     tc = replace(args[5], delta_u=delta_u)
     delta, got_by, box = _assert_radius_of_reference_box(monkeypatch, args, tc, 3)
     assert got_by == delta_by and (delta == box) == (delta_by == "box")
+    applied, apply = [], kernels._omni_apply
+    monkeypatch.setattr(kernels, "_omni_apply", lambda *a: applied.append(a) or apply(*a))
+    radius = compute_trigger_radius(*args[:5], tc, args[6], np.random.default_rng(7))
+    assert radius == (delta, got_by)
+    assert bool(applied) == (delta_by == "lipschitz")
 
 
 def test_interior_case_peaks_at_a_hypercube_row(monkeypatch):
@@ -608,12 +642,15 @@ def test_corner_plan_reads_fewer_rows_and_samples_read_all():
     assert verdicts == {True, False}
 
 
-def test_law_row_sums_refuse_rows_outside_the_band():
+def test_law_row_sums_refuse_rows_outside_the_band(monkeypatch):
     # law_row_sums returns None exactly when some row's xi leaves
     # (-1 + 1e-3, -1e-3), and the Jacobian's row sums otherwise.  Boxes of
     # 256 hypercube rows halving from 0.5: the bundled phase-1 and
     # integrator-wall rows leave at the lower wall down to 0.25 and
     # 0.0625, the integrator-peak rows at the upper wall down to 0.015625.
+    # A refused box builds no Jacobian term.
+    built, body_frame = [], kernels._body_frame
+    monkeypatch.setattr(kernels, "_body_frame", lambda *a: built.append(a) or body_frame(*a))
     for case in (_bundled_phase1_case, _integrator_wall_case, _integrator_peak_case):
         x, t, psi, fp, plant, _, sm = case()
         rng = np.random.default_rng(7)
@@ -621,8 +658,10 @@ def test_law_row_sums_refuse_rows_outside_the_band():
         for b in 0.5 ** np.arange(1, 8):
             pts = _box_rows(x, t, b, b, controller._SAMPLE_COUNT, rng)
             xi = _readout(pts[:, :-1], pts[:, -1], psi, fp, sm.eta).xi
+            built.clear()
             sums = law_row_sums(pts, psi, fp, plant, sm.eta)
             verdicts.append(sums is not None)
+            assert len(built) == verdicts[-1]
             assert verdicts[-1] == bool(np.all((xi > -1.0 + 1e-3) & (xi < -1e-3)))
             if sums is not None:
                 du_dx, du_dt, _ = law_jacobian_batch(pts[:, :-1], pts[:, -1], psi, fp, plant, sm.eta)
