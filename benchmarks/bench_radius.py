@@ -21,14 +21,19 @@ through, so they time either side's signature of ``band_holds``.
 ``kernels.guarded_rows``, the hypercube read-out that earlier versions
 ran before ``law_row_sums``, is wrapped too where a side's
 ``controller`` has it; a name a side's ``controller`` lacks records no
-calls.
+calls.  Each ``law_row_sums`` call is also counted by what it returned:
+"refused" (None, a row outside the band), "exact" (the exact row sums,
+seen as a call of ``kernels._actuate``, the g^T transform that only the
+exact rows pass through on either side) or "bound" (an omni row bound
+that settled the radius).
 
 Per workload, function and side, the row appended to
 ``BENCH_radius.json`` holds the calls per episode and, over the pairs,
 the median and quartiles of each run's median per-call time (us) and how
-many pairs the change won.  Calls that differ between the sides, as
-when a change moves the probe rows, are printed, and each side's are
-recorded.  Nothing under ``perfbench/`` is
+many pairs the change won; per side, ``law_row_sums_returns`` holds the
+distinct counts of those three outcomes over its runs.  Calls that
+differ between the sides, as when a change moves the probe rows, are
+printed, and each side's are recorded.  Nothing under ``perfbench/`` is
 changed; the workloads' scenarios are read from each side's own tree.
 """
 
@@ -50,13 +55,15 @@ from bench_episode import ROOT, _export, _git, _summary
 RECORD = ROOT / "BENCH_radius.json"
 WORKLOADS = ("rendezvous3", "patrol2d")
 FUNCTIONS = ("compute_trigger_radius", "band_holds", "guarded_rows", "law_row_sums")
+RETURNS = ("bound", "exact", "refused")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _child(root: Path, workload: str, seed: int) -> None:
-    """Run one episode from ``root``'s package and print each wrapped call's seconds."""
+    """Run one episode from ``root``'s package and print each wrapped call's
+    seconds and the count of each ``law_row_sums`` outcome."""
     sys.path.insert(0, str(root / "src"))
-    from stlfunnel import controller, scenario, sim
+    from stlfunnel import controller, kernels, scenario, sim
 
     times = {name: [] for name in FUNCTIONS}
     for name in [name for name in FUNCTIONS if hasattr(controller, name)]:
@@ -66,10 +73,23 @@ def _child(root: Path, workload: str, seed: int) -> None:
             _log.append(time.perf_counter() - t0)
             return out
         setattr(controller, name, timed)
+
+    returns = dict.fromkeys(RETURNS, 0)
+    actuated = []
+    actuate, row_sums = kernels._actuate, controller.law_row_sums
+    kernels._actuate = lambda *args: actuated.append(1) or actuate(*args)
+
+    def counted(*args):
+        before = len(actuated)
+        out = row_sums(*args)
+        returns["refused" if out is None else "exact" if len(actuated) > before else "bound"] += 1
+        return out
+
+    controller.law_row_sums = counted
     path = (scenario.bundled_scenario_path() if workload == "rendezvous3"
             else root / "perfbench" / f"{workload}.yaml")
     sim.run_episode(scenario.build_episode(scenario.load_scenario(path), seed=seed))
-    print(json.dumps(times))
+    print(json.dumps({"times": times, "returns": returns}))
 
 
 def _run(root: Path, workload: str, seed: int) -> dict:
@@ -113,10 +133,10 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} done", flush=True)
             functions = {}
             for name in FUNCTIONS:
-                calls = {side: sorted({len(r[name]) for r in runs[side]}) for side in runs}
+                calls = {side: sorted({len(r["times"][name]) for r in runs[side]}) for side in runs}
                 if calls["parent"] != calls["change"]:
                     print(f"{workload} {name}: calls differ {calls}", flush=True)
-                medians = {side: [1e6 * statistics.median(r[name]) if r[name] else 0.0
+                medians = {side: [1e6 * statistics.median(r["times"][name]) if r["times"][name] else 0.0
                                   for r in runs[side]] for side in runs}
                 functions[name] = {
                     "calls": calls,
@@ -124,10 +144,12 @@ def main(argv=None) -> int:
                     "change_us": _summary(medians["change"]),
                     "change_wins": sum(p > c for p, c in zip(medians["parent"], medians["change"])),
                 }
+            returns = {side: {kind: sorted({r["returns"][kind] for r in runs[side]}) for kind in RETURNS}
+                       for side in runs}
             rows.append({
                 "label": args.label, "parent": parent, "change": change, "workload": workload,
                 "seed": args.seed, "pairs": args.pairs, "source": "benchmarks/bench_radius.py",
-                "functions": functions,
+                "functions": functions, "law_row_sums_returns": returns,
             })
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -135,6 +157,7 @@ def main(argv=None) -> int:
     record = json.loads(RECORD.read_text()) if RECORD.exists() else []
     RECORD.write_text(json.dumps(record + rows, indent=1) + "\n")
     for row in rows:
+        print(f"{row['workload']:12s} law_row_sums returns {row['law_row_sums_returns']}")
         for name, f in row["functions"].items():
             p, c = f["parent_us"], f["change_us"]
             print(f"{row['workload']:12s} {name:22s} calls {f['calls']['change']} "

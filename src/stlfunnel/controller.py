@@ -17,9 +17,9 @@ probes, a Latin hypercube (McKay, Beckman and Conover, Technometrics
 1979) with one point in each 1/count stratum of every coordinate, and
 the law's Lipschitz constant over the box comes from its analytic
 Jacobian, evaluated in one vectorized pass over those probes.  For an
-omni team that pass first bounds every Jacobian row without the wheel
-map g^T; where even that bound leaves the box term binding, the radius
-is the box and the rotated Jacobian is never formed.  Each event
+omni team that pass first bounds every Jacobian row from the probes'
+leaf read-out alone; where even that bound leaves the box term binding,
+the radius is the box and no Jacobian term is formed.  Each event
 records which term set its radius (``TriggerEvent.delta_by``).
 
 This module keeps only the trigger: its configuration and event record,
@@ -158,9 +158,12 @@ def _latin_hypercube(dims: int, count: int, rng: np.random.Generator) -> np.ndar
 
 def _radius(delta_u: float, top: float, box: float) -> float:
     """min(delta_u / L_z, box) with L_z = ``_LIPSCHITZ_SAFETY`` * ``top``, the
-    largest Jacobian row sum (infinite where L_z is 0)."""
+    largest Jacobian row sum (infinite where L_z is 0); NaN where ``top`` is
+    NaN, so that a NaN row neither settles a pass nor passes the floor."""
     l_z = top * _LIPSCHITZ_SAFETY
-    return min(delta_u / l_z if l_z > 0.0 else math.inf, box)
+    if l_z > 0.0:
+        return min(delta_u / l_z, box)
+    return box if l_z == 0.0 else math.nan
 
 
 def compute_trigger_radius(
@@ -195,11 +198,12 @@ def compute_trigger_radius(
     ``delta_by`` names the term that set the radius, "box" or "lipschitz".
     The pass is handed the radius's own test, ``_radius(...) == box``: for
     an omni team it asks that test about an upper bound on every row
-    (``kernels._omni_row_bound``, from the body-frame Jacobian without
-    the wheel map), and where it holds returns the bound rows, so the
-    radius is the box and "box" bitwise as the exact rows would give, and
-    the rotated Jacobian is not formed.  Otherwise it returns the exact
-    rows.
+    (``kernels._omni_readout_bound``, from the hypercube's leaf read-out,
+    with no leaf gradient, Hessian or wheel map), and where it holds
+    returns the bound rows, so the radius is the box and "box" bitwise as
+    the exact rows would give.  Otherwise it returns the exact rows.  A
+    NaN row neither settles the test nor passes the floor: it raises
+    TriggerFloorError.
     """
     x_i = np.asarray(x_i, dtype=float)
     eta = smoothing.eta
@@ -221,7 +225,7 @@ def compute_trigger_radius(
             )
 
     delta = _radius(tc.delta_u, float(sums.max()), box)
-    if delta < _DELTA_FLOOR:
+    if not delta >= _DELTA_FLOOR:
         raise TriggerFloorError(t_i, f"delta {delta:.3g} below floor {_DELTA_FLOOR:g}")
     return delta, "lipschitz" if delta < box else "box"
 

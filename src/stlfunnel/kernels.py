@@ -32,10 +32,11 @@ block per leaf, mapped to (n, n) by the cached nonzero terms of one
 linear map (``_slot_map``).  ``law_row_sums`` checks the band on the
 read-out before it builds any Jacobian term, and both it and
 ``law_jacobian_batch`` build the body-frame terms in one place
-(``_body_frame``).  For an omni team the pass then bounds every row
-sum without the wheel map (``_omni_row_bound``) and applies g^T
-(``_actuate``) only where the caller's test says that bound could
-still set the radius.
+(``_body_frame``).  For an omni team the pass first bounds every row
+sum from that read-out alone (``_omni_readout_bound``, one product of
+per-formula constants with per-leaf coefficients), and builds the
+body-frame terms and applies g^T (``_actuate``) only where the caller's
+test says that bound could still let L_z set the radius.
 
 Both paths add in one order and round alike.  Leaf slots and softmin
 weights are summed one term after another, without BLAS: the pointwise
@@ -94,9 +95,13 @@ USING_NUMBA = False
 _KIND_CODE = {"affine": 0, "ball": 1, "join": 2}
 # Cap on the block-coordinate sweeps of ``shortest_supergradient``.
 _SWEEPS = 100
-# Relative margin on ``_omni_row_bound``, far above the rounding of the
+# Relative margin on ``_omni_readout_bound``, far above the rounding of the
 # exact row sums it must dominate.
 _BOUND_MARGIN = 1e-9
+# ``_omni_readout_bound``'s bound on the rounding of a single-slot leaf's
+# curvature term, zero but computed as the difference of two terms, in
+# units of those terms.
+_CANCEL_ULPS = 8.0 * 2.0**-52
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,6 +466,11 @@ def _readout(X: np.ndarray, T: np.ndarray, psi: NonTemporalFormula, fp, eta: flo
     return _Readout(r, nd, (rho - fp.rho_max) / gamma, w / z, gamma, decay)
 
 
+def _inv_norms(nd: np.ndarray, mp: _LeafMaps) -> np.ndarray:
+    """1 / |r_i| (L, P) for ball and join leaves off their centre, zero elsewhere."""
+    return np.divide(1.0, nd, out=np.zeros_like(nd), where=mp.norm & (nd > 0.0))
+
+
 def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> tuple[np.ndarray, ...]:
     """unit (L, W, P), curv (L, P) and the softmin gradient q (n, P).
 
@@ -472,7 +482,7 @@ def _leaf_grads(r: np.ndarray, nd: np.ndarray, w: np.ndarray, mp: _LeafMaps) -> 
     leaf has the Hessian A_i^T (-(I - u u^T) / |r_i|) A_i with
     u = r_i / |r_i|, so w_i H_i = curv_i (q_i q_i^T - A_i^T A_i).
     """
-    inv_nd = np.divide(1.0, nd, out=np.zeros_like(nd), where=mp.norm & (nd > 0.0))
+    inv_nd = _inv_norms(nd, mp)
     unit = r * inv_nd[:, None, :]
     unit += mp.lin
     L, W, P = unit.shape
@@ -736,30 +746,98 @@ def band_holds(
     return _in_band((_softmin(h, eta)[0] - fp.rho_max) / funnel_width(fp.perf, t)[0])
 
 
-def _omni_row_bound(gbody: np.ndarray, M_x: np.ndarray, m_t: np.ndarray, q: np.ndarray,
-                    eps: np.ndarray) -> np.ndarray:
-    """An upper bound on every row sum sum_k |du_j/dz_k| of an omni team, from
-    ``_body_frame``'s terms without the rotation: (n, P), rows-last.
+class _BoundMaps(NamedTuple):
+    """Constants of ``_omni_readout_bound`` per formula and omni team."""
+
+    rows: np.ndarray  # (m, 4L) the bound rows' map from the stacked per-leaf coefficients
+    n1: np.ndarray  # (L,) N_i, at least the 1-norm of q_i
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_maps(psi: NonTemporalFormula, n: int, gbody_rows: tuple) -> _BoundMaps:
+    """``_omni_readout_bound``'s constants for a team of n / 3 omni robots
+    with body actuation ``gbody_rows`` (``Plant.gbody_rows``).
+
+    From |A_i|, per leaf i (columns of (n, L) arrays):
+
+    * Q_i = sum_k |A_i[k, :]|, at least |q_i| entrywise, as
+      q_i = -A_i^T unit_i with every |unit_ik| <= 1;
+    * N_i, at least the 1-norm of q_i: with c_ik = sum_a |A_i[k, a]|, the
+      2-norm of c_i for a ball or join (|unit_i| <= 1) and sum_k c_ik for
+      an affine leaf;
+    * R1_i = |A_i|^T Bbar |A_i| 1, at least every row sum of
+      |A_i^T (I - u u^T) A_i|: Bbar is 1 on the diagonal and 1/2 off it,
+      as 1 - u_k^2 <= 1 and |u_k u_l| <= (u_k^2 + u_l^2) / 2.  A
+      single-slot leaf's I - u u^T is zero but computed as the difference
+      of two terms, so there Bbar is ``_CANCEL_ULPS``;
+    * R2_i = (Q_i + max_l Q_l) (N_i + max_l N_l).
 
     Per agent and input j, with rho_j = |(gbody[0, j], gbody[1, j])| and
-    g_j = |gbody[2, j]|, the bound is rho_j (sum_k |M_x[x, k]| +
-    sum_k |M_x[y, k]| + |(m_t,x, m_t,y)| + |eps| (pi / 180) |(q_x, q_y)|)
-    + g_j (sum_k |M_x[theta, k]| + |m_t,theta|).  rot(theta) keeps the
-    2-norm, so the columns c0_j, c1_j of ``_omni_columns`` give
-    |c0_j a + c1_j b| <= rho_j |(a, b)|.  The factor 1 + ``_BOUND_MARGIN``
-    makes it dominate the exact sums as rounded too.
+    g_j = |gbody[2, j]|, G maps bounds v on the body-frame rows to
+    rho_j (v_x + v_y) + g_j v_theta, and G_xy to rho_j (v_x + v_y):
+    rot(theta) keeps the 2-norm, so the columns c0_j, c1_j of
+    ``_omni_columns`` give |c0_j a + c1_j b| <= rho_j (|a| + |b|).
+    ``rows`` is (1 + ``_BOUND_MARGIN``) [G R1, G R2, G Q, G_xy Q], so that
+    the bound dominates the exact sums as rounded too.  Cached per
+    formula, n and team.
     """
-    P = M_x.shape[-1]
-    S = np.abs(M_x).sum(axis=1).reshape(-1, 3, P)
-    mt = m_t.reshape(-1, 3, P)
-    qa = q.reshape(-1, 3, P)
-    planar = S[:, 0] + S[:, 1] + np.hypot(mt[:, 0], mt[:, 1])
-    planar += (np.abs(eps) * _DEG) * np.hypot(qa[:, 0], qa[:, 1])
-    turn = S[:, 2] + np.abs(mt[:, 2])
-    bound = np.hypot(gbody[0], gbody[1])[:, None] * planar[:, None, :]
-    bound += np.abs(gbody[2])[:, None] * turn[:, None, :]
-    bound *= 1.0 + _BOUND_MARGIN
-    return bound.reshape(-1, P)
+    mp = _leaf_maps(psi, n)
+    L, W = mp.ia.shape
+    absA = np.abs(mp.grad).reshape(n, L, W)  # absA[a, i, k] = |A_i[k, a]|
+    Q = absA.sum(axis=2)
+    c = absA.sum(axis=0)
+    n1 = np.where(mp.norm[:, 0], np.sqrt((c * c).sum(axis=1)), c.sum(axis=1))
+    single = np.array([len(leaf[1]) == 1 for leaf in compile_leaf_table(psi)])
+    bbar_c = np.where(single[:, None], _CANCEL_ULPS * c, 0.5 * (c + c.sum(axis=1, keepdims=True)))
+    r1 = (absA * bbar_c).sum(axis=2)
+    r2 = (Q + Q.max(axis=1, keepdims=True)) * (n1 + n1.max())
+    gb = np.array(gbody_rows)
+    planar = np.hypot(gb[0], gb[1])
+    block = np.column_stack([planar, planar, np.abs(gb[2])])
+    agents = np.eye(n // 3)
+    G, G_xy = np.kron(agents, block), np.kron(agents, block * [1.0, 1.0, 0.0])
+    maps = _BoundMaps((1.0 + _BOUND_MARGIN) * np.hstack([G @ r1, G @ r2, G @ Q, G_xy @ Q]), n1)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
+def _omni_readout_bound(ro: _Readout, psi: NonTemporalFormula, fp, eta: float, plant) -> np.ndarray:
+    """An upper bound on every row sum sum_k |du_j/dz_k| of an omni team from
+    the read-out ``ro`` alone, with no leaf gradient or Hessian: (m, P),
+    rows-last.
+
+    With curv = w / |r| as in ``_leaf_grads`` and ``_bound_maps``'s
+    constants, row a of ``_body_frame``'s M_x has sum_k |M_x[a, k]| at most
+
+        R1 @ (|eps| curv) + R2 @ (|eps| eta w (1 - w)^2)
+            + |slope / gamma| (N @ w) (Q @ w):
+
+    the first term bounds the leaf Hessians' sum_i curv_i A_i^T (I - u u^T)
+    A_i; the second the softmin term eta (sum_i w_i q_i q_i^T - q q^T) =
+    eta sum_i w_i (q_i - q)(q_i - q)^T, as q_i - q = sum_l w_l (q_i - q_l)
+    is at most (1 - w_i)(Q_i + max Q) entrywise and (1 - w_i)(N_i + max N)
+    in 1-norm; the third the (slope / gamma) q q^T term.  Also
+    |m_t| <= |slope xi l decay / gamma| (Q @ w), and the omni heading column
+    eps (pi / 180) (d g^T / d theta) q, which reads q_x and q_y, adds at
+    most rho_j |eps| (pi / 180) (|q_x| + |q_y|).  Each term is a constant
+    matrix applied to an (L, P) array of per-leaf, per-row factors, so the
+    whole bound is ``rows`` applied to the four arrays, stacked.
+    """
+    bm = _bound_maps(psi, plant.n, plant.gbody_rows)
+    eps, slope = _eps_slope(ro.xi)
+    abs_eps = np.abs(eps)
+    w = ro.w
+    L, P = w.shape
+    coef = np.empty((4, L, P))
+    np.multiply(abs_eps * w, _inv_norms(ro.nd, _leaf_maps(psi, plant.n)), out=coef[0])
+    np.multiply((abs_eps * eta) * w, (1.0 - w) ** 2, out=coef[1])
+    slope_g = np.abs(slope / ro.gamma)
+    scale = slope_g * (bm.n1 @ w)
+    scale += slope_g * np.abs(ro.xi * ro.decay) * fp.perf.l
+    np.multiply(scale, w, out=coef[2])
+    np.multiply(abs_eps * _DEG, w, out=coef[3])
+    return bm.rows @ coef.reshape(4 * L, P)
 
 
 def law_row_sums(
@@ -770,9 +848,11 @@ def law_row_sums(
 
     The band is checked on the read-out, before any Jacobian term.  For an
     omni team, ``settles`` (a predicate on a float) is asked first about
-    the largest row of ``_omni_row_bound``, which needs no rotation; where
-    it holds, those bound rows are returned in place of the exact sums, and
-    ``_omni_columns`` and the g^T transform are not formed.
+    the largest row of ``_omni_readout_bound``, computed from that read-out
+    alone; where it holds, those bound rows are returned in place of the
+    exact sums, and neither the body-frame terms (leaf gradients, Hessian)
+    nor the g^T transform is formed.  Otherwise, and for the integrator,
+    the rows are the exact ones.
     """
     X = pts[:, :-1]
     # The read-out of a row with an infinite coordinate meets inf * 0 and
@@ -782,12 +862,11 @@ def law_row_sums(
         ro = _readout(X, pts[:, -1], psi, fp, eta)
     if not _in_band(ro.xi):
         return None
-    terms = _body_frame(ro, psi, X.shape[1], fp, eta)
     if settles is not None and plant.gbase is not None:
-        bound = _omni_row_bound(plant.gbody, *terms)
+        bound = _omni_readout_bound(ro, psi, fp, eta, plant)
         if settles(float(bound.max())):
             return bound.T
-    du_dx, du_dt = _actuate(X, plant, *terms)
+    du_dx, du_dt = _actuate(X, plant, *_body_frame(ro, psi, X.shape[1], fp, eta))
     return np.abs(du_dx, out=du_dx).sum(axis=1).T + np.abs(du_dt.T)
 
 

@@ -258,19 +258,20 @@ _HEAP_PAD = 16 << 20
 def _keep_freed_heap() -> None:
     """Keep up to ``_HEAP_PAD`` bytes of freed heap instead of returning it.
 
-    Every event's trigger radius allocates and frees about 0.63 MB of
-    numpy temporaries at n = 9 (``tracemalloc`` peak of one radius at the
-    bundled scenario's start, set by the body-frame Jacobian pass over
-    256 hypercube rows, which skips the wheel map where its row bound
-    settles the radius; 0.82 MB when every pass formed the rotated
-    Jacobian).  glibc hands freed memory at the top of its heap back to
-    the kernel once it exceeds a trim threshold that tracks the largest
-    block freed so far, so without a pad every event faults those pages
-    in again: on rendezvous3 at seeds 3-5, 4.15e4-4.19e4 minor faults
-    per episode (``ru_minflt``) against 1.5e3 with the pad, and
-    0.44-0.58 s against 0.39-0.40 s (one run each, 2-core shared host).
-    patrol2d (n = 2, radius peak 0.09 MB) is flat: 1.1e3 faults either
-    way at seed 3.  A no-op where the C library has no ``mallopt``.
+    Every event's trigger radius allocates and frees numpy temporaries:
+    at n = 9 a ``tracemalloc`` peak of 0.19 MB for one radius at the
+    bundled scenario's start, where the read-out bound settles the pass
+    (0.63 MB while every pass built the body-frame Jacobian), and more
+    for the passes that still build it.  glibc hands freed memory at the
+    top of its heap back to the kernel once it exceeds a trim threshold
+    that tracks the largest block freed so far, so without a pad the
+    events fault those pages in again: on rendezvous3 at seeds 3-5,
+    6.9e3-7.4e3 minor faults per episode (``ru_minflt``) against 1.7e3
+    with the pad (one run each, 2-core shared host; in the same session,
+    6.0e4-6.1e4 against 1.7e3 while every pass built the body-frame
+    Jacobian).  patrol2d (n = 2,
+    radius peak 0.09 MB) is flat: 1.1e3 faults either way at seed 3.  A
+    no-op where the C library has no ``mallopt``.
     """
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

@@ -26,7 +26,7 @@ from stlfunnel.formulas import NonTemporalFormula, SmoothingConfig
 from stlfunnel.funnel import FunnelParams, PerformanceFunction
 from stlfunnel.parsing import parse_psi
 from stlfunnel.plants import omni_robot_team, single_integrator
-from stlfunnel.predicates import ball
+from stlfunnel.predicates import affine, ball
 from stlfunnel.scenario import build_episode, bundled_scenario_path, load_scenario
 from stlfunnel.sequencer import init_sequencer
 from conftest import PSI1_TEXT, flipped, random_concave_psi
@@ -269,19 +269,27 @@ def test_law_row_sums_match_fd_omni(rng):
 
 @pytest.mark.parametrize("agents", [1, 2, 3, 4])
 def test_omni_row_bound_dominates_exact_row_sums(agents):
-    # The rotation-free bound that lets the radius skip the wheel map is
-    # at least every exact row sum, with no tolerance: random conjunctions
-    # on teams of 1-4 robots (n = 12 included), headings anywhere in
-    # [0, 360), and a funnel around the rows' values that keeps every row
-    # inside the band, on both sides of xi = -0.5 where eps changes sign.
+    # The read-out bound that lets the radius skip the leaf gradients, the
+    # Hessian and the wheel map is at least every exact row sum, with no
+    # tolerance: random conjunctions on teams of 1-4 robots (n = 12
+    # included), headings anywhere in [0, 360), and a funnel around the
+    # rows' values that keeps every row inside the band, on both sides of
+    # xi = -0.5 where eps changes sign.  Two kinds of rows test the bound's
+    # rounding terms: rows within 1e-6 of a heading ball's centre, where a
+    # single-slot ball's zero curvature term, w / |r| up to 1e12 times
+    # |eps|, is computed as a cancellation; and rows where an affine leaf on
+    # a heading lies so far below the others that its weight is 1 to
+    # rounding, where the bound is tight up to its margin.
     rng = np.random.default_rng(agents)
     plant = omni_robot_team(n_agents=agents, input_gain=float(rng.uniform(1.0, 100.0)))
     n = plant.n
-    for _ in range(12):
-        psi = random_concave_psi(rng, n)
-        eta = float(rng.uniform(0.3, 3.0))
+
+    def rows():
         pts = _box_rows(rng.uniform(-6.0, 6.0, n), float(rng.uniform(0.0, 4.0)), 2.0, 1.0, 64, rng)
         pts[:, 2:n:3] = rng.uniform(0.0, 360.0, (64, agents))
+        return pts
+
+    def check(psi, eta, pts):
         rho = kernels.rho_rows(pts[:, :-1], psi, eta)
         rho_max = max(float(rho.max() + 0.3 * np.ptp(rho) + 0.1), 1.0)
         gamma_inf = 1.5 * (rho_max - float(rho.min())) + 0.1
@@ -292,6 +300,27 @@ def test_omni_row_bound_dominates_exact_row_sums(agents):
         bound = law_row_sums(pts, psi, fp, plant, eta, lambda top: True)
         assert exact is not None and bound.shape == exact.shape == (64, n)
         assert np.all(bound >= exact)
+
+    for _ in range(12):
+        psi = random_concave_psi(rng, n)
+        eta = float(rng.uniform(0.3, 3.0))
+        check(psi, eta, rows())
+    for kind in ("centre", "dominant") * 4:
+        others = random_concave_psi(rng, n)
+        eta = float(rng.uniform(0.3, 3.0))
+        pts = rows()
+        h = kernels.exact_psi_batch(others, pts[:, :-1])
+        a = 3 * int(rng.integers(agents)) + 2
+        if kind == "centre":
+            centre = float(rng.uniform(0.0, 360.0))
+            pts[:, a] = centre + rng.choice((-1.0, 1.0), 64) * 10.0 ** rng.uniform(-12.0, -6.0, 64)
+            leaf = ball((a,), (centre,), float(np.median(h)))
+        else:
+            coeff = float(rng.uniform(0.5, 2.0))
+            leaf = affine((a,), (coeff,), float((h + coeff * pts[:, a]).min()) - 40.0 / eta)
+        psi = NonTemporalFormula(leaves=(*others.leaves, leaf))
+        psi.validate()
+        check(psi, eta, pts)
 
 
 def _radius_rounds(monkeypatch, x, t, psi, fp, plant, tc, sm, rng):
@@ -466,23 +495,31 @@ def test_corner_first_guard_matches_full_round(monkeypatch, case, rounds):
     assert delta_by == "lipschitz" and delta < box
 
 
-@pytest.mark.parametrize("delta_u, delta_by", [(5.6, "box"), (4.0, "lipschitz")])
-def test_omni_radius_equals_exact_row_sums_radius(monkeypatch, delta_u, delta_by):
+@pytest.mark.parametrize("delta_u, delta_by, settled", [
+    pytest.param(5.6, "box", False, id="5.6-box"),
+    pytest.param(4.0, "lipschitz", False, id="4.0-lipschitz"),
+    pytest.param(50.0, "box", True, id="50.0-box"),
+])
+def test_omni_radius_equals_exact_row_sums_radius(monkeypatch, delta_u, delta_by, settled):
     # n = 9, where the crossover of the two terms sits near delta_u = 4.6:
-    # at delta_u = 5.6 the box term binds, at 4 delta_u / L_z does.  Each
-    # way the radius is the reference box's
-    # min(delta_u / (safety * max row sum), box_x, box_t).  Where the box
-    # binds, the row bound settles the radius and the wheel map is never
-    # applied; where delta_u / L_z binds, the exact transform runs.
+    # at delta_u = 5.6 and 50 the box term binds, at 4 delta_u / L_z does.
+    # Each way the radius is the reference box's
+    # min(delta_u / (safety * max row sum), box_x, box_t).  At 50 the
+    # read-out bound settles the radius, and the pass builds neither the
+    # body-frame terms nor the wheel map.  At 5.6 the bound (6.1 times the
+    # exact largest row here) cannot show that the box binds, and at 4 the
+    # box does not: both reach the exact transform.
     args = _bundled_phase1_case()
     tc = replace(args[5], delta_u=delta_u)
     delta, got_by, box = _assert_radius_of_reference_box(monkeypatch, args, tc, 3)
     assert got_by == delta_by and (delta == box) == (delta_by == "box")
-    applied, apply = [], kernels._omni_apply
-    monkeypatch.setattr(kernels, "_omni_apply", lambda *a: applied.append(a) or apply(*a))
+    calls = {"_body_frame": [], "_omni_apply": []}
+    for name, log in calls.items():
+        fn = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
     radius = compute_trigger_radius(*args[:5], tc, args[6], np.random.default_rng(7))
     assert radius == (delta, got_by)
-    assert bool(applied) == (delta_by == "lipschitz")
+    assert [len(log) for log in calls.values()] == ([0, 0] if settled else [1, 2])
 
 
 def test_interior_case_peaks_at_a_hypercube_row(monkeypatch):
@@ -794,6 +831,23 @@ def test_trigger_floor_near_funnel_boundary():
     # Every round is refused at its late vertices, before it draws any
     # hypercube row, so the rng is left as it was.
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_nan_row_sums_raise_trigger_floor(monkeypatch):
+    # A NaN row sum, from the bound or the exact rows, never reads as
+    # "box": it does not settle a pass, and the radius raises.
+    assert math.isnan(controller._radius(50.0, math.nan, 0.5))
+    asked = []
+
+    def nan_rows(pts, psi, fp, plant, eta, settles):
+        asked.append(settles(math.nan))
+        return np.full((pts.shape[0], plant.m), np.nan)
+
+    monkeypatch.setattr(controller, "law_row_sums", nan_rows)
+    x, t, psi, fp, plant, tc, sm = _bundled_phase1_case()
+    with pytest.raises(TriggerFloorError):
+        compute_trigger_radius(x, t, psi, fp, plant, replace(tc, delta_u=50.0), sm, np.random.default_rng(7))
+    assert asked == [False]
 
 
 def test_make_event_snapshots_state_and_input():
